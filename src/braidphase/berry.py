@@ -18,6 +18,7 @@ carries +pi(1 - cos theta) twice, the +hbar*phidot*cos(theta) doublet (states
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,14 @@ def phase_residual(phase: float, reference: float) -> float:
 
 
 def _fold(phase: float) -> float:
-    while phase > TWO_PI:
-        phase -= TWO_PI
-    while phase <= -TWO_PI:
-        phase += TWO_PI
-    return phase
+    """phase moved by whole turns into (-2*pi, 2*pi]; values already there are
+    returned unchanged."""
+    if -TWO_PI < phase <= TWO_PI:
+        return phase
+    rest = math.fmod(phase, TWO_PI)  # exact, with the sign of phase
+    if phase > 0:
+        return rest if rest > 0 else TWO_PI
+    return rest + 0.0  # -0.0 -> 0.0
 
 
 def berry_analytic(i: int, theta: float, steps: int) -> float:
@@ -106,9 +110,11 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
 
 
 def _eig2(w: np.ndarray):
+    # (w00 - w11)^2 + 4 w01 w10 equals tr^2 - 4 det without its cancellation,
+    # which would lose half the digits on the near-degenerate Wilson loop.
     tr = w[0, 0] + w[1, 1]
-    det = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-    disc = np.sqrt(complex(tr * tr - 4 * det))
+    diff = w[0, 0] - w[1, 1]
+    disc = np.sqrt(complex(diff * diff + 4 * w[0, 1] * w[1, 0]))
     return (tr + disc) / 2, (tr - disc) / 2
 
 
@@ -131,20 +137,22 @@ def berry_wilson(level: str, theta: float, steps: int) -> list:
             f"level gap {gap} below 1e-8; doublet crosses the zero level")
     target = -np.cos(theta) if level == "minus" else np.cos(theta)
 
-    frames = []
-    for k in range(steps):
-        phi = TWO_PI * k / steps
-        dec = linalg.eigh(dynamics.hamiltonian(dynamics.DriveParams(theta, phi)))
-        idx = np.where(np.abs(dec.eigenvalues - target) < gap / 2)[0]
-        if idx.size != 2:
-            raise linalg.NumericalError(
-                f"expected a doublet at energy {target}, found {idx.size} states")
-        frames.append(dec.eigenvectors[:, idx])
+    hams = [dynamics.hamiltonian(dynamics.DriveParams(theta, TWO_PI * k / steps))
+            for k in range(steps)]
+    dec = linalg.eigh(np.stack(hams))
+    in_level = np.abs(dec.eigenvalues - target) < gap / 2
+    counts = in_level.sum(axis=1)
+    if np.any(counts != 2):
+        raise linalg.NumericalError(
+            f"expected a doublet at energy {target}, "
+            f"found {counts[counts != 2][0]} states")
+    cols = np.nonzero(in_level)[1].reshape(steps, 1, 2)
+    frames = np.take_along_axis(dec.eigenvectors, cols, axis=2)
 
+    overlaps = frames.conj().transpose(0, 2, 1) @ np.roll(frames, -1, axis=0)
     loop = np.eye(2, dtype=complex)
-    for k in range(steps):
-        nxt = frames[(k + 1) % steps]
-        loop = loop @ (frames[k].conj().T @ nxt)
+    for step in overlaps:
+        loop = loop @ step
     lam1, lam2 = _eig2(loop)
     phases = sorted(float(-np.angle(l)) for l in (lam1, lam2))
     return phases

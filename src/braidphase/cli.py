@@ -4,10 +4,12 @@ Subcommands: verify-algebra, ybe, entangle, sweep, spectrum, berry.
 Every command emits a RunReport (JSON, deterministic byte-for-byte for fixed
 flags and seed); sweep writes the CSV contract to --out and the summary
 report to stdout. Exit codes: 0 success, 1 a gated check failed, 2 usage
-error, 3 numerical failure.
+error (one line on stderr), 3 numerical failure. A report holding NaN or
+Infinity is not JSON, and is refused as a usage error.
 
-Angles are radians unless --degrees is given. --tol defaults per command to
-the tolerance its checks are specified at (see --help of each subcommand).
+Angles are radians unless --degrees is given, and must be finite. --tol
+defaults per command to the tolerance its checks are specified at (see --help
+of each subcommand).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ class RunReport:
             "passes": _plain(self.passes),
             "passed": bool(self.passed),
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # allow_nan=False: NaN and Infinity are not JSON (RFC 8259)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -239,23 +241,23 @@ def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:
     )
 
 
-def _sweep_row(theta: float, phi: float):
-    state = states.apply_r(yangbaxter.RParams(theta, phi), states.basis_state("000"))
-    rho = np.outer(state, state.conj())
-    tau_m = entanglement.three_tangle(state)
-    c_m = entanglement.concurrence(linalg.partial_trace(rho, (0, 1), 3))
-    c2_m = entanglement.one_vs_rest_sq(state, "A")
-    tau_c = entanglement.tangle_closed_form(theta)
-    c_c = entanglement.pair_concurrence_closed_form(theta)
-    c2_c = entanglement.one_vs_rest_sq_closed_form(theta)
-    worst = max(abs(tau_m - tau_c), abs(c_m - c_c), abs(c2_m - c2_c))
-    return (theta, tau_m, tau_c, c_m, c_c, c2_m, c2_c, worst)
-
-
 def cmd_sweep(spec: SweepSpec, tol: float):
     thetas = np.linspace(spec.theta_min, spec.theta_max, spec.steps)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(lambda t: _sweep_row(float(t), spec.phi), thetas))
+    start = states.basis_state("000")
+    kets = [states.apply_r(yangbaxter.RParams(float(t), spec.phi), start) for t in thetas]
+    pairs = np.stack([linalg.partial_trace(np.outer(v, v.conj()), (0, 1), 3)
+                      for v in kets])
+    c_ab = entanglement.concurrence(pairs)
+    rows = []
+    for theta, v, c_m in zip(thetas, kets, c_ab):
+        theta, c_m = float(theta), float(c_m)
+        tau_m = entanglement.three_tangle(v)
+        c2_m = entanglement.one_vs_rest_sq(v, "A")
+        tau_c = entanglement.tangle_closed_form(theta)
+        c_c = entanglement.pair_concurrence_closed_form(theta)
+        c2_c = entanglement.one_vs_rest_sq_closed_form(theta)
+        worst = max(abs(tau_m - tau_c), abs(c_m - c_c), abs(c2_m - c2_c))
+        rows.append((theta, tau_m, tau_c, c_m, c_c, c2_m, c2_c, worst))
     lines = [SWEEP_HEADER]
     lines.extend(",".join(_g17(v) for v in row) for row in rows)
     csv_text = "\n".join(lines) + "\n"
@@ -336,6 +338,24 @@ def cmd_berry(theta: float, steps: int, method: str, level: str,
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _angle(text: str) -> float:
+    """argparse type of every angle argument: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="pass/fail tolerance (default depends on command)")
@@ -349,7 +369,7 @@ def _add_common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidphase",
         description="Three-qubit braid system: algebra checks, entanglement "
                     "measures, spectra, and geometric phases.")
@@ -365,27 +385,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("entangle", help="entanglement measures of one generated state")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--theta", type=_angle, required=True)
+    p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--input", default="000", choices=states.BASIS_LABELS)
     _add_common(p)
 
     p = sub.add_parser("sweep", help="theta sweep of the entanglement curves (CSV)")
-    p.add_argument("--theta-min", type=float, required=True)
-    p.add_argument("--theta-max", type=float, required=True)
+    p.add_argument("--theta-min", type=_angle, required=True)
+    p.add_argument("--theta-max", type=_angle, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--phi", type=_angle, default=0.0)
     _add_common(p)
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenstate checks of the drive generator")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--theta", type=_angle, required=True)
+    p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--phidot", type=float, default=1.0)
     p.add_argument("--hbar", type=float, default=1.0)
     _add_common(p)
 
     p = sub.add_parser("berry", help="geometric phases of the drive loop")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--method", choices=("analytic", "wilson"), default="analytic")
     p.add_argument("--level", choices=("zero", "minus", "plus", "all"), default="all")

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 QUBITS = {"A": 0, "B": 1, "C": 2}
+PAIRS = ((0, 1), (1, 2), (0, 2))  # AB, BC, AC
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
@@ -92,17 +93,17 @@ def one_vs_rest_sq_closed_form(theta: float) -> float:
     return float(8 / 9 * np.cos(theta) ** 2 * (1 + 2 * np.sin(theta) ** 2))
 
 
-def _clamped_sqrt_eigvals(dec: linalg.EigenDecomposition, tol: float) -> np.ndarray:
-    lam = dec.eigenvalues.copy()
-    if lam.size and lam[0] < -tol:
-        raise ValueError(f"matrix has eigenvalue {lam[0]} below -{tol}")
-    floor = RANK_CLAMP * max(float(lam[-1]), 0.0) if lam.size else 0.0
-    lam[lam < floor] = 0.0
-    return np.sqrt(lam)
+def _clamped_sqrt_eigvals(lam: np.ndarray, tol: float) -> np.ndarray:
+    """Square roots of each ascending row of eigenvalues, after the rank clamp."""
+    low = lam[:, 0] < -tol
+    if low.any():
+        raise ValueError(f"matrix has eigenvalue {lam[low][0, 0]} below -{tol}")
+    floor = RANK_CLAMP * np.maximum(lam[:, -1:], 0.0)
+    return np.sqrt(np.where(lam < floor, 0.0, lam))
 
 
-def concurrence(rho2, tol: float = 1e-10) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho2, tol: float = 1e-10):
+    """Wootters concurrence of a two-qubit density matrix or a stack of them.
 
     Computed as max{0, l1 - l2 - l3 - l4} with l_i the descending singular
     values of sqrt(rho) F sqrt(rho)*, F = sigma_y x sigma_y: the square roots
@@ -113,24 +114,44 @@ def concurrence(rho2, tol: float = 1e-10) -> float:
     error of ~1e-16 l_1, where the square root of a small eigenvalue of
     K^dag K would carry ~1e-8 l_1, and an eigenvalue clamped to zero would
     lose the three-tangle 4 l_1 l_2 of a pure-state pair.
+
+    A 4x4 input gives a float. A (B, 4, 4) stack gives an array of B floats,
+    each bitwise equal to the concurrence of its slice alone: rho takes one
+    stacked eigh, and K^dag K one per distinct rank r.
     """
     rho = np.asarray(rho2, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    scale = linalg.frobenius_norm(rho)
-    if linalg.frobenius_distance(rho, linalg.dagger(rho)) > tol * max(scale, 1.0):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise ValueError("density matrix does not have unit trace within tolerance")
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
+        raise ValueError(f"expected a 4x4 density matrix or a stack of them, "
+                         f"got shape {rho.shape}")
+    stack = rho.reshape(-1, 4, 4)
 
-    dec = linalg.eigh(rho, tol)
-    roots = _clamped_sqrt_eigvals(dec, tol)  # also validates positivity
-    support = roots > 0.0
-    w = dec.eigenvectors[:, support] * roots[support]
-    k = linalg.dagger(w) @ FLIP_4 @ w.conj()
-    u = linalg.eigh(linalg.dagger(k) @ k, tol).eigenvectors
-    lam = np.sort(np.sqrt(np.sum(np.abs(k @ u) ** 2, axis=0)))[::-1]
-    return float(max(0.0, lam[0] - np.sum(lam[1:])))
+    def reject(mask, problem):
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            name = "density matrix" if rho.ndim == 2 else f"density matrix {bad[0]}"
+            raise ValueError(f"{name} {problem} within tolerance")
+
+    scale = linalg.frobenius_norms(stack)
+    skew = linalg.frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
+    reject(skew > tol * np.maximum(scale, 1.0), "is not Hermitian")
+    trace = np.trace(stack, axis1=1, axis2=2)
+    reject((np.abs(trace.real - 1.0) > tol) | (np.abs(trace.imag) > tol),
+           "does not have unit trace")
+
+    dec = linalg.eigh(stack, tol)
+    roots = _clamped_sqrt_eigvals(dec.eigenvalues, tol)  # also validates positivity
+    rank = np.count_nonzero(roots > 0.0, axis=1)  # the support is a suffix
+    out = np.empty(len(stack))
+    for r in np.unique(rank):
+        idx = np.flatnonzero(rank == r)
+        w = dec.eigenvectors[idx, :, 4 - r:] * roots[idx, None, 4 - r:]
+        k = np.ascontiguousarray(w.conj().transpose(0, 2, 1)) @ FLIP_4 @ w.conj()
+        kk = np.ascontiguousarray(k.conj().transpose(0, 2, 1)) @ k
+        u = linalg.eigh(kk, tol).eigenvectors
+        lam = np.sort(np.sqrt(np.sum(np.abs(k @ u) ** 2, axis=1)), axis=1)[:, ::-1]
+        c = lam[:, 0] - np.sum(lam[:, 1:], axis=1)
+        out[idx] = np.where(c > 0.0, c, 0.0)
+    return float(out[0]) if rho.ndim == 2 else out
 
 
 def one_vs_rest_sq(state, which: str) -> float:
@@ -147,19 +168,13 @@ def one_vs_rest_sq(state, which: str) -> float:
     return 2.0 * (1.0 - purity)
 
 
-def _pair_concurrence(rho_full: np.ndarray, pair, tol: float) -> float:
-    reduced = linalg.partial_trace(rho_full, pair, 3, tol)
-    return concurrence(reduced, tol)
-
-
 def full_report(state, tol: float = 1e-10) -> EntanglementReport:
     """Every measure of one pure state plus the monogamy residual."""
     v = states.as_state(state)
     rho = np.outer(v, v.conj())
     tau = three_tangle(v)
-    c_ab = _pair_concurrence(rho, (0, 1), tol)
-    c_bc = _pair_concurrence(rho, (1, 2), tol)
-    c_ac = _pair_concurrence(rho, (0, 2), tol)
+    reduced = np.stack([linalg.partial_trace(rho, pair, 3, tol) for pair in PAIRS])
+    c_ab, c_bc, c_ac = (float(c) for c in concurrence(reduced, tol))
     c2_a = one_vs_rest_sq(v, "A")
     c2_b = one_vs_rest_sq(v, "B")
     c2_c = one_vs_rest_sq(v, "C")

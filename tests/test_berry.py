@@ -101,6 +101,54 @@ class TestWilson:
             berry.berry_wilson("minus", 0.9, 10)
 
 
+class TestWilsonDoubletPrecision:
+    # the README argv: theta = 1.0472, level minus, 800 steps
+    THETA, STEPS = 1.0472, 800
+
+    def wilson_loop(self):
+        grid = np.stack([
+            dynamics.hamiltonian(dynamics.DriveParams(self.THETA, 2 * np.pi * k / self.STEPS))
+            for k in range(self.STEPS)])
+        dec = linalg.eigh(grid)
+        frames = [vecs[:, np.abs(vals + np.cos(self.THETA)) < abs(np.cos(self.THETA)) / 2]
+                  for vals, vecs in zip(dec.eigenvalues, dec.eigenvectors)]
+        loop = np.eye(2, dtype=complex)
+        for k in range(self.STEPS):
+            loop = loop @ (frames[k].conj().T @ frames[(k + 1) % self.STEPS])
+        return loop
+
+    def test_doublet_phases_agree(self):
+        low, high = berry.berry_wilson("minus", self.THETA, self.STEPS)
+        assert high - low <= 1e-12
+
+    def test_matches_numpy_eigvals_of_the_loop(self):
+        phases = berry.berry_wilson("minus", self.THETA, self.STEPS)
+        # numpy.linalg is a test oracle only
+        oracle = sorted(float(-np.angle(z)) for z in np.linalg.eigvals(self.wilson_loop()))
+        for p, q in zip(phases, oracle):
+            assert abs(p - q) <= 1e-13
+
+
+class TestFold:
+    def test_principal_range_unchanged(self):
+        for phase in (0.0, -0.0, 1.2345678901234567, -6.283185307179586 + 1e-15,
+                      2 * np.pi, -3.0, np.nextafter(-2 * np.pi, 0.0)):
+            folded = berry._fold(phase)
+            assert folded == phase and np.signbit(folded) == np.signbit(phase)
+
+    def test_whole_turns_removed(self):
+        assert berry._fold(2 * np.pi + 0.25) == pytest.approx(0.25, abs=1e-15)
+        assert berry._fold(-3 * np.pi) == pytest.approx(-np.pi, abs=1e-15)
+        assert berry._fold(4 * np.pi) == 2 * np.pi
+        assert berry._fold(-2 * np.pi) == 0.0
+
+    def test_many_turns(self):
+        for phase in (1e5, -1e5, 12345.678):
+            folded = berry._fold(phase)
+            assert -2 * np.pi < folded <= 2 * np.pi
+            assert berry.phase_residual(folded, phase % (2 * np.pi)) <= 1e-9
+
+
 class TestZeroLevel:
     def test_identically_zero(self):
         for theta in (0.0, 0.9, 2.8):

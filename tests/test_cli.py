@@ -184,6 +184,33 @@ class TestUsageErrors:
         assert code == 2 and "csv" in err
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        ("berry", "--theta", "inf"),
+        ("berry", "--theta", "nan", "--method", "wilson"),
+        ("entangle", "--theta", "0.5", "--phi=-inf"),
+        ("sweep", "--theta-min", "0", "--theta-max", "1e999", "--steps", "3"),
+        ("spectrum", "--theta", "zero"),
+    ])
+    def test_non_finite_angle_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "finite" in err
+
+    def test_nan_in_report_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "entangle", "--theta", "0.5", "--tol", "nan")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+
+    def test_to_json_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf")):
+            report = cli.RunReport(command="spectrum", parameters={"theta": bad},
+                                   results={}, residual_summary={}, passes={},
+                                   passed=True)
+            with pytest.raises(ValueError):
+                report.to_json()
+
+
 class TestOutFile:
     def test_json_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -195,6 +195,26 @@ class TestCurveAgreement:
                 assert rep.monogamy_residual <= 1e-8
 
 
+class TestStackedConcurrence:
+    def test_readme_sweep_grid_bitwise(self):
+        # the README sweep: theta in [0, 3.14159], 121 steps, phi = 0, input 000
+        pairs = []
+        for theta in np.linspace(0.0, 3.14159, 121):
+            v = states.apply_r(RParams(theta, 0.0), states.basis_state("000"))
+            rho = np.outer(v, v.conj())
+            pairs.extend(linalg.partial_trace(rho, keep, 3)
+                         for keep in ((0, 1), (1, 2), (0, 2)))
+        stacked = entanglement.concurrence(np.stack(pairs))
+        assert stacked.shape == (len(pairs),)
+        for c, rho2 in zip(stacked, pairs):
+            assert c == entanglement.concurrence(rho2)
+
+    def test_bad_slice_named(self):
+        good = np.diag([1.0, 0, 0, 0]).astype(complex)
+        with pytest.raises(ValueError, match="density matrix 2 does not have unit trace"):
+            entanglement.concurrence(np.stack([good, good, 2 * good]))
+
+
 class TestTwoQubitClosure:
     def test_concurrence_curve(self):
         for theta in np.linspace(0, np.pi, 9):

@@ -167,6 +167,87 @@ class TestEigh:
             linalg.eigh(np.zeros((2, 3), dtype=complex))
 
 
+def mixed_stack(rng, count, dim):
+    """Hermitian matrices: dense random ones alternating with ones whose
+    small-integer spectra repeat, so slices differ in cluster structure and
+    in the number of sweeps they need."""
+    out = np.empty((count, dim, dim), dtype=complex)
+    for k in range(count):
+        z = random_complex(rng, (dim, dim))
+        if k % 2:
+            q = np.linalg.qr(z)[0]
+            out[k] = (q * rng.integers(-2, 3, dim)) @ q.conj().T
+        else:
+            out[k] = (z + z.conj().T) / 2
+    return out
+
+
+def wilson_grid(theta=1.0472, steps=800):
+    from braidphase.dynamics import DriveParams, hamiltonian
+
+    return np.stack([hamiltonian(DriveParams(theta, 2 * np.pi * k / steps))
+                     for k in range(steps)])
+
+
+class TestStackedEigh:
+    @pytest.mark.parametrize("count", [1, 7, 64, 65, 800])
+    def test_slices_bitwise_equal_to_solo(self, count):
+        stack = mixed_stack(np.random.default_rng(count), count, 4)
+        dec = linalg.eigh(stack)
+        assert dec.eigenvalues.shape == (count, 4)
+        assert dec.eigenvectors.shape == (count, 4, 4)
+        for k in range(count):
+            solo = linalg.eigh(stack[k])
+            assert np.array_equal(dec.eigenvalues[k], solo.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[k], solo.eigenvectors)
+
+    def test_degenerate_slices_bitwise_equal_to_solo(self):
+        stack = wilson_grid(steps=130)[::2]
+        dec = linalg.eigh(stack)
+        for k in range(len(stack)):
+            solo = linalg.eigh(stack[k])
+            assert np.array_equal(dec.eigenvalues[k], solo.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[k], solo.eigenvectors)
+
+    def test_non_finite_entry_rejected(self):
+        stack = mixed_stack(np.random.default_rng(3), 65, 4)
+        stack[64, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.eigh(stack)
+        stack[64, 1, 2] = 0.0
+        stack[3, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.eigh(stack)
+
+    def test_non_hermitian_slice_named(self):
+        stack = mixed_stack(np.random.default_rng(4), 70, 4)
+        stack[66, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="matrix 66 is not Hermitian"):
+            linalg.eigh(stack)
+
+    def test_zero_slice(self):
+        stack = mixed_stack(np.random.default_rng(5), 9, 4)
+        stack[6] = 0.0
+        dec = linalg.eigh(stack)
+        assert np.array_equal(dec.eigenvalues[6], np.zeros(4))
+        assert np.array_equal(dec.eigenvectors[6], np.eye(4))
+        solo = linalg.eigh(stack[7])
+        assert np.array_equal(dec.eigenvalues[7], solo.eigenvalues)
+
+    def test_sweep_budget_exhausted(self):
+        stack = mixed_stack(np.random.default_rng(6), 5, 8)
+        with pytest.raises(linalg.NumericalError):
+            linalg.eigh(stack, max_sweeps=1)
+        with pytest.raises(linalg.NumericalError):
+            linalg.eigh(stack[0], max_sweeps=1)
+
+    def test_wilson_grid_matches_numpy(self):
+        grid = wilson_grid()
+        dec = linalg.eigh(grid)
+        # numpy.linalg is a test oracle only
+        assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(grid)).max() <= 1e-13
+
+
 class TestPartialTrace:
     def test_product_state(self):
         v = np.zeros(8, dtype=complex)
