@@ -204,6 +204,7 @@ def eigh(a, tol: float = 1e-10, *, target: float = 1e-12,
 
 def _eigh_block(a: np.ndarray, scale: np.ndarray, tol: float, target: float,
                 max_sweeps: int):
+    """(values, vectors) of a stack of nonzero Hermitian matrices of norms ``scale``."""
     n = a.shape[1]
     m = 2 * n
     x = (a.real + a.real.transpose(0, 2, 1)) / 2
@@ -337,7 +338,8 @@ def _pivoted_gram_schmidt(z: np.ndarray, want: int) -> np.ndarray:
     for j in range(want):
         r = cand.copy()
         for b in basis[:, :j].transpose(1, 0, 2):
-            # <b|r> for every candidate: one dot product per (slice, candidate)
+            # <b|r> per (slice, candidate) as a (1, n) @ (n, 1) product: one BLAS
+            # dot product each, as np.vdot takes (an einsum sums in another order)
             r -= (b.conj()[:, None, None, :] @ r[..., None])[..., 0] * b[:, None, :]
         residual = np.sqrt(np.sum(np.abs(r) ** 2, axis=2))
         residual[used] = -np.inf
