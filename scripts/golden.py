@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 of every README command's output, for golden diffs.
+
+Runs each README command in-process through ``braidphase.cli.main``, plus
+``verify-algebra --seed 99`` and ``ybe --seed 7``, and prints one
+``sha256  argv`` line per output: the stdout of every command, and the CSV
+the sweep writes (to a temporary directory). The package is imported from
+the ``src`` directory of the checkout this script sits in, so comparing two
+checkouts is a plain diff:
+
+    python3 scripts/golden.py > a.txt      # in checkout A
+    python3 scripts/golden.py > b.txt      # in checkout B
+    diff a.txt b.txt
+
+Exit status 0 when every command exited 0 or 1 (a report was printed).
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from braidphase import cli  # noqa: E402
+
+README_COMMANDS = (
+    "verify-algebra --phi-samples 17 --seed 0",
+    "ybe --samples 50 --phi-samples 5 --seed 0",
+    "entangle --theta 0.5236 --phi 0 --input 000",
+    "sweep --theta-min 0 --theta-max 3.14159 --steps 121 --out curves.csv",
+    "spectrum --theta 1.0472",
+    "berry --theta 1.5708 --steps 10000 --method analytic",
+    "berry --theta 1.0472 --steps 800 --method wilson --level minus",
+)
+EXTRA_COMMANDS = (
+    "verify-algebra --phi-samples 17 --seed 99",
+    "ybe --samples 50 --phi-samples 5 --seed 7",
+)
+
+
+def _sha256(data: str) -> str:
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in README_COMMANDS + EXTRA_COMMANDS:
+            argv = shlex.split(command)
+            if "--out" in argv:
+                argv[argv.index("--out") + 1] = os.path.join(tmp, "curves.csv")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(argv)
+            ok &= code in (0, 1)
+            print(f"{_sha256(stdout.getvalue())}  {command}  (exit {code})")
+            if "--out" in argv:
+                with open(argv[argv.index("--out") + 1], encoding="utf-8",
+                          newline="") as fh:
+                    print(f"{_sha256(fh.read())}  {command}  [csv]")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

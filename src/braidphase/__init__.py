@@ -17,7 +17,6 @@ from .linalg import (
     frobenius_distance,
     frobenius_norm,
     kron,
-    matmul,
     partial_trace,
 )
 from .braid import (
@@ -40,6 +39,7 @@ from .yangbaxter import (
     r_matrix,
     rational_r,
     theta_from_spectral,
+    unitarity_residuals,
     ybe_residual,
 )
 from .states import BASIS_LABELS, apply_r, basis_image_formula, basis_state
@@ -78,12 +78,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EigenDecomposition", "NumericalError", "abs_det", "dagger", "eigh",
-    "frobenius_distance", "frobenius_norm", "kron", "matmul", "partial_trace",
+    "frobenius_distance", "frobenius_norm", "kron", "partial_trace",
     "SPIN", "BraidSet", "Es2Report", "SpinOps", "build_braidset", "build_m4",
     "check_es2_relations", "transcription_diagnostics",
     "THREE_QUBIT", "TWO_QUBIT", "RParams", "SingularParameterError",
     "SpectralParam", "r_from_spectral", "r_matrix", "rational_r",
-    "theta_from_spectral", "ybe_residual",
+    "theta_from_spectral", "unitarity_residuals", "ybe_residual",
     "BASIS_LABELS", "apply_r", "basis_image_formula", "basis_state",
     "EntanglementReport", "concurrence", "full_report", "one_vs_rest_sq",
     "one_vs_rest_sq_closed_form", "pair_concurrence_closed_form",

@@ -58,6 +58,22 @@ SPIN = SpinOps(
 
 IDENTITY_2 = _frozen(np.eye(2))
 
+# M(phi) = e^{-i phi} M- - e^{i phi} M+ + M0, with M- = S+ S+, M+ = S- S-,
+# M0 = S+ S- - S- S+ (tensor products); these parts and their lifts onto
+# qubits (1,2) and (2,3) of three are built once, here.
+_M_PARTS = tuple(_frozen(m) for m in (
+    np.kron(SPIN.s_plus, SPIN.s_plus),
+    np.kron(SPIN.s_minus, SPIN.s_minus),
+    np.kron(SPIN.s_plus, SPIN.s_minus) - np.kron(SPIN.s_minus, SPIN.s_plus),
+))
+_LIFT_12 = tuple(_frozen(np.kron(m, IDENTITY_2)) for m in _M_PARTS)
+_LIFT_23 = tuple(_frozen(np.kron(IDENTITY_2, m)) for m in _M_PARTS)
+
+
+def _combine(phi: float, parts: tuple) -> np.ndarray:
+    minus, plus, zero = parts
+    return np.exp(-1j * phi) * minus - np.exp(1j * phi) * plus + zero
+
 
 @dataclass(frozen=True)
 class BraidSet:
@@ -103,20 +119,16 @@ def build_m4(phi: float) -> np.ndarray:
     Nonzero entries (row, col, 0-indexed): (0,3)=e^{-i phi}, (1,2)=1,
     (2,1)=-1, (3,0)=-e^{i phi}. Squares to -I and is anti-Hermitian.
     """
-    sp, sm = SPIN.s_plus, SPIN.s_minus
-    return (np.exp(-1j * phi) * linalg.kron(sp, sp)
-            - np.exp(1j * phi) * linalg.kron(sm, sm)
-            + linalg.kron(sp, sm)
-            - linalg.kron(sm, sp))
+    return _combine(phi, _M_PARTS)
 
 
 def build_braidset(phi: float) -> BraidSet:
     m4 = build_m4(phi)
-    a8 = linalg.kron(m4, IDENTITY_2)
-    b8 = linalg.kron(IDENTITY_2, m4)
-    mcal = (a8 + b8 + linalg.matmul(b8, a8)) / SQRT3
+    a8 = _combine(phi, _LIFT_12)
+    b8 = _combine(phi, _LIFT_23)
+    mcal = (a8 + b8 + b8 @ a8) / SQRT3
     mbb = -1j * mcal
-    alpha = float(np.trace(linalg.matmul(mbb, mbb)).real) / 8.0
+    alpha = float(np.trace(mbb @ mbb).real) / 8.0
     return BraidSet(phi=float(phi), m4=m4, a8=a8, b8=b8,
                     mcal=mcal, mbb=mbb, alpha=alpha)
 

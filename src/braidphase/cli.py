@@ -7,9 +7,10 @@ report to stdout. Exit codes: 0 success, 1 a gated check failed, 2 usage
 error (one line on stderr), 3 numerical failure. A report holding NaN or
 Infinity is not JSON, and is refused as a usage error.
 
-Angles are radians unless --degrees is given, and must be finite. --tol
-defaults per command to the tolerance its checks are specified at (see --help
-of each subcommand).
+Angles are radians unless --degrees is given, and must be finite. Sample
+counts (--samples, --phi-samples) are integers >= 1. --tol defaults per
+command to the tolerance its checks are specified at (see --help of each
+subcommand).
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
     relation_max: dict = {}
     ambiguous_max: dict = {}
     alpha_dev = 0.0
+    unit_max = {yangbaxter.TWO_QUBIT: 0.0, yangbaxter.THREE_QUBIT: 0.0}
     for phi in phis:
         rep = braid.check_es2_relations(braid.build_braidset(phi), tol)
         for name, val in rep.residuals.items():
@@ -126,17 +128,9 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
         for name, val in rep.ambiguous.items():
             ambiguous_max[name] = max(ambiguous_max.get(name, 0.0), val)
         alpha_dev = max(alpha_dev, abs(rep.alpha - 1.0))
-
-    unit_max = {yangbaxter.TWO_QUBIT: 0.0, yangbaxter.THREE_QUBIT: 0.0}
-    for system in unit_max:
-        dim = 4 if system == yangbaxter.TWO_QUBIT else 8
-        eye = np.eye(dim, dtype=complex)
-        for theta in thetas:
-            for phi in phis:
-                r = yangbaxter.r_matrix(system, yangbaxter.RParams(theta, phi))
-                unit_max[system] = max(
-                    unit_max[system],
-                    linalg.frobenius_distance(linalg.dagger(r) @ r, eye))
+        for system in unit_max:
+            unit_max[system] = max(unit_max[system], float(np.max(
+                yangbaxter.unitarity_residuals(system, thetas, phi))))
 
     summary = dict(relation_max)
     summary["alpha_deviation"] = alpha_dev
@@ -161,30 +155,28 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
 
 
 def _sample_spectral_pairs(rng, count: int):
-    pairs = []
-    while len(pairs) < count:
+    xs, ys = [], []
+    while len(xs) < count:
         a, b = rng.uniform(-np.pi, np.pi, 2)
         # keep away from the singular parameterization x + 1/x = 0
         if min(abs(np.cos(a)), abs(np.cos(b)), abs(np.cos(a + b))) < 1e-3:
             continue
-        pairs.append((np.exp(1j * a), np.exp(1j * b)))
-    return pairs
+        xs.append(yangbaxter.SpectralParam(np.exp(1j * a)))
+        ys.append(yangbaxter.SpectralParam(np.exp(1j * b)))
+    return xs, ys
 
 
 def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
     rng = np.random.default_rng(seed)
-    pairs = _sample_spectral_pairs(rng, samples)
+    xs, ys = _sample_spectral_pairs(rng, samples)
     phis = rng.uniform(0.0, 2 * np.pi, phi_samples)
 
     residual = {("two_qubit", "rational"): 0.0, ("three_qubit", "rational"): 0.0,
                 ("two_qubit", "unitary"): 0.0, ("three_qubit", "unitary"): 0.0}
-    for x, y in pairs:
-        sx, sy = yangbaxter.SpectralParam(x), yangbaxter.SpectralParam(y)
-        for phi in phis:
-            for (system, family) in residual:
-                residual[(system, family)] = max(
-                    residual[(system, family)],
-                    yangbaxter.ybe_residual(system, sx, sy, phi, family=family))
+    for phi in phis:
+        for (system, family) in residual:
+            residual[(system, family)] = max(residual[(system, family)], float(np.max(
+                yangbaxter.ybe_residual(system, xs, ys, phi, family=family))))
 
     summary = {
         "two_qubit_rational_max": residual[("two_qubit", "rational")],
@@ -356,6 +348,17 @@ def _angle(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type of every sample count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"count must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="pass/fail tolerance (default depends on command)")
@@ -376,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-algebra", help="generator-algebra and unitarity checks")
-    p.add_argument("--phi-samples", type=int, default=17)
+    p.add_argument("--phi-samples", type=_count, default=17)
     _add_common(p)
 
     p = sub.add_parser("ybe", help="Yang-Baxter residuals over sampled spectral parameters")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--phi-samples", type=int, default=5)
+    p.add_argument("--samples", type=_count, default=50)
+    p.add_argument("--phi-samples", type=_count, default=5)
     _add_common(p)
 
     p = sub.add_parser("entangle", help="entanglement measures of one generated state")

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "EigenDecomposition",
-    "matmul",
     "kron",
     "dagger",
     "eigh",
@@ -85,14 +84,6 @@ def frobenius_norms(stack) -> np.ndarray:
     """Frobenius norm of each matrix of a (B, n, n) stack; no validation."""
     stack = np.asarray(stack)
     return np.sqrt(np.sum(np.abs(stack.reshape(len(stack), -1)) ** 2, axis=1))
-
-
-def matmul(a, b) -> np.ndarray:
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def kron(a, b) -> np.ndarray:

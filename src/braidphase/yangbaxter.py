@@ -34,6 +34,7 @@ __all__ = [
     "r_from_spectral",
     "rational_r",
     "theta_from_spectral",
+    "unitarity_residuals",
     "ybe_residual",
 ]
 
@@ -42,6 +43,10 @@ THREE_QUBIT = "three_qubit"
 SYSTEMS = (TWO_QUBIT, THREE_QUBIT)
 
 TWO_PI = 2 * np.pi
+
+# Stacks of angles or spectral pairs are worked through this many at a time,
+# which bounds the working set; no result depends on it.
+_BLOCK = 64
 
 
 class SingularParameterError(ValueError):
@@ -95,6 +100,26 @@ def r_matrix(system: str, p: RParams) -> np.ndarray:
     return np.sin(p.theta) * eye + np.cos(p.theta) * gen
 
 
+def unitarity_residuals(system: str, thetas, phi: float) -> np.ndarray:
+    """||R^dag R - I|| of R = r_matrix(system, RParams(theta, phi)) for each theta.
+
+    The whole theta grid is one stacked product per block of angles; each
+    value is bitwise the one the single-matrix route gives.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    if not (np.all(np.isfinite(thetas)) and np.isfinite(phi)):
+        raise ValueError("theta and phi must be finite")
+    gen = _generator(system, phi)
+    eye = np.eye(len(gen), dtype=complex)
+    out = np.empty(len(thetas))
+    for lo in range(0, len(thetas), _BLOCK):
+        t = thetas[lo:lo + _BLOCK, None, None]
+        r = np.sin(t) * eye + np.cos(t) * gen
+        r_dag = r.conj().transpose(0, 2, 1).copy()
+        out[lo:lo + _BLOCK] = linalg.frobenius_norms(r_dag @ r - eye)
+    return out
+
+
 def theta_from_spectral(x: SpectralParam) -> float:
     """Branch theta = pi/2 - arg(x), arg in (-pi, pi]; x = 1 maps to the identity."""
     return float(np.pi / 2 - np.angle(x.x))
@@ -126,39 +151,67 @@ def rational_r(system: str, x: complex, phi: float) -> np.ndarray:
     return ((x + 1 / x) / 2) * eye + ((x - 1 / x) / 2) * gen
 
 
-def _lifted_sides(system: str, x: complex, y: complex, phi: float, family: str):
+def _coefficients(family: str, points: list) -> np.ndarray:
+    """(a, b) rows with R(x) = a I + b generator at each spectral point x.
+
+    Formed with Python complex scalars, one point at a time, so that each
+    coefficient is bitwise the one rational_r or r_from_spectral uses.
+    """
     if family == "rational":
-        build = lambda xv: rational_r(system, xv, phi)
+        pairs = [((x + 1 / x) / 2, (x - 1 / x) / 2) for x in (p.x for p in points)]
     elif family == "unitary":
-        build = lambda xv: r_from_spectral(system, SpectralParam(xv), phi)
+        pairs = [(np.sin(t), np.cos(t)) for t in map(theta_from_spectral, points)]
     else:
         raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
-    eye2 = np.eye(2, dtype=complex)
-    r_x, r_xy, r_y = build(x), build(x * y), build(y)
-    lift12 = lambda r: linalg.kron(r, eye2)
-    lift23 = lambda r: linalg.kron(eye2, r)
-    lhs = lift12(r_x) @ lift23(r_xy) @ lift12(r_y)
-    rhs = lift23(r_y) @ lift12(r_xy) @ lift23(r_x)
-    return lhs, rhs
+    return np.array(pairs, dtype=complex).reshape(-1, 2).T
 
 
-def ybe_residual(system: str, x: SpectralParam, y: SpectralParam, phi: float,
-                 family: str = "rational") -> float:
+def ybe_residual(system: str, x, y, phi: float, family: str = "rational"):
     """Frobenius norm of LHS - RHS of the multiplicative Yang-Baxter equation.
+
+    ``x`` and ``y`` are SpectralParam values, or two equal-length sequences of
+    them; a single pair gives a float, sequences an array with one residual
+    per pair (x[k], y[k]). A single pair is the stack of one.
 
     The braid matrix on sites (i, i+1) is lifted as R otimes I_2 and the one
     on (i+1, i+2) as I_2 otimes R, so the two_qubit check runs on 3 sites
-    (8x8) and the three_qubit check on 4 overlapping sites (16x16).
+    (8x8) and the three_qubit check on 4 overlapping sites (16x16). Each lift
+    is formed as a I + b G from the lifted generator G, and both sides are
+    stacked products over blocks of pairs.
 
     For the two_qubit system the rational family satisfies the equation
     identically; for the three_qubit system the residual is generically
     nonzero (the overlapping-triple lifts do not close the extraspecial
     algebra) and is reported, not asserted, by every caller in this package.
     """
-    for p in (x, y):
-        if not isinstance(p, SpectralParam):
-            raise TypeError("x and y must be SpectralParam values")
-        _require_nonsingular(p)
-    _require_nonsingular(SpectralParam(x.x * y.x, tol=max(x.tol, y.tol) * 4))
-    lhs, rhs = _lifted_sides(system, x.x, y.x, phi, family)
-    return linalg.frobenius_distance(lhs, rhs)
+    if not np.isfinite(phi):
+        raise ValueError("phi must be finite")
+    single = isinstance(x, SpectralParam) and isinstance(y, SpectralParam)
+    xs, ys = ([x], [y]) if single else (list(x), list(y))
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
+    xys = []
+    for px, py in zip(xs, ys):
+        for p in (px, py):
+            if not isinstance(p, SpectralParam):
+                raise TypeError("x and y must be SpectralParam values")
+            _require_nonsingular(p)
+        pxy = SpectralParam(px.x * py.x, tol=max(px.tol, py.tol) * 4)
+        _require_nonsingular(pxy)
+        xys.append(pxy)
+    # a[j, k], b[j, k]: coefficients of R(x_k), R(x_k y_k), R(y_k) for j = 0, 1, 2
+    a, b = _coefficients(family, xs + xys + ys).reshape(2, 3, len(xs), 1, 1)
+
+    gen = _generator(system, phi)
+    eye2 = np.eye(2, dtype=complex)
+    g12, g23 = np.kron(gen, eye2), np.kron(eye2, gen)
+    eye = np.eye(len(g12), dtype=complex)
+    out = np.empty(len(xs))
+    for lo in range(0, len(xs), _BLOCK):
+        k = slice(lo, lo + _BLOCK)
+        r12 = a[:, k] * eye + b[:, k] * g12
+        r23 = a[:, k] * eye + b[:, k] * g23
+        lhs = r12[0] @ r23[1] @ r12[2]
+        rhs = r23[2] @ r12[1] @ r23[0]
+        out[k] = linalg.frobenius_norms(lhs - rhs)
+    return float(out[0]) if single else out

@@ -116,3 +116,81 @@ class TestTranscriptions:
         for phi in (0.0, 0.7):
             diag = braid.transcription_diagnostics(phi)
             assert diag["m4_vs_transcription"] == pytest.approx(np.sqrt(5), abs=1e-12)
+
+
+# 1,000 random angles plus the landmarks 0, pi, 2 pi and |phi| = 1e3
+BITWISE_PHIS = np.concatenate([
+    [0.0, np.pi, 2 * np.pi, 1e3, -1e3],
+    np.random.default_rng(11).uniform(-20.0, 20.0, 1000),
+])
+EYE2 = np.eye(2, dtype=complex)
+
+
+def kron_braidset(phi):
+    """The generator family built by np.kron from the spin operators, per call."""
+    sp, sm = braid.SPIN.s_plus, braid.SPIN.s_minus
+    m4 = (np.exp(-1j * phi) * np.kron(sp, sp) - np.exp(1j * phi) * np.kron(sm, sm)
+          + np.kron(sp, sm) - np.kron(sm, sp))
+    a8, b8 = np.kron(m4, EYE2), np.kron(EYE2, m4)
+    mcal = (a8 + b8 + b8 @ a8) / np.sqrt(3.0)
+    mbb = -1j * mcal
+    return m4, a8, b8, mcal, mbb, float(np.trace(mbb @ mbb).real) / 8.0
+
+
+class TestPrecomputedParts:
+    def test_bitwise_equal_to_kron_construction(self):
+        for phi in BITWISE_PHIS:
+            bs = braid.build_braidset(phi)
+            m4, a8, b8, mcal, mbb, alpha = kron_braidset(phi)
+            assert braid.build_m4(phi).tobytes() == m4.tobytes()
+            assert bs.m4.tobytes() == m4.tobytes()
+            # the lifts may differ from np.kron in the sign of a zero entry only
+            assert np.array_equal(bs.a8, a8) and np.array_equal(bs.b8, b8)
+            assert bs.mcal.tobytes() == mcal.tobytes()
+            assert bs.mbb.tobytes() == mbb.tobytes()
+            assert bs.alpha == alpha
+
+    def test_parts_are_read_only(self):
+        with pytest.raises(ValueError):
+            braid._M_PARTS[0][0, 0] = 1.0
+
+
+def harmonic_parts():
+    """P, C, Q with mcal(phi) = (e^{-i phi} P + C + e^{i phi} Q)/sqrt(3).
+
+    With M(phi) = e^{-i phi} M- - e^{i phi} M+ + M0 and its lifts
+    A = M otimes I, B = I otimes M, the product B A expands into nine terms;
+    the two of phase e^{-2 i phi} (B- A-) and e^{2 i phi} (B+ A+) vanish.
+    Also returns those two products.
+    """
+    sp, sm = braid.SPIN.s_plus, braid.SPIN.s_minus
+    m_minus, m_plus = np.kron(sp, sp), np.kron(sm, sm)
+    m_zero = np.kron(sp, sm) - np.kron(sm, sp)
+    a_m, a_p, a_0 = (np.kron(m, EYE2) for m in (m_minus, m_plus, m_zero))
+    b_m, b_p, b_0 = (np.kron(EYE2, m) for m in (m_minus, m_plus, m_zero))
+    p = a_m + b_m + b_m @ a_0 + b_0 @ a_m
+    c = a_0 + b_0 + b_0 @ a_0 - b_m @ a_p - b_p @ a_m
+    q = -(a_p + b_p + b_p @ a_0 + b_0 @ a_p)
+    return p, c, q, b_m @ a_m, b_p @ a_p
+
+
+def harmonic_deviation(mcal_of, phis) -> float:
+    p, c, q, _, _ = harmonic_parts()
+    return max(linalg.frobenius_distance(
+        mcal_of(phi), (np.exp(-1j * phi) * p + c + np.exp(1j * phi) * q) / np.sqrt(3.0))
+        for phi in phis)
+
+
+class TestHarmonicStructure:
+    def test_mcal_has_harmonics_zero_and_one_only(self):
+        assert harmonic_deviation(lambda phi: braid.build_braidset(phi).mcal,
+                                  BITWISE_PHIS) <= 1e-15
+
+    def test_double_phase_products_vanish(self):
+        *_, minus_minus, plus_plus = harmonic_parts()
+        assert not np.any(minus_minus) and not np.any(plus_plus)
+
+    def test_check_fails_on_double_phase_mutant(self):
+        # a generator carrying e^{-+2 i phi} where M carries e^{-+i phi}
+        mutant = lambda phi: braid.build_braidset(2 * phi).mcal
+        assert harmonic_deviation(mutant, BITWISE_PHIS[:50]) > 1.0

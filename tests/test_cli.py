@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from braidphase import cli
+from braidphase import cli, linalg, yangbaxter
 
 
 def run(capsys, *argv):
@@ -44,6 +44,18 @@ class TestVerifyAlgebra:
         payload = json.loads(out)
         validate(payload)
         assert payload["passed"] is False
+
+    def test_unitarity_max_matches_per_angle_loop(self, capsys):
+        _, out, _ = run(capsys, "verify-algebra", "--phi-samples", "6", "--seed", "2")
+        results = json.loads(out)["results"]
+        for system, dim in (("two_qubit", 4), ("three_qubit", 8)):
+            worst = 0.0
+            for theta in results["theta_values"]:
+                for phi in results["phi_values"]:
+                    r = yangbaxter.r_matrix(system, yangbaxter.RParams(theta, phi))
+                    worst = max(worst, linalg.frobenius_distance(
+                        linalg.dagger(r) @ r, np.eye(dim, dtype=complex)))
+            assert results["unitarity_max"][system] == worst
 
 
 class TestYbe:
@@ -182,6 +194,22 @@ class TestUsageErrors:
     def test_csv_format_outside_sweep(self, capsys):
         code, _, err = run(capsys, "entangle", "--theta", "0.5", "--format", "csv")
         assert code == 2 and "csv" in err
+
+
+class TestCounts:
+    @pytest.mark.parametrize("argv", [
+        ("verify-algebra", "--phi-samples", "0"),
+        ("verify-algebra", "--phi-samples", "-1"),
+        ("ybe", "--samples", "0"),
+        ("ybe", "--samples", "-1"),
+        ("ybe", "--phi-samples", "0"),
+        ("ybe", "--phi-samples=-1"),
+        ("ybe", "--samples", "2.5"),
+    ])
+    def test_bad_count_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and ">= 1" in err
 
 
 class TestStrictJson:

@@ -168,3 +168,89 @@ class TestYbeResidual:
         one = SpectralParam(1.0 + 0j)
         with pytest.raises(ValueError):
             ybe_residual("two_qubit", one, one, 0.0, family="other")
+
+
+def sampled_pairs(count, seed=23):
+    """Spectral pairs away from the singular points, as the ybe command samples them."""
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    while len(xs) < count:
+        a, b = rng.uniform(-np.pi, np.pi, 2)
+        if min(abs(np.cos(a)), abs(np.cos(b)), abs(np.cos(a + b))) < 1e-3:
+            continue
+        xs.append(SpectralParam(np.exp(1j * a)))
+        ys.append(SpectralParam(np.exp(1j * b)))
+    return xs, ys
+
+
+def kron_route_residual(system, x, y, phi, family):
+    """Residual of one pair from whole braid matrices lifted by np.kron."""
+    if family == "rational":
+        build = lambda xv: rational_r(system, xv, phi)
+    else:
+        build = lambda xv: r_from_spectral(system, SpectralParam(xv), phi)
+    eye2 = np.eye(2, dtype=complex)
+    r_x, r_xy, r_y = build(x.x), build(x.x * y.x), build(y.x)
+    lift12 = lambda r: np.kron(r, eye2)
+    lift23 = lambda r: np.kron(eye2, r)
+    lhs = lift12(r_x) @ lift23(r_xy) @ lift12(r_y)
+    rhs = lift23(r_y) @ lift12(r_xy) @ lift23(r_x)
+    return linalg.frobenius_distance(lhs, rhs)
+
+
+SYSTEM_FAMILIES = [(s, f) for s in yangbaxter.SYSTEMS for f in ("rational", "unitary")]
+
+
+class TestStackedYbeResidual:
+    @pytest.mark.parametrize("system,family", SYSTEM_FAMILIES)
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    def test_stack_matches_per_pair_calls(self, system, family, count):
+        xs, ys = sampled_pairs(count)
+        stacked = ybe_residual(system, xs, ys, 0.9, family=family)
+        assert stacked.shape == (count,)
+        single = [ybe_residual(system, x, y, 0.9, family=family) for x, y in zip(xs, ys)]
+        kron = [kron_route_residual(system, x, y, 0.9, family) for x, y in zip(xs, ys)]
+        assert all(isinstance(r, float) for r in single)
+        assert stacked.tolist() == single == kron
+
+    def test_mismatched_lengths_rejected(self):
+        xs, ys = sampled_pairs(3)
+        with pytest.raises(ValueError):
+            ybe_residual("two_qubit", xs, ys[:2], 0.0)
+
+    def test_bad_member_rejected(self):
+        xs, ys = sampled_pairs(3)
+        with pytest.raises(TypeError):
+            ybe_residual("two_qubit", xs, ys[:2] + [0.5], 0.0)
+        singular = SpectralParam(np.exp(1j * np.pi / 4))
+        with pytest.raises(SingularParameterError):
+            ybe_residual("two_qubit", xs + [singular], ys + [singular], 0.0)
+
+    def test_non_finite_phi_rejected(self):
+        one = SpectralParam(1.0 + 0j)
+        for family in ("rational", "unitary"):
+            with pytest.raises(ValueError):
+                ybe_residual("two_qubit", one, one, np.nan, family=family)
+
+
+class TestUnitarityResiduals:
+    @pytest.mark.parametrize("system", yangbaxter.SYSTEMS)
+    @pytest.mark.parametrize("count", [1, 64, 65, 130])
+    def test_stack_matches_per_angle_loop(self, system, count):
+        rng = np.random.default_rng(count)
+        thetas = rng.uniform(0.0, 2 * np.pi, count)
+        eye = np.eye(4 if system == "two_qubit" else 8, dtype=complex)
+        for phi in rng.uniform(0.0, 2 * np.pi, 3):
+            loop = []
+            for theta in thetas:
+                r = r_matrix(system, RParams(theta, phi))
+                loop.append(linalg.frobenius_distance(linalg.dagger(r) @ r, eye))
+            stacked = yangbaxter.unitarity_residuals(system, thetas, phi)
+            assert stacked.tolist() == loop
+            assert max(stacked) == max(loop) <= 1e-12
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            yangbaxter.unitarity_residuals("two_qubit", [0.1, np.inf], 0.0)
+        with pytest.raises(ValueError):
+            yangbaxter.unitarity_residuals("two_qubit", [0.1], np.nan)
