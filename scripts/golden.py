@@ -2,7 +2,8 @@
 """Print a SHA-256 of every README command's output, for golden diffs.
 
 Runs each README command in-process through ``braidphase.cli.main``, plus
-``verify-algebra --seed 99`` and ``ybe --seed 7``, and prints one
+``verify-algebra --seed 99``, ``ybe --seed 7`` and the Wilson loop of the
+plus doublet alone and of both doublets at theta = 2.1, and prints one
 ``sha256  argv`` line per output: the stdout of every command, and the CSV
 the sweep writes (to a temporary directory). The package is imported from
 the ``src`` directory of the checkout this script sits in, so comparing two
@@ -40,6 +41,8 @@ README_COMMANDS = (
 EXTRA_COMMANDS = (
     "verify-algebra --phi-samples 17 --seed 99",
     "ybe --samples 50 --phi-samples 5 --seed 7",
+    "berry --theta 2.1 --steps 800 --method wilson --level plus",
+    "berry --theta 2.1 --steps 800 --method wilson --level all",
 )
 
 

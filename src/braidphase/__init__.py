@@ -11,7 +11,6 @@ numerical route.
 from .linalg import (
     EigenDecomposition,
     NumericalError,
-    abs_det,
     dagger,
     eigh,
     frobenius_distance,
@@ -77,7 +76,7 @@ from .berry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenDecomposition", "NumericalError", "abs_det", "dagger", "eigh",
+    "EigenDecomposition", "NumericalError", "dagger", "eigh",
     "frobenius_distance", "frobenius_norm", "kron", "partial_trace",
     "SPIN", "BraidSet", "Es2Report", "SpinOps", "build_braidset", "build_m4",
     "check_es2_relations", "transcription_diagnostics",

@@ -40,6 +40,11 @@ __all__ = [
 TWO_PI = 2 * np.pi
 LEVELS = ("zero", "minus", "plus")
 
+# parity of the number of 1-bits of each basis index, which H conserves
+_PARITY = np.array([bin(k).count("1") % 2 for k in range(8)])
+EVEN, ODD = np.flatnonzero(_PARITY == 0), np.flatnonzero(_PARITY == 1)
+_MIXING = _PARITY[:, None] != _PARITY[None, :]
+
 
 @dataclass(frozen=True)
 class BerryReport:
@@ -126,6 +131,11 @@ def berry_wilson(level: str, theta: float, steps: int) -> list:
     'minus'/'plus') form the frame; the loop multiplies the 2x2 overlap
     matrices between consecutive frames. Returns the two eigenphases, sorted,
     in the line-integral sign convention.
+
+    H conserves the parity of the basis index, so each grid point is solved
+    as its two 4x4 parity blocks, whose eigenvectors are padded back into
+    8-dim frames. The split is checked at run time: an entry of H that mixes
+    the parities and is not exactly 0 raises NumericalError.
     """
     if level not in ("minus", "plus"):
         raise ValueError(f"level must be 'minus' or 'plus', got {level!r}")
@@ -137,17 +147,28 @@ def berry_wilson(level: str, theta: float, steps: int) -> list:
             f"level gap {gap} below 1e-8; doublet crosses the zero level")
     target = -np.cos(theta) if level == "minus" else np.cos(theta)
 
-    hams = [dynamics.hamiltonian(dynamics.DriveParams(theta, TWO_PI * k / steps))
-            for k in range(steps)]
-    dec = linalg.eigh(np.stack(hams))
-    in_level = np.abs(dec.eigenvalues - target) < gap / 2
+    hams = dynamics.hamiltonian_grid(theta, TWO_PI * np.arange(steps) / steps)
+    mixed = np.any(hams[:, _MIXING] != 0, axis=1)
+    if mixed.any():
+        raise linalg.NumericalError(
+            f"H mixes even and odd parity at grid point {np.argmax(mixed)}; "
+            f"cannot split it")
+    blocks = np.stack([hams[:, EVEN[:, None], EVEN], hams[:, ODD[:, None], ODD]], axis=1)
+    dec = linalg.eigh(blocks.reshape(2 * steps, 4, 4))
+    values = dec.eigenvalues.reshape(steps, 8)
+    block_vectors = dec.eigenvectors.reshape(steps, 2, 4, 4)
+    vectors = np.zeros((steps, 8, 8), dtype=complex)
+    vectors[:, EVEN, :4] = block_vectors[:, 0]
+    vectors[:, ODD, 4:] = block_vectors[:, 1]
+
+    in_level = np.abs(values - target) < gap / 2
     counts = in_level.sum(axis=1)
     if np.any(counts != 2):
         raise linalg.NumericalError(
             f"expected a doublet at energy {target}, "
             f"found {counts[counts != 2][0]} states")
     cols = np.nonzero(in_level)[1].reshape(steps, 1, 2)
-    frames = np.take_along_axis(dec.eigenvectors, cols, axis=2)
+    frames = np.take_along_axis(vectors, cols, axis=2)
 
     overlaps = frames.conj().transpose(0, 2, 1) @ np.roll(frames, -1, axis=0)
     loop = np.eye(2, dtype=complex)

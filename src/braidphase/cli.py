@@ -16,6 +16,7 @@ subcommand).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -417,6 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main(), built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def _angles_to_radians(args):
     for name in ("theta", "phi", "theta_min", "theta_max"):
         if getattr(args, name, None) is not None:
@@ -459,9 +466,8 @@ def _dispatch(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.degrees:

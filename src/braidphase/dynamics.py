@@ -42,6 +42,7 @@ __all__ = [
     "FIXTURE_INDICES",
     "LEVEL_STATES",
     "hamiltonian",
+    "hamiltonian_grid",
     "hamiltonian_from_r",
     "su2_ops",
     "su2_relation_residuals",
@@ -86,11 +87,15 @@ class DriveParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        vals = (self.theta, self.phi, self.phi_dot, self.hbar)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("all drive parameters must be finite")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _check_drive(self.theta, self.phi, self.phi_dot, self.hbar)
+
+
+def _check_drive(theta, phis, phi_dot, hbar) -> None:
+    if not (np.all(np.isfinite(phis))
+            and all(np.isfinite(v) for v in (theta, phi_dot, hbar))):
+        raise ValueError("all drive parameters must be finite")
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,22 @@ class SpectrumReport:
 
 def hamiltonian(d: DriveParams) -> np.ndarray:
     """The 8x8 Hermitian drive generator at the given parameters."""
-    em = np.exp(-1j * d.phi)
-    f1 = d.hbar * d.phi_dot * np.sin(d.theta) * np.cos(d.theta) / SQRT3
-    f2 = d.hbar * d.phi_dot * np.cos(d.theta) ** 2 / 3
+    return hamiltonian_grid(d.theta, [d.phi], d.phi_dot, d.hbar)[0]
+
+
+def hamiltonian_grid(theta: float, phis, phi_dot: float = 1.0,
+                     hbar: float = 1.0) -> np.ndarray:
+    """The drive generator at every drive angle of ``phis``, shape (len(phis), 8, 8).
+
+    Each slice is bitwise the generator built at that angle alone.
+    """
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 1:
+        raise ValueError(f"phis must be 1-dimensional, got shape {phis.shape}")
+    _check_drive(theta, phis, phi_dot, hbar)
+    em = np.exp(-1j * phis)[:, None, None]
+    f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / SQRT3
+    f2 = hbar * phi_dot * np.cos(theta) ** 2 / 3
     return f1 * (em * _H_PP + np.conj(em) * _H_MM) + f2 * _H_DIAG
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "frobenius_distance",
     "frobenius_norm",
     "frobenius_norms",
-    "abs_det",
 ]
 
 
@@ -58,12 +57,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def _require_square(a: np.ndarray, name: str = "matrix") -> int:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a.shape[0]
 
 
 def frobenius_norm(a) -> float:
@@ -117,9 +110,10 @@ def _round_robin_schedule(m: int) -> tuple:
 
 _SCHEDULE_CACHE: dict = {}
 
-# A stack is diagonalized this many matrices at a time, which bounds the
-# working set of the rotation updates; no result depends on it.
-_BLOCK = 64
+# A stack is diagonalized in blocks of this many real entries of 2n x 2n
+# embeddings (128 KB), which bounds the working set of the rotation updates:
+# 64 matrices at n = 8, 256 at n = 4. No result depends on it.
+_BLOCK_ENTRIES = 16384
 
 
 def _schedule(m: int) -> tuple:
@@ -183,8 +177,9 @@ def eigh(a, tol: float = 1e-10, *, target: float = 1e-12,
 
     values = np.zeros((len(stack), n))
     vectors = np.broadcast_to(np.eye(n, dtype=complex), stack.shape).copy()
-    for lo in range(0, len(stack), _BLOCK):
-        live = lo + np.flatnonzero(scale[lo:lo + _BLOCK] > 0.0)
+    block = max(1, _BLOCK_ENTRIES // (2 * n) ** 2)
+    for lo in range(0, len(stack), block):
+        live = lo + np.flatnonzero(scale[lo:lo + block] > 0.0)
         if live.size:
             values[live], vectors[live] = _eigh_block(
                 stack[live], scale[live], tol, target, max_sweeps)
@@ -371,19 +366,3 @@ def partial_trace(rho, keep, n_qubits: int, tol: float = 1e-10) -> np.ndarray:
         tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
     d = 2 ** len(keep)
     return tensor.reshape(d, d)
-
-
-def abs_det(a) -> float:
-    """|det a| via Gaussian elimination with partial pivoting."""
-    a = _as_matrix(a).copy()
-    n = _require_square(a)
-    mod = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) == 0.0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-        mod *= abs(a[k, k])
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k + 1:])
-    return float(mod)

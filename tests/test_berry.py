@@ -101,21 +101,29 @@ class TestWilson:
             berry.berry_wilson("minus", 0.9, 10)
 
 
+def unsplit_wilson_loop(level, theta, steps):
+    """The Wilson loop over frames from the whole 8x8 H at each grid point."""
+    grid = np.stack([
+        dynamics.hamiltonian(dynamics.DriveParams(theta, 2 * np.pi * k / steps))
+        for k in range(steps)])
+    dec = linalg.eigh(grid)
+    target = -np.cos(theta) if level == "minus" else np.cos(theta)
+    frames = [vecs[:, np.abs(vals - target) < abs(np.cos(theta)) / 2]
+              for vals, vecs in zip(dec.eigenvalues, dec.eigenvectors)]
+    loop = np.eye(2, dtype=complex)
+    for k in range(steps):
+        loop = loop @ (frames[k].conj().T @ frames[(k + 1) % steps])
+    return loop
+
+
+def eigvals_phases(loop):
+    # numpy.linalg is a test oracle only
+    return sorted(float(-np.angle(z)) for z in np.linalg.eigvals(loop))
+
+
 class TestWilsonDoubletPrecision:
     # the README argv: theta = 1.0472, level minus, 800 steps
     THETA, STEPS = 1.0472, 800
-
-    def wilson_loop(self):
-        grid = np.stack([
-            dynamics.hamiltonian(dynamics.DriveParams(self.THETA, 2 * np.pi * k / self.STEPS))
-            for k in range(self.STEPS)])
-        dec = linalg.eigh(grid)
-        frames = [vecs[:, np.abs(vals + np.cos(self.THETA)) < abs(np.cos(self.THETA)) / 2]
-                  for vals, vecs in zip(dec.eigenvalues, dec.eigenvectors)]
-        loop = np.eye(2, dtype=complex)
-        for k in range(self.STEPS):
-            loop = loop @ (frames[k].conj().T @ frames[(k + 1) % self.STEPS])
-        return loop
 
     def test_doublet_phases_agree(self):
         low, high = berry.berry_wilson("minus", self.THETA, self.STEPS)
@@ -123,10 +131,39 @@ class TestWilsonDoubletPrecision:
 
     def test_matches_numpy_eigvals_of_the_loop(self):
         phases = berry.berry_wilson("minus", self.THETA, self.STEPS)
-        # numpy.linalg is a test oracle only
-        oracle = sorted(float(-np.angle(z)) for z in np.linalg.eigvals(self.wilson_loop()))
+        oracle = eigvals_phases(unsplit_wilson_loop("minus", self.THETA, self.STEPS))
         for p, q in zip(phases, oracle):
             assert abs(p - q) <= 1e-13
+
+
+class TestParitySplit:
+    # angles off the README one: the plus doublet at theta = 2.1 (cos < 0)
+    # and both doublets ("--level all") at theta = 0.9
+    CASES = [("plus", 2.1), ("minus", 0.9), ("plus", 0.9)]
+
+    def test_mixing_entry_rejected(self, monkeypatch):
+        exact = dynamics.hamiltonian_grid
+
+        def mixed(theta, phis):
+            grid = exact(theta, phis)
+            grid[137, 0b011, 0b111] = grid[137, 0b111, 0b011] = 1e-300
+            return grid
+
+        monkeypatch.setattr(dynamics, "hamiltonian_grid", mixed)
+        with pytest.raises(linalg.NumericalError, match="parity at grid point 137"):
+            berry.berry_wilson("minus", 1.0472, 400)
+
+    @pytest.mark.parametrize("level,theta", CASES)
+    def test_matches_numpy_eigvals_of_the_unsplit_loop(self, level, theta):
+        phases = berry.berry_wilson(level, theta, 800)
+        oracle = eigvals_phases(unsplit_wilson_loop(level, theta, 800))
+        for p, q in zip(phases, oracle):
+            assert abs(p - q) <= 1e-13
+
+    @pytest.mark.parametrize("level,theta", CASES)
+    def test_doublet_phases_agree(self, level, theta):
+        low, high = berry.berry_wilson(level, theta, 800)
+        assert high - low <= 1e-12
 
 
 class TestFold:

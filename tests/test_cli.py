@@ -246,3 +246,42 @@ class TestOutFile:
                            "--out", str(target))
         assert code == 0 and out == ""
         validate(json.loads(target.read_text()))
+
+
+class TestParserReuse:
+    """main() parses with one parser per process; reusing it across commands,
+    usage errors included, must give the bytes of a fresh parser per call."""
+
+    @staticmethod
+    def argvs(tmp_path):
+        return [
+            ("verify-algebra", "--phi-samples", "2", "--seed", "5"),
+            ("ybe", "--samples", "3", "--phi-samples", "1", "--seed", "5"),
+            ("entangle", "--theta", "30", "--degrees", "--input", "011"),
+            ("sweep", "--theta-min", "0", "--theta-max", "1", "--steps", "4",
+             "--out", str(tmp_path / "curves.csv")),
+            ("spectrum", "--theta", "0.9", "--phi", "0.4"),
+            ("berry", "--theta", "0.7", "--steps", "200", "--level", "minus"),  # exit 1
+            ("ybe", "--samples", "0"),
+            ("berry", "--theta", "0.7", "--method", "quadrature"),
+            ("entangle",),
+            ("frobnicate",),
+            ("sweep", "--theta-min", "0", "--theta-max", "1", "--steps", "4",
+             "--format", "json"),
+            ("spectrum", "--theta", "inf"),
+        ]
+
+    def outputs(self, capsys, tmp_path):
+        return [run(capsys, *argv) for argv in self.argvs(tmp_path)]
+
+    def test_cached_parser_matches_fresh_parsers(self, capsys, tmp_path, monkeypatch):
+        cached = self.outputs(capsys, tmp_path) + self.outputs(capsys, tmp_path)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outputs(capsys, tmp_path) + self.outputs(capsys, tmp_path)
+        assert cached == fresh
+        codes = [code for code, _, _ in cached[:len(cached) // 2]]
+        assert codes == [0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 0, 2]
+        assert all(out == "" for code, out, _ in cached if code == 2)
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()

@@ -51,6 +51,45 @@ class TestHamiltonian:
         assert linalg.frobenius_distance(scaled, 7.5 * base) < 1e-12
 
 
+def expanded_hamiltonian(d):
+    """The generator built at one angle from its three phi-independent parts."""
+    em = np.exp(-1j * d.phi)
+    f1 = d.hbar * d.phi_dot * np.sin(d.theta) * np.cos(d.theta) / np.sqrt(3.0)
+    f2 = d.hbar * d.phi_dot * np.cos(d.theta) ** 2 / 3
+    return (f1 * (em * dynamics._H_PP + np.conj(em) * dynamics._H_MM)
+            + f2 * dynamics._H_DIAG)
+
+
+class TestHamiltonianGrid:
+    @pytest.mark.parametrize("steps", [1, 800])
+    def test_bitwise_equal_to_per_point_calls(self, steps):
+        for theta in (1.0472, 2.1):
+            phis = 2 * np.pi * np.arange(steps) / steps
+            grid = dynamics.hamiltonian_grid(theta, phis)
+            assert grid.shape == (steps, 8, 8)
+            for k in range(steps):
+                d = DriveParams(theta, 2 * np.pi * k / steps)
+                assert np.array_equal(grid[k], dynamics.hamiltonian(d))
+                assert np.array_equal(grid[k], expanded_hamiltonian(d))
+
+    def test_rate_and_scale_bitwise(self):
+        phis = np.random.default_rng(3).uniform(-50.0, 50.0, 65)
+        grid = dynamics.hamiltonian_grid(0.7, phis, phi_dot=1.3, hbar=2.2)
+        for k, phi in enumerate(phis):
+            d = DriveParams(0.7, float(phi), phi_dot=1.3, hbar=2.2)
+            assert np.array_equal(grid[k], expanded_hamiltonian(d))
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.hamiltonian_grid(0.5, [0.1, np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.hamiltonian_grid(np.inf, [0.1])
+        with pytest.raises(ValueError, match="positive"):
+            dynamics.hamiltonian_grid(0.5, [0.1], hbar=0.0)
+        with pytest.raises(ValueError, match="1-dimensional"):
+            dynamics.hamiltonian_grid(0.5, [[0.1]])
+
+
 class TestSu2Ops:
     def test_nilpotent_ladders(self):
         ops = dynamics.su2_ops(DriveParams(theta=0.9, phi=1.1))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from braidphase import linalg
 from braidphase.braid import build_m4
+from oracles import abs_det
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -177,7 +178,7 @@ def wilson_grid(theta=1.0472, steps=800):
 
 
 class TestStackedEigh:
-    @pytest.mark.parametrize("count", [1, 7, 64, 65, 800])
+    @pytest.mark.parametrize("count", [1, 7, 64, 65, 255, 256, 257, 800, 1600])
     def test_slices_bitwise_equal_to_solo(self, count):
         stack = mixed_stack(np.random.default_rng(count), count, 4)
         dec = linalg.eigh(stack)
@@ -300,13 +301,15 @@ class TestFrobenius:
 
 
 class TestAbsDet:
+    """The elimination oracle the determinant tests rely on, against numpy."""
+
     def test_hand_values(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert linalg.abs_det(a) == pytest.approx(2.0, abs=1e-14)
-        assert linalg.abs_det(np.zeros((2, 2), dtype=complex)) == 0.0
+        assert abs_det(a) == pytest.approx(2.0, abs=1e-14)
+        assert abs_det(np.zeros((2, 2), dtype=complex)) == 0.0
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_matches_numpy(self, seed):
         rng = np.random.default_rng(seed)
         a = random_complex(rng, (4, 4))
-        assert linalg.abs_det(a) == pytest.approx(abs(np.linalg.det(a)), rel=1e-10)
+        assert abs_det(a) == pytest.approx(abs(np.linalg.det(a)), rel=1e-10)

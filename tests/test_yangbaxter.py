@@ -14,6 +14,7 @@ from braidphase.yangbaxter import (
     theta_from_spectral,
     ybe_residual,
 )
+from oracles import abs_det
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -80,7 +81,7 @@ class TestRMatrix:
         for system in yangbaxter.SYSTEMS:
             for theta, phi in ((0.3, 0.7), (2.2, 4.1)):
                 r = r_matrix(system, RParams(theta, phi))
-                assert abs(linalg.abs_det(r) - 1.0) <= 1e-10
+                assert abs(abs_det(r) - 1.0) <= 1e-10
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
