@@ -15,7 +15,6 @@ from .linalg import (
     eigh,
     frobenius_distance,
     frobenius_norm,
-    kron,
     partial_trace,
 )
 from .braid import (
@@ -77,7 +76,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EigenDecomposition", "NumericalError", "dagger", "eigh",
-    "frobenius_distance", "frobenius_norm", "kron", "partial_trace",
+    "frobenius_distance", "frobenius_norm", "partial_trace",
     "SPIN", "BraidSet", "Es2Report", "SpinOps", "build_braidset", "build_m4",
     "check_es2_relations", "transcription_diagnostics",
     "THREE_QUBIT", "TWO_QUBIT", "RParams", "SingularParameterError",

@@ -39,8 +39,6 @@ DEFAULT_TOL = {
     "berry": None,  # method-dependent: 1e-5 analytic, 1e-4 wilson
 }
 
-QUANTITIES = ("tangle", "pair_concurrence", "one_vs_rest_sq", "eigenvalues", "berry")
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -74,16 +72,12 @@ class SweepSpec:
     theta_max: float
     steps: int
     phi: float = 0.0
-    quantities: tuple = ("tangle", "pair_concurrence", "one_vs_rest_sq")
 
     def __post_init__(self):
         if self.theta_min > self.theta_max:
             raise ValueError("theta_min must not exceed theta_max")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
-        bad = [q for q in self.quantities if q not in QUANTITIES]
-        if bad:
-            raise ValueError(f"unknown quantities {bad}; allowed: {QUANTITIES}")
 
 
 def _plain(obj):
@@ -103,10 +97,6 @@ def _plain(obj):
     if obj is None or isinstance(obj, str):
         return obj
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
-def _g17(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -236,31 +226,25 @@ def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:
 
 def cmd_sweep(spec: SweepSpec, tol: float):
     thetas = np.linspace(spec.theta_min, spec.theta_max, spec.steps)
-    start = states.basis_state("000")
-    kets = [states.apply_r(yangbaxter.RParams(float(t), spec.phi), start) for t in thetas]
-    pairs = np.stack([linalg.partial_trace(np.outer(v, v.conj()), (0, 1), 3)
-                      for v in kets])
-    c_ab = entanglement.concurrence(pairs)
+    kets = states.apply_r(yangbaxter.RParams(thetas, spec.phi), states.basis_state("000"))
+    rep = entanglement.full_report(kets)
     rows = []
-    for theta, v, c_m in zip(thetas, kets, c_ab):
-        theta, c_m = float(theta), float(c_m)
-        tau_m = entanglement.three_tangle(v)
-        c2_m = entanglement.one_vs_rest_sq(v, "A")
+    for theta, tau_m, c_m, c2_m in zip(thetas.tolist(), rep.tau_abc.tolist(),
+                                       rep.c_ab.tolist(), rep.c2_a_bc.tolist()):
         tau_c = entanglement.tangle_closed_form(theta)
         c_c = entanglement.pair_concurrence_closed_form(theta)
         c2_c = entanglement.one_vs_rest_sq_closed_form(theta)
         worst = max(abs(tau_m - tau_c), abs(c_m - c_c), abs(c2_m - c2_c))
         rows.append((theta, tau_m, tau_c, c_m, c_c, c2_m, c2_c, worst))
     lines = [SWEEP_HEADER]
-    lines.extend(",".join(_g17(v) for v in row) for row in rows)
+    lines.extend(",".join("%.17g" % v for v in row) for row in rows)
     csv_text = "\n".join(lines) + "\n"
     worst = max(row[-1] for row in rows)
     passes = {"closed_form_match": worst <= tol}
     report = RunReport(
         command="sweep",
         parameters={"theta_min": spec.theta_min, "theta_max": spec.theta_max,
-                    "steps": spec.steps, "phi": spec.phi, "tol": tol,
-                    "quantities": list(spec.quantities)},
+                    "steps": spec.steps, "phi": spec.phi, "tol": tol},
         results={"rows": spec.steps, "input": "000", "pair_column": "c_ab"},
         residual_summary={"closed_form_match_max": worst},
         passes=passes,

@@ -61,7 +61,7 @@ LEVEL_STATES = {"zero": (1, 2, 3, 4), "minus": (5, 7), "plus": (6, 8)}
 def _lift(op, site: int) -> np.ndarray:
     ops = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
     ops[site] = op
-    return linalg.kron(linalg.kron(ops[0], ops[1]), ops[2])
+    return np.kron(np.kron(ops[0], ops[1]), ops[2])
 
 
 S1P, S2P, S3P = (_lift(SPIN.s_plus, k) for k in range(3))

@@ -8,6 +8,10 @@ oracle for the monogamy identity
 
     C^2_{A(BC)} = C^2_AB + C^2_AC + tau.
 
+Each measure takes one state (or density matrix) and gives a float, or takes
+a (B, 8) stack (or (B, 4, 4)) by the same code and gives an array of B
+floats, each bitwise equal to the value of its slice alone.
+
 Closed forms for the states produced by apply_r on basis inputs:
 
     tau(theta)   = 16 sqrt(3) |sin(theta) cos^3(theta)| / 9
@@ -47,9 +51,10 @@ RANK_CLAMP = 1e-13
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """All measures of one pure three-qubit state.
+    """All measures of one pure three-qubit state, or of a stack of them.
 
-    monogamy_residual = |c2_a_bc - c_ab^2 - c_ac^2 - tau_abc|.
+    monogamy_residual = |c2_a_bc - c_ab^2 - c_ac^2 - tau_abc|. Each field is
+    a float for one state and an array of B floats for a (B, 8) stack.
     """
 
     tau_abc: float
@@ -62,9 +67,10 @@ class EntanglementReport:
     monogamy_residual: float
 
 
-def three_tangle(state) -> float:
+def three_tangle(state):
     """Residual tangle 4|d1 - 2 d2 + 4 d3| of a pure three-qubit state."""
-    a = states.as_state(state).reshape(2, 2, 2)
+    v = states.as_state(state)
+    a = v.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)  # a[k, l, m]: <klm|v> of each v
     d1 = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
           + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
           + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
@@ -77,7 +83,8 @@ def three_tangle(state) -> float:
           + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1])
     d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
           + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
-    return float(4 * abs(d1 - 2 * d2 + 4 * d3))
+    tau = 4 * np.abs(d1 - 2 * d2 + 4 * d3)
+    return tau if v.ndim == 2 else float(tau[0])
 
 
 def tangle_closed_form(theta: float) -> float:
@@ -119,25 +126,7 @@ def concurrence(rho2, tol: float = 1e-10):
     each bitwise equal to the concurrence of its slice alone: rho takes one
     stacked eigh, and K^dag K one per distinct rank r.
     """
-    rho = np.asarray(rho2, dtype=complex)
-    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
-        raise ValueError(f"expected a 4x4 density matrix or a stack of them, "
-                         f"got shape {rho.shape}")
-    stack = rho.reshape(-1, 4, 4)
-
-    def reject(mask, problem):
-        bad = np.flatnonzero(mask)
-        if bad.size:
-            name = "density matrix" if rho.ndim == 2 else f"density matrix {bad[0]}"
-            raise ValueError(f"{name} {problem} within tolerance")
-
-    scale = linalg.frobenius_norms(stack)
-    skew = linalg.frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
-    reject(skew > tol * np.maximum(scale, 1.0), "is not Hermitian")
-    trace = np.trace(stack, axis1=1, axis2=2)
-    reject((np.abs(trace.real - 1.0) > tol) | (np.abs(trace.imag) > tol),
-           "does not have unit trace")
-
+    stack, stacked = linalg.as_density_stack(rho2, 4, tol)
     dec = linalg.eigh(stack, tol)
     roots = _clamped_sqrt_eigvals(dec.eigenvalues, tol)  # also validates positivity
     rank = np.count_nonzero(roots > 0.0, axis=1)  # the support is a suffix
@@ -151,10 +140,10 @@ def concurrence(rho2, tol: float = 1e-10):
         lam = np.sort(np.sqrt(np.sum(np.abs(k @ u) ** 2, axis=1)), axis=1)[:, ::-1]
         c = lam[:, 0] - np.sum(lam[:, 1:], axis=1)
         out[idx] = np.where(c > 0.0, c, 0.0)
-    return float(out[0]) if rho.ndim == 2 else out
+    return out if stacked else float(out[0])
 
 
-def one_vs_rest_sq(state, which: str) -> float:
+def one_vs_rest_sq(state, which: str):
     """Squared concurrence between one qubit and the remaining pair.
 
     For a pure three-qubit state this is 2 (1 - tr rho_which^2).
@@ -162,24 +151,24 @@ def one_vs_rest_sq(state, which: str) -> float:
     if which not in QUBITS:
         raise ValueError(f"which must be one of {tuple(QUBITS)}, got {which!r}")
     v = states.as_state(state)
-    rho = np.outer(v, v.conj())
-    reduced = linalg.partial_trace(rho, [QUBITS[which]], 3)
-    purity = float(np.trace(reduced @ reduced).real)
-    return 2.0 * (1.0 - purity)
+    w = v.reshape(-1, 8)
+    reduced = linalg.partial_trace(w[:, :, None] * w.conj()[:, None, :], [QUBITS[which]], 3)
+    purity = np.trace(reduced @ reduced, axis1=1, axis2=2).real
+    c2 = 2.0 * (1.0 - purity)
+    return c2 if v.ndim == 2 else float(c2[0])
 
 
 def full_report(state, tol: float = 1e-10) -> EntanglementReport:
-    """Every measure of one pure state plus the monogamy residual."""
+    """Every measure of one pure state, or of a stack, plus the monogamy residual."""
     v = states.as_state(state)
-    rho = np.outer(v, v.conj())
-    tau = three_tangle(v)
-    reduced = np.stack([linalg.partial_trace(rho, pair, 3, tol) for pair in PAIRS])
-    c_ab, c_bc, c_ac = (float(c) for c in concurrence(reduced, tol))
-    c2_a = one_vs_rest_sq(v, "A")
-    c2_b = one_vs_rest_sq(v, "B")
-    c2_c = one_vs_rest_sq(v, "C")
-    monogamy = abs(c2_a - c_ab ** 2 - c_ac ** 2 - tau)
-    return EntanglementReport(
-        tau_abc=tau, c_ab=c_ab, c_bc=c_bc, c_ac=c_ac,
-        c2_a_bc=c2_a, c2_b_ac=c2_b, c2_c_ab=c2_c,
-        monogamy_residual=monogamy)
+    w = v.reshape(-1, 8)
+    rho = w[:, :, None] * w.conj()[:, None, :]
+    reduced = np.stack([linalg.partial_trace(rho, pair, 3, tol) for pair in PAIRS], axis=1)
+    c_ab, c_bc, c_ac = concurrence(reduced.reshape(-1, 4, 4), tol).reshape(-1, 3).T
+    tau = three_tangle(w)
+    c2_a, c2_b, c2_c = (one_vs_rest_sq(w, q) for q in QUBITS)
+    fields = dict(tau_abc=tau, c_ab=c_ab, c_bc=c_bc, c_ac=c_ac,
+                  c2_a_bc=c2_a, c2_b_ac=c2_b, c2_c_ab=c2_c,
+                  monogamy_residual=np.abs(c2_a - c_ab ** 2 - c_ac ** 2 - tau))
+    return EntanglementReport(**{k: f if v.ndim == 2 else float(f[0])
+                                 for k, f in fields.items()})

@@ -20,13 +20,14 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "EigenDecomposition",
-    "kron",
     "dagger",
     "eigh",
     "partial_trace",
     "frobenius_distance",
     "frobenius_norm",
     "frobenius_norms",
+    "reject_slices",
+    "as_density_stack",
 ]
 
 
@@ -74,14 +75,18 @@ def frobenius_distance(a, b) -> float:
 
 
 def frobenius_norms(stack) -> np.ndarray:
-    """Frobenius norm of each matrix of a (B, n, n) stack; no validation."""
+    """Frobenius norm of each slice of a (B, ...) stack; no validation."""
     stack = np.asarray(stack)
     return np.sqrt(np.sum(np.abs(stack.reshape(len(stack), -1)) ** 2, axis=1))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the most significant slot(s)."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
+def reject_slices(bad, stacked: bool, what: str, problem: str,
+                  error: type = ValueError) -> None:
+    """Raise ``error`` "<what> <problem>" if any slice is ``bad``; the first
+    bad slice of a stack is named by its index: "<what> <index> <problem>"."""
+    idx = np.flatnonzero(bad)
+    if idx.size:
+        raise error(f"{what} {idx[0]} {problem}" if stacked else f"{what} {problem}")
 
 
 def dagger(a) -> np.ndarray:
@@ -170,10 +175,8 @@ def eigh(a, tol: float = 1e-10, *, target: float = 1e-12,
     n = stack.shape[1]
     scale = frobenius_norms(stack)
     skew = frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
-    bad = np.flatnonzero(skew > tol * scale)
-    if bad.size:
-        name = "matrix" if a.ndim == 2 else f"matrix {bad[0]}"
-        raise ValueError(f"{name} is not Hermitian within tolerance")
+    reject_slices(skew > tol * scale, a.ndim == 3, "matrix",
+                  "is not Hermitian within tolerance")
 
     values = np.zeros((len(stack), n))
     vectors = np.broadcast_to(np.eye(n, dtype=complex), stack.shape).copy()
@@ -338,31 +341,47 @@ def _pivoted_gram_schmidt(z: np.ndarray, want: int) -> np.ndarray:
     return basis
 
 
+def as_density_stack(rho, dim: int, tol: float):
+    """(stack, stacked): a dim x dim density matrix, or a stack, as (B, dim, dim).
+
+    Each matrix must be finite, Hermitian and of unit trace within ``tol``;
+    the whole stack is checked at once, and a bad matrix is named by its index.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (dim, dim) or rho.ndim not in (2, 3):
+        raise ValueError(f"density matrix has shape {rho.shape}, expected "
+                         f"{(dim, dim)} or a stack of them")
+    stack, stacked = rho.reshape(-1, dim, dim), rho.ndim == 3
+    reject_slices(~np.isfinite(stack).all(axis=(1, 2)), stacked, "density matrix",
+                  "contains non-finite entries")
+    scale = frobenius_norms(stack)
+    skew = frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
+    reject_slices(skew > tol * np.maximum(scale, 1.0), stacked, "density matrix",
+                  "is not Hermitian within tolerance")
+    trace = np.trace(stack, axis1=1, axis2=2)
+    reject_slices((np.abs(trace.real - 1.0) > tol) | (np.abs(trace.imag) > tol),
+                  stacked, "density matrix", "does not have unit trace within tolerance")
+    return stack, stacked
+
+
 def partial_trace(rho, keep, n_qubits: int, tol: float = 1e-10) -> np.ndarray:
-    """Reduced density matrix on the kept qubits.
+    """Reduced density matrix on the kept qubits, of one matrix or a stack.
 
     Qubit 0 is the most significant index of the 2**n_qubits basis ordering.
     ``keep`` is an iterable of distinct qubit indices; the output subsystem
     order follows the sorted kept indices. The input must be a density matrix
-    (Hermitian, unit trace) within ``tol``.
+    (Hermitian, unit trace) within ``tol``, or a (B, dim, dim) stack of them,
+    which gives the stack of reductions, each slice bitwise equal to the
+    reduction of its matrix alone.
     """
-    rho = _as_matrix(rho, "rho")
-    dim = 2 ** n_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(
-            f"rho has shape {rho.shape}, expected {(dim, dim)} for {n_qubits} qubits")
     keep = sorted(set(int(k) for k in keep))
     if not keep or any(k < 0 or k >= n_qubits for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n_qubits} qubits")
-    scale = frobenius_norm(rho)
-    if frobenius_distance(rho, dagger(rho)) > tol * max(scale, 1.0):
-        raise ValueError("rho is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise ValueError("rho does not have unit trace within tolerance")
+    stack, stacked = as_density_stack(rho, 2 ** n_qubits, tol)
 
-    tensor = rho.reshape([2] * (2 * n_qubits))
+    tensor = stack.reshape([len(stack)] + [2] * (2 * n_qubits))
     traced = [k for k in range(n_qubits) if k not in keep]
     for axis in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
+        tensor = np.trace(tensor, axis1=1 + axis, axis2=1 + axis + (tensor.ndim - 1) // 2)
     d = 2 ** len(keep)
-    return tensor.reshape(d, d)
+    return tensor.reshape((-1, d, d) if stacked else (d, d))

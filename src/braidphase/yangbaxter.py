@@ -55,13 +55,18 @@ class SingularParameterError(ValueError):
 
 @dataclass(frozen=True)
 class RParams:
-    """Angle pair (theta, phi) of the unitary family; radians, any finite value."""
+    """Angle pair (theta, phi) of the unitary family; radians, any finite value.
+    ``theta`` may be a 1-D grid of angles at one ``phi``, held as a float array."""
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
+        if np.ndim(self.theta) == 1:
+            object.__setattr__(self, "theta", np.array(self.theta, dtype=float))
+        elif np.ndim(self.theta) or np.ndim(self.phi):
+            raise ValueError("theta must be a float or a 1-D grid, phi a float")
+        if not (np.all(np.isfinite(self.theta)) and np.isfinite(self.phi)):
             raise ValueError("theta and phi must be finite")
 
     def normalized(self) -> "RParams":
@@ -94,10 +99,12 @@ def _generator(system: str, phi: float) -> np.ndarray:
 
 
 def r_matrix(system: str, p: RParams) -> np.ndarray:
-    """Unitary braid matrix sin(theta) I + cos(theta) * generator(phi)."""
+    """Unitary braid matrix sin(theta) I + cos(theta) * generator(phi), or the
+    (B, n, n) stack over a theta grid, each slice bitwise the matrix alone."""
     gen = _generator(system, p.phi)
     eye = np.eye(gen.shape[0], dtype=complex)
-    return np.sin(p.theta) * eye + np.cos(p.theta) * gen
+    t = np.asarray(p.theta)[..., None, None]
+    return np.sin(t) * eye + np.cos(t) * gen
 
 
 def unitarity_residuals(system: str, thetas, phi: float) -> np.ndarray:
@@ -106,17 +113,12 @@ def unitarity_residuals(system: str, thetas, phi: float) -> np.ndarray:
     The whole theta grid is one stacked product per block of angles; each
     value is bitwise the one the single-matrix route gives.
     """
-    thetas = np.asarray(thetas, dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(thetas)) and np.isfinite(phi)):
-        raise ValueError("theta and phi must be finite")
-    gen = _generator(system, phi)
-    eye = np.eye(len(gen), dtype=complex)
+    thetas = RParams(np.reshape(thetas, -1), phi).theta
     out = np.empty(len(thetas))
     for lo in range(0, len(thetas), _BLOCK):
-        t = thetas[lo:lo + _BLOCK, None, None]
-        r = np.sin(t) * eye + np.cos(t) * gen
+        r = r_matrix(system, RParams(thetas[lo:lo + _BLOCK], phi))
         r_dag = r.conj().transpose(0, 2, 1).copy()
-        out[lo:lo + _BLOCK] = linalg.frobenius_norms(r_dag @ r - eye)
+        out[lo:lo + _BLOCK] = linalg.frobenius_norms(r_dag @ r - np.eye(r.shape[1]))
     return out
 
 

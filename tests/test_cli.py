@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from braidphase import cli, linalg, yangbaxter
+from braidphase import cli, entanglement, linalg, states, yangbaxter
 
 
 def run(capsys, *argv):
@@ -125,6 +125,29 @@ class TestSweep:
             "--steps", "3", "--out", str(out_path))
         row = out_path.read_text().strip().split("\n")[1].split(",")
         assert float(row[0]) == 0.3
+
+    @pytest.mark.parametrize("phi", ["0", "1.3"])
+    def test_rows_equal_solo_full_report(self, tmp_path, capsys, phi):
+        # the README sweep grid; each row is the report of its state alone
+        out_path = tmp_path / "c.csv"
+        code, _, _ = run(capsys, "sweep", "--theta-min", "0", "--theta-max", "3.14159",
+                         "--steps", "121", "--phi", phi, "--out", str(out_path))
+        assert code == 0
+        rows = out_path.read_text().strip().split("\n")[1:]
+        thetas = np.linspace(0.0, 3.14159, 121)
+        assert len(rows) == len(thetas)
+        for row, theta in zip(rows, thetas.tolist()):
+            ket = states.apply_r(yangbaxter.RParams(theta, float(phi)),
+                                 states.basis_state("000"))
+            rep = entanglement.full_report(ket)
+            closed = (entanglement.tangle_closed_form(theta),
+                      entanglement.pair_concurrence_closed_form(theta),
+                      entanglement.one_vs_rest_sq_closed_form(theta))
+            measured = (rep.tau_abc, rep.c_ab, rep.c2_a_bc)
+            worst = max(abs(m - c) for m, c in zip(measured, closed))
+            values = (theta, measured[0], closed[0], measured[1], closed[1],
+                      measured[2], closed[2], worst)
+            assert row == ",".join("%.17g" % v for v in values)
 
     def test_requires_out(self, capsys):
         code, _, err = run(capsys, "sweep", "--theta-min", "0",

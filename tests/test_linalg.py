@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidphase import linalg
-from braidphase.braid import build_m4
+from braidphase.braid import build_braidset, build_m4
 from oracles import abs_det
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -45,34 +45,20 @@ class TestMatmul:
 
 
 class TestKron:
-    def test_identity(self):
-        assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
     def test_left_factor_most_significant(self):
-        # |00x><11x| lifts the generator's (0,3) entry to (2a+x, 2b+x)
+        # |00x><11x| lifts the generator's (0,3) entry to (2a+x, 2b+x): the
+        # braid lifts put the left factor of M otimes I on the most significant
+        # qubits, as np.kron does
         phi = 0.83
-        m = build_m4(phi)
-        lifted = linalg.kron(m, np.eye(2))
-        assert lifted[0, 6] == pytest.approx(np.exp(-1j * phi))
-        lifted = linalg.kron(np.eye(2), m)
-        assert lifted[0, 3] == pytest.approx(np.exp(-1j * phi))
-
-    def test_associativity_exact_inputs(self):
-        # bitwise for exactly-representable entries
-        rng = np.random.default_rng(11)
-        mats = [rng.integers(-4, 5, size=(2, 2)) + 1j * rng.integers(-4, 5, size=(2, 2))
-                for _ in range(3)]
-        a, b, c = (m.astype(complex) for m in mats)
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.array_equal(left, right)
-
-    def test_associativity_generic_inputs(self):
-        rng = np.random.default_rng(12)
-        a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.abs(left - right).max() < 1e-15
+        bs = build_braidset(phi)
+        for lifted in (bs.a8, np.kron(bs.m4, np.eye(2))):
+            assert lifted[0, 6] == pytest.approx(np.exp(-1j * phi))
+            assert lifted[1, 7] == pytest.approx(np.exp(-1j * phi))
+            assert lifted[0, 3] == 0
+        for lifted in (bs.b8, np.kron(np.eye(2), bs.m4)):
+            assert lifted[0, 3] == pytest.approx(np.exp(-1j * phi))
+            assert lifted[4, 7] == pytest.approx(np.exp(-1j * phi))
+            assert lifted[0, 6] == 0
 
 
 class TestDagger:

@@ -28,6 +28,16 @@ class TestRParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RParams(np.inf, 0.0)
+        with pytest.raises(ValueError):
+            RParams([0.1, np.nan], 0.0)
+
+    def test_theta_grid(self):
+        p = RParams([0.5, 7.0], -1.0)
+        assert isinstance(p.theta, np.ndarray) and p.theta.dtype == float
+        assert np.all((0 <= p.normalized().theta) & (p.normalized().theta < 2 * np.pi))
+        for theta, phi in ((np.zeros((2, 2)), 0.0), (0.1, np.zeros(2))):
+            with pytest.raises(ValueError):
+                RParams(theta, phi)
 
 
 class TestSpectralParam:
@@ -76,6 +86,15 @@ class TestRMatrix:
                + (np.sin(theta) * np.cos(theta2) + np.cos(theta) * np.sin(theta2))
                * mcal)
         assert linalg.frobenius_distance(lhs, rhs) <= 1e-12
+
+    @pytest.mark.parametrize("system", yangbaxter.SYSTEMS)
+    def test_theta_grid_slices_bitwise_equal_to_solo(self, system):
+        thetas = np.random.default_rng(3).uniform(-np.pi, np.pi, 121)
+        for phi in (0.0, 1.3):
+            stack = r_matrix(system, RParams(thetas, phi))
+            assert stack.shape == (121,) + r_matrix(system, RParams(0.0, phi)).shape
+            for theta, r in zip(thetas, stack):
+                assert np.array_equal(r, r_matrix(system, RParams(float(theta), phi)))
 
     def test_determinant_modulus(self):
         for system in yangbaxter.SYSTEMS:
@@ -145,8 +164,8 @@ class TestYbeResidual:
         y = SpectralParam(np.exp(1j * np.pi / 8))
         res = ybe_residual("three_qubit", x, y, 0.7)
         assert np.isfinite(res) and res >= 0.0
-        lifted = linalg.kron(braid.build_braidset(0.7).mcal, np.eye(2))
-        shifted = linalg.kron(np.eye(2), braid.build_braidset(0.7).mcal)
+        lifted = np.kron(braid.build_braidset(0.7).mcal, np.eye(2))
+        shifted = np.kron(np.eye(2), braid.build_braidset(0.7).mcal)
         sandwich = linalg.frobenius_distance(lifted @ shifted @ lifted, shifted)
         assert sandwich > 1.0  # the algebra deficit behind the nonzero residual
 
