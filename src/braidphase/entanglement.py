@@ -122,9 +122,8 @@ def concurrence(rho2, tol: float = 1e-10):
     K^dag K would carry ~1e-8 l_1, and an eigenvalue clamped to zero would
     lose the three-tangle 4 l_1 l_2 of a pure-state pair.
 
-    A 4x4 input gives a float. A (B, 4, 4) stack gives an array of B floats,
-    each bitwise equal to the concurrence of its slice alone: rho takes one
-    stacked eigh, and K^dag K one per distinct rank r.
+    A (B, 4, 4) stack takes one stacked eigh for rho, and one for K^dag K
+    per distinct rank r.
     """
     stack, stacked = linalg.as_density_stack(rho2, 4, tol)
     dec = linalg.eigh(stack, tol)

@@ -62,12 +62,12 @@ class RParams:
     phi: float
 
     def __post_init__(self):
-        if np.ndim(self.theta) == 1:
-            object.__setattr__(self, "theta", np.array(self.theta, dtype=float))
-        elif np.ndim(self.theta) or np.ndim(self.phi):
-            raise ValueError("theta must be a float or a 1-D grid, phi a float")
-        if not (np.all(np.isfinite(self.theta)) and np.isfinite(self.phi)):
-            raise ValueError("theta and phi must be finite")
+        theta = np.array(self.theta, dtype=float)
+        if theta.ndim > 1 or np.ndim(self.phi) or not (
+                np.isfinite(theta).all() and np.isfinite(self.phi)):
+            raise ValueError("theta (a float or a 1-D grid) and phi must be finite floats")
+        if theta.ndim:
+            object.__setattr__(self, "theta", theta)
 
     def normalized(self) -> "RParams":
         """Angles folded into [0, 2*pi) for reporting."""
@@ -113,7 +113,7 @@ def unitarity_residuals(system: str, thetas, phi: float) -> np.ndarray:
     The whole theta grid is one stacked product per block of angles; each
     value is bitwise the one the single-matrix route gives.
     """
-    thetas = RParams(np.reshape(thetas, -1), phi).theta
+    thetas = np.reshape(thetas, -1)
     out = np.empty(len(thetas))
     for lo in range(0, len(thetas), _BLOCK):
         r = r_matrix(system, RParams(thetas[lo:lo + _BLOCK], phi))
