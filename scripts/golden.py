@@ -3,12 +3,13 @@
 
 Runs each README command in-process through ``braidphase.cli.main``, plus
 ``verify-algebra --seed 99``, ``ybe --seed 7``, the Wilson loop of the plus
-doublet alone and of both doublets at theta = 2.1, and the README sweep and
-an ``entangle`` at phi != 0 (every README command runs at phi = 0, where R is
-real and complex rounding cannot show), and prints one ``sha256  argv`` line
-per output: the stdout of every command, and the CSV the sweep writes (to a
-temporary directory). The package is imported from the ``src`` directory of
-the checkout this script sits in, so comparing two checkouts is a plain diff:
+doublet alone and of both doublets at theta = 2.1, and the README sweep, an
+``entangle`` and a ``spectrum`` at phi != 0 (every README command runs at
+phi = 0, where R and H are real and complex rounding cannot show), and prints
+one ``sha256  argv`` line per output: the stdout of every command, and the CSV
+the sweep writes (to a temporary directory). The package is imported from the
+``src`` directory of the checkout this script sits in, so comparing two
+checkouts is a plain diff:
 
     python3 scripts/golden.py > a.txt      # in checkout A
     python3 scripts/golden.py > b.txt      # in checkout B
@@ -46,6 +47,7 @@ EXTRA_COMMANDS = (
     "berry --theta 2.1 --steps 800 --method wilson --level all",
     "sweep --theta-min 0 --theta-max 3.14159 --steps 121 --phi 1.3 --out curves.csv",
     "entangle --theta 0.5236 --phi 0.7 --input 011",
+    "spectrum --theta 1.0472 --phi 0.3",
 )
 
 
