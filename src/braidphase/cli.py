@@ -344,16 +344,18 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_common(parser):
+def _add_common(parser, *, sampled: bool):
+    """--tol and --out, plus --seed on a sampling command and --degrees on
+    one that takes angles (no command does both)."""
     parser.add_argument("--tol", type=float, default=None,
                         help="pass/fail tolerance (default depends on command)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for random sampling (ybe, verify-algebra)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (csv applies to sweep only)")
     parser.add_argument("--out", default=None, help="write output to this path")
-    parser.add_argument("--degrees", action="store_true",
-                        help="interpret angle arguments as degrees")
+    if sampled:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="seed for random sampling")
+    else:
+        parser.add_argument("--degrees", action="store_true",
+                            help="interpret angle arguments as degrees")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,39 +367,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-algebra", help="generator-algebra and unitarity checks")
     p.add_argument("--phi-samples", type=_count, default=17)
-    _add_common(p)
+    _add_common(p, sampled=True)
 
     p = sub.add_parser("ybe", help="Yang-Baxter residuals over sampled spectral parameters")
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--phi-samples", type=_count, default=5)
-    _add_common(p)
+    _add_common(p, sampled=True)
 
     p = sub.add_parser("entangle", help="entanglement measures of one generated state")
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--input", default="000", choices=states.BASIS_LABELS)
-    _add_common(p)
+    _add_common(p, sampled=False)
 
     p = sub.add_parser("sweep", help="theta sweep of the entanglement curves (CSV)")
     p.add_argument("--theta-min", type=_angle, required=True)
     p.add_argument("--theta-max", type=_angle, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--phi", type=_angle, default=0.0)
-    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="csv",
+                   help="csv (default) writes the rows to --out; json gives only the summary")
+    _add_common(p, sampled=False)
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenstate checks of the drive generator")
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--phidot", type=float, default=1.0)
     p.add_argument("--hbar", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, sampled=False)
 
     p = sub.add_parser("berry", help="geometric phases of the drive loop")
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--method", choices=("analytic", "wilson"), default="analytic")
     p.add_argument("--level", choices=("zero", "minus", "plus", "all"), default="all")
-    _add_common(p)
+    _add_common(p, sampled=False)
 
     return parser
 
@@ -427,7 +431,7 @@ def _dispatch(args):
         spec = SweepSpec(theta_min=args.theta_min, theta_max=args.theta_max,
                          steps=args.steps, phi=args.phi)
         report, csv_text = cmd_sweep(spec, tol)
-        if (args.format or "csv") == "csv":
+        if args.format == "csv":
             if args.out is None:
                 raise ValueError("sweep requires --out for its CSV output")
             return report, report.to_json(), (args.out, csv_text)
@@ -444,8 +448,6 @@ def _dispatch(args):
     else:  # pragma: no cover - argparse enforces the choices
         raise ValueError(f"unknown command {args.command!r}")
 
-    if args.format == "csv" and args.command != "sweep":
-        raise ValueError("--format csv is only supported by the sweep command")
     return report, report.to_json(), None
 
 
@@ -454,7 +456,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.degrees:
+    if getattr(args, "degrees", False):
         _angles_to_radians(args)
     try:
         report, text, extra = _dispatch(args)

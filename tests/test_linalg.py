@@ -93,7 +93,7 @@ class TestEigh:
         expected = [-0.5, -0.5, 0, 0, 0, 0, 0.5, 0.5]
         assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8])
     def test_reconstruction_over_seeds(self, dim):
         tol = 1e-10
         for seed in range(100):
@@ -118,6 +118,21 @@ class TestEigh:
             v = dec.eigenvectors[:, k]
             assert np.linalg.norm(a @ v - dec.eigenvalues[k] * v) <= 1e-10 * max(
                 linalg.frobenius_norm(a), 1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_close_eigenvalues_stay_apart(self, seed):
+        # eigenvalues 4.2e-12 apart are distinct: neither averaged into one
+        # value nor given mixed eigenvectors. The bound is the solver's stop
+        # target, 1e-12 of the norm, in both the values and the residuals.
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(random_complex(rng, (4, 4)))[0]
+        a = (u * [0.0, 0.0, 4.2e-12, 0.444]) @ u.conj().T
+        dec = linalg.eigh(a)
+        bound = 1e-12 * linalg.frobenius_norm(a)
+        assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(a)).max() <= bound
+        for k in range(4):
+            v = dec.eigenvectors[:, k]
+            assert np.linalg.norm(a @ v - dec.eigenvalues[k] * v) <= bound
 
     def test_degenerate_subspace_is_orthonormal(self):
         # fourfold zero eigenvalue plus two exact doublets
@@ -171,6 +186,15 @@ class TestStackedEigh:
         assert dec.eigenvalues.shape == (count, 4)
         assert dec.eigenvectors.shape == (count, 4, 4)
         for k in range(count):
+            solo = linalg.eigh(stack[k])
+            assert np.array_equal(dec.eigenvalues[k], solo.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[k], solo.eigenvectors)
+
+    def test_odd_dimension_slices_bitwise_equal_to_solo(self):
+        # 455 3 x 3 matrices make a block; 460 cross its edge
+        stack = mixed_stack(np.random.default_rng(3), 460, 3)
+        dec = linalg.eigh(stack)
+        for k in range(len(stack)):
             solo = linalg.eigh(stack[k])
             assert np.array_equal(dec.eigenvalues[k], solo.eigenvalues)
             assert np.array_equal(dec.eigenvectors[k], solo.eigenvectors)
