@@ -5,7 +5,9 @@ Runs each README command in-process through ``braidphase.cli.main``, plus
 ``verify-algebra --seed 99``, ``ybe --seed 7``, the Wilson loop of the plus
 doublet alone and of both doublets at theta = 2.1, and the README sweep, an
 ``entangle`` and a ``spectrum`` at phi != 0 (every README command runs at
-phi = 0, where R and H are real and complex rounding cannot show), and prints
+phi = 0, where R and H are real and complex rounding cannot show), a
+``verify-algebra`` over more than one block of 64 angles and an ``entangle``
+from another input at phi != 0, and prints
 one ``sha256  argv`` line per output: the stdout of every command, and the CSV
 the sweep writes (to a temporary directory). The package is imported from the
 ``src`` directory of the checkout this script sits in, so comparing two
@@ -48,6 +50,8 @@ EXTRA_COMMANDS = (
     "sweep --theta-min 0 --theta-max 3.14159 --steps 121 --phi 1.3 --out curves.csv",
     "entangle --theta 0.5236 --phi 0.7 --input 011",
     "spectrum --theta 1.0472 --phi 0.3",
+    "verify-algebra --phi-samples 70 --seed 3",
+    "entangle --theta 1.2 --phi 2.3 --input 110",
 )
 
 
