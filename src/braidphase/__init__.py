@@ -8,15 +8,7 @@ adiabatic drive loop — each closed-form claim checked by an independent
 numerical route.
 """
 
-from .linalg import (
-    EigenDecomposition,
-    NumericalError,
-    dagger,
-    eigh,
-    frobenius_distance,
-    frobenius_norm,
-    partial_trace,
-)
+from .linalg import EigenDecomposition, NumericalError, eigh
 from .braid import (
     SPIN,
     BraidSet,
@@ -75,8 +67,7 @@ from .berry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenDecomposition", "NumericalError", "dagger", "eigh",
-    "frobenius_distance", "frobenius_norm", "partial_trace",
+    "EigenDecomposition", "NumericalError", "eigh",
     "SPIN", "BraidSet", "Es2Report", "SpinOps", "build_braidset", "build_m4",
     "check_es2_relations", "transcription_diagnostics",
     "THREE_QUBIT", "TWO_QUBIT", "RParams", "SingularParameterError",

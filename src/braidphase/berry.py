@@ -203,8 +203,7 @@ def report(level: str, theta: float, steps: int, method: str) -> BerryReport:
     closed = closed_form_phase(level, theta)
     if method == "analytic":
         if level == "zero":
-            phases = tuple(zero_level_phase(theta)
-                           for _ in dynamics.LEVEL_STATES["zero"])
+            phases = (zero_level_phase(theta),) * len(dynamics.LEVEL_STATES["zero"])
         else:
             phases = tuple(_fold(berry_analytic(i, theta, steps))
                            for i in dynamics.LEVEL_STATES[level])

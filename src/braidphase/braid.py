@@ -151,24 +151,24 @@ def check_es2_relations(bs: BraidSet, tol: float = 1e-10) -> Es2Report:
       triple_sign_flipped ||mm12 mm23 mm12 + mm23||  (the reading that holds)
     """
     a, b = bs.a8, bs.b8
-    eye4 = np.eye(4, dtype=complex)
-    eye8 = np.eye(8, dtype=complex)
-    residuals = {
-        "m4_square": linalg.frobenius_distance(bs.m4 @ bs.m4, -eye4),
-        "aba_sandwich": linalg.frobenius_distance(a @ b @ a, b),
-        "bab_sandwich": linalg.frobenius_distance(b @ a @ b, a),
-        "anticommutation": linalg.frobenius_norm(a @ b + b @ a),
-        "mbb_square": linalg.frobenius_distance(bs.mbb @ bs.mbb, bs.alpha * eye8),
-        "mbb_hermitian": linalg.frobenius_distance(bs.mbb, linalg.dagger(bs.mbb)),
-        "mcal_antihermitian": linalg.frobenius_norm(bs.mcal + linalg.dagger(bs.mcal)),
-    }
     mm12, mm23 = -1j * a, -1j * b
     triple = mm12 @ mm23 @ mm12
-    ambiguous = {
-        "triple_as_printed": linalg.frobenius_distance(triple, mm12),
-        "triple_swapped": linalg.frobenius_distance(triple, mm23),
-        "triple_sign_flipped": linalg.frobenius_norm(triple + mm23),
+    eight = {
+        "aba_sandwich": a @ b @ a - b,
+        "bab_sandwich": b @ a @ b - a,
+        "anticommutation": a @ b + b @ a,
+        "mbb_square": bs.mbb @ bs.mbb - bs.alpha * np.eye(8, dtype=complex),
+        "mbb_hermitian": bs.mbb - bs.mbb.conj().T,
+        "mcal_antihermitian": bs.mcal + bs.mcal.conj().T,
+        "triple_as_printed": triple - mm12,
+        "triple_swapped": triple - mm23,
+        "triple_sign_flipped": triple + mm23,
     }
+    m4_square = linalg.frobenius_norms([bs.m4 @ bs.m4 + np.eye(4, dtype=complex)])
+    residuals = {"m4_square": float(m4_square[0]), **dict(zip(
+        eight, linalg.frobenius_norms(list(eight.values())).tolist()))}
+    ambiguous = {name: residuals.pop(name) for name in
+                 ("triple_as_printed", "triple_swapped", "triple_sign_flipped")}
     failures = tuple(name for name, r in residuals.items() if r > tol)
     return Es2Report(phi=bs.phi, tol=tol, alpha=bs.alpha,
                      residuals=residuals, ambiguous=ambiguous,
@@ -215,7 +215,6 @@ def transcription_diagnostics(phi: float) -> dict:
     2 and 1.
     """
     bs = build_braidset(phi)
-    return {
-        "m4_vs_transcription": linalg.frobenius_distance(bs.m4, m4_transcribed(phi)),
-        "mcal_vs_transcription": linalg.frobenius_distance(bs.mcal, mcal_transcribed(phi)),
-    }
+    m4 = linalg.frobenius_norms([bs.m4 - m4_transcribed(phi)])
+    mcal = linalg.frobenius_norms([bs.mcal - mcal_transcribed(phi)])
+    return {"m4_vs_transcription": float(m4[0]), "mcal_vs_transcription": float(mcal[0])}

@@ -166,7 +166,7 @@ def hamiltonian_from_r(d: DriveParams, dt: float = 1e-5) -> np.ndarray:
     r = lambda phi: yangbaxter.r_matrix(
         yangbaxter.THREE_QUBIT, yangbaxter.RParams(d.theta, phi))
     dr = (r(d.phi + d.phi_dot * dt) - r(d.phi - d.phi_dot * dt)) / (2 * dt)
-    return 1j * d.hbar * dr @ linalg.dagger(r(d.phi))
+    return 1j * d.hbar * dr @ r(d.phi).conj().T
 
 
 def su2_ops(d: DriveParams) -> Su2Ops:
@@ -187,13 +187,10 @@ def _span_projector(vectors) -> np.ndarray:
         w = np.asarray(v, dtype=complex).copy()
         for b in basis:
             w -= np.vdot(b, w) * b
-        norm = float(np.sqrt(np.sum(np.abs(w) ** 2)))
+        norm = linalg.frobenius_norms([w])[0]
         if norm > 1e-12:
             basis.append(w / norm)
-    p = np.zeros((8, 8), dtype=complex)
-    for b in basis:
-        p += np.outer(b, b.conj())
-    return p
+    return sum((np.outer(b, b.conj()) for b in basis), np.zeros((8, 8), dtype=complex))
 
 
 def su2_relation_residuals(d: DriveParams) -> dict:
@@ -213,25 +210,25 @@ def su2_relation_residuals(d: DriveParams) -> dict:
     jp, jm, j3 = ip / SQRT3, im / SQRT3, i3 / 3
     i3sq = i3 @ i3
     restrict = lambda m: span @ m @ span
-    return {
-        "i_plus_squared": linalg.frobenius_norm(ip @ ip),
-        "i_minus_squared": linalg.frobenius_norm(im @ im),
-        "cartan_commutator": linalg.frobenius_distance(ip @ im - im @ ip, 2 * i3),
-        "ladder_plus_unit": linalg.frobenius_distance(i3 @ ip - ip @ i3, ip),
-        "ladder_minus_unit": linalg.frobenius_distance(i3 @ im - im @ i3, -im),
-        "ladder_plus_triple": linalg.frobenius_distance(i3 @ ip - ip @ i3, 3 * ip),
-        "ladder_minus_triple": linalg.frobenius_distance(i3 @ im - im @ i3, -3 * im),
-        "decomposition": linalg.frobenius_distance(
-            h, ops.b_plus * ip + ops.b_minus * im + ops.b_3 * i3),
-        "i3_squared_quarter_global": linalg.frobenius_distance(i3sq, eye / 4),
-        "i3_squared_quarter_span": linalg.frobenius_norm(restrict(i3sq - eye / 4)),
-        "i3_squared_nine_quarters_span": linalg.frobenius_norm(restrict(i3sq - 9 * eye / 4)),
-        "i3_squared_projector_identity": linalg.frobenius_distance(i3sq, 9 / 4 * span),
-        "rescaled_cartan": linalg.frobenius_distance(jp @ jm - jm @ jp, 2 * j3),
-        "rescaled_ladder_plus": linalg.frobenius_distance(j3 @ jp - jp @ j3, jp),
-        "rescaled_ladder_minus": linalg.frobenius_distance(j3 @ jm - jm @ j3, -jm),
-        "rescaled_j3_squared_quarter_span": linalg.frobenius_norm(restrict(j3 @ j3 - eye / 4)),
+    residuals = {
+        "i_plus_squared": ip @ ip,
+        "i_minus_squared": im @ im,
+        "cartan_commutator": ip @ im - im @ ip - 2 * i3,
+        "ladder_plus_unit": i3 @ ip - ip @ i3 - ip,
+        "ladder_minus_unit": i3 @ im - im @ i3 + im,
+        "ladder_plus_triple": i3 @ ip - ip @ i3 - 3 * ip,
+        "ladder_minus_triple": i3 @ im - im @ i3 + 3 * im,
+        "decomposition": h - (ops.b_plus * ip + ops.b_minus * im + ops.b_3 * i3),
+        "i3_squared_quarter_global": i3sq - eye / 4,
+        "i3_squared_quarter_span": restrict(i3sq - eye / 4),
+        "i3_squared_nine_quarters_span": restrict(i3sq - 9 * eye / 4),
+        "i3_squared_projector_identity": i3sq - 9 / 4 * span,
+        "rescaled_cartan": jp @ jm - jm @ jp - 2 * j3,
+        "rescaled_ladder_plus": j3 @ jp - jp @ j3 - jp,
+        "rescaled_ladder_minus": j3 @ jm - jm @ j3 + jm,
+        "rescaled_j3_squared_quarter_span": restrict(j3 @ j3 - eye / 4),
     }
+    return dict(zip(residuals, linalg.frobenius_norms(list(residuals.values())).tolist()))
 
 
 def fixture_energy(i: int, d: DriveParams) -> float:
@@ -288,18 +285,18 @@ def fixture_batch(i: int, theta: float, phis: np.ndarray) -> np.ndarray:
 
 def eigenstate_fixture(i: int, theta: float, phi: float) -> np.ndarray:
     """The i-th closed-form eigenstate, normalized by construction."""
-    v = fixture_batch(i, theta, np.array([phi]))[0]
-    norm = float(np.sqrt(np.sum(np.abs(v) ** 2)))
+    v = fixture_batch(i, theta, np.array([phi]))
+    norm = linalg.frobenius_norms(v)[0]
     if abs(norm - 1.0) > 1e-12:
         raise linalg.NumericalError(f"fixture {i} norm drifted to {norm}")
-    return v
+    return v[0]
 
 
 def spectrum(d: DriveParams, tol: float = 1e-10) -> SpectrumReport:
     """eigh of the Hamiltonian plus closed-form and fixture verification."""
     h = hamiltonian(d)
     dec = linalg.eigh(h, tol)
-    scale = linalg.frobenius_norm(h)
+    scale = linalg.frobenius_norms([h])[0]
     # absolute floor keeps the grouping sane when H is numerically ~0
     gap = max(1e-8 * scale, 1e-12)
 
@@ -318,19 +315,17 @@ def spectrum(d: DriveParams, tol: float = 1e-10) -> SpectrumReport:
 
     fixtures = [eigenstate_fixture(i, d.theta, d.phi) for i in FIXTURE_INDICES]
     energies = [fixture_energy(i, d) for i in FIXTURE_INDICES]
-    fixture_residuals = tuple(
-        float(np.sqrt(np.sum(np.abs(h @ v - en * v) ** 2)))
-        for v, en in zip(fixtures, energies))
+    fixture_residuals = tuple(linalg.frobenius_norms(
+        [h @ v - en * v for v, en in zip(fixtures, energies)]).tolist())
 
-    projector_residuals = []
+    projector_diffs = []
     for lo, hi in clusters:
         vecs = dec.eigenvectors[:, lo:hi]
         p_num = vecs @ vecs.conj().T
         mean = float(np.mean(lam[lo:hi]))
         members = [v for v, en in zip(fixtures, energies)
                    if abs(en - mean) <= max(gap, 1e-12)]
-        p_fix = _span_projector(members)
-        projector_residuals.append(linalg.frobenius_distance(p_num, p_fix))
+        projector_diffs.append(p_num - _span_projector(members))
 
     return SpectrumReport(
         eigenvalues=lam,
@@ -338,5 +333,5 @@ def spectrum(d: DriveParams, tol: float = 1e-10) -> SpectrumReport:
         degeneracy_pattern=pattern,
         closed_form_match=closed_match,
         fixture_residuals=fixture_residuals,
-        projector_residuals=tuple(projector_residuals),
+        projector_residuals=tuple(linalg.frobenius_norms(projector_diffs).tolist()),
     )

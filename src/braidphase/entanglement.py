@@ -70,7 +70,12 @@ class EntanglementReport:
 def three_tangle(state):
     """Residual tangle 4|d1 - 2 d2 + 4 d3| of a pure three-qubit state."""
     v = states.as_state(state)
-    a = v.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)  # a[k, l, m]: <klm|v> of each v
+    tau = _three_tangle(v.reshape(-1, 8))
+    return tau if v.ndim == 2 else float(tau[0])
+
+
+def _three_tangle(w: np.ndarray) -> np.ndarray:
+    a = w.reshape(-1, 2, 2, 2).transpose(1, 2, 3, 0)  # a[k, l, m]: <klm|w> of each w
     d1 = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
           + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
           + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
@@ -83,8 +88,7 @@ def three_tangle(state):
           + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1])
     d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
           + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
-    tau = 4 * np.abs(d1 - 2 * d2 + 4 * d3)
-    return tau if v.ndim == 2 else float(tau[0])
+    return 4 * np.abs(d1 - 2 * d2 + 4 * d3)
 
 
 def tangle_closed_form(theta: float) -> float:
@@ -126,6 +130,11 @@ def concurrence(rho2, tol: float = 1e-10):
     per distinct rank r.
     """
     stack, stacked = linalg.as_density_stack(rho2, 4, tol)
+    c = _concurrence(stack, tol)
+    return c if stacked else float(c[0])
+
+
+def _concurrence(stack: np.ndarray, tol: float) -> np.ndarray:
     dec = linalg.eigh(stack, tol)
     roots = _clamped_sqrt_eigvals(dec.eigenvalues, tol)  # also validates positivity
     rank = np.count_nonzero(roots > 0.0, axis=1)  # the support is a suffix
@@ -136,10 +145,11 @@ def concurrence(rho2, tol: float = 1e-10):
         k = np.ascontiguousarray(w.conj().transpose(0, 2, 1)) @ FLIP_4 @ w.conj()
         kk = np.ascontiguousarray(k.conj().transpose(0, 2, 1)) @ k
         u = linalg.eigh(kk, tol).eigenvectors
-        lam = np.sort(np.sqrt(np.sum(np.abs(k @ u) ** 2, axis=1)), axis=1)[:, ::-1]
+        cols = (k @ u).transpose(0, 2, 1).reshape(-1, r)  # the columns K u_i
+        lam = np.sort(linalg.frobenius_norms(cols).reshape(-1, r), axis=1)[:, ::-1]
         c = lam[:, 0] - np.sum(lam[:, 1:], axis=1)
         out[idx] = np.where(c > 0.0, c, 0.0)
-    return out if stacked else float(out[0])
+    return out
 
 
 def one_vs_rest_sq(state, which: str):
@@ -150,22 +160,33 @@ def one_vs_rest_sq(state, which: str):
     if which not in QUBITS:
         raise ValueError(f"which must be one of {tuple(QUBITS)}, got {which!r}")
     v = states.as_state(state)
-    w = v.reshape(-1, 8)
-    reduced = linalg.partial_trace(w[:, :, None] * w.conj()[:, None, :], [QUBITS[which]], 3)
-    purity = np.trace(reduced @ reduced, axis1=1, axis2=2).real
-    c2 = 2.0 * (1.0 - purity)
+    c2 = _one_vs_rest_sq(v.reshape(-1, 8), QUBITS[which])
     return c2 if v.ndim == 2 else float(c2[0])
+
+
+def _one_vs_rest_sq(w: np.ndarray, qubit: int) -> np.ndarray:
+    rho = _reduced(w, (qubit,))
+    return 2.0 * (1.0 - np.trace(rho @ rho, axis1=1, axis2=2).real)
+
+
+def _reduced(w: np.ndarray, keep: tuple) -> np.ndarray:
+    """Reductions of (B, 8) pure states onto the sorted ``keep`` qubits: m m^dag,
+    m each state as a (kept, traced) matrix. A contiguous m makes numpy sum the
+    traced index pairwise, as the partial trace of w w^dag does, bit for bit."""
+    rest = [q for q in range(3) if q not in keep]
+    t = w.reshape(-1, 2, 2, 2).transpose([0] + [1 + q for q in (*keep, *rest)])
+    m = np.ascontiguousarray(t).reshape(len(w), 2 ** len(keep), -1)
+    return (m[:, :, None, :] * m.conj()[:, None, :, :]).sum(-1)
 
 
 def full_report(state, tol: float = 1e-10) -> EntanglementReport:
     """Every measure of one pure state, or of a stack, plus the monogamy residual."""
     v = states.as_state(state)
     w = v.reshape(-1, 8)
-    rho = w[:, :, None] * w.conj()[:, None, :]
-    reduced = np.stack([linalg.partial_trace(rho, pair, 3, tol) for pair in PAIRS], axis=1)
-    c_ab, c_bc, c_ac = concurrence(reduced.reshape(-1, 4, 4), tol).reshape(-1, 3).T
-    tau = three_tangle(w)
-    c2_a, c2_b, c2_c = (one_vs_rest_sq(w, q) for q in QUBITS)
+    pairs = np.stack([_reduced(w, pair) for pair in PAIRS], axis=1)
+    c_ab, c_bc, c_ac = _concurrence(pairs.reshape(-1, 4, 4), tol).reshape(-1, 3).T
+    tau = _three_tangle(w)
+    c2_a, c2_b, c2_c = (_one_vs_rest_sq(w, q) for q in QUBITS.values())
     fields = dict(tau_abc=tau, c_ab=c_ab, c_bc=c_bc, c_ac=c_ac,
                   c2_a_bc=c2_a, c2_b_ac=c2_b, c2_c_ab=c2_c,
                   monogamy_residual=np.abs(c2_a - c_ab ** 2 - c_ac ** 2 - tau))

@@ -1,8 +1,9 @@
 """Minimal dense complex linear-algebra kernel.
 
-Every other module expresses its math through the helpers here. Matrices and
-state vectors are plain complex128 numpy arrays treated as immutable values:
-every operation validates its inputs and returns a fresh array.
+Matrices and state vectors are plain complex128 numpy arrays. A value is
+validated where it enters the package, and the arithmetic behind that point
+does not check it again: ``frobenius_norms``, the package's one norm, takes
+its stack as it is.
 
 The Hermitian eigensolver is a cyclic Jacobi iteration of complex plane
 rotations on the matrix itself, with no dependency beyond numpy array
@@ -21,11 +22,7 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "EigenDecomposition",
-    "dagger",
     "eigh",
-    "partial_trace",
-    "frobenius_distance",
-    "frobenius_norm",
     "frobenius_norms",
     "reject_slices",
     "as_density_stack",
@@ -52,29 +49,6 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def frobenius_norm(a) -> float:
-    a = _as_matrix(a)
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
-
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius distance between two matrices of identical shape."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum(np.abs(a - b) ** 2)))
-
-
 def frobenius_norms(stack) -> np.ndarray:
     """Frobenius norm of each slice of a (B, ...) stack; no validation."""
     stack = np.asarray(stack)
@@ -88,11 +62,6 @@ def reject_slices(bad, stacked: bool, what: str, problem: str,
     idx = np.flatnonzero(bad)
     if idx.size:
         raise error(f"{what} {idx[0]} {problem}" if stacked else f"{what} {problem}")
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose as a fresh array; an exact (bitwise) involution."""
-    return _as_matrix(a).conj().T.copy()
 
 
 @functools.cache
@@ -276,26 +245,3 @@ def as_density_stack(rho, dim: int, tol: float):
     reject_slices((np.abs(trace.real - 1.0) > tol) | (np.abs(trace.imag) > tol),
                   stacked, "density matrix", "does not have unit trace within tolerance")
     return stack, stacked
-
-
-def partial_trace(rho, keep, n_qubits: int, tol: float = 1e-10) -> np.ndarray:
-    """Reduced density matrix on the kept qubits, of one matrix or a stack.
-
-    Qubit 0 is the most significant index of the 2**n_qubits basis ordering.
-    ``keep`` is an iterable of distinct qubit indices; the output subsystem
-    order follows the sorted kept indices. The input must be a density matrix
-    (Hermitian, unit trace) within ``tol``, or a (B, dim, dim) stack of them,
-    which gives the stack of reductions, each slice bitwise equal to the
-    reduction of its matrix alone.
-    """
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or any(k < 0 or k >= n_qubits for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n_qubits} qubits")
-    stack, stacked = as_density_stack(rho, 2 ** n_qubits, tol)
-
-    tensor = stack.reshape([len(stack)] + [2] * (2 * n_qubits))
-    traced = [k for k in range(n_qubits) if k not in keep]
-    for axis in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=1 + axis, axis2=1 + axis + (tensor.ndim - 1) // 2)
-    d = 2 ** len(keep)
-    return tensor.reshape((-1, d, d) if stacked else (d, d))

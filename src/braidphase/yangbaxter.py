@@ -42,8 +42,6 @@ TWO_QUBIT = "two_qubit"
 THREE_QUBIT = "three_qubit"
 SYSTEMS = (TWO_QUBIT, THREE_QUBIT)
 
-TWO_PI = 2 * np.pi
-
 # Stacks of angles or spectral pairs are worked through this many at a time,
 # which bounds the working set; no result depends on it.
 _BLOCK = 64
@@ -53,10 +51,11 @@ class SingularParameterError(ValueError):
     """Spectral parameter with x + 1/x = 0, where the theta map degenerates."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RParams:
     """Angle pair (theta, phi) of the unitary family; radians, any finite value.
-    ``theta`` may be a 1-D grid of angles at one ``phi``, held as a float array."""
+    ``theta`` may be a 1-D grid of angles at one ``phi``, held as a read-only
+    float array; two grids are equal, and hash alike, when their angles are."""
 
     theta: float
     phi: float
@@ -67,27 +66,40 @@ class RParams:
                 np.isfinite(theta).all() and np.isfinite(self.phi)):
             raise ValueError("theta (a float or a 1-D grid) and phi must be finite floats")
         if theta.ndim:
+            theta.setflags(write=False)
             object.__setattr__(self, "theta", theta)
 
-    def normalized(self) -> "RParams":
-        """Angles folded into [0, 2*pi) for reporting."""
-        return RParams(self.theta % TWO_PI, self.phi % TWO_PI)
+    def _key(self) -> tuple:
+        theta = self.theta
+        return (tuple(theta.tolist()) if isinstance(theta, np.ndarray) else theta, self.phi)
+
+    def __eq__(self, other):
+        return isinstance(other, RParams) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
 class SpectralParam:
-    """Multiplicative spectral parameter on the unit circle."""
+    """Multiplicative spectral parameter on the unit circle, within 1e-10."""
 
     x: complex
-    tol: float = 1e-10
+    _tol = 1e-10  # a class constant, not a field
 
     def __post_init__(self):
         x = complex(self.x)
         if not (np.isfinite(x.real) and np.isfinite(x.imag)):
             raise ValueError("x must be finite")
-        if abs(abs(x) - 1.0) > self.tol:
-            raise ValueError(f"|x| = {abs(x)} is not on the unit circle within {self.tol}")
+        if abs(abs(x) - 1.0) > self._tol:
+            raise ValueError(f"|x| = {abs(x)} is not on the unit circle within {self._tol}")
         object.__setattr__(self, "x", x)
+
+
+class _SpectralProduct(SpectralParam):
+    """The product x y of two spectral parameters, admitted at 4x their tolerance."""
+
+    _tol = 4 * SpectralParam._tol
 
 
 def _generator(system: str, phi: float) -> np.ndarray:
@@ -198,7 +210,7 @@ def ybe_residual(system: str, x, y, phi: float, family: str = "rational"):
             if not isinstance(p, SpectralParam):
                 raise TypeError("x and y must be SpectralParam values")
             _require_nonsingular(p)
-        pxy = SpectralParam(px.x * py.x, tol=max(px.tol, py.tol) * 4)
+        pxy = _SpectralProduct(px.x * py.x)
         _require_nonsingular(pxy)
         xys.append(pxy)
     # a[j, k], b[j, k]: coefficients of R(x_k), R(x_k y_k), R(y_k) for j = 0, 1, 2

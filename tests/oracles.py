@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from braidphase import linalg
+
 
 def abs_det(a) -> float:
     """|det a| via Gaussian elimination with partial pivoting."""
@@ -17,3 +19,26 @@ def abs_det(a) -> float:
         mod *= abs(a[k, k])
         a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k + 1:])
     return float(mod)
+
+
+def partial_trace(rho, keep, n_qubits: int, tol: float = 1e-10) -> np.ndarray:
+    """Reduced density matrix on the kept qubits, of one matrix or a stack.
+
+    Qubit 0 is the most significant index of the 2**n_qubits basis ordering.
+    ``keep`` is an iterable of distinct qubit indices; the output subsystem
+    order follows the sorted kept indices. The input must be a density matrix
+    (Hermitian, unit trace) within ``tol``, or a (B, dim, dim) stack of them,
+    which gives the stack of reductions, each slice bitwise equal to the
+    reduction of its matrix alone.
+    """
+    keep = sorted(set(int(k) for k in keep))
+    if not keep or any(k < 0 or k >= n_qubits for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n_qubits} qubits")
+    stack, stacked = linalg.as_density_stack(rho, 2 ** n_qubits, tol)
+
+    tensor = stack.reshape([len(stack)] + [2] * (2 * n_qubits))
+    traced = [k for k in range(n_qubits) if k not in keep]
+    for axis in sorted(traced, reverse=True):
+        tensor = np.trace(tensor, axis1=1 + axis, axis2=1 + axis + (tensor.ndim - 1) // 2)
+    d = 2 ** len(keep)
+    return tensor.reshape((-1, d, d) if stacked else (d, d))

@@ -12,7 +12,7 @@ See the README's findings section.
 import numpy as np
 import pytest
 
-from braidphase import berry, braid, dynamics, entanglement, linalg, states, yangbaxter
+from braidphase import berry, braid, dynamics, entanglement, states, yangbaxter
 from braidphase.dynamics import DriveParams
 from braidphase.yangbaxter import RParams, SpectralParam
 
@@ -52,7 +52,7 @@ def test_c02_unitarity():
         for theta in np.linspace(0, 2 * np.pi, 11, endpoint=False):
             for phi in np.linspace(0, 2 * np.pi, 11, endpoint=False):
                 r = yangbaxter.r_matrix(system, RParams(theta, phi))
-                worst = max(worst, linalg.frobenius_distance(linalg.dagger(r) @ r, eye))
+                worst = max(worst, np.linalg.norm(r.conj().T @ r - eye))
     ok = worst <= tol
     report_line("2 unitarity", ok, f"max ||R+R - I|| {worst:.3e} <= {tol}")
     assert ok
@@ -163,8 +163,8 @@ def test_c07_hamiltonian():
         for phi in np.linspace(0, 2 * np.pi, 5, endpoint=False):
             for phi_dot in (0.5, 1.0, 1.7):
                 d = DriveParams(theta=theta, phi=phi, phi_dot=phi_dot)
-                worst_fd = max(worst_fd, linalg.frobenius_distance(
-                    dynamics.hamiltonian(d), dynamics.hamiltonian_from_r(d, dt=1e-5)))
+                worst_fd = max(worst_fd, np.linalg.norm(
+                    dynamics.hamiltonian(d) - dynamics.hamiltonian_from_r(d, dt=1e-5)))
 
     worst_closed = 0.0
     worst_fixture = 0.0
@@ -214,10 +214,10 @@ def test_c08b_ladder_unit_normalization():
     def split_residuals(jp, jm, j3, bp, bm, b3):
         bracket = lambda a, b: a @ b - b @ a
         return {
-            "ladder": max(linalg.frobenius_distance(bracket(j3, jp), jp),
-                          linalg.frobenius_distance(bracket(j3, jm), -jm)),
-            "cartan": linalg.frobenius_distance(bracket(jp, jm), 2 * j3),
-            "decomposition": linalg.frobenius_distance(h, bp * jp + bm * jm + b3 * j3),
+            "ladder": max(np.linalg.norm(bracket(j3, jp) - jp),
+                          np.linalg.norm(bracket(j3, jm) + jm)),
+            "cartan": np.linalg.norm(bracket(jp, jm) - 2 * j3),
+            "decomposition": np.linalg.norm(h - (bp * jp + bm * jm + b3 * j3)),
             # spin-1/2 levels of [[b3/2, bp], [bm, -b3/2]]
             "level": abs(0.5 * np.sqrt(b3 ** 2 + 4 * abs(bp) ** 2) - level),
         }

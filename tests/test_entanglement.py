@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from braidphase import entanglement, linalg, states
 from braidphase.yangbaxter import RParams, r_matrix
+from oracles import partial_trace
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -82,7 +83,7 @@ class TestConcurrence:
     def test_w_type_reduction(self):
         out = states.apply_r(RParams(0.0, 1.3), states.basis_state("000"))
         rho = np.outer(out, out.conj())
-        rho_ab = linalg.partial_trace(rho, (0, 1), 3)
+        rho_ab = partial_trace(rho, (0, 1), 3)
         assert entanglement.concurrence(rho_ab) == pytest.approx(2 / 3, abs=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -90,7 +91,7 @@ class TestConcurrence:
         rng = np.random.default_rng(seed)
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         v /= np.linalg.norm(v)
-        rho = linalg.partial_trace(np.outer(v, v.conj()), (0, 1), 3)
+        rho = partial_trace(np.outer(v, v.conj()), (0, 1), 3)
         mine = entanglement.concurrence(rho)
         reference = wootters_reference(rho)
         # the reference route square-roots eigenvalue noise on the exact-zero
@@ -174,6 +175,32 @@ class TestFullReport:
             vals = [getattr(r, field) for r in reports]
             assert max(vals) - min(vals) <= 1e-10
 
+    def test_validates_the_state_once(self, monkeypatch):
+        state = states.apply_r(RParams(0.7, 1.3), states.basis_state("011"))
+        calls = {"as_state": 0, "as_density_stack": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(states, "as_state")
+        counted(linalg, "as_density_stack")
+        entanglement.full_report(state)
+        assert calls == {"as_state": 1, "as_density_stack": 0}
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_reductions_are_the_partial_trace(self, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        rho = w[:, :, None] * w.conj()[:, None, :]
+        for keep in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):
+            assert np.array_equal(entanglement._reduced(w, keep), partial_trace(rho, keep, 3))
+
 
 class TestCurveAgreement:
     def test_small_grid(self):
@@ -218,7 +245,7 @@ class TestStackedConcurrence:
         for theta in np.linspace(0.0, 3.14159, 121):
             v = states.apply_r(RParams(theta, 0.0), states.basis_state("000"))
             rho = np.outer(v, v.conj())
-            pairs.extend(linalg.partial_trace(rho, keep, 3)
+            pairs.extend(partial_trace(rho, keep, 3)
                          for keep in ((0, 1), (1, 2), (0, 2)))
         stacked = entanglement.concurrence(np.stack(pairs))
         assert stacked.shape == (len(pairs),)

@@ -1,16 +1,18 @@
 """One code path for a single input and a stack.
 
-as_state, apply_r, partial_trace, three_tangle, one_vs_rest_sq and
-full_report take one state (or density matrix) or a stack of them. Every
-slice of a stacked call must be bitwise equal to the call on that slice
-alone, and a bad slice must be rejected by its index.
+as_state, apply_r, three_tangle, one_vs_rest_sq and full_report, and the
+partial-trace oracle the reductions are checked against, take one state (or
+density matrix) or a stack of them. Every slice of a stacked call must be
+bitwise equal to the call on that slice alone, and a bad slice must be
+rejected by its index.
 """
 
 import numpy as np
 import pytest
 
-from braidphase import entanglement, linalg, states
+from braidphase import entanglement, states
 from braidphase.yangbaxter import RParams
+from oracles import partial_trace
 
 PHIS = (0.0, 1.3)
 COUNTS = (1, 7, 121)
@@ -88,27 +90,32 @@ class TestStates:
 
 class TestPartialTrace:
     def test_slices_bitwise_equal_to_solo(self, cases):
+        # the reductions full_report takes from the state tensor are the
+        # partial trace of the projector, bitwise, stacked and solo
         for _, _, _, kets in cases:
             rho = kets[:, :, None] * kets.conj()[:, None, :]
             for keep in KEEPS:
-                reduced = linalg.partial_trace(rho, keep, 3)
+                reduced = partial_trace(rho, keep, 3)
                 d = 2 ** len(keep)
                 assert reduced.shape == (len(kets), d, d)
+                assert np.array_equal(entanglement._reduced(kets, keep), reduced)
                 for k, rho_k in enumerate(rho):
-                    assert np.array_equal(reduced[k], linalg.partial_trace(rho_k, keep, 3))
+                    assert np.array_equal(reduced[k], partial_trace(rho_k, keep, 3))
+                    assert np.array_equal(entanglement._reduced(kets[k:k + 1], keep)[0],
+                                          reduced[k])
 
     def test_bad_slice_named(self):
         rho = np.stack([np.eye(8, dtype=complex) / 8] * 4)
         rho[2] *= 2
         with pytest.raises(ValueError, match="density matrix 2 does not have unit trace"):
-            linalg.partial_trace(rho, (0,), 3)
+            partial_trace(rho, (0,), 3)
         rho[2] /= 2
         rho[1, 0, 5] = np.inf
         with pytest.raises(ValueError, match="density matrix 1 contains non-finite"):
-            linalg.partial_trace(rho, (0,), 3)
+            partial_trace(rho, (0,), 3)
         rho[1, 0, 5] = 0.3
         with pytest.raises(ValueError, match="density matrix 1 is not Hermitian"):
-            linalg.partial_trace(rho, (0,), 3)
+            partial_trace(rho, (0,), 3)
 
 
 class TestMeasures:

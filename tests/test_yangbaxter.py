@@ -20,11 +20,6 @@ angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 class TestRParams:
-    def test_normalized_folds_into_period(self):
-        p = RParams(7.0, -1.0).normalized()
-        assert 0 <= p.theta < 2 * np.pi
-        assert 0 <= p.phi < 2 * np.pi
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RParams(np.inf, 0.0)
@@ -34,10 +29,21 @@ class TestRParams:
     def test_theta_grid(self):
         p = RParams([0.5, 7.0], -1.0)
         assert isinstance(p.theta, np.ndarray) and p.theta.dtype == float
-        assert np.all((0 <= p.normalized().theta) & (p.normalized().theta < 2 * np.pi))
         for theta, phi in ((np.zeros((2, 2)), 0.0), (0.1, np.zeros(2))):
             with pytest.raises(ValueError):
                 RParams(theta, phi)
+
+    def test_grid_equality_and_hash(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        p, q = RParams(grid, 0.3), RParams(grid.copy(), 0.3)
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != RParams(grid + 1e-3, 0.3) and p != RParams(grid, 0.4)
+        assert p != RParams(0.0, 0.3) and p != (grid, 0.3)
+        with pytest.raises(ValueError):  # the held grid is read-only
+            p.theta[0] = 1.0
+        # a scalar pair compares and hashes as its (theta, phi) tuple, as before
+        assert RParams(0.5, 0.3) == RParams(0.5, 0.3) != RParams(0.5, 0.4)
+        assert hash(RParams(0.5, 0.3)) == hash((0.5, 0.3))
 
 
 class TestSpectralParam:
@@ -58,11 +64,11 @@ class TestRMatrix:
     def test_identity_at_half_pi(self):
         for phi in (0.0, 1.2):
             r = r_matrix(yangbaxter.THREE_QUBIT, RParams(np.pi / 2, phi))
-            assert linalg.frobenius_distance(r, np.eye(8)) < 1e-15
+            assert np.linalg.norm(r - np.eye(8)) < 1e-15
 
     def test_pure_generator_at_zero(self):
         r = r_matrix(yangbaxter.THREE_QUBIT, RParams(0.0, 0.0))
-        assert linalg.frobenius_distance(r, braid.build_braidset(0.0).mcal) < 1e-15
+        assert np.linalg.norm(r - braid.build_braidset(0.0).mcal) < 1e-15
 
     @pytest.mark.parametrize("system,dim", [("two_qubit", 4), ("three_qubit", 8)])
     def test_unitarity_grid(self, system, dim):
@@ -71,7 +77,7 @@ class TestRMatrix:
         for theta in np.linspace(0, 2 * np.pi, 11, endpoint=False):
             for phi in np.linspace(0, 2 * np.pi, 11, endpoint=False):
                 r = r_matrix(system, RParams(theta, phi))
-                worst = max(worst, linalg.frobenius_distance(linalg.dagger(r) @ r, eye))
+                worst = max(worst, np.linalg.norm(r.conj().T @ r - eye))
         assert worst <= 1e-12
 
     @given(angles, angles, angles)
@@ -85,7 +91,7 @@ class TestRMatrix:
                * np.eye(8)
                + (np.sin(theta) * np.cos(theta2) + np.cos(theta) * np.sin(theta2))
                * mcal)
-        assert linalg.frobenius_distance(lhs, rhs) <= 1e-12
+        assert np.linalg.norm(lhs - rhs) <= 1e-12
 
     @pytest.mark.parametrize("system", yangbaxter.SYSTEMS)
     def test_theta_grid_slices_bitwise_equal_to_solo(self, system):
@@ -110,13 +116,13 @@ class TestRMatrix:
 class TestRFromSpectral:
     def test_identity_point(self):
         r = r_from_spectral("three_qubit", SpectralParam(1.0 + 0j), 0.4)
-        assert linalg.frobenius_distance(r, np.eye(8)) < 1e-15
+        assert np.linalg.norm(r - np.eye(8)) < 1e-15
 
     def test_matches_angle_route(self):
         x = SpectralParam(np.exp(1j * np.pi / 4))
         r1 = r_from_spectral("three_qubit", x, 0.9)
         r2 = r_matrix("three_qubit", RParams(np.pi / 4, 0.9))
-        assert linalg.frobenius_distance(r1, r2) <= 1e-12
+        assert np.linalg.norm(r1 - r2) <= 1e-12
 
     def test_agreement_on_random_parameters(self):
         rng = np.random.default_rng(17)
@@ -129,7 +135,7 @@ class TestRFromSpectral:
             x = SpectralParam(np.exp(1j * a))
             r1 = r_from_spectral("two_qubit", x, 1.3)
             r2 = r_matrix("two_qubit", RParams(np.pi / 2 - a, 1.3))
-            assert linalg.frobenius_distance(r1, r2) <= 1e-12
+            assert np.linalg.norm(r1 - r2) <= 1e-12
 
     def test_singular_parameter_rejected(self):
         with pytest.raises(SingularParameterError):
@@ -166,7 +172,7 @@ class TestYbeResidual:
         assert np.isfinite(res) and res >= 0.0
         lifted = np.kron(braid.build_braidset(0.7).mcal, np.eye(2))
         shifted = np.kron(np.eye(2), braid.build_braidset(0.7).mcal)
-        sandwich = linalg.frobenius_distance(lifted @ shifted @ lifted, shifted)
+        sandwich = np.linalg.norm(lifted @ shifted @ lifted - shifted)
         assert sandwich > 1.0  # the algebra deficit behind the nonzero residual
 
     def test_unitary_family_violates_multiplicative_form(self):
@@ -215,7 +221,7 @@ def kron_route_residual(system, x, y, phi, family):
     lift23 = lambda r: np.kron(eye2, r)
     lhs = lift12(r_x) @ lift23(r_xy) @ lift12(r_y)
     rhs = lift23(r_y) @ lift12(r_xy) @ lift23(r_x)
-    return linalg.frobenius_distance(lhs, rhs)
+    return linalg.frobenius_norms([lhs - rhs])[0]
 
 
 SYSTEM_FAMILIES = [(s, f) for s in yangbaxter.SYSTEMS for f in ("rational", "unitary")]
@@ -264,7 +270,7 @@ class TestUnitarityResiduals:
             loop = []
             for theta in thetas:
                 r = r_matrix(system, RParams(theta, phi))
-                loop.append(linalg.frobenius_distance(linalg.dagger(r) @ r, eye))
+                loop.append(linalg.frobenius_norms([r.conj().T @ r - eye])[0])
             stacked = yangbaxter.unitarity_residuals(system, thetas, phi)
             assert stacked.tolist() == loop
             assert max(stacked) == max(loop) <= 1e-12
