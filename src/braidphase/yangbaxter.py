@@ -71,7 +71,7 @@ class RParams:
 
     def _key(self) -> tuple:
         theta = self.theta
-        return (tuple(theta.tolist()) if isinstance(theta, np.ndarray) else theta, self.phi)
+        return (tuple(theta.tolist()) if np.ndim(theta) else theta, self.phi)
 
     def __eq__(self, other):
         return isinstance(other, RParams) and self._key() == other._key()
