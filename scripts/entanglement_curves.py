@@ -4,17 +4,22 @@
 Writes the sweep CSV (theta, measured and closed-form tangle / pair
 concurrence / one-vs-rest concurrence squared, max residual) and prints the
 three landmark points: the GHZ point theta = pi/6, the separable point
-theta = pi/2, and the W-type point theta = 0.
+theta = pi/2, and the W-type point theta = 0. The package is imported from
+the ``src`` directory of the checkout this script sits in.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-from braidphase import entanglement, states
-from braidphase.cli import SweepSpec, cmd_sweep
-from braidphase.yangbaxter import RParams
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from braidphase import entanglement, states  # noqa: E402
+from braidphase.cli import cmd_sweep  # noqa: E402
+from braidphase.yangbaxter import RParams  # noqa: E402
 
 
 def main() -> int:
@@ -24,9 +29,7 @@ def main() -> int:
     parser.add_argument("--phi", type=float, default=0.0)
     args = parser.parse_args()
 
-    report, csv_text = cmd_sweep(
-        SweepSpec(theta_min=0.0, theta_max=np.pi, steps=args.steps, phi=args.phi),
-        tol=1e-9)
+    report, csv_text = cmd_sweep(0.0, np.pi, args.steps, args.phi, tol=1e-9)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text)
     print(f"wrote {args.steps} rows to {args.out} "

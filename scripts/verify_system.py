@@ -3,16 +3,23 @@
 
 Covers the generator algebra, unitarity, both Yang-Baxter residuals, the
 spectrum with its eigenstate fixtures, the ladder-operator findings, and the
-geometric phases. Exit status 0 only if every gated block passes.
+geometric phases. Exit status 0 only if every gated block passes. The
+package is imported from the ``src`` directory of the checkout this script
+sits in.
 """
 
+import os
 import sys
 
 import numpy as np
 
-from braidphase import berry, dynamics
-from braidphase.cli import cmd_berry, cmd_entangle, cmd_spectrum, cmd_verify_algebra, cmd_ybe
-from braidphase.dynamics import DriveParams
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from braidphase import berry, dynamics  # noqa: E402
+from braidphase.cli import (  # noqa: E402
+    cmd_berry, cmd_entangle, cmd_spectrum, cmd_verify_algebra, cmd_ybe)
+from braidphase.dynamics import DriveParams  # noqa: E402
 
 
 def block(name, report):

@@ -9,8 +9,13 @@ Infinity is not JSON, and is refused as a usage error.
 
 Angles are radians unless --degrees is given, and must be finite. Sample
 counts (--samples, --phi-samples) are integers >= 1. --tol defaults per
-command to the tolerance its checks are specified at (see --help of each
-subcommand).
+command to the tolerance its checks are specified at, which --help of each
+subcommand shows: 1e-10 for verify-algebra, ybe and spectrum, 1e-9 for
+entangle and sweep; berry's depends on --method (1e-5 analytic, 1e-4
+wilson), as does its --steps (10000 analytic, 800 wilson).
+
+Each subparser carries its handler, and main calls it with the command's own
+arguments; a report passes when every one of its gates does.
 """
 
 from __future__ import annotations
@@ -25,77 +30,45 @@ import numpy as np
 
 from . import berry, braid, dynamics, entanglement, linalg, states, yangbaxter
 
-__all__ = ["RunReport", "SweepSpec", "build_parser", "main"]
+__all__ = ["RunReport", "build_parser", "main"]
 
 SWEEP_HEADER = ("theta,tau_measured,tau_closed,c_pair_measured,c_pair_closed,"
                 "c2_one_rest_measured,c2_one_rest_closed,max_residual")
 
-DEFAULT_TOL = {
-    "verify-algebra": 1e-10,
-    "ybe": 1e-10,
-    "entangle": 1e-9,
-    "sweep": 1e-9,
-    "spectrum": 1e-10,
-    "berry": None,  # method-dependent: 1e-5 analytic, 1e-4 wilson
-}
-
 
 @dataclass(frozen=True)
 class RunReport:
-    """Uniform result envelope: echoed command, inputs, outputs, and gates."""
+    """Uniform result envelope: echoed command, inputs, outputs, and gates;
+    the run passes when every gate in ``passes`` does."""
 
     command: str
     parameters: dict
     results: dict
     residual_summary: dict
     passes: dict
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(self.passes.values())
 
     def to_json(self) -> str:
         payload = {
             "command": self.command,
-            "parameters": _plain(self.parameters),
-            "results": _plain(self.results),
-            "residual_summary": _plain(self.residual_summary),
-            "passes": _plain(self.passes),
-            "passed": bool(self.passed),
+            "parameters": self.parameters,
+            "results": self.results,
+            "residual_summary": self.residual_summary,
+            "passes": self.passes,
+            "passed": self.passed,
         }
         # allow_nan=False: NaN and Infinity are not JSON (RFC 8259)
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=_numpy_value) + "\n"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Theta-grid sweep request."""
-
-    theta_min: float
-    theta_max: float
-    steps: int
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if self.theta_min > self.theta_max:
-            raise ValueError("theta_min must not exceed theta_max")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
-
-
-def _plain(obj):
-    """Recursively convert numpy containers/scalars into JSON-ready values."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
+def _numpy_value(obj):
+    """json.dumps hook: a numpy array or scalar as the Python value it holds."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
@@ -113,7 +86,7 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
     alpha_dev = 0.0
     unit_max = {yangbaxter.TWO_QUBIT: 0.0, yangbaxter.THREE_QUBIT: 0.0}
     for phi in phis:
-        rep = braid.check_es2_relations(braid.build_braidset(phi), tol)
+        rep = braid.check_es2_relations(braid.build_braidset(phi))
         for name, val in rep.residuals.items():
             relation_max[name] = max(relation_max.get(name, 0.0), val)
         for name, val in rep.ambiguous.items():
@@ -141,7 +114,6 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
         },
         residual_summary=summary,
         passes=passes,
-        passed=all(passes.values()),
     )
 
 
@@ -188,7 +160,6 @@ def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
         },
         residual_summary=summary,
         passes=passes,
-        passed=all(passes.values()),
     )
 
 
@@ -220,13 +191,18 @@ def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:
         },
         residual_summary=summary,
         passes=passes,
-        passed=all(passes.values()),
     )
 
 
-def cmd_sweep(spec: SweepSpec, tol: float):
-    thetas = np.linspace(spec.theta_min, spec.theta_max, spec.steps)
-    kets = states.apply_r(yangbaxter.RParams(thetas, spec.phi), states.basis_state("000"))
+def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
+              tol: float):
+    """(report, CSV text) of the entanglement curves at ``steps`` angles."""
+    if theta_min > theta_max:
+        raise ValueError("theta_min must not exceed theta_max")
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    thetas = np.linspace(theta_min, theta_max, steps)
+    kets = states.apply_r(yangbaxter.RParams(thetas, phi), states.basis_state("000"))
     rep = entanglement.full_report(kets)
     rows = []
     for theta, tau_m, c_m, c2_m in zip(thetas.tolist(), rep.tau_abc.tolist(),
@@ -240,22 +216,20 @@ def cmd_sweep(spec: SweepSpec, tol: float):
     lines.extend(",".join("%.17g" % v for v in row) for row in rows)
     csv_text = "\n".join(lines) + "\n"
     worst = max(row[-1] for row in rows)
-    passes = {"closed_form_match": worst <= tol}
     report = RunReport(
         command="sweep",
-        parameters={"theta_min": spec.theta_min, "theta_max": spec.theta_max,
-                    "steps": spec.steps, "phi": spec.phi, "tol": tol},
-        results={"rows": spec.steps, "input": "000", "pair_column": "c_ab"},
+        parameters={"theta_min": theta_min, "theta_max": theta_max,
+                    "steps": steps, "phi": phi, "tol": tol},
+        results={"rows": steps, "input": "000", "pair_column": "c_ab"},
         residual_summary={"closed_form_match_max": worst},
-        passes=passes,
-        passed=all(passes.values()),
+        passes={"closed_form_match": worst <= tol},
     )
     return report, csv_text
 
 
-def cmd_spectrum(theta: float, phi: float, phi_dot: float, hbar: float,
+def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
                  tol: float) -> RunReport:
-    d = dynamics.DriveParams(theta=theta, phi=phi, phi_dot=phi_dot, hbar=hbar)
+    d = dynamics.DriveParams(theta=theta, phi=phi, phi_dot=phidot, hbar=hbar)
     rep = dynamics.spectrum(d, tol)
     brackets = dynamics.su2_relation_residuals(d)
     summary = {
@@ -272,7 +246,7 @@ def cmd_spectrum(theta: float, phi: float, phi_dot: float, hbar: float,
     }
     return RunReport(
         command="spectrum",
-        parameters={"theta": theta, "phi": phi, "phidot": phi_dot,
+        parameters={"theta": theta, "phi": phi, "phidot": phidot,
                     "hbar": hbar, "tol": tol},
         results={
             "eigenvalues": list(rep.eigenvalues),
@@ -283,16 +257,21 @@ def cmd_spectrum(theta: float, phi: float, phi_dot: float, hbar: float,
         },
         residual_summary=summary,
         passes=passes,
-        passed=all(passes.values()),
     )
 
 
-def cmd_berry(theta: float, steps: int, method: str, level: str,
-              tol: float) -> RunReport:
+def cmd_berry(theta: float, steps: int | None, method: str, level: str,
+              tol: float | None) -> RunReport:
+    """None for ``steps`` or ``tol`` takes the method's default: 10000 and
+    1e-5 analytic, 800 and 1e-4 wilson."""
     if method == "analytic":
         levels = berry.LEVELS if level == "all" else (level,)
+        steps = 10_000 if steps is None else steps
+        tol = 1e-5 if tol is None else tol
     else:
         levels = ("minus", "plus") if level == "all" else (level,)
+        steps = 800 if steps is None else steps
+        tol = 1e-4 if tol is None else tol
     reports = [berry.report(lv, theta, steps, method) for lv in levels]
     summary = {f"{r.level}_residual_max": (max(r.residuals) if r.residuals else 0.0)
                for r in reports}
@@ -307,7 +286,6 @@ def cmd_berry(theta: float, steps: int, method: str, level: str,
              "residuals": list(r.residuals)} for r in reports]},
         residual_summary=summary,
         passes=passes,
-        passed=all(passes.values()),
     )
 
 
@@ -344,11 +322,13 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_common(parser, *, sampled: bool):
-    """--tol and --out, plus --seed on a sampling command and --degrees on
-    one that takes angles (no command does both)."""
-    parser.add_argument("--tol", type=float, default=None,
-                        help="pass/fail tolerance (default depends on command)")
+def _add_common(parser, run, tol, *, sampled: bool, tol_help="%(default)s"):
+    """The handler ``run``; --tol with default ``tol`` and --out; plus --seed
+    on a sampling command and --degrees on one that takes angles (no command
+    does both)."""
+    parser.set_defaults(run=run)
+    parser.add_argument("--tol", type=float, default=tol,
+                        help=f"pass/fail tolerance (default: {tol_help})")
     parser.add_argument("--out", default=None, help="write output to this path")
     if sampled:
         parser.add_argument("--seed", type=int, default=0,
@@ -367,18 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-algebra", help="generator-algebra and unitarity checks")
     p.add_argument("--phi-samples", type=_count, default=17)
-    _add_common(p, sampled=True)
+    _add_common(p, cmd_verify_algebra, 1e-10, sampled=True)
 
     p = sub.add_parser("ybe", help="Yang-Baxter residuals over sampled spectral parameters")
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--phi-samples", type=_count, default=5)
-    _add_common(p, sampled=True)
+    _add_common(p, cmd_ybe, 1e-10, sampled=True)
 
     p = sub.add_parser("entangle", help="entanglement measures of one generated state")
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--phi", type=_angle, default=0.0)
-    p.add_argument("--input", default="000", choices=states.BASIS_LABELS)
-    _add_common(p, sampled=False)
+    p.add_argument("--input", dest="label", default="000", choices=states.BASIS_LABELS)
+    _add_common(p, cmd_entangle, 1e-9, sampled=False)
 
     p = sub.add_parser("sweep", help="theta sweep of the entanglement curves (CSV)")
     p.add_argument("--theta-min", type=_angle, required=True)
@@ -387,21 +367,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="csv (default) writes the rows to --out; json gives only the summary")
-    _add_common(p, sampled=False)
+    _add_common(p, cmd_sweep, 1e-9, sampled=False)
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenstate checks of the drive generator")
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--phidot", type=float, default=1.0)
     p.add_argument("--hbar", type=float, default=1.0)
-    _add_common(p, sampled=False)
+    _add_common(p, cmd_spectrum, 1e-10, sampled=False)
 
     p = sub.add_parser("berry", help="geometric phases of the drive loop")
     p.add_argument("--theta", type=_angle, required=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None,
+                   help="loop points (default: 10000 analytic, 800 wilson)")
     p.add_argument("--method", choices=("analytic", "wilson"), default="analytic")
     p.add_argument("--level", choices=("zero", "minus", "plus", "all"), default="all")
-    _add_common(p, sampled=False)
+    _add_common(p, cmd_berry, None, sampled=False,
+                tol_help="1e-5 analytic, 1e-4 wilson")
 
     return parser
 
@@ -412,54 +394,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _angles_to_radians(args):
-    for name in ("theta", "phi", "theta_min", "theta_max"):
-        if getattr(args, name, None) is not None:
-            setattr(args, name, float(np.radians(getattr(args, name))))
-
-
-def _dispatch(args):
-    """Returns (report, primary_text, extra file payload or None)."""
-    tol = args.tol if args.tol is not None else DEFAULT_TOL[args.command]
-    if args.command == "verify-algebra":
-        report = cmd_verify_algebra(tol, args.phi_samples, args.seed)
-    elif args.command == "ybe":
-        report = cmd_ybe(tol, args.samples, args.phi_samples, args.seed)
-    elif args.command == "entangle":
-        report = cmd_entangle(args.theta, args.phi, args.input, tol)
-    elif args.command == "sweep":
-        spec = SweepSpec(theta_min=args.theta_min, theta_max=args.theta_max,
-                         steps=args.steps, phi=args.phi)
-        report, csv_text = cmd_sweep(spec, tol)
-        if args.format == "csv":
-            if args.out is None:
-                raise ValueError("sweep requires --out for its CSV output")
-            return report, report.to_json(), (args.out, csv_text)
-        return report, report.to_json(), None
-    elif args.command == "spectrum":
-        report = cmd_spectrum(args.theta, args.phi, args.phidot, args.hbar, tol)
-    elif args.command == "berry":
-        if tol is None:
-            tol = 1e-5 if args.method == "analytic" else 1e-4
-        steps = args.steps
-        if steps is None:
-            steps = 10_000 if args.method == "analytic" else 800
-        report = cmd_berry(args.theta, steps, args.method, args.level, tol)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {args.command!r}")
-
-    return report, report.to_json(), None
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "degrees", False):
-        _angles_to_radians(args)
+    # without the command and its output options, args are the handler's own
+    del args["command"]
+    run, out, fmt = args.pop("run"), args.pop("out"), args.pop("format", None)
+    if args.pop("degrees", False):
+        for name in ("theta", "phi", "theta_min", "theta_max"):
+            if name in args:
+                args[name] = float(np.radians(args[name]))
     try:
-        report, text, extra = _dispatch(args)
+        # looked up by name, so that a wrapper put in place of a handler
+        # after the cached parser was built is the one that runs
+        result = globals()[run.__name__](**args)
+        report, csv_text = result if fmt else (result, None)  # sweep: (report, CSV)
+        if fmt == "csv" and out is None:
+            raise ValueError("sweep requires --out for its CSV output")
+        text = report.to_json()
     except linalg.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -468,14 +427,11 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if extra is not None:
-            path, payload = extra
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+        if fmt == "csv":  # the rows go to --out, the report to stdout
+            _write(out, csv_text)
             sys.stdout.write(text)
-        elif args.out is not None:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        elif out is not None:
+            _write(out, text)
         else:
             sys.stdout.write(text)
     except OSError as exc:

@@ -96,12 +96,6 @@ class SpectralParam:
         object.__setattr__(self, "x", x)
 
 
-class _SpectralProduct(SpectralParam):
-    """The product x y of two spectral parameters, admitted at 4x their tolerance."""
-
-    _tol = 4 * SpectralParam._tol
-
-
 def _generator(system: str, phi: float) -> np.ndarray:
     if system == TWO_QUBIT:
         return braid.build_m4(phi)
@@ -110,25 +104,31 @@ def _generator(system: str, phi: float) -> np.ndarray:
     raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 
 
+def _unitary(gen: np.ndarray, theta) -> np.ndarray:
+    """sin(theta) I + cos(theta) gen, stacked over the axis of a theta grid."""
+    eye = np.eye(gen.shape[0], dtype=complex)
+    t = np.asarray(theta)[..., None, None]
+    return np.sin(t) * eye + np.cos(t) * gen
+
+
 def r_matrix(system: str, p: RParams) -> np.ndarray:
     """Unitary braid matrix sin(theta) I + cos(theta) * generator(phi), or the
     (B, n, n) stack over a theta grid, each slice bitwise the matrix alone."""
-    gen = _generator(system, p.phi)
-    eye = np.eye(gen.shape[0], dtype=complex)
-    t = np.asarray(p.theta)[..., None, None]
-    return np.sin(t) * eye + np.cos(t) * gen
+    return _unitary(_generator(system, p.phi), p.theta)
 
 
 def unitarity_residuals(system: str, thetas, phi: float) -> np.ndarray:
     """||R^dag R - I|| of R = r_matrix(system, RParams(theta, phi)) for each theta.
 
-    The whole theta grid is one stacked product per block of angles; each
-    value is bitwise the one the single-matrix route gives.
+    The generator is built once; the whole theta grid is one stacked product
+    per block of angles, and each value is bitwise the one the single-matrix
+    route gives.
     """
-    thetas = np.reshape(thetas, -1)
-    out = np.empty(len(thetas))
-    for lo in range(0, len(thetas), _BLOCK):
-        r = r_matrix(system, RParams(thetas[lo:lo + _BLOCK], phi))
+    p = RParams(np.reshape(thetas, -1), phi)
+    gen = _generator(system, p.phi)
+    out = np.empty(len(p.theta))
+    for lo in range(0, len(p.theta), _BLOCK):
+        r = _unitary(gen, p.theta[lo:lo + _BLOCK])
         r_dag = r.conj().transpose(0, 2, 1).copy()
         out[lo:lo + _BLOCK] = linalg.frobenius_norms(r_dag @ r - np.eye(r.shape[1]))
     return out
@@ -136,18 +136,22 @@ def unitarity_residuals(system: str, thetas, phi: float) -> np.ndarray:
 
 def theta_from_spectral(x: SpectralParam) -> float:
     """Branch theta = pi/2 - arg(x), arg in (-pi, pi]; x = 1 maps to the identity."""
-    return float(np.pi / 2 - np.angle(x.x))
+    return _theta(x.x)
 
 
-def _require_nonsingular(x: SpectralParam) -> None:
-    if abs(x.x + 1.0 / x.x) < 1e-12:
+def _theta(x: complex) -> float:
+    return float(np.pi / 2 - np.angle(x))
+
+
+def _require_nonsingular(x: complex) -> None:
+    if abs(x + 1.0 / x) < 1e-12:
         raise SingularParameterError(
-            f"x = {x.x} has x + 1/x = 0; build from angles instead")
+            f"x = {x} has x + 1/x = 0; build from angles instead")
 
 
 def r_from_spectral(system: str, x: SpectralParam, phi: float) -> np.ndarray:
     """Unitary braid matrix at theta = pi/2 - arg(x)."""
-    _require_nonsingular(x)
+    _require_nonsingular(x.x)
     return r_matrix(system, RParams(theta_from_spectral(x), phi))
 
 
@@ -166,15 +170,15 @@ def rational_r(system: str, x: complex, phi: float) -> np.ndarray:
 
 
 def _coefficients(family: str, points: list) -> np.ndarray:
-    """(a, b) rows with R(x) = a I + b generator at each spectral point x.
+    """(a, b) rows with R(x) = a I + b generator at each complex point x.
 
     Formed with Python complex scalars, one point at a time, so that each
     coefficient is bitwise the one rational_r or r_from_spectral uses.
     """
     if family == "rational":
-        pairs = [((x + 1 / x) / 2, (x - 1 / x) / 2) for x in (p.x for p in points)]
+        pairs = [((x + 1 / x) / 2, (x - 1 / x) / 2) for x in points]
     elif family == "unitary":
-        pairs = [(np.sin(t), np.cos(t)) for t in map(theta_from_spectral, points)]
+        pairs = [(np.sin(t), np.cos(t)) for t in map(_theta, points)]
     else:
         raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
     return np.array(pairs, dtype=complex).reshape(-1, 2).T
@@ -209,12 +213,14 @@ def ybe_residual(system: str, x, y, phi: float, family: str = "rational"):
         for p in (px, py):
             if not isinstance(p, SpectralParam):
                 raise TypeError("x and y must be SpectralParam values")
-            _require_nonsingular(p)
-        pxy = _SpectralProduct(px.x * py.x)
-        _require_nonsingular(pxy)
-        xys.append(pxy)
+            _require_nonsingular(p.x)
+        # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
+        xy = px.x * py.x
+        _require_nonsingular(xy)
+        xys.append(xy)
     # a[j, k], b[j, k]: coefficients of R(x_k), R(x_k y_k), R(y_k) for j = 0, 1, 2
-    a, b = _coefficients(family, xs + xys + ys).reshape(2, 3, len(xs), 1, 1)
+    points = [p.x for p in xs] + xys + [p.x for p in ys]
+    a, b = _coefficients(family, points).reshape(2, 3, len(xs), 1, 1)
 
     gen = _generator(system, phi)
     eye2 = np.eye(2, dtype=complex)

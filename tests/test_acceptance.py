@@ -36,7 +36,7 @@ def test_c01_generator_algebra():
     tol = 1e-10
     worst = 0.0
     for phi in np.linspace(0, 2 * np.pi, 17, endpoint=False):
-        rep = braid.check_es2_relations(braid.build_braidset(phi), tol)
+        rep = braid.check_es2_relations(braid.build_braidset(phi))
         worst = max(worst, max(rep.residuals.values()))
     ok = worst <= tol
     report_line("1 generator algebra", ok, f"max residual {worst:.3e} <= {tol}")

@@ -1,0 +1,31 @@
+"""The scripts run from a plain checkout: no installed package, no PYTHONPATH."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args, cwd):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("name", ["verify_system.py", "golden.py"])
+def test_script_exits_zero(tmp_path, name):
+    done = run_script(name, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_entanglement_curves_writes_csv(tmp_path):
+    out = tmp_path / "curves.csv"
+    done = run_script("entanglement_curves.py", "--out", str(out), "--steps", "7",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert len(out.read_text().splitlines()) == 1 + 7
+    assert "GHZ point" in done.stdout

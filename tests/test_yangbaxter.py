@@ -275,6 +275,21 @@ class TestUnitarityResiduals:
             assert stacked.tolist() == loop
             assert max(stacked) == max(loop) <= 1e-12
 
+    @pytest.mark.parametrize("system, builder", [
+        ("two_qubit", "build_m4"), ("three_qubit", "build_braidset")])
+    def test_generator_built_once(self, monkeypatch, system, builder):
+        # 130 angles span three blocks of 64; one generator serves all of them
+        calls = []
+        original = getattr(braid, builder)
+
+        def counting(phi):
+            calls.append(phi)
+            return original(phi)
+
+        monkeypatch.setattr(braid, builder, counting)
+        yangbaxter.unitarity_residuals(system, np.linspace(0.0, 6.0, 130), 0.4)
+        assert calls == [0.4]
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             yangbaxter.unitarity_residuals("two_qubit", [0.1, np.inf], 0.0)
