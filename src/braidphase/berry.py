@@ -5,15 +5,17 @@ Two routes:
 * berry_analytic -- gauge-invariant discrete line integral
   gamma = -Im sum_k log <chi(phi_k)|chi(phi_{k+1})> over the closed-form
   eigenstates (indices 5..8), second-order accurate in the step size;
-* berry_wilson -- eigenphases of the Wilson loop of overlap matrices between
-  numerical eigenbases of one degenerate doublet, for levels without closed
-  forms of their connection.
+* berry_wilson -- the Wilson loop of one degenerate doublet over numerical
+  eigenvectors, for levels without closed forms of their connection. H
+  conserves basis-index parity and each doublet has one member in each parity
+  sector, so the loop is diagonal: one U(1) loop of scalar overlaps per
+  sector.
 
 Phases follow the gamma = i oint <chi|d_phi chi> sign convention (Wilson
-eigenphases are reported as -arg of the loop eigenvalues so both routes
-agree). Measured values: the -hbar*phidot*cos(theta) doublet (states 5 and 7)
-carries +pi(1 - cos theta) twice, the +hbar*phidot*cos(theta) doublet (states
-6 and 8) carries -pi(1 - cos theta) twice, and the zero level is flat.
+phases are reported as -arg of the loops so both routes agree). Measured
+values: the -hbar*phidot*cos(theta) doublet carries +pi(1 - cos theta) twice,
+the +hbar*phidot*cos(theta) doublet carries -pi(1 - cos theta) twice, and the
+zero level is flat; the members of each level are in dynamics.LEVELS.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from . import dynamics, linalg
 
 __all__ = [
     "BerryReport",
-    "LEVELS",
     "solid_angle",
     "closed_form_phase",
     "berry_analytic",
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 TWO_PI = 2 * np.pi
-LEVELS = ("zero", "minus", "plus")
 
 # parity of the number of 1-bits of each basis index, which H conserves
 _PARITY = np.array([bin(k).count("1") % 2 for k in range(8)])
@@ -69,14 +69,12 @@ def solid_angle(theta: float) -> float:
 
 
 def closed_form_phase(level: str, theta: float) -> float:
-    """Half the solid angle, signed by level: zero -> 0, minus -> +, plus -> -."""
-    if level == "zero":
-        return 0.0
-    if level == "minus":
-        return float(np.pi * (1 - np.cos(theta)))
-    if level == "plus":
-        return float(-np.pi * (1 - np.cos(theta)))
-    raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
+    """Half the solid angle, signed against the level's energy: zero -> 0,
+    minus -> +, plus -> -."""
+    if level not in dynamics.LEVELS:
+        raise ValueError(f"unknown level {level!r}; expected one of "
+                         f"{tuple(dynamics.LEVELS)}")
+    return float(-dynamics.LEVELS[level][0] * np.pi * (1 - np.cos(theta)))
 
 
 def phase_residual(phase: float, reference: float) -> float:
@@ -103,7 +101,7 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
     exactly; the result converges at O(steps^-2) and is returned unwrapped
     (accumulated, not folded to a principal branch).
     """
-    if i not in (5, 6, 7, 8):
+    if i not in dynamics.LEVELS["minus"][1] + dynamics.LEVELS["plus"][1]:
         raise ValueError(f"state index must be 5..8, got {i}")
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
@@ -114,30 +112,23 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
     return float(-np.sum(np.angle(overlaps)))
 
 
-def _eig2(w: np.ndarray):
-    # (w00 - w11)^2 + 4 w01 w10 equals tr^2 - 4 det without its cancellation,
-    # which would lose half the digits on the near-degenerate Wilson loop.
-    tr = w[0, 0] + w[1, 1]
-    diff = w[0, 0] - w[1, 1]
-    disc = np.sqrt(complex(diff * diff + 4 * w[0, 1] * w[1, 0]))
-    return (tr + disc) / 2, (tr - disc) / 2
-
-
 def berry_wilson(level: str, theta: float, steps: int) -> list:
-    """Eigenphases of the Wilson loop over one degenerate doublet.
+    """Phases of the Wilson loop over one degenerate doublet.
 
-    At each grid point the Hamiltonian (hbar = phidot = 1) is diagonalized
-    and the two eigenvectors of the requested level (energy -+cos theta for
-    'minus'/'plus') form the frame; the loop multiplies the 2x2 overlap
-    matrices between consecutive frames. Returns the two eigenphases, sorted,
-    in the line-integral sign convention.
+    H conserves the parity of the basis index, so each grid point's
+    Hamiltonian (hbar = phidot = 1) is solved as its two 4x4 parity blocks,
+    and each block holds exactly one state of the requested level (energy
+    -+cos theta for 'minus'/'plus'). The doublet's Wilson loop is therefore
+    diagonal: per sector, the product of the scalar overlaps between that
+    state at consecutive grid points. Returns the two phases, sorted, in the
+    line-integral sign convention.
 
-    H conserves the parity of the basis index, so each grid point is solved
-    as its two 4x4 parity blocks, whose eigenvectors are padded back into
-    8-dim frames. The split is checked at run time: an entry of H that mixes
-    the parities and is not exactly 0 raises NumericalError.
+    The structure is checked at run time: an entry of H that mixes the
+    parities and is not exactly 0, or a sector with other than one state at
+    the level's energy, raises NumericalError naming the grid point.
     """
-    if level not in ("minus", "plus"):
+    sign = dynamics.LEVELS.get(level, (0,))[0]
+    if not sign:
         raise ValueError(f"level must be 'minus' or 'plus', got {level!r}")
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
@@ -145,7 +136,7 @@ def berry_wilson(level: str, theta: float, steps: int) -> list:
     if gap < 1e-8:
         raise linalg.NumericalError(
             f"level gap {gap} below 1e-8; doublet crosses the zero level")
-    target = -np.cos(theta) if level == "minus" else np.cos(theta)
+    target = sign * np.cos(theta)
 
     hams = dynamics.hamiltonian_grid(theta, TWO_PI * np.arange(steps) / steps)
     mixed = np.any(hams[:, _MIXING] != 0, axis=1)
@@ -155,28 +146,18 @@ def berry_wilson(level: str, theta: float, steps: int) -> list:
             f"cannot split it")
     blocks = np.stack([hams[:, EVEN[:, None], EVEN], hams[:, ODD[:, None], ODD]], axis=1)
     dec = linalg.eigh(blocks.reshape(2 * steps, 4, 4))
-    values = dec.eigenvalues.reshape(steps, 8)
-    block_vectors = dec.eigenvectors.reshape(steps, 2, 4, 4)
-    vectors = np.zeros((steps, 8, 8), dtype=complex)
-    vectors[:, EVEN, :4] = block_vectors[:, 0]
-    vectors[:, ODD, 4:] = block_vectors[:, 1]
 
-    in_level = np.abs(values - target) < gap / 2
+    in_level = np.abs(dec.eigenvalues - target) < gap / 2
     counts = in_level.sum(axis=1)
-    if np.any(counts != 2):
+    if np.any(counts != 1):
+        bad = np.argmax(counts != 1)
         raise linalg.NumericalError(
-            f"expected a doublet at energy {target}, "
-            f"found {counts[counts != 2][0]} states")
-    cols = np.nonzero(in_level)[1].reshape(steps, 1, 2)
-    frames = np.take_along_axis(vectors, cols, axis=2)
-
-    overlaps = frames.conj().transpose(0, 2, 1) @ np.roll(frames, -1, axis=0)
-    loop = np.eye(2, dtype=complex)
-    for step in overlaps:
-        loop = loop @ step
-    lam1, lam2 = _eig2(loop)
-    phases = sorted(float(-np.angle(l)) for l in (lam1, lam2))
-    return phases
+            f"expected one state at energy {target} in each parity sector, "
+            f"found {counts[bad]} at grid point {bad // 2}")
+    # the one eigenvector at the target per (grid point, sector)
+    states = np.swapaxes(dec.eigenvectors, 1, 2)[in_level].reshape(steps, 2, 4)
+    overlaps = np.einsum("ksi,ksi->ks", states.conj(), np.roll(states, -1, axis=0))
+    return sorted(float(-np.angle(loop)) for loop in np.prod(overlaps, axis=0))
 
 
 def zero_level_phase(theta: float) -> float:
@@ -186,7 +167,7 @@ def zero_level_phase(theta: float) -> float:
     (bitwise equality across a phi grid) before returning 0.
     """
     probe = np.linspace(0.0, TWO_PI, 7)
-    for i in dynamics.LEVEL_STATES["zero"]:
+    for i in dynamics.LEVELS["zero"][1]:
         batch = dynamics.fixture_batch(i, theta, probe)
         if not np.array_equal(batch, np.broadcast_to(batch[0], batch.shape)):
             raise linalg.NumericalError(f"zero-level fixture {i} is not flat")
@@ -203,10 +184,10 @@ def report(level: str, theta: float, steps: int, method: str) -> BerryReport:
     closed = closed_form_phase(level, theta)
     if method == "analytic":
         if level == "zero":
-            phases = (zero_level_phase(theta),) * len(dynamics.LEVEL_STATES["zero"])
+            phases = (zero_level_phase(theta),) * len(dynamics.LEVELS["zero"][1])
         else:
             phases = tuple(_fold(berry_analytic(i, theta, steps))
-                           for i in dynamics.LEVEL_STATES[level])
+                           for i in dynamics.LEVELS[level][1])
     elif method == "wilson":
         if level == "zero":
             raise ValueError("the wilson method applies to the split doublets only")

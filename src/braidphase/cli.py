@@ -8,11 +8,12 @@ error (one line on stderr), 3 numerical failure. A report holding NaN or
 Infinity is not JSON, and is refused as a usage error.
 
 Angles are radians unless --degrees is given, and must be finite. Sample
-counts (--samples, --phi-samples) are integers >= 1. --tol defaults per
-command to the tolerance its checks are specified at, which --help of each
-subcommand shows: 1e-10 for verify-algebra, ybe and spectrum, 1e-9 for
-entangle and sweep; berry's depends on --method (1e-5 analytic, 1e-4
-wilson), as does its --steps (10000 analytic, 800 wilson).
+counts (--samples, --phi-samples) are integers >= 1. --tol is a finite
+number >= 0 and defaults per command to the tolerance its checks are
+specified at, which --help of each subcommand shows: 1e-10 for
+verify-algebra, ybe and spectrum, 1e-9 for entangle and sweep; berry's
+depends on --method (1e-5 analytic, 1e-4 wilson), as does its --steps (10000
+analytic, 800 wilson).
 
 Each subparser carries its handler, and main calls it with the command's own
 arguments; a report passes when every one of its gates does.
@@ -230,7 +231,7 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
 def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
                  tol: float) -> RunReport:
     d = dynamics.DriveParams(theta=theta, phi=phi, phi_dot=phidot, hbar=hbar)
-    rep = dynamics.spectrum(d, tol)
+    rep = dynamics.spectrum(d)
     brackets = dynamics.su2_relation_residuals(d)
     summary = {
         "closed_form_match": rep.closed_form_match,
@@ -265,13 +266,14 @@ def cmd_berry(theta: float, steps: int | None, method: str, level: str,
     """None for ``steps`` or ``tol`` takes the method's default: 10000 and
     1e-5 analytic, 800 and 1e-4 wilson."""
     if method == "analytic":
-        levels = berry.LEVELS if level == "all" else (level,)
         steps = 10_000 if steps is None else steps
         tol = 1e-5 if tol is None else tol
     else:
-        levels = ("minus", "plus") if level == "all" else (level,)
         steps = 800 if steps is None else steps
         tol = 1e-4 if tol is None else tol
+    # "all" under wilson: the split doublets, the levels of nonzero energy
+    levels = [lv for lv, (sign, _) in dynamics.LEVELS.items()
+              if lv == level or (level == "all" and (sign or method == "analytic"))]
     reports = [berry.report(lv, theta, steps, method) for lv in levels]
     summary = {f"{r.level}_residual_max": (max(r.residuals) if r.residuals else 0.0)
                for r in reports}
@@ -300,15 +302,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _angle(text: str) -> float:
-    """argparse type of every angle argument: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"angle must be a finite number, got {text!r}")
-    return value
+def _finite(requirement: str, low: float = -np.inf):
+    """argparse type of a finite float >= ``low``; an error states ``requirement``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not (np.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_angle = _finite("angle must be a finite number")  # every angle argument
+_tol = _finite("tolerance must be a finite number >= 0", low=0.0)  # every --tol
 
 
 def _count(text: str) -> int:
@@ -327,7 +335,7 @@ def _add_common(parser, run, tol, *, sampled: bool, tol_help="%(default)s"):
     on a sampling command and --degrees on one that takes angles (no command
     does both)."""
     parser.set_defaults(run=run)
-    parser.add_argument("--tol", type=float, default=tol,
+    parser.add_argument("--tol", type=_tol, default=tol,
                         help=f"pass/fail tolerance (default: {tol_help})")
     parser.add_argument("--out", default=None, help="write output to this path")
     if sampled:
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None,
                    help="loop points (default: 10000 analytic, 800 wilson)")
     p.add_argument("--method", choices=("analytic", "wilson"), default="analytic")
-    p.add_argument("--level", choices=("zero", "minus", "plus", "all"), default="all")
+    p.add_argument("--level", choices=(*dynamics.LEVELS, "all"), default="all")
     _add_common(p, cmd_berry, None, sampled=False,
                 tol_help="1e-5 analytic, 1e-4 wilson")
 

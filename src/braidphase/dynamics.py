@@ -13,15 +13,16 @@ drives the evolution and the generator of that evolution is
 hamiltonian() transcribes exactly that expression; hamiltonian_from_r() is the
 independent finite-difference oracle i hbar (dR/dt) R^dag. The spectrum is
 {0 x4, -hbar phidot cos(theta) x2, +hbar phidot cos(theta) x2} and the eight
-closed-form eigenstates are available as fixtures. Level membership (checked
-exactly by the eigen-equations): states 5 and 7 sit at -hbar phidot cos(theta),
-states 6 and 8 at +hbar phidot cos(theta), states 1-4 at zero.
+closed-form eigenstates are available as fixtures. LEVELS, the one table of
+level membership, is checked exactly by the eigen-equations. H conserves the
+parity of the basis index; each split doublet has one member in each sector.
 
-su2_ops exposes the ladder split H = B+ I+ + B- I- + B3 I3. Measured bracket
-facts, reported by su2_relation_residuals: (I+-)^2 = 0 and [I+, I-] = 2 I3
-hold exactly, but [I3, I+-] = +-3 I+- (not +-I+-), and I3^2 equals (9/4) times
-the projector onto span{fixture 5..8} rather than I/4. So i_plus, i_minus and
-i_3 are x3-normalized; the unit-normalized su(2) split is
+su2_ops exposes the ladder split H = B+ I+ + B- I- + B3 I3, whose operators
+I_PLUS, I_MINUS and I_3 are read-only constants that H is built from.
+Measured bracket facts, reported by su2_relation_residuals: (I+-)^2 = 0 and
+[I+, I-] = 2 I3 hold exactly, but [I3, I+-] = +-3 I+- (not +-I+-), and I3^2
+equals (9/4) times the projector onto span{fixture 5..8} rather than I/4. So
+i_plus, i_minus and i_3 are x3-normalized; the unit-normalized su(2) split is
 H = (sqrt(3) B+-)(I+-/sqrt(3)) + (3 B3)(I3/3), whose family
 J+- = I+-/sqrt(3), J3 = I3/3 closes an exact su(2).
 """
@@ -40,7 +41,10 @@ __all__ = [
     "Su2Ops",
     "SpectrumReport",
     "FIXTURE_INDICES",
-    "LEVEL_STATES",
+    "LEVELS",
+    "I_PLUS",
+    "I_MINUS",
+    "I_3",
     "hamiltonian",
     "hamiltonian_grid",
     "hamiltonian_from_r",
@@ -55,7 +59,8 @@ __all__ = [
 SQRT3 = np.sqrt(3.0)
 
 FIXTURE_INDICES = (1, 2, 3, 4, 5, 6, 7, 8)
-LEVEL_STATES = {"zero": (1, 2, 3, 4), "minus": (5, 7), "plus": (6, 8)}
+# level: (energy in units of hbar phidot cos(theta), its closed-form fixtures)
+LEVELS = {"zero": (0, (1, 2, 3, 4)), "minus": (-1, (5, 7)), "plus": (1, (6, 8))}
 
 
 def _lift(op, site: int) -> np.ndarray:
@@ -68,12 +73,12 @@ S1P, S2P, S3P = (_lift(SPIN.s_plus, k) for k in range(3))
 S1M, S2M, S3M = (_lift(SPIN.s_minus, k) for k in range(3))
 S1_3, S2_3, S3_3 = (_lift(SPIN.s3, k) for k in range(3))
 
-# phi-independent pieces of the Hamiltonian, grouped as in its definition
-_H_PP = 2 * S2_3 @ S1P @ S3P + S1P @ S2P + S2P @ S3P
-_H_MM = 2 * S2_3 @ S1M @ S3M + S1M @ S2M + S2M @ S3M
-_H_DIAG = (2 * (S1_3 + S2_3 + S3_3) + 2 * S2_3 @ (S1P @ S3M + S1M @ S3P)
-           - (S1P @ S2M + S2P @ S3M + S1M @ S2P + S2M @ S3P))
-for _m in (_H_PP, _H_MM, _H_DIAG):
+# the phi-independent ladder operators, x3-normalized ([I3, I+-] = +-3 I+-)
+I_PLUS = S1P @ S2P + S2P @ S3P + 2 * S2_3 @ S1P @ S3P
+I_MINUS = S1M @ S2M + S2M @ S3M + 2 * S2_3 @ S1M @ S3M
+I_3 = (S1_3 + S2_3 + S3_3 + S2_3 @ (S1P @ S3M + S1M @ S3P)
+       - 0.5 * (S1P @ S2M + S1M @ S2P + S2P @ S3M + S2M @ S3P))
+for _m in (I_PLUS, I_MINUS, I_3):
     _m.setflags(write=False)
 
 
@@ -102,8 +107,9 @@ def _check_drive(theta, phis, phi_dot, hbar) -> None:
 class Su2Ops:
     """Ladder operators and field coefficients of the split H = B+ I+ + B- I- + B3 I3.
 
-    i_plus, i_minus and i_3 are x3-normalized ([I3, I+-] = +-3 I+-); the
-    unit-normalized su(2) split is H = (sqrt(3) B+-)(I+-/sqrt(3)) + (3 B3)(I3/3).
+    i_plus, i_minus and i_3 are the read-only module constants I_PLUS,
+    I_MINUS and I_3, x3-normalized ([I3, I+-] = +-3 I+-); the unit-normalized
+    su(2) split is H = (sqrt(3) B+-)(I+-/sqrt(3)) + (3 B3)(I3/3).
     """
 
     i_plus: np.ndarray
@@ -135,7 +141,8 @@ class SpectrumReport:
 
 def hamiltonian(d: DriveParams) -> np.ndarray:
     """The 8x8 Hermitian drive generator at the given parameters."""
-    return hamiltonian_grid(d.theta, [d.phi], d.phi_dot, d.hbar)[0]
+    # d was validated when it was made
+    return _generator(d.theta, np.array([d.phi], dtype=float), d.phi_dot, d.hbar)[0]
 
 
 def hamiltonian_grid(theta: float, phis, phi_dot: float = 1.0,
@@ -148,10 +155,14 @@ def hamiltonian_grid(theta: float, phis, phi_dot: float = 1.0,
     if phis.ndim != 1:
         raise ValueError(f"phis must be 1-dimensional, got shape {phis.shape}")
     _check_drive(theta, phis, phi_dot, hbar)
+    return _generator(theta, phis, phi_dot, hbar)
+
+
+def _generator(theta, phis, phi_dot, hbar) -> np.ndarray:
     em = np.exp(-1j * phis)[:, None, None]
     f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / SQRT3
-    f2 = hbar * phi_dot * np.cos(theta) ** 2 / 3
-    return f1 * (em * _H_PP + np.conj(em) * _H_MM) + f2 * _H_DIAG
+    f2 = 2 * hbar * phi_dot * np.cos(theta) ** 2 / 3
+    return f1 * (em * I_PLUS + np.conj(em) * I_MINUS) + f2 * I_3
 
 
 def hamiltonian_from_r(d: DriveParams, dt: float = 1e-5) -> np.ndarray:
@@ -170,14 +181,10 @@ def hamiltonian_from_r(d: DriveParams, dt: float = 1e-5) -> np.ndarray:
 
 
 def su2_ops(d: DriveParams) -> Su2Ops:
-    i_plus = S1P @ S2P + S2P @ S3P + 2 * S2_3 @ S1P @ S3P
-    i_minus = S1M @ S2M + S2M @ S3M + 2 * S2_3 @ S1M @ S3M
-    i_3 = (S1_3 + S2_3 + S3_3 + S2_3 @ (S1P @ S3M + S1M @ S3P)
-           - 0.5 * (S1P @ S2M + S1M @ S2P + S2P @ S3M + S2M @ S3P))
     b_plus = complex(d.hbar * d.phi_dot * np.sin(d.theta) * np.cos(d.theta)
                      * np.exp(-1j * d.phi) / SQRT3)
     b_3 = float(2 / 3 * d.hbar * d.phi_dot * np.cos(d.theta) ** 2)
-    return Su2Ops(i_plus=i_plus, i_minus=i_minus, i_3=i_3,
+    return Su2Ops(i_plus=I_PLUS, i_minus=I_MINUS, i_3=I_3,
                   b_plus=b_plus, b_minus=np.conj(b_plus), b_3=b_3)
 
 
@@ -235,10 +242,8 @@ def fixture_energy(i: int, d: DriveParams) -> float:
     """Energy of the i-th closed-form eigenstate (level membership as measured)."""
     if i not in FIXTURE_INDICES:
         raise ValueError(f"fixture index must be 1..8, got {i}")
-    e = d.hbar * d.phi_dot * np.cos(d.theta)
-    if i <= 4:
-        return 0.0
-    return float(-e) if i in LEVEL_STATES["minus"] else float(e)
+    sign = next(sign for sign, members in LEVELS.values() if i in members)
+    return float(sign * (d.hbar * d.phi_dot * np.cos(d.theta)))
 
 
 def fixture_batch(i: int, theta: float, phis: np.ndarray) -> np.ndarray:
@@ -292,10 +297,10 @@ def eigenstate_fixture(i: int, theta: float, phi: float) -> np.ndarray:
     return v[0]
 
 
-def spectrum(d: DriveParams, tol: float = 1e-10) -> SpectrumReport:
+def spectrum(d: DriveParams) -> SpectrumReport:
     """eigh of the Hamiltonian plus closed-form and fixture verification."""
     h = hamiltonian(d)
-    dec = linalg.eigh(h, tol)
+    dec = linalg.eigh(h)
     scale = linalg.frobenius_norms([h])[0]
     # absolute floor keeps the grouping sane when H is numerically ~0
     gap = max(1e-8 * scale, 1e-12)
@@ -309,12 +314,9 @@ def spectrum(d: DriveParams, tol: float = 1e-10) -> SpectrumReport:
             start = k
     pattern = tuple(hi - lo for lo, hi in clusters)
 
-    e = d.hbar * d.phi_dot * np.cos(d.theta)
-    closed = np.sort(np.array([0.0, 0.0, 0.0, 0.0, -e, -e, e, e]))
-    closed_match = float(np.max(np.abs(lam - closed)))
-
     fixtures = [eigenstate_fixture(i, d.theta, d.phi) for i in FIXTURE_INDICES]
     energies = [fixture_energy(i, d) for i in FIXTURE_INDICES]
+    closed_match = float(np.max(np.abs(lam - np.sort(energies))))
     fixture_residuals = tuple(linalg.frobenius_norms(
         [h @ v - en * v for v, en in zip(fixtures, energies)]).tolist())
 

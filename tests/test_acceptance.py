@@ -171,7 +171,7 @@ def test_c07_hamiltonian():
     for d in (DriveParams(theta=np.pi / 3, phi=0.2),
               DriveParams(theta=0.9, phi=1.1, phi_dot=1.3),
               DriveParams(theta=2.2, phi=4.0, phi_dot=0.7, hbar=2.0)):
-        rep = dynamics.spectrum(d, tol_spec)
+        rep = dynamics.spectrum(d)
         worst_closed = max(worst_closed, rep.closed_form_match)
         worst_fixture = max(worst_fixture, max(rep.fixture_residuals))
 

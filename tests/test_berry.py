@@ -153,6 +153,18 @@ class TestParitySplit:
         with pytest.raises(linalg.NumericalError, match="parity at grid point 137"):
             berry.berry_wilson("minus", 1.0472, 400)
 
+    def test_sector_without_one_level_state_rejected(self, monkeypatch):
+        exact = dynamics.hamiltonian_grid
+
+        def shifted(theta, phis):
+            grid = exact(theta, phis)
+            grid[137, berry.ODD, berry.ODD] += np.cos(theta)
+            return grid
+
+        monkeypatch.setattr(dynamics, "hamiltonian_grid", shifted)
+        with pytest.raises(linalg.NumericalError, match="grid point 137"):
+            berry.berry_wilson("minus", 1.0472, 400)
+
     @pytest.mark.parametrize("level,theta", CASES)
     def test_matches_numpy_eigvals_of_the_unsplit_loop(self, level, theta):
         phases = berry.berry_wilson(level, theta, 800)

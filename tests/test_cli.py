@@ -258,10 +258,33 @@ class TestStrictJson:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "finite" in err
 
-    def test_nan_in_report_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "entangle", "--theta", "0.5", "--tol", "nan")
+    def test_nan_in_report_is_usage_error(self, capsys, monkeypatch):
+        original = cli.cmd_entangle
+
+        def nan_report(**kwargs):
+            report = original(**kwargs)
+            report.results["tau_abc"] = float("nan")
+            return report
+
+        nan_report.__name__ = original.__name__
+        monkeypatch.setattr(cli, "cmd_entangle", nan_report)
+        code, out, err = run(capsys, "entangle", "--theta", "0.5")
         assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1
+        assert len(err.splitlines()) == 1 and "JSON" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("verify-algebra",),
+        ("ybe",),
+        ("entangle", "--theta", "0.5"),
+        ("sweep", "--theta-min", "0", "--theta-max", "1", "--steps", "3"),
+        ("spectrum", "--theta", "1"),
+        ("berry", "--theta", "0.9"),
+    ])
+    def test_bad_tolerance_is_usage_error(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and repr(tol) in err
 
     def test_to_json_rejects_non_finite(self):
         for bad in (float("nan"), float("inf")):

@@ -52,12 +52,19 @@ class TestHamiltonian:
 
 
 def expanded_hamiltonian(d):
-    """The generator built at one angle from its three phi-independent parts."""
+    """The generator built at one angle from its three phi-independent parts,
+    each written from the spin lifts in the grouping of its definition."""
+    S1P, S2P, S3P = dynamics.S1P, dynamics.S2P, dynamics.S3P
+    S1M, S2M, S3M = dynamics.S1M, dynamics.S2M, dynamics.S3M
+    S1_3, S2_3, S3_3 = dynamics.S1_3, dynamics.S2_3, dynamics.S3_3
+    pp = 2 * S2_3 @ S1P @ S3P + S1P @ S2P + S2P @ S3P
+    mm = 2 * S2_3 @ S1M @ S3M + S1M @ S2M + S2M @ S3M
+    diag = (2 * (S1_3 + S2_3 + S3_3) + 2 * S2_3 @ (S1P @ S3M + S1M @ S3P)
+            - (S1P @ S2M + S2P @ S3M + S1M @ S2P + S2M @ S3P))
     em = np.exp(-1j * d.phi)
     f1 = d.hbar * d.phi_dot * np.sin(d.theta) * np.cos(d.theta) / np.sqrt(3.0)
     f2 = d.hbar * d.phi_dot * np.cos(d.theta) ** 2 / 3
-    return (f1 * (em * dynamics._H_PP + np.conj(em) * dynamics._H_MM)
-            + f2 * dynamics._H_DIAG)
+    return f1 * (em * pp + np.conj(em) * mm) + f2 * diag
 
 
 class TestHamiltonianGrid:
@@ -89,8 +96,30 @@ class TestHamiltonianGrid:
         with pytest.raises(ValueError, match="1-dimensional"):
             dynamics.hamiltonian_grid(0.5, [[0.1]])
 
+    def test_drive_validated_once(self, monkeypatch):
+        # a DriveParams was checked when it was made; the grid checks its own
+        d = DriveParams(theta=0.9, phi=1.1)
+        calls = []
+        check = dynamics._check_drive
+        monkeypatch.setattr(dynamics, "_check_drive",
+                            lambda *args: calls.append(args) or check(*args))
+        dynamics.hamiltonian(d)
+        assert len(calls) == 0
+        dynamics.hamiltonian_grid(0.9, [1.1, 1.2])
+        assert len(calls) == 1
+
 
 class TestSu2Ops:
+    def test_operators_built_once(self):
+        for d in (DriveParams(theta=0.9, phi=1.1), DriveParams(theta=2.0, phi=0.3)):
+            ops = dynamics.su2_ops(d)
+            assert ops.i_plus is dynamics.I_PLUS
+            assert ops.i_minus is dynamics.I_MINUS
+            assert ops.i_3 is dynamics.I_3
+        for m in (dynamics.I_PLUS, dynamics.I_MINUS, dynamics.I_3):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
+
     def test_nilpotent_ladders(self):
         ops = dynamics.su2_ops(DriveParams(theta=0.9, phi=1.1))
         assert np.linalg.norm(ops.i_plus @ ops.i_plus) == 0.0
