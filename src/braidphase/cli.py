@@ -13,7 +13,7 @@ number >= 0 and defaults per command to the tolerance its checks are
 specified at, which --help of each subcommand shows: 1e-10 for
 verify-algebra, ybe and spectrum, 1e-9 for entangle and sweep; berry's
 depends on --method (1e-5 analytic, 1e-4 wilson), as does its --steps (10000
-analytic, 800 wilson).
+analytic, 800 wilson), which must be >= 100 for every level.
 
 Each subparser carries its handler, and main calls it with the command's own
 arguments; a report passes when every one of its gates does.
@@ -271,6 +271,8 @@ def cmd_berry(theta: float, steps: int | None, method: str, level: str,
     else:
         steps = 800 if steps is None else steps
         tol = 1e-4 if tol is None else tol
+    if steps < 100:  # every level and method, the flat zero level included
+        raise ValueError(f"steps must be >= 100, got {steps}")
     # "all" under wilson: the split doublets, the levels of nonzero energy
     levels = [lv for lv, (sign, _) in dynamics.LEVELS.items()
               if lv == level or (level == "all" and (sign or method == "analytic"))]

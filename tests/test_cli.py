@@ -211,6 +211,17 @@ class TestBerry:
         for p in rep["phases"]:
             assert abs(p - np.pi / 2) <= 1e-3
 
+    @pytest.mark.parametrize("argv", [
+        ("--level", "zero", "--steps", "5"),
+        ("--level", "zero", "--steps", "-3"),
+        ("--method", "wilson", "--level", "minus", "--steps", "99"),
+    ])
+    def test_too_few_steps_is_usage_error(self, capsys, argv):
+        # the flat zero level integrates nothing, yet its --steps is checked
+        code, out, err = run(capsys, "berry", "--theta", "1", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and ">= 100" in err
+
     def test_wilson_at_crossing_is_numerical_failure(self, capsys):
         code, _, err = run(capsys, "berry", "--theta", str(np.pi / 2),
                            "--steps", "150", "--method", "wilson", "--level", "minus")

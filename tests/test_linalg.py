@@ -1,3 +1,8 @@
+import ast
+import inspect
+import pathlib
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,6 +82,28 @@ class TestEigh:
         dec = linalg.eigh(h)
         expected = [-0.5, -0.5, 0, 0, 0, 0, 0.5, 0.5]
         assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_drive_generator_spectrum_at_extreme_scale(self, scale):
+        # at 1e-200 the squared norm underflows and at 1e200 it overflows:
+        # neither may read as a zero matrix or stop the iteration early
+        from braidphase.dynamics import DriveParams, hamiltonian
+
+        h = hamiltonian(DriveParams(theta=np.pi / 3, phi=0.2))
+        dec = linalg.eigh(scale * h)
+        expected = [-0.5, -0.5, 0, 0, 0, 0, 0.5, 0.5]
+        assert np.allclose(dec.eigenvalues / scale, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [-700, 700])
+    def test_power_of_two_scale_is_exact(self, k):
+        # each matrix is solved at the power-of-two scale of its largest
+        # entry, so the scale of the input moves no bit of the result
+        for stack in (mixed_stack(np.random.default_rng(8), 40, 8),
+                      wilson_grid(steps=16)):
+            dec = linalg.eigh(stack)
+            scaled = linalg.eigh(stack * 2.0 ** k)
+            assert np.array_equal(scaled.eigenvalues, dec.eigenvalues * 2.0 ** k)
+            assert np.array_equal(scaled.eigenvectors, dec.eigenvectors)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8])
     def test_reconstruction_over_seeds(self, dim):
@@ -163,6 +190,20 @@ def wilson_grid(theta=1.0472, steps=800):
                      for k in range(steps)])
 
 
+def parity_blocks(grid):
+    """The (2B, 4, 4) even and odd parity blocks of a (B, 8, 8) grid of H,
+    interleaved per grid point, as the Wilson loop solves them."""
+    from braidphase.berry import EVEN, ODD
+
+    return np.stack([grid[:, EVEN[:, None], EVEN], grid[:, ODD[:, None], ODD]],
+                    axis=1).reshape(-1, 4, 4)
+
+
+def assert_bitwise_equal(dec, other):
+    assert np.array_equal(dec.eigenvalues, other.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, other.eigenvectors)
+
+
 class TestStackedEigh:
     @pytest.mark.parametrize("count", [1, 7, 64, 65, 255, 256, 257, 800, 1600])
     def test_slices_bitwise_equal_to_solo(self, count):
@@ -229,6 +270,60 @@ class TestStackedEigh:
         dec = linalg.eigh(grid)
         # numpy.linalg is a test oracle only
         assert np.abs(dec.eigenvalues - np.linalg.eigvalsh(grid)).max() <= 1e-13
+        # each parity block holds one state at -cos theta and one at +cos
+        # theta; their projectors are free of the eigenvectors' phases
+        blocks = parity_blocks(grid)
+        dec = linalg.eigh(blocks)
+        oracle_values, oracle_vectors = np.linalg.eigh(blocks)
+        assert np.abs(dec.eigenvalues - oracle_values).max() <= 1e-13
+        for k, sign in ((0, -1), (3, 1)):
+            assert np.allclose(dec.eigenvalues[:, k], sign * np.cos(1.0472), atol=1e-13)
+            ours, theirs = dec.eigenvectors[:, :, k], oracle_vectors[:, :, k]
+            projector = ours[:, :, None] * ours[:, None, :].conj()
+            oracle = theirs[:, :, None] * theirs[:, None, :].conj()
+            assert np.abs(projector - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("per_block", ["three", "all"])
+    def test_block_size_moves_no_bit(self, monkeypatch, per_block):
+        # three matrices per block put block edges everywhere; one block
+        # holds the whole stack
+        for stack in (parity_blocks(wilson_grid()),
+                      mixed_stack(np.random.default_rng(3), 460, 3)):
+            dec = linalg.eigh(stack)
+            count = 3 if per_block == "three" else len(stack)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_BLOCK_ENTRIES", count * stack.shape[-1] ** 2)
+                assert_bitwise_equal(linalg.eigh(stack), dec)
+
+    def test_memory_layout_moves_no_bit(self):
+        stack = mixed_stack(np.random.default_rng(12), 300, 4)
+        dec = linalg.eigh(stack)
+        assert_bitwise_equal(linalg.eigh(np.asfortranarray(stack)), dec)
+        assert_bitwise_equal(linalg.eigh(stack[::-1]), linalg.EigenDecomposition(
+            dec.eigenvalues[::-1], dec.eigenvectors[::-1]))
+
+    def test_kernel_has_no_lapack_call_and_no_matrix_product(self):
+        # the bits come from elementwise IEEE operations only: package code
+        # never reaches numpy.linalg, and a Jacobi round multiplies no matrices
+        package = pathlib.Path(linalg.__file__).parent
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    names = [f"{node.value.id}.{node.attr}"]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[:2] not in (["np", "linalg"],
+                                                       ["numpy", "linalg"]), path
+        kernel = ast.parse(textwrap.dedent(inspect.getsource(linalg._jacobi)))
+        for node in ast.walk(kernel):
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("matmul", "dot", "einsum", "tensordot", "vdot"))
 
 
 class TestPartialTrace:
