@@ -7,8 +7,9 @@ doublet alone and of both doublets at theta = 2.1, of both doublets at
 theta = 0.3, and the README sweep, an
 ``entangle`` and a ``spectrum`` at phi != 0 (every README command runs at
 phi = 0, where R and H are real and complex rounding cannot show), a
-``verify-algebra`` over more than one block of 64 angles and an ``entangle``
-from another input at phi != 0, and prints
+``verify-algebra`` over more than one block of 64 angles, a ``ybe`` over
+more than two blocks of 64 spectral pairs and a grid of 9 phi values, and an
+``entangle`` from another input at phi != 0, and prints
 one ``sha256  argv`` line per output: the stdout of every command, and the CSV
 the sweep writes (to a temporary directory). The package is imported from the
 ``src`` directory of the checkout this script sits in, so comparing two
@@ -54,6 +55,7 @@ EXTRA_COMMANDS = (
     "spectrum --theta 1.0472 --phi 0.3",
     "verify-algebra --phi-samples 70 --seed 3",
     "entangle --theta 1.2 --phi 2.3 --input 110",
+    "ybe --samples 130 --phi-samples 9 --seed 11",
 )
 
 
