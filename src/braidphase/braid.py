@@ -202,14 +202,13 @@ def mcal_transcribed(phi: float) -> np.ndarray:
     return m / SQRT3
 
 
-def transcription_diagnostics(phi: float) -> dict:
-    """Frobenius distances between the built operators and their transcriptions.
+def transcription_diagnostics(bs: BraidSet) -> dict:
+    """Frobenius distances between the operators of ``bs`` and their transcriptions.
 
     The 8x8 distance is expected to vanish; the 4x4 one is expected to equal
     sqrt(5) because the transcription's two contradictory entries differ by
     2 and 1.
     """
-    bs = build_braidset(phi)
-    m4 = linalg.frobenius_norms([bs.m4 - m4_transcribed(phi)])
-    mcal = linalg.frobenius_norms([bs.mcal - mcal_transcribed(phi)])
+    m4 = linalg.frobenius_norms([bs.m4 - m4_transcribed(bs.phi)])
+    mcal = linalg.frobenius_norms([bs.mcal - mcal_transcribed(bs.phi)])
     return {"m4_vs_transcription": float(m4[0]), "mcal_vs_transcription": float(mcal[0])}

@@ -86,16 +86,19 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
     ambiguous_max: dict = {}
     alpha_dev = 0.0
     unit_max = {yangbaxter.TWO_QUBIT: 0.0, yangbaxter.THREE_QUBIT: 0.0}
+    transcription = None  # of the first phi's build
     for phi in phis:
-        rep = braid.check_es2_relations(braid.build_braidset(phi))
+        bs = braid.build_braidset(phi)
+        transcription = transcription or braid.transcription_diagnostics(bs)
+        rep = braid.check_es2_relations(bs)
         for name, val in rep.residuals.items():
             relation_max[name] = max(relation_max.get(name, 0.0), val)
         for name, val in rep.ambiguous.items():
             ambiguous_max[name] = max(ambiguous_max.get(name, 0.0), val)
         alpha_dev = max(alpha_dev, abs(rep.alpha - 1.0))
-        for system in unit_max:
+        for system, gen in zip(unit_max, (bs.m4, bs.mcal)):
             unit_max[system] = max(unit_max[system], float(np.max(
-                yangbaxter.unitarity_residuals(system, thetas, phi))))
+                yangbaxter.unitarity_residuals(gen, thetas))))
 
     summary = dict(relation_max)
     summary["alpha_deviation"] = alpha_dev
@@ -111,7 +114,7 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
             "relation_residuals_max": relation_max,
             "ambiguous_triple_readings_max": ambiguous_max,
             "unitarity_max": dict(unit_max),
-            "transcription_diagnostics": braid.transcription_diagnostics(float(phis[0])),
+            "transcription_diagnostics": transcription,
         },
         residual_summary=summary,
         passes=passes,
@@ -135,18 +138,10 @@ def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
     xs, ys = _sample_spectral_pairs(rng, samples)
     phis = rng.uniform(0.0, 2 * np.pi, phi_samples)
 
-    residual = {("two_qubit", "rational"): 0.0, ("three_qubit", "rational"): 0.0,
-                ("two_qubit", "unitary"): 0.0, ("three_qubit", "unitary"): 0.0}
-    for phi in phis:
-        for (system, family) in residual:
-            residual[(system, family)] = max(residual[(system, family)], float(np.max(
-                yangbaxter.ybe_residual(system, xs, ys, phi, family=family))))
-
     summary = {
-        "two_qubit_rational_max": residual[("two_qubit", "rational")],
-        "three_qubit_rational_max": residual[("three_qubit", "rational")],
-        "two_qubit_unitary_max": residual[("two_qubit", "unitary")],
-        "three_qubit_unitary_max": residual[("three_qubit", "unitary")],
+        f"{system}_{family}_max": float(np.max(
+            yangbaxter.ybe_residual(system, xs, ys, phis, family=family)))
+        for family in ("rational", "unitary") for system in yangbaxter.SYSTEMS
     }
     passes = {"two_qubit_rational": summary["two_qubit_rational_max"] <= tol}
     return RunReport(

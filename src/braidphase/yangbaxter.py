@@ -9,10 +9,10 @@ Two parameterizations of the same construction live here:
   which is what actually satisfies the multiplicative Yang-Baxter equation
   R12(x) R23(xy) R12(y) = R23(y) R12(xy) R23(x) as an identity in x, y.
 
-On the unit circle the two families differ (cos(arg x) I + i sin(arg x) mcal
-versus sin(theta) I + cos(theta) mcal); ybe_residual evaluates the rational
-family by default and the unitary family on request, because the unitary one
-violates the multiplicative equation at generic spectral parameters.
+On the unit circle the two families differ, and the unitary one violates the
+multiplicative equation at generic spectral parameters; ybe_residual checks
+the rational family by default and the unitary one on request, as nine fixed
+words of the lifted generator over stacks of spectral pairs and a phi grid.
 """
 
 from __future__ import annotations
@@ -117,18 +117,17 @@ def r_matrix(system: str, p: RParams) -> np.ndarray:
     return _unitary(_generator(system, p.phi), p.theta)
 
 
-def unitarity_residuals(system: str, thetas, phi: float) -> np.ndarray:
-    """||R^dag R - I|| of R = r_matrix(system, RParams(theta, phi)) for each theta.
-
-    The generator is built once; the whole theta grid is one stacked product
-    per block of angles, and each value is bitwise the one the single-matrix
-    route gives.
+def unitarity_residuals(gen: np.ndarray, thetas) -> np.ndarray:
+    """||R^dag R - I|| of R = sin(theta) I + cos(theta) gen for each theta, on
+    a generator the caller holds; one stacked product per block of angles,
+    each value bitwise the one the single-matrix route gives.
     """
-    p = RParams(np.reshape(thetas, -1), phi)
-    gen = _generator(system, p.phi)
-    out = np.empty(len(p.theta))
-    for lo in range(0, len(p.theta), _BLOCK):
-        r = _unitary(gen, p.theta[lo:lo + _BLOCK])
+    thetas = np.array(thetas, dtype=float).reshape(-1)
+    if not np.isfinite(thetas).all():
+        raise ValueError("thetas must be finite")
+    out = np.empty(len(thetas))
+    for lo in range(0, len(thetas), _BLOCK):
+        r = _unitary(gen, thetas[lo:lo + _BLOCK])
         r_dag = r.conj().transpose(0, 2, 1).copy()
         out[lo:lo + _BLOCK] = linalg.frobenius_norms(r_dag @ r - np.eye(r.shape[1]))
     return out
@@ -143,10 +142,10 @@ def _theta(x: complex) -> float:
     return float(np.pi / 2 - np.angle(x))
 
 
-def _require_nonsingular(x: complex) -> None:
-    if abs(x + 1.0 / x) < 1e-12:
-        raise SingularParameterError(
-            f"x = {x} has x + 1/x = 0; build from angles instead")
+def _require_nonsingular(*xs: complex) -> None:
+    for x in xs:
+        if abs(x + 1.0 / x) < 1e-12:
+            raise SingularParameterError(f"x = {x} has x + 1/x = 0; build from angles instead")
 
 
 def r_from_spectral(system: str, x: SpectralParam, phi: float) -> np.ndarray:
@@ -169,69 +168,76 @@ def rational_r(system: str, x: complex, phi: float) -> np.ndarray:
     return ((x + 1 / x) / 2) * eye + ((x - 1 / x) / 2) * gen
 
 
-def _coefficients(family: str, points: list) -> np.ndarray:
-    """(a, b) rows with R(x) = a I + b generator at each complex point x.
-
-    Formed with Python complex scalars, one point at a time, so that each
-    coefficient is bitwise the one rational_r or r_from_spectral uses.
-    """
+def _coefficients(family: str, points) -> list:
+    """(a, b) with R(x) = a I + b generator at each complex point x, formed
+    from Python scalars as rational_r and r_from_spectral form them."""
     if family == "rational":
-        pairs = [((x + 1 / x) / 2, (x - 1 / x) / 2) for x in points]
-    elif family == "unitary":
-        pairs = [(np.sin(t), np.cos(t)) for t in map(_theta, points)]
-    else:
-        raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
-    return np.array(pairs, dtype=complex).reshape(-1, 2).T
+        return [((x + 1 / x) / 2, (x - 1 / x) / 2) for x in points]
+    if family == "unitary":
+        return [(np.sin(t), np.cos(t)) for t in map(_theta, points)]
+    raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
 
 
-def ybe_residual(system: str, x, y, phi: float, family: str = "rational"):
+def ybe_residual(system: str, x, y, phi, family: str = "rational"):
     """Frobenius norm of LHS - RHS of the multiplicative Yang-Baxter equation.
 
-    ``x`` and ``y`` are SpectralParam values, or two equal-length sequences of
-    them; a single pair gives a float, sequences an array with one residual
-    per pair (x[k], y[k]). A single pair is the stack of one.
+    ``x`` and ``y`` are SpectralParam values or two equal-length sequences of
+    them, ``phi`` an angle or a 1-D grid; sequences add a trailing axis of
+    pairs (x[k], y[k]), a grid a leading axis of phi. A single pair or phi is
+    the stack of one: each residual is bitwise the same whatever the batch or
+    the grid, and a single pair at a single phi gives a float.
 
-    The braid matrix on sites (i, i+1) is lifted as R otimes I_2 and the one
-    on (i+1, i+2) as I_2 otimes R, so the two_qubit check runs on 3 sites
-    (8x8) and the three_qubit check on 4 overlapping sites (16x16). Each lift
-    is formed as a I + b G from the lifted generator G, and both sides are
-    stacked products over blocks of pairs.
+    R12 = R otimes I_2 and R23 = I_2 otimes R, on 3 sites (8x8) for two_qubit
+    and 4 overlapping sites (16x16) for three_qubit. With R = a I + b G,
+    A = G otimes I_2 and B = I_2 otimes G, distributivity alone (no braid
+    relation) turns LHS - RHS into sum_k c_k W_k over the nine words I, A, B,
+    AB, BA, AA, BB, ABA, BAB, each c_k a product of the coefficients of R(x),
+    R(xy), R(y). Each pair is validated and its c_k formed once per call, the
+    words once per phi and block of pairs; the sum runs in that word order.
 
-    For the two_qubit system the rational family satisfies the equation
-    identically; for the three_qubit system the residual is generically
-    nonzero (the overlapping-triple lifts do not close the extraspecial
-    algebra) and is reported, not asserted, by every caller in this package.
+    The rational family satisfies the two_qubit equation identically; the
+    three_qubit residual is generically nonzero (the overlapping-triple lifts
+    do not close the extraspecial algebra) and is reported, never asserted.
     """
-    if not np.isfinite(phi):
-        raise ValueError("phi must be finite")
+    phis = np.array(phi, dtype=float)
+    if phis.ndim > 1 or not np.isfinite(phis).all():
+        raise ValueError("phi (a float or a 1-D grid) must be finite")
     single = isinstance(x, SpectralParam) and isinstance(y, SpectralParam)
     xs, ys = ([x], [y]) if single else (list(x), list(y))
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
-    xys = []
-    for px, py in zip(xs, ys):
-        for p in (px, py):
-            if not isinstance(p, SpectralParam):
-                raise TypeError("x and y must be SpectralParam values")
-            _require_nonsingular(p.x)
-        # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
-        xy = px.x * py.x
-        _require_nonsingular(xy)
-        xys.append(xy)
-    # a[j, k], b[j, k]: coefficients of R(x_k), R(x_k y_k), R(y_k) for j = 0, 1, 2
-    points = [p.x for p in xs] + xys + [p.x for p in ys]
-    a, b = _coefficients(family, points).reshape(2, 3, len(xs), 1, 1)
-
-    gen = _generator(system, phi)
-    eye2 = np.eye(2, dtype=complex)
-    g12, g23 = np.kron(gen, eye2), np.kron(eye2, gen)
-    eye = np.eye(len(g12), dtype=complex)
-    out = np.empty(len(xs))
+    out = np.empty((phis.size, len(xs)))
     for lo in range(0, len(xs), _BLOCK):
-        k = slice(lo, lo + _BLOCK)
-        r12 = a[:, k] * eye + b[:, k] * g12
-        r23 = a[:, k] * eye + b[:, k] * g23
-        lhs = r12[0] @ r23[1] @ r12[2]
-        rhs = r23[2] @ r12[1] @ r23[0]
-        out[k] = linalg.frobenius_norms(lhs - rhs)
-    return float(out[0]) if single else out
+        coeffs = []
+        for px, py in zip(xs[lo:lo + _BLOCK], ys[lo:lo + _BLOCK]):
+            if not (isinstance(px, SpectralParam) and isinstance(py, SpectralParam)):
+                raise TypeError("x and y must be SpectralParam values")
+            # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
+            points = (px.x, px.x * py.x, py.x)
+            _require_nonsingular(*points)
+            (a0, b0), (a1, b1), (a2, b2) = _coefficients(family, points)
+            # LHS (a0 + b0 A)(a1 + b1 B)(a2 + b2 A) - RHS (a2 + b2 B)(a1 + b1 A)(a0 + b0 B)
+            coeffs.append((a0 * a1 * a2 - a2 * a1 * a0,
+                           a0 * a1 * b2 + b0 * a1 * a2 - a2 * b1 * a0,
+                           a0 * b1 * a2 - (a2 * a1 * b0 + b2 * a1 * a0),
+                           b0 * b1 * a2 - a2 * b1 * b0,
+                           a0 * b1 * b2 - b2 * b1 * a0,
+                           b0 * a1 * b2, -(b2 * a1 * b0), b0 * b1 * b2, -(b2 * b1 * b0)))
+        coeffs = np.array(coeffs, dtype=complex).T[..., None, None]
+        for row, p in zip(out, phis.reshape(-1)):
+            row[lo:lo + _BLOCK] = _word_norms(coeffs, _generator(system, p))
+    out = out.reshape(phis.shape + (() if single else (len(xs),)))
+    return out if out.ndim else float(out)
+
+
+def _word_norms(coeffs: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """||sum_k coeffs[k] W_k|| over a block of pairs, summed elementwise in the order of the
+    words W = I, A, B, AB, BA, AA, BB, ABA, BAB of A = gen otimes I_2, B = I_2 otimes gen."""
+    a, b = (np.multiply.outer(p, q).transpose(0, 2, 1, 3).reshape(2 * len(gen), -1)
+            for p, q in ((gen, braid.IDENTITY_2), (braid.IDENTITY_2, gen)))  # np.kron(p, q)
+    ab, ba = a @ b, b @ a
+    diff = coeffs[0] * np.eye(len(a), dtype=complex)
+    term = np.empty_like(diff)
+    for c, word in zip(coeffs[1:], (a, b, ab, ba, a @ a, b @ b, ab @ a, ba @ b)):
+        diff += np.multiply(c, word, out=term)
+    return linalg.frobenius_norms(diff)

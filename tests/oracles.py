@@ -3,6 +3,7 @@
 import numpy as np
 
 from braidphase import linalg
+from braidphase.yangbaxter import SpectralParam, r_from_spectral, rational_r
 
 
 def abs_det(a) -> float:
@@ -42,3 +43,19 @@ def partial_trace(rho, keep, n_qubits: int, tol: float = 1e-10) -> np.ndarray:
         tensor = np.trace(tensor, axis1=1 + axis, axis2=1 + axis + (tensor.ndim - 1) // 2)
     d = 2 ** len(keep)
     return tensor.reshape((-1, d, d) if stacked else (d, d))
+
+
+def kron_route_residual(system, x, y, phi, family) -> float:
+    """Yang-Baxter residual of one pair from whole braid matrices lifted by
+    np.kron and multiplied out: R12(x) R23(xy) R12(y) - R23(y) R12(xy) R23(x)."""
+    if family == "rational":
+        build = lambda xv: rational_r(system, xv, phi)
+    else:
+        build = lambda xv: r_from_spectral(system, SpectralParam(xv), phi)
+    eye2 = np.eye(2, dtype=complex)
+    r_x, r_xy, r_y = build(x.x), build(x.x * y.x), build(y.x)
+    lift12 = lambda r: np.kron(r, eye2)
+    lift23 = lambda r: np.kron(eye2, r)
+    lhs = lift12(r_x) @ lift23(r_xy) @ lift12(r_y)
+    rhs = lift23(r_y) @ lift12(r_xy) @ lift23(r_x)
+    return float(linalg.frobenius_norms([lhs - rhs])[0])

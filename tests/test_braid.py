@@ -102,13 +102,13 @@ class TestEs2Relations:
 class TestTranscriptions:
     def test_composite_matches_transcription(self):
         for phi in (0.0, 0.7, 3.9):
-            diag = braid.transcription_diagnostics(phi)
+            diag = braid.transcription_diagnostics(braid.build_braidset(phi))
             assert diag["mcal_vs_transcription"] < 1e-14
 
     def test_four_by_four_transcription_contradiction(self):
         # two contradictory entries, differing by 2 and 1 -> sqrt(5)
         for phi in (0.0, 0.7):
-            diag = braid.transcription_diagnostics(phi)
+            diag = braid.transcription_diagnostics(braid.build_braidset(phi))
             assert diag["m4_vs_transcription"] == pytest.approx(np.sqrt(5), abs=1e-12)
 
 

@@ -1,9 +1,12 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidphase import braid, linalg, yangbaxter
+from braidphase import braid, cli, linalg, yangbaxter
 from braidphase.yangbaxter import (
     RParams,
     SingularParameterError,
@@ -14,7 +17,7 @@ from braidphase.yangbaxter import (
     theta_from_spectral,
     ybe_residual,
 )
-from oracles import abs_det
+from oracles import abs_det, kron_route_residual
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -209,22 +212,13 @@ def sampled_pairs(count, seed=23):
     return xs, ys
 
 
-def kron_route_residual(system, x, y, phi, family):
-    """Residual of one pair from whole braid matrices lifted by np.kron."""
-    if family == "rational":
-        build = lambda xv: rational_r(system, xv, phi)
-    else:
-        build = lambda xv: r_from_spectral(system, SpectralParam(xv), phi)
-    eye2 = np.eye(2, dtype=complex)
-    r_x, r_xy, r_y = build(x.x), build(x.x * y.x), build(y.x)
-    lift12 = lambda r: np.kron(r, eye2)
-    lift23 = lambda r: np.kron(eye2, r)
-    lhs = lift12(r_x) @ lift23(r_xy) @ lift12(r_y)
-    rhs = lift23(r_y) @ lift12(r_xy) @ lift23(r_x)
-    return linalg.frobenius_norms([lhs - rhs])[0]
-
-
 SYSTEM_FAMILIES = [(s, f) for s in yangbaxter.SYSTEMS for f in ("rational", "unitary")]
+
+
+def within_oracle(residuals, oracle):
+    """The word expansion matches the product route to 1e-14 of max(1, r)."""
+    residuals, oracle = np.asarray(residuals), np.asarray(oracle)
+    return bool(np.all(np.abs(residuals - oracle) <= 1e-14 * np.maximum(1.0, oracle)))
 
 
 class TestStackedYbeResidual:
@@ -237,7 +231,57 @@ class TestStackedYbeResidual:
         single = [ybe_residual(system, x, y, 0.9, family=family) for x, y in zip(xs, ys)]
         kron = [kron_route_residual(system, x, y, 0.9, family) for x, y in zip(xs, ys)]
         assert all(isinstance(r, float) for r in single)
-        assert stacked.tolist() == single == kron
+        assert stacked.tolist() == single
+        assert within_oracle(stacked, kron)
+
+    @pytest.mark.parametrize("system,family", SYSTEM_FAMILIES)
+    def test_phi_grid_slices_bitwise_equal_to_scalar_calls(self, system, family):
+        xs, ys = sampled_pairs(65)
+        phis = np.array([0.0, 0.9, -2.5, 1e3])
+        grid = ybe_residual(system, xs, ys, phis, family=family)
+        assert grid.shape == (4, 65)
+        for phi, row in zip(phis, grid):
+            assert np.array_equal(row, ybe_residual(system, xs, ys, phi, family=family))
+        # one pair over the grid is the column of that pair
+        one = ybe_residual(system, xs[64], ys[64], phis, family=family)
+        assert one.shape == (4,) and np.array_equal(one, grid[:, 64])
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("family", ["rational", "unitary"])
+    def test_random_generator_matches_product_route(self, monkeypatch, dim, family):
+        # no braid relation is assumed: any complex G gives the product route's value
+        rng = np.random.default_rng(dim)
+        gen = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        monkeypatch.setattr(yangbaxter, "_generator", lambda system, phi: gen)
+        xs, ys = sampled_pairs(65)
+        words = ybe_residual("two_qubit", xs, ys, 0.0, family=family)
+        kron = [kron_route_residual("two_qubit", x, y, 0.0, family) for x, y in zip(xs, ys)]
+        assert np.median(kron) > 1.0  # far from a closing equation: nothing cancels
+        assert within_oracle(words, kron)
+
+    def test_mutant_generator_fails_the_two_qubit_gate(self, monkeypatch, capsys):
+        minus, plus, zero = braid._M_PARTS
+        monkeypatch.setattr(braid, "_M_PARTS", (minus, 2 * plus, zero))
+        assert cli.main(["ybe", "--samples", "50", "--phi-samples", "5", "--seed", "0"]) == 1
+        worst = json.loads(capsys.readouterr().out)["residual_summary"]["two_qubit_rational_max"]
+        rng = np.random.default_rng(0)
+        xs, ys = cli._sample_spectral_pairs(rng, 50)
+        kron = max(kron_route_residual("two_qubit", x, y, phi, "rational")
+                   for phi in rng.uniform(0.0, 2 * np.pi, 5) for x, y in zip(xs, ys))
+        assert worst > 1.0 and within_oracle(worst, kron)
+
+    def test_memory_does_not_grow_with_pairs_times_phis(self):
+        def peak(count, phi_count):
+            xs, ys = sampled_pairs(count)
+            phis = np.linspace(0.0, 6.0, phi_count)
+            tracemalloc.start()
+            ybe_residual("three_qubit", xs, ys, phis)
+            used = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return used
+
+        peak(50, 5)  # first call outside the measurement
+        assert peak(1000, 20) <= 1.5 * peak(50, 5)
 
     def test_mismatched_lengths_rejected(self):
         xs, ys = sampled_pairs(3)
@@ -255,8 +299,9 @@ class TestStackedYbeResidual:
     def test_non_finite_phi_rejected(self):
         one = SpectralParam(1.0 + 0j)
         for family in ("rational", "unitary"):
-            with pytest.raises(ValueError):
-                ybe_residual("two_qubit", one, one, np.nan, family=family)
+            for phi in (np.nan, [0.1, np.inf], np.zeros((2, 2))):
+                with pytest.raises(ValueError):
+                    ybe_residual("two_qubit", one, one, phi, family=family)
 
 
 class TestUnitarityResiduals:
@@ -271,27 +316,36 @@ class TestUnitarityResiduals:
             for theta in thetas:
                 r = r_matrix(system, RParams(theta, phi))
                 loop.append(linalg.frobenius_norms([r.conj().T @ r - eye])[0])
-            stacked = yangbaxter.unitarity_residuals(system, thetas, phi)
+            stacked = yangbaxter.unitarity_residuals(yangbaxter._generator(system, phi), thetas)
             assert stacked.tolist() == loop
             assert max(stacked) == max(loop) <= 1e-12
 
     @pytest.mark.parametrize("system, builder", [
         ("two_qubit", "build_m4"), ("three_qubit", "build_braidset")])
-    def test_generator_built_once(self, monkeypatch, system, builder):
-        # 130 angles span three blocks of 64; one generator serves all of them
-        calls = []
-        original = getattr(braid, builder)
+    def test_generator_built_once(self, monkeypatch, capsys, system, builder):
+        # verify-algebra builds each phi once, and its unitarity check runs on
+        # the generator of that build
+        built, checked = [], []
+        original, unitarity = getattr(braid, builder), yangbaxter.unitarity_residuals
 
         def counting(phi):
-            calls.append(phi)
-            return original(phi)
+            built.append(original(phi))
+            return built[-1]
+
+        def recording(gen, thetas):
+            checked.append(gen)
+            return unitarity(gen, thetas)
 
         monkeypatch.setattr(braid, builder, counting)
-        yangbaxter.unitarity_residuals(system, np.linspace(0.0, 6.0, 130), 0.4)
-        assert calls == [0.4]
+        monkeypatch.setattr(yangbaxter, "unitarity_residuals", recording)
+        assert cli.main(["verify-algebra", "--phi-samples", "3", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert len(built) == 3
+        gens = [b if builder == "build_m4" else b.mcal for b in built]
+        assert all(g is c for g, c in zip(gens, checked[yangbaxter.SYSTEMS.index(system)::2]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            yangbaxter.unitarity_residuals("two_qubit", [0.1, np.inf], 0.0)
+            yangbaxter.unitarity_residuals(braid.build_m4(0.0), [0.1, np.inf])
         with pytest.raises(ValueError):
-            yangbaxter.unitarity_residuals("two_qubit", [0.1], np.nan)
+            yangbaxter.unitarity_residuals(braid.build_m4(0.0), [np.nan])
