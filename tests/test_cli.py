@@ -69,6 +69,20 @@ class TestVerifyAlgebra:
 
 
 class TestYbe:
+    def test_one_call_per_system_and_family(self, capsys, monkeypatch):
+        # each call covers every sampled pair over the whole phi grid
+        calls = []
+        original = yangbaxter.ybe_residual
+
+        def counting(system, xs, ys, phis, family):
+            calls.append((system, family, len(xs), len(phis)))
+            return original(system, xs, ys, phis, family=family)
+
+        monkeypatch.setattr(yangbaxter, "ybe_residual", counting)
+        assert run(capsys, "ybe", "--samples", "3", "--phi-samples", "4")[0] == 0
+        assert sorted(calls) == sorted((s, f, 3, 4) for s in yangbaxter.SYSTEMS
+                                       for f in ("rational", "unitary"))
+
     def test_report(self, capsys):
         code, out, _ = run(capsys, "ybe", "--samples", "3", "--phi-samples", "2",
                            "--seed", "5")

@@ -340,7 +340,7 @@ class TestUnitarityResiduals:
         monkeypatch.setattr(yangbaxter, "unitarity_residuals", recording)
         assert cli.main(["verify-algebra", "--phi-samples", "3", "--seed", "5"]) == 0
         capsys.readouterr()
-        assert len(built) == 3
+        assert len(built) == 3 and len(checked) == 6  # per phi: two_qubit, three_qubit
         gens = [b if builder == "build_m4" else b.mcal for b in built]
         assert all(g is c for g, c in zip(gens, checked[yangbaxter.SYSTEMS.index(system)::2]))
 
