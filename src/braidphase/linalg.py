@@ -52,9 +52,19 @@ class EigenDecomposition:
 
 
 def frobenius_norms(stack) -> np.ndarray:
-    """Frobenius norm of each slice of a (B, ...) stack; no validation."""
+    """Frobenius norm of each slice of a (B, ...) stack; no validation.
+
+    Each slice is summed at the power-of-two scale that brings its largest
+    modulus into [1/2, 1), and the norm is scaled back: the scaling is exact,
+    so no finite slice overflows or underflows its squares, and a slice with a
+    non-finite entry has a non-finite norm.
+    """
     stack = np.asarray(stack)
-    return np.sqrt(np.sum(np.abs(stack.reshape(len(stack), -1)) ** 2, axis=1))
+    mod = np.abs(stack.reshape(len(stack), -1), dtype=float)
+    exponent = np.frexp(mod.max(axis=1, initial=0.0))[1]
+    np.ldexp(mod, -exponent[:, None], out=mod)
+    np.square(mod, out=mod)
+    return np.ldexp(np.sqrt(mod.sum(axis=1)), exponent)
 
 
 def reject_slices(bad, stacked: bool, what: str, problem: str,

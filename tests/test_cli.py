@@ -283,6 +283,19 @@ class TestStrictJson:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--theta", "1", "--phidot", "1e200"),
+    ])
+    def test_extreme_finite_input_gives_strict_report(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        validate(payload)
+        assert code == (0 if payload["passed"] else 1) and err == ""
+
     def test_nan_in_report_is_usage_error(self, capsys, monkeypatch):
         original = cli.cmd_entangle
 

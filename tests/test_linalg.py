@@ -390,6 +390,14 @@ class TestFrobenius:
         bs = build_braidset(1.9)
         assert linalg.frobenius_norms([bs.mbb @ bs.mbb - np.eye(8)])[0] < 1e-14
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale_is_exact(self, k):
+        # no square overflows or underflows: the norm scales bitwise with the stack
+        stack = random_complex(np.random.default_rng(8), (5, 4, 4))
+        stack[1, 2, 3] = 0.0
+        scaled = linalg.frobenius_norms(np.ldexp(1.0, k) * stack)
+        assert np.array_equal(scaled, np.ldexp(linalg.frobenius_norms(stack), k))
+
 
 class TestAbsDet:
     """The elimination oracle the determinant tests rely on, against numpy."""
