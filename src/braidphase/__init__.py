@@ -25,14 +25,11 @@ from .yangbaxter import (
     RParams,
     SingularParameterError,
     SpectralParam,
-    r_from_spectral,
     r_matrix,
-    rational_r,
-    theta_from_spectral,
     unitarity_residuals,
     ybe_residual,
 )
-from .states import BASIS_LABELS, apply_r, basis_image_formula, basis_state
+from .states import BASIS_LABELS, apply_r, basis_state
 from .entanglement import (
     EntanglementReport,
     concurrence,
@@ -50,7 +47,6 @@ from .dynamics import (
     eigenstate_fixture,
     fixture_energy,
     hamiltonian,
-    hamiltonian_from_r,
     spectrum,
     su2_ops,
     su2_relation_residuals,
@@ -71,14 +67,13 @@ __all__ = [
     "SPIN", "BraidSet", "Es2Report", "SpinOps", "build_braidset", "build_m4",
     "check_es2_relations", "transcription_diagnostics",
     "THREE_QUBIT", "TWO_QUBIT", "RParams", "SingularParameterError",
-    "SpectralParam", "r_from_spectral", "r_matrix", "rational_r",
-    "theta_from_spectral", "unitarity_residuals", "ybe_residual",
-    "BASIS_LABELS", "apply_r", "basis_image_formula", "basis_state",
+    "SpectralParam", "r_matrix", "unitarity_residuals", "ybe_residual",
+    "BASIS_LABELS", "apply_r", "basis_state",
     "EntanglementReport", "concurrence", "full_report", "one_vs_rest_sq",
     "one_vs_rest_sq_closed_form", "pair_concurrence_closed_form",
     "tangle_closed_form", "three_tangle",
     "DriveParams", "SpectrumReport", "Su2Ops", "eigenstate_fixture",
-    "fixture_energy", "hamiltonian", "hamiltonian_from_r", "spectrum",
+    "fixture_energy", "hamiltonian", "spectrum",
     "su2_ops", "su2_relation_residuals",
     "BerryReport", "berry_analytic", "berry_wilson", "closed_form_phase",
     "solid_angle", "zero_level_phase",

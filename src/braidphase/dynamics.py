@@ -10,10 +10,10 @@ drives the evolution and the generator of that evolution is
             [2 (S1_3 + S2_3 + S3_3) + 2 S2_3 (S1+ S3- + S1- S3+)
              - (S1+ S2- + S2+ S3- + S1- S2+ + S2- S3+)]
 
-hamiltonian() transcribes exactly that expression; hamiltonian_from_r() is the
-independent finite-difference oracle i hbar (dR/dt) R^dag. The spectrum is
-{0 x4, -hbar phidot cos(theta) x2, +hbar phidot cos(theta) x2} and the eight
-closed-form eigenstates are available as fixtures. LEVELS, the one table of
+hamiltonian() transcribes exactly that expression; the tests check it against
+the finite-difference generator i hbar (dR/dt) R^dag of the braid matrix. The
+spectrum is {0 x4, -hbar phidot cos(theta) x2, +hbar phidot cos(theta) x2} and
+the eight closed-form eigenstates are available as fixtures. LEVELS, the one table of
 level membership, is checked exactly by the eigen-equations. H conserves the
 parity of the basis index; each split doublet has one member in each sector.
 
@@ -47,7 +47,6 @@ __all__ = [
     "I_3",
     "hamiltonian",
     "hamiltonian_grid",
-    "hamiltonian_from_r",
     "su2_ops",
     "su2_relation_residuals",
     "spectrum",
@@ -163,21 +162,6 @@ def _generator(theta, phis, phi_dot, hbar) -> np.ndarray:
     f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / SQRT3
     f2 = 2 * hbar * phi_dot * np.cos(theta) ** 2 / 3
     return f1 * (em * I_PLUS + np.conj(em) * I_MINUS) + f2 * I_3
-
-
-def hamiltonian_from_r(d: DriveParams, dt: float = 1e-5) -> np.ndarray:
-    """Finite-difference oracle i hbar (dR/dt) R^dag, accurate to O(dt^2).
-
-    Independent of hamiltonian(): only the braid matrix enters.
-    """
-    if not (0 < dt <= 1e-3):
-        raise ValueError(f"dt must lie in (0, 1e-3], got {dt}")
-    from . import yangbaxter  # local import to keep module load acyclic
-
-    r = lambda phi: yangbaxter.r_matrix(
-        yangbaxter.THREE_QUBIT, yangbaxter.RParams(d.theta, phi))
-    dr = (r(d.phi + d.phi_dot * dt) - r(d.phi - d.phi_dot * dt)) / (2 * dt)
-    return 1j * d.hbar * dr @ r(d.phi).conj().T
 
 
 def su2_ops(d: DriveParams) -> Su2Ops:

@@ -2,7 +2,8 @@
 
 Basis order is |000>, |001>, ..., |111> with qubit A (the first label) most
 significant. States are complex128 vectors of length 8 normalized to 1, or
-(B, 8) stacks of them.
+(B, 8) stacks of them. Images come from the braid matrix alone; the tests
+check them entrywise against hand-coded templates of each basis image.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = [
     "basis_index",
     "as_state",
     "apply_r",
-    "basis_image_formula",
 ]
 
 BASIS_LABELS = ("000", "001", "010", "011", "100", "101", "110", "111")
@@ -69,31 +69,3 @@ def apply_r(p: yangbaxter.RParams, state) -> np.ndarray:
                          linalg.NumericalError)
     return out
 
-
-def basis_image_formula(label: str, theta: float, phi: float) -> np.ndarray:
-    """Hand-coded linear-combination template for the image of |klm>.
-
-    Kept independent of the matrix path: used to cross-check apply_r
-    entrywise. Coefficients are sin(theta), +-cos(theta)/sqrt(3) and the same
-    scaled by e^{+-i phi}.
-    """
-    s = np.sin(theta)
-    c = np.cos(theta) / np.sqrt(3)
-    em = np.exp(-1j * phi)
-    ep = np.exp(1j * phi)
-    table = {
-        "000": {"000": s, "011": -c * ep, "101": -c * ep, "110": -c * ep},
-        "001": {"001": s, "010": -c, "100": -c, "111": -c * ep},
-        "010": {"010": s, "001": c, "100": -c, "111": c * ep},
-        "011": {"011": s, "000": c * em, "101": -c, "110": c},
-        "100": {"100": s, "001": c, "010": c, "111": -c * ep},
-        "101": {"101": s, "000": c * em, "011": c, "110": -c},
-        "110": {"110": s, "000": c * em, "011": -c, "101": c},
-        "111": {"111": s, "001": c * em, "010": -c * em, "100": c * em},
-    }
-    if label not in table:
-        raise ValueError(f"bad basis label {label!r}")
-    v = np.zeros(8, dtype=complex)
-    for target, coeff in table[label].items():
-        v[basis_index(target)] = coeff
-    return v

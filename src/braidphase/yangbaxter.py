@@ -3,7 +3,8 @@
 Two parameterizations of the same construction live here:
 
 * the unitary family  R(theta, phi) = sin(theta) I + cos(theta) mcal(phi),
-  used for state generation and dynamics (r_matrix / r_from_spectral);
+  used for state generation and dynamics (r_matrix), and reached from a
+  spectral parameter x on the unit circle at theta = pi/2 - arg(x);
 * the Baxterized rational family
   R(x) = ((x + 1/x)/2) I + ((x - 1/x)/2) mcal(phi),
   which is what actually satisfies the multiplicative Yang-Baxter equation
@@ -11,8 +12,10 @@ Two parameterizations of the same construction live here:
 
 On the unit circle the two families differ, and the unitary one violates the
 multiplicative equation at generic spectral parameters; ybe_residual checks
-the rational family by default and the unitary one on request, as nine fixed
-words of the lifted generator over stacks of spectral pairs and a phi grid.
+the rational family by default and the unitary one on request, as three
+fixed differences of words in the lifted generator over stacks of spectral
+pairs and a phi grid. Whole matrices of either family at a spectral point
+are built only by the tests' product-route oracle.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ __all__ = [
     "RParams",
     "SpectralParam",
     "r_matrix",
-    "r_from_spectral",
-    "rational_r",
-    "theta_from_spectral",
     "unitarity_residuals",
     "ybe_residual",
 ]
@@ -133,48 +133,21 @@ def unitarity_residuals(gen: np.ndarray, thetas) -> np.ndarray:
     return out
 
 
-def theta_from_spectral(x: SpectralParam) -> float:
-    """Branch theta = pi/2 - arg(x), arg in (-pi, pi]; x = 1 maps to the identity."""
-    return _theta(x.x)
-
-
-def _theta(x: complex) -> float:
-    return float(np.pi / 2 - np.angle(x))
-
-
 def _require_nonsingular(*xs: complex) -> None:
     for x in xs:
         if abs(x + 1.0 / x) < 1e-12:
             raise SingularParameterError(f"x = {x} has x + 1/x = 0; build from angles instead")
 
 
-def r_from_spectral(system: str, x: SpectralParam, phi: float) -> np.ndarray:
-    """Unitary braid matrix at theta = pi/2 - arg(x)."""
-    _require_nonsingular(x.x)
-    return r_matrix(system, RParams(theta_from_spectral(x), phi))
-
-
-def rational_r(system: str, x: complex, phi: float) -> np.ndarray:
-    """Baxterized rational matrix ((x+1/x)/2) I + ((x-1/x)/2) * generator(phi).
-
-    Defined for any nonzero complex x; this is the family entering
-    ybe_residual's default check.
-    """
-    x = complex(x)
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    gen = _generator(system, phi)
-    eye = np.eye(gen.shape[0], dtype=complex)
-    return ((x + 1 / x) / 2) * eye + ((x - 1 / x) / 2) * gen
-
-
 def _coefficients(family: str, points) -> list:
-    """(a, b) with R(x) = a I + b generator at each complex point x, formed
-    from Python scalars as rational_r and r_from_spectral form them."""
+    """(a, b) with R(x) = a I + b generator at each complex point x, from
+    Python scalars: ((x + 1/x)/2, (x - 1/x)/2) for the rational family, and
+    (sin(theta), cos(theta)) at theta = pi/2 - arg(x), arg in (-pi, pi], for
+    the unitary one (x = 1 maps to the identity)."""
     if family == "rational":
         return [((x + 1 / x) / 2, (x - 1 / x) / 2) for x in points]
     if family == "unitary":
-        return [(np.sin(t), np.cos(t)) for t in map(_theta, points)]
+        return [(np.sin(t), np.cos(t)) for t in (np.pi / 2 - np.angle(x) for x in points)]
     raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
 
 
@@ -190,10 +163,13 @@ def ybe_residual(system: str, x, y, phi, family: str = "rational"):
     R12 = R otimes I_2 and R23 = I_2 otimes R, on 3 sites (8x8) for two_qubit
     and 4 overlapping sites (16x16) for three_qubit. With R = a I + b G,
     A = G otimes I_2 and B = I_2 otimes G, distributivity alone (no braid
-    relation) turns LHS - RHS into sum_k c_k W_k over the nine words I, A, B,
-    AB, BA, AA, BB, ABA, BAB, each c_k a product of the coefficients of R(x),
-    R(xy), R(y). Each pair is validated and its c_k formed once per call, the
-    words once per phi and block of pairs; the sum runs in that word order.
+    relation) turns LHS - RHS into c_A (A - B) + c_AA (AA - BB) +
+    c_ABA (ABA - BAB), with c_A = a0 a1 b2 + b0 a1 a2 - a0 b1 a2,
+    c_AA = b0 a1 b2 and c_ABA = b0 b1 b2 from the (a, b) of R(x), R(xy),
+    R(y): since the scalars commute, the coefficients of I, AB and BA cancel
+    and those of B, BB and BAB are minus those of A, AA and ABA. Each pair is
+    validated and its coefficients formed once per call, the three word
+    differences once per phi and block of pairs; the sum runs in that order.
 
     The rational family satisfies the two_qubit equation identically; the
     three_qubit residual is generically nonzero (the overlapping-triple lifts
@@ -217,12 +193,8 @@ def ybe_residual(system: str, x, y, phi, family: str = "rational"):
             _require_nonsingular(*points)
             (a0, b0), (a1, b1), (a2, b2) = _coefficients(family, points)
             # LHS (a0 + b0 A)(a1 + b1 B)(a2 + b2 A) - RHS (a2 + b2 B)(a1 + b1 A)(a0 + b0 B)
-            coeffs.append((a0 * a1 * a2 - a2 * a1 * a0,
-                           a0 * a1 * b2 + b0 * a1 * a2 - a2 * b1 * a0,
-                           a0 * b1 * a2 - (a2 * a1 * b0 + b2 * a1 * a0),
-                           b0 * b1 * a2 - a2 * b1 * b0,
-                           a0 * b1 * b2 - b2 * b1 * a0,
-                           b0 * a1 * b2, -(b2 * a1 * b0), b0 * b1 * b2, -(b2 * b1 * b0)))
+            coeffs.append((a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
+                           b0 * a1 * b2, b0 * b1 * b2))
         coeffs = np.array(coeffs, dtype=complex).T[..., None, None]
         for row, p in zip(out, phis.reshape(-1)):
             row[lo:lo + _BLOCK] = _word_norms(coeffs, _generator(system, p))
@@ -231,13 +203,12 @@ def ybe_residual(system: str, x, y, phi, family: str = "rational"):
 
 
 def _word_norms(coeffs: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """||sum_k coeffs[k] W_k|| over a block of pairs, summed elementwise in the order of the
-    words W = I, A, B, AB, BA, AA, BB, ABA, BAB of A = gen otimes I_2, B = I_2 otimes gen."""
+    """||c_A (A - B) + c_AA (AA - BB) + c_ABA (ABA - BAB)|| over a block of pairs,
+    summed elementwise in that order, of A = gen otimes I_2, B = I_2 otimes gen."""
     a, b = (np.multiply.outer(p, q).transpose(0, 2, 1, 3).reshape(2 * len(gen), -1)
             for p, q in ((gen, braid.IDENTITY_2), (braid.IDENTITY_2, gen)))  # np.kron(p, q)
-    ab, ba = a @ b, b @ a
-    diff = coeffs[0] * np.eye(len(a), dtype=complex)
+    diff = coeffs[0] * (a - b)
     term = np.empty_like(diff)
-    for c, word in zip(coeffs[1:], (a, b, ab, ba, a @ a, b @ b, ab @ a, ba @ b)):
+    for c, word in zip(coeffs[1:], (a @ a - b @ b, a @ b @ a - b @ a @ b)):
         diff += np.multiply(c, word, out=term)
     return linalg.frobenius_norms(diff)

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from braidphase import linalg
-from braidphase.yangbaxter import SpectralParam, r_from_spectral, rational_r
+from braidphase import linalg, yangbaxter
+from braidphase.dynamics import DriveParams
+from braidphase.yangbaxter import RParams, SingularParameterError, SpectralParam
 
 
 def abs_det(a) -> float:
@@ -59,3 +60,76 @@ def kron_route_residual(system, x, y, phi, family) -> float:
     lhs = lift12(r_x) @ lift23(r_xy) @ lift12(r_y)
     rhs = lift23(r_y) @ lift12(r_xy) @ lift23(r_x)
     return float(linalg.frobenius_norms([lhs - rhs])[0])
+
+
+def theta_from_spectral(x: SpectralParam) -> float:
+    """Branch theta = pi/2 - arg(x), arg in (-pi, pi]; x = 1 maps to the identity."""
+    if not isinstance(x, SpectralParam):
+        raise TypeError("x must be a SpectralParam")
+    return float(np.pi / 2 - np.angle(x.x))
+
+
+def r_from_spectral(system: str, x: SpectralParam, phi: float) -> np.ndarray:
+    """Unitary braid matrix at theta = pi/2 - arg(x), built by r_matrix."""
+    theta = theta_from_spectral(x)
+    if abs(x.x + 1 / x.x) < 1e-12:
+        raise SingularParameterError(f"x = {x.x} has x + 1/x = 0")
+    return yangbaxter.r_matrix(system, RParams(theta, phi))
+
+
+def rational_r(system: str, x: complex, phi: float) -> np.ndarray:
+    """Baxterized rational matrix ((x+1/x)/2) I + ((x-1/x)/2) * generator(phi),
+    for any nonzero complex x. The generator is looked up in the package at
+    call time, so a generator patched there reaches this route too."""
+    x = complex(x)
+    if x == 0:
+        raise ValueError("x must be nonzero")
+    gen = yangbaxter._generator(system, phi)
+    eye = np.eye(gen.shape[0], dtype=complex)
+    return ((x + 1 / x) / 2) * eye + ((x - 1 / x) / 2) * gen
+
+
+def basis_image_formula(label: str, theta: float, phi: float) -> np.ndarray:
+    """Hand-coded linear-combination template for the image of |klm>.
+
+    Independent of the matrix path, to cross-check apply_r entrywise.
+    Coefficients are sin(theta), +-cos(theta)/sqrt(3) and the same scaled by
+    e^{+-i phi}.
+    """
+    s = np.sin(theta)
+    c = np.cos(theta) / np.sqrt(3)
+    em = np.exp(-1j * phi)
+    ep = np.exp(1j * phi)
+    table = {
+        "000": {"000": s, "011": -c * ep, "101": -c * ep, "110": -c * ep},
+        "001": {"001": s, "010": -c, "100": -c, "111": -c * ep},
+        "010": {"010": s, "001": c, "100": -c, "111": c * ep},
+        "011": {"011": s, "000": c * em, "101": -c, "110": c},
+        "100": {"100": s, "001": c, "010": c, "111": -c * ep},
+        "101": {"101": s, "000": c * em, "011": c, "110": -c},
+        "110": {"110": s, "000": c * em, "011": -c, "101": c},
+        "111": {"111": s, "001": c * em, "010": -c * em, "100": c * em},
+    }
+    if label not in table:
+        raise ValueError(f"bad basis label {label!r}")
+    v = np.zeros(8, dtype=complex)
+    for target, coeff in table[label].items():
+        v[int(target, 2)] = coeff
+    return v
+
+
+def hamiltonian_from_r(d: DriveParams, dt: float = 1e-5) -> np.ndarray:
+    """Finite-difference generator i hbar (dR/dt) R^dag, accurate to O(dt^2).
+
+    Independent of dynamics.hamiltonian(): only the braid matrix enters.
+    """
+    if not isinstance(d, DriveParams):
+        raise TypeError("d must be a DriveParams")
+    if not (0 < dt <= 1e-3):
+        raise ValueError(f"dt must lie in (0, 1e-3], got {dt}")
+
+    def r(phi):
+        return yangbaxter.r_matrix(yangbaxter.THREE_QUBIT, RParams(d.theta, phi))
+
+    dr = (r(d.phi + d.phi_dot * dt) - r(d.phi - d.phi_dot * dt)) / (2 * dt)
+    return 1j * d.hbar * dr @ r(d.phi).conj().T

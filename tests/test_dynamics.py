@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from braidphase import dynamics, entanglement
 from braidphase.dynamics import DriveParams
+from oracles import hamiltonian_from_r
 
 angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 
@@ -21,23 +22,23 @@ class TestHamiltonian:
     def test_matches_finite_difference_oracle(self):
         d = DriveParams(theta=0.7, phi=0.2, phi_dot=1.3)
         h = dynamics.hamiltonian(d)
-        h_fd = dynamics.hamiltonian_from_r(d, dt=1e-5)
+        h_fd = hamiltonian_from_r(d, dt=1e-5)
         assert np.linalg.norm(h - h_fd) <= 1e-7
 
     def test_finite_difference_hermitian_to_truncation(self):
         d = DriveParams(theta=1.1, phi=0.5)
-        h_fd = dynamics.hamiltonian_from_r(d, dt=1e-4)
+        h_fd = hamiltonian_from_r(d, dt=1e-4)
         assert np.linalg.norm(h_fd - h_fd.conj().T) <= 1e-7
 
     def test_finite_difference_vanishes_at_half_pi(self):
-        h_fd = dynamics.hamiltonian_from_r(DriveParams(theta=np.pi / 2, phi=0.3), dt=1e-4)
+        h_fd = hamiltonian_from_r(DriveParams(theta=np.pi / 2, phi=0.3), dt=1e-4)
         assert np.linalg.norm(h_fd) <= 1e-7
 
     def test_dt_validation(self):
         d = DriveParams(theta=0.5, phi=0.5)
         for dt in (0.0, -1e-6, 2e-3):
             with pytest.raises(ValueError):
-                dynamics.hamiltonian_from_r(d, dt=dt)
+                hamiltonian_from_r(d, dt=dt)
 
     def test_drive_params_validation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,32 @@
+"""The package exports what the CLI runs; reference routes live in tests/oracles.py."""
+
+import importlib
+
+import pytest
+
+import braidphase
+
+MODULES = ("linalg", "braid", "yangbaxter", "states", "entanglement", "dynamics",
+           "berry", "cli")
+MOVED_TO_ORACLES = {
+    "yangbaxter": ("rational_r", "r_from_spectral", "theta_from_spectral"),
+    "states": ("basis_image_formula",),
+    "dynamics": ("hamiltonian_from_r",),
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"braidphase.{name}")
+    assert all(hasattr(module, attr) for attr in module.__all__)
+
+
+def test_package_exports_resolve():
+    assert all(hasattr(braidphase, attr) for attr in braidphase.__all__)
+
+
+@pytest.mark.parametrize("name, moved", MOVED_TO_ORACLES.items())
+def test_reference_routes_are_not_in_the_package(name, moved):
+    module = importlib.import_module(f"braidphase.{name}")
+    for attr in moved:
+        assert not hasattr(module, attr) and not hasattr(braidphase, attr)

@@ -11,13 +11,16 @@ from braidphase.yangbaxter import (
     RParams,
     SingularParameterError,
     SpectralParam,
-    r_from_spectral,
     r_matrix,
-    rational_r,
-    theta_from_spectral,
     ybe_residual,
 )
-from oracles import abs_det, kron_route_residual
+from oracles import (
+    abs_det,
+    kron_route_residual,
+    r_from_spectral,
+    rational_r,
+    theta_from_spectral,
+)
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
