@@ -46,7 +46,7 @@ def main() -> int:
           f"({res['i3_squared_projector_identity']:.1e})")
     print(f"  rescaled ladders J+- = I+-/sqrt(3), J3 = I3/3 close su(2) "
           f"({max(res['rescaled_cartan'], res['rescaled_ladder_plus']):.1e})")
-    minus = berry.berry_wilson("minus", 0.9, 400)
+    minus = berry.berry_wilson(0.9, 400)["minus"]
     print(f"  each doublet carries equal geometric phases: minus level "
           f"{minus[0]:+.6f}, {minus[1]:+.6f} (closed form "
           f"{berry.closed_form_phase('minus', 0.9):+.6f})")

@@ -52,7 +52,6 @@ from .dynamics import (
     su2_relation_residuals,
 )
 from .berry import (
-    BerryReport,
     berry_analytic,
     berry_wilson,
     closed_form_phase,
@@ -75,7 +74,7 @@ __all__ = [
     "DriveParams", "SpectrumReport", "Su2Ops", "eigenstate_fixture",
     "fixture_energy", "hamiltonian", "spectrum",
     "su2_ops", "su2_relation_residuals",
-    "BerryReport", "berry_analytic", "berry_wilson", "closed_form_phase",
-    "solid_angle", "zero_level_phase",
+    "berry_analytic", "berry_wilson", "closed_form_phase", "solid_angle",
+    "zero_level_phase",
     "__version__",
 ]

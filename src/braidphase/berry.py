@@ -5,37 +5,36 @@ Two routes:
 * berry_analytic -- gauge-invariant discrete line integral
   gamma = -Im sum_k log <chi(phi_k)|chi(phi_{k+1})> over the closed-form
   eigenstates (indices 5..8), second-order accurate in the step size;
-* berry_wilson -- the Wilson loop of one degenerate doublet over numerical
-  eigenvectors, for levels without closed forms of their connection. H
-  conserves basis-index parity and each doublet has one member in each parity
-  sector, so the loop is diagonal: one U(1) loop of scalar overlaps per
-  sector.
+* berry_wilson -- the Wilson loops of both split doublets over numerical
+  eigenvectors, for levels without closed forms of their connection, from one
+  solve of the H grid. H conserves basis-index parity and each doublet has one
+  member in each parity sector, so each loop is diagonal: one U(1) loop of
+  scalar overlaps per sector.
 
 Phases follow the gamma = i oint <chi|d_phi chi> sign convention (Wilson
 phases are reported as -arg of the loops so both routes agree). Measured
 values: the -hbar*phidot*cos(theta) doublet carries +pi(1 - cos theta) twice,
 the +hbar*phidot*cos(theta) doublet carries -pi(1 - cos theta) twice, and the
-zero level is flat; the members of each level are in dynamics.LEVELS.
+zero level is flat; the members of each level are in dynamics.LEVELS. fold
+moves a phase into (-2*pi, 2*pi], the range reports use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, linalg
 
 __all__ = [
-    "BerryReport",
     "solid_angle",
     "closed_form_phase",
     "berry_analytic",
     "berry_wilson",
     "zero_level_phase",
     "phase_residual",
-    "report",
+    "fold",
 ]
 
 TWO_PI = 2 * np.pi
@@ -44,23 +43,6 @@ TWO_PI = 2 * np.pi
 _PARITY = np.array([bin(k).count("1") % 2 for k in range(8)])
 EVEN, ODD = np.flatnonzero(_PARITY == 0), np.flatnonzero(_PARITY == 1)
 _MIXING = _PARITY[:, None] != _PARITY[None, :]
-
-
-@dataclass(frozen=True)
-class BerryReport:
-    """Geometric phases of one energy level against the closed form.
-
-    phases are reported in (-2*pi, 2*pi]; residuals are circular distances
-    (mod 2*pi), since the Wilson route only determines phases on the circle.
-    """
-
-    theta: float
-    level: str
-    method: str
-    phases: tuple
-    closed_form: float
-    solid_angle: float
-    residuals: tuple
 
 
 def solid_angle(theta: float) -> float:
@@ -83,7 +65,7 @@ def phase_residual(phase: float, reference: float) -> float:
     return float(min(d, TWO_PI - d))
 
 
-def _fold(phase: float) -> float:
+def fold(phase: float) -> float:
     """phase moved by whole turns into (-2*pi, 2*pi]; values already there are
     returned unchanged."""
     if -TWO_PI < phase <= TWO_PI:
@@ -112,31 +94,28 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
     return float(-np.sum(np.angle(overlaps)))
 
 
-def berry_wilson(level: str, theta: float, steps: int) -> list:
-    """Phases of the Wilson loop over one degenerate doublet.
+def berry_wilson(theta: float, steps: int) -> dict:
+    """Phases of the Wilson loops over the two split doublets, by level.
 
     H conserves the parity of the basis index, so each grid point's
-    Hamiltonian (hbar = phidot = 1) is solved as its two 4x4 parity blocks,
-    and each block holds exactly one state of the requested level (energy
-    -+cos theta for 'minus'/'plus'). The doublet's Wilson loop is therefore
-    diagonal: per sector, the product of the scalar overlaps between that
-    state at consecutive grid points. Returns the two phases, sorted, in the
+    Hamiltonian (hbar = phidot = 1) is solved once, as its two 4x4 parity
+    blocks, and each block holds exactly one state of each split level
+    (energy -+cos theta for 'minus'/'plus'). Each doublet's Wilson loop is
+    therefore diagonal: per sector, the product of the scalar overlaps between
+    that level's state at consecutive grid points. Returns
+    {"minus": [low, high], "plus": [low, high]}, each pair sorted, in the
     line-integral sign convention.
 
     The structure is checked at run time: an entry of H that mixes the
     parities and is not exactly 0, or a sector with other than one state at
-    the level's energy, raises NumericalError naming the grid point.
+    a level's energy, raises NumericalError naming the grid point.
     """
-    sign = dynamics.LEVELS.get(level, (0,))[0]
-    if not sign:
-        raise ValueError(f"level must be 'minus' or 'plus', got {level!r}")
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
     gap = abs(np.cos(theta))
     if gap < 1e-8:
         raise linalg.NumericalError(
             f"level gap {gap} below 1e-8; doublet crosses the zero level")
-    target = sign * np.cos(theta)
 
     hams = dynamics.hamiltonian_grid(theta, TWO_PI * np.arange(steps) / steps)
     mixed = np.any(hams[:, _MIXING] != 0, axis=1)
@@ -146,18 +125,26 @@ def berry_wilson(level: str, theta: float, steps: int) -> list:
             f"cannot split it")
     blocks = np.stack([hams[:, EVEN[:, None], EVEN], hams[:, ODD[:, None], ODD]], axis=1)
     dec = linalg.eigh(blocks.reshape(2 * steps, 4, 4))
+    vectors = np.swapaxes(dec.eigenvectors, 1, 2)
 
-    in_level = np.abs(dec.eigenvalues - target) < gap / 2
-    counts = in_level.sum(axis=1)
-    if np.any(counts != 1):
-        bad = np.argmax(counts != 1)
-        raise linalg.NumericalError(
-            f"expected one state at energy {target} in each parity sector, "
-            f"found {counts[bad]} at grid point {bad // 2}")
-    # the one eigenvector at the target per (grid point, sector)
-    states = np.swapaxes(dec.eigenvectors, 1, 2)[in_level].reshape(steps, 2, 4)
-    overlaps = np.einsum("ksi,ksi->ks", states.conj(), np.roll(states, -1, axis=0))
-    return sorted(float(-np.angle(loop)) for loop in np.prod(overlaps, axis=0))
+    phases = {}
+    for level, (sign, _) in dynamics.LEVELS.items():
+        if not sign:
+            continue
+        target = sign * np.cos(theta)
+        in_level = np.abs(dec.eigenvalues - target) < gap / 2
+        counts = in_level.sum(axis=1)
+        if np.any(counts != 1):
+            bad = np.argmax(counts != 1)
+            raise linalg.NumericalError(
+                f"expected one state at energy {target} in each parity sector, "
+                f"found {counts[bad]} at grid point {bad // 2}")
+        # the one eigenvector at the target per (grid point, sector)
+        states = vectors[in_level].reshape(steps, 2, 4)
+        overlaps = np.einsum("ksi,ksi->ks", states.conj(), np.roll(states, -1, axis=0))
+        loops = np.prod(overlaps, axis=0)
+        phases[level] = sorted(float(-np.angle(loop)) for loop in loops)
+    return phases
 
 
 def zero_level_phase(theta: float) -> float:
@@ -172,29 +159,3 @@ def zero_level_phase(theta: float) -> float:
         if not np.array_equal(batch, np.broadcast_to(batch[0], batch.shape)):
             raise linalg.NumericalError(f"zero-level fixture {i} is not flat")
     return 0.0
-
-
-def report(level: str, theta: float, steps: int, method: str) -> BerryReport:
-    """BerryReport for one level by either method.
-
-    method 'analytic' integrates the closed-form states of the level (the
-    zero level returns its asserted flat phases); 'wilson' runs the numerical
-    loop and supports the two split doublets only.
-    """
-    closed = closed_form_phase(level, theta)
-    if method == "analytic":
-        if level == "zero":
-            phases = (zero_level_phase(theta),) * len(dynamics.LEVELS["zero"][1])
-        else:
-            phases = tuple(_fold(berry_analytic(i, theta, steps))
-                           for i in dynamics.LEVELS[level][1])
-    elif method == "wilson":
-        if level == "zero":
-            raise ValueError("the wilson method applies to the split doublets only")
-        phases = tuple(_fold(p) for p in berry_wilson(level, theta, steps))
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'wilson'")
-    residuals = tuple(phase_residual(p, closed) for p in phases)
-    return BerryReport(theta=float(theta), level=level, method=method,
-                       phases=phases, closed_form=closed,
-                       solid_angle=solid_angle(theta), residuals=residuals)

@@ -258,31 +258,49 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
 
 def cmd_berry(theta: float, steps: int | None, method: str, level: str,
               tol: float | None) -> RunReport:
-    """None for ``steps`` or ``tol`` takes the method's default: 10000 and
-    1e-5 analytic, 800 and 1e-4 wilson."""
+    """Each requested level's phases, folded, against its closed form.
+
+    None for ``steps`` or ``tol`` takes the method's default: 10000 and 1e-5
+    analytic, 800 and 1e-4 wilson. The wilson method covers the two split
+    doublets only and takes both from one berry_wilson call."""
     if method == "analytic":
         steps = 10_000 if steps is None else steps
         tol = 1e-5 if tol is None else tol
-    else:
+    elif method == "wilson":
         steps = 800 if steps is None else steps
         tol = 1e-4 if tol is None else tol
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'wilson'")
     if steps < 100:  # every level and method, the flat zero level included
         raise ValueError(f"steps must be >= 100, got {steps}")
-    # "all" under wilson: the split doublets, the levels of nonzero energy
-    levels = [lv for lv, (sign, _) in dynamics.LEVELS.items()
-              if lv == level or (level == "all" and (sign or method == "analytic"))]
-    reports = [berry.report(lv, theta, steps, method) for lv in levels]
-    summary = {f"{r.level}_residual_max": (max(r.residuals) if r.residuals else 0.0)
-               for r in reports}
+    if method == "wilson":
+        if level == "zero":
+            raise ValueError("the wilson method applies to the split doublets only")
+        # "all" under wilson is the two doublets
+        phases = berry.berry_wilson(theta, steps)
+        if level != "all":
+            phases = {level: phases[level]}
+    else:
+        phases = {
+            lv: ([berry.zero_level_phase(theta)] * len(members) if not sign else
+                 [berry.berry_analytic(i, theta, steps) for i in members])
+            for lv, (sign, members) in dynamics.LEVELS.items() if level in (lv, "all")}
+    reports = []
+    for lv, raw in phases.items():
+        closed = berry.closed_form_phase(lv, theta)
+        folded = [berry.fold(p) for p in raw]
+        # residuals are circular (mod 2*pi): the Wilson route only determines
+        # phases on the circle
+        reports.append({"level": lv, "method": method, "phases": folded,
+                        "closed_form": closed, "solid_angle": berry.solid_angle(theta),
+                        "residuals": [berry.phase_residual(p, closed) for p in folded]})
+    summary = {f"{r['level']}_residual_max": max(r["residuals"]) for r in reports}
     passes = {name: val <= tol for name, val in summary.items()}
     return RunReport(
         command="berry",
         parameters={"theta": theta, "steps": steps, "method": method,
                     "level": level, "tol": tol},
-        results={"reports": [
-            {"level": r.level, "method": r.method, "phases": list(r.phases),
-             "closed_form": r.closed_form, "solid_angle": r.solid_angle,
-             "residuals": list(r.residuals)} for r in reports]},
+        results={"reports": reports},
         residual_summary=summary,
         passes=passes,
     )

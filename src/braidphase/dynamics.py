@@ -124,8 +124,9 @@ class SpectrumReport:
     """eigh output for H plus closed-form and fixture comparisons.
 
     degeneracy_pattern lists cluster sizes in ascending-eigenvalue order
-    (clusters split at gaps above 1e-8 * ||H||_F). closed_form_match is the
-    max deviation from the sorted multiset {0 x4, +-hbar phidot cos(theta) x2}.
+    (clusters split at gaps above 1e-8 * hbar * |phidot|). closed_form_match
+    is the max deviation from the sorted multiset
+    {0 x4, +-hbar phidot cos(theta) x2}.
     projector_residuals compares, per cluster, the numerical eigenprojector
     with the one spanned by the fixtures assigned to that cluster.
     """
@@ -144,17 +145,17 @@ def hamiltonian(d: DriveParams) -> np.ndarray:
     return _generator(d.theta, np.array([d.phi], dtype=float), d.phi_dot, d.hbar)[0]
 
 
-def hamiltonian_grid(theta: float, phis, phi_dot: float = 1.0,
-                     hbar: float = 1.0) -> np.ndarray:
-    """The drive generator at every drive angle of ``phis``, shape (len(phis), 8, 8).
+def hamiltonian_grid(theta: float, phis) -> np.ndarray:
+    """The drive generator (hbar = phidot = 1) at every drive angle of ``phis``,
+    shape (len(phis), 8, 8).
 
     Each slice is bitwise the generator built at that angle alone.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1:
         raise ValueError(f"phis must be 1-dimensional, got shape {phis.shape}")
-    _check_drive(theta, phis, phi_dot, hbar)
-    return _generator(theta, phis, phi_dot, hbar)
+    _check_drive(theta, phis, 1.0, 1.0)
+    return _generator(theta, phis, 1.0, 1.0)
 
 
 def _generator(theta, phis, phi_dot, hbar) -> np.ndarray:
@@ -285,9 +286,8 @@ def spectrum(d: DriveParams) -> SpectrumReport:
     """eigh of the Hamiltonian plus closed-form and fixture verification."""
     h = hamiltonian(d)
     dec = linalg.eigh(h)
-    scale = linalg.frobenius_norms([h])[0]
-    # absolute floor keeps the grouping sane when H is numerically ~0
-    gap = max(1e-8 * scale, 1e-12)
+    # H is linear in hbar * phidot, so the grouping gap scales with it
+    gap = 1e-8 * d.hbar * abs(d.phi_dot)
 
     clusters = []
     start = 0
@@ -310,7 +310,7 @@ def spectrum(d: DriveParams) -> SpectrumReport:
         p_num = vecs @ vecs.conj().T
         mean = float(np.mean(lam[lo:hi]))
         members = [v for v, en in zip(fixtures, energies)
-                   if abs(en - mean) <= max(gap, 1e-12)]
+                   if abs(en - mean) <= gap]
         projector_diffs.append(p_num - _span_projector(members))
 
     return SpectrumReport(

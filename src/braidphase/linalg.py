@@ -111,8 +111,11 @@ _BLOCK_ENTRIES = 4096
 # Jacobi iteration stops.
 _TARGET = 1e-12
 
+# Sweep budget of the Jacobi iteration; exceeding it raises NumericalError.
+_MAX_SWEEPS = 64
 
-def eigh(a, tol: float = 1e-10, *, max_sweeps: int = 64) -> EigenDecomposition:
+
+def eigh(a, tol: float = 1e-10) -> EigenDecomposition:
     """Full spectral decomposition of a Hermitian matrix or a stack of them.
 
     The complex n x n matrix is diagonalized by cyclic Jacobi sweeps of
@@ -137,7 +140,6 @@ def eigh(a, tol: float = 1e-10, *, max_sweeps: int = 64) -> EigenDecomposition:
     a : array_like of shape (n, n) or (B, n, n), each matrix Hermitian within
         ``tol`` relative to its Frobenius norm.
     tol : admission tolerance of the Hermiticity check.
-    max_sweeps : sweep budget; exceeding it raises NumericalError.
 
     Returns eigenvalues of shape (..., n) and eigenvectors of shape
     (..., n, n), with the leading axis of a stack kept.
@@ -170,8 +172,7 @@ def eigh(a, tol: float = 1e-10, *, max_sweeps: int = 64) -> EigenDecomposition:
         if live.size:
             sub = stack[live]
             tv = _jacobi((sub + sub.conj().transpose(0, 2, 1)) / 2,
-                         _TARGET * scale[live] / (10 * n), _TARGET * scale[live],
-                         max_sweeps)
+                         _TARGET * scale[live] / (10 * n), _TARGET * scale[live])
             lam = np.diagonal(tv[:, :n], axis1=1, axis2=2).real
             order = np.argsort(lam, axis=1, kind="stable")
             values[live] = np.ldexp(np.take_along_axis(lam, order, axis=1),
@@ -182,7 +183,7 @@ def eigh(a, tol: float = 1e-10, *, max_sweeps: int = 64) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-def _jacobi(t: np.ndarray, skip: np.ndarray, stop: np.ndarray, max_sweeps: int):
+def _jacobi(t: np.ndarray, skip: np.ndarray, stop: np.ndarray):
     """Cyclic Jacobi sweeps over a (B, n, n) stack of Hermitian matrices.
 
     The rotation of pivot (p, q) is [[c, s], [-conj(s), c]] in rows and
@@ -204,15 +205,15 @@ def _jacobi(t: np.ndarray, skip: np.ndarray, stop: np.ndarray, max_sweeps: int):
     out = np.empty_like(tv)
     diag = np.arange(n)
     live = np.arange(count)
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_MAX_SWEEPS + 1):
         off = tv[:n].copy()
         off[diag, diag] = 0.0
         # summed batch-first, so that a matrix's mass is summed in one order
         # whatever the batch size
         done = frobenius_norms(off.transpose(2, 0, 1)) <= stop[live]
-        if sweep == max_sweeps and not done.all():
+        if sweep == _MAX_SWEEPS and not done.all():
             raise NumericalError(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
         if done.any():
             out[..., live[done]] = tv[..., done]
             live, tv = live[~done], tv[..., ~done]

@@ -257,9 +257,9 @@ def test_c09_berry_phases():
 
     worst_wilson = 0.0
     for theta in (np.pi / 6, np.pi / 3, 1.2, 2.0, 2.8):
-        for level in ("minus", "plus"):
+        for level, phases in berry.berry_wilson(theta, 800).items():
             closed = berry.closed_form_phase(level, theta)
-            for phase in berry.berry_wilson(level, theta, 800):
+            for phase in phases:
                 worst_wilson = max(worst_wilson, berry.phase_residual(phase, closed))
 
     zeros = [berry.zero_level_phase(theta) for theta in (0.3, 1.0, 2.4)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from braidphase import berry, dynamics, linalg
+from braidphase import berry, cli, dynamics, linalg
 
 
 def closed(theta):
@@ -62,43 +62,41 @@ class TestAnalytic:
 
 class TestWilson:
     def test_doublet_eigenphases_at_pi_third(self):
-        phases = berry.berry_wilson("minus", np.pi / 3, 400)
+        phases = berry.berry_wilson(np.pi / 3, 400)["minus"]
         assert len(phases) == 2
         for p in phases:
             assert berry.phase_residual(p, np.pi / 2) <= 1e-4
 
     def test_plus_doublet_opposite_sign(self):
-        phases = berry.berry_wilson("plus", np.pi / 3, 400)
+        phases = berry.berry_wilson(np.pi / 3, 400)["plus"]
         for p in phases:
             assert berry.phase_residual(p, -np.pi / 2) <= 1e-4
 
     def test_levels_carry_opposite_phases(self):
-        minus = berry.berry_wilson("minus", 1.2, 400)
-        plus = berry.berry_wilson("plus", 1.2, 400)
-        for pm, pp in zip(minus, plus):
+        phases = berry.berry_wilson(1.2, 400)
+        assert list(phases) == ["minus", "plus"]
+        for pm, pp in zip(phases["minus"], phases["plus"]):
             assert abs(pm + pp) <= 1e-6
 
     def test_vanishing_solid_angle(self):
-        phases = berry.berry_wilson("minus", 1e-3, 400)
-        for p in phases:
-            assert abs(p) <= 1e-4
+        for phases in berry.berry_wilson(1e-3, 400).values():
+            for p in phases:
+                assert abs(p) <= 1e-4
 
     def test_agrees_with_analytic_route(self):
         theta = 1.2
-        wilson = berry.berry_wilson("minus", theta, 600)
+        wilson = berry.berry_wilson(theta, 600)["minus"]
         analytic = berry.berry_analytic(5, theta, 600)
         for p in wilson:
             assert berry.phase_residual(p, analytic) <= 1e-5
 
     def test_crossing_rejected(self):
         with pytest.raises(linalg.NumericalError):
-            berry.berry_wilson("minus", np.pi / 2, 400)
+            berry.berry_wilson(np.pi / 2, 400)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            berry.berry_wilson("zero", 0.9, 400)
-        with pytest.raises(ValueError):
-            berry.berry_wilson("minus", 0.9, 10)
+            berry.berry_wilson(0.9, 10)
 
 
 def unsplit_wilson_loop(level, theta, steps):
@@ -126,11 +124,11 @@ class TestWilsonDoubletPrecision:
     THETA, STEPS = 1.0472, 800
 
     def test_doublet_phases_agree(self):
-        low, high = berry.berry_wilson("minus", self.THETA, self.STEPS)
+        low, high = berry.berry_wilson(self.THETA, self.STEPS)["minus"]
         assert high - low <= 1e-12
 
     def test_matches_numpy_eigvals_of_the_loop(self):
-        phases = berry.berry_wilson("minus", self.THETA, self.STEPS)
+        phases = berry.berry_wilson(self.THETA, self.STEPS)["minus"]
         oracle = eigvals_phases(unsplit_wilson_loop("minus", self.THETA, self.STEPS))
         for p, q in zip(phases, oracle):
             assert abs(p - q) <= 1e-13
@@ -151,7 +149,7 @@ class TestParitySplit:
 
         monkeypatch.setattr(dynamics, "hamiltonian_grid", mixed)
         with pytest.raises(linalg.NumericalError, match="parity at grid point 137"):
-            berry.berry_wilson("minus", 1.0472, 400)
+            berry.berry_wilson(1.0472, 400)
 
     def test_sector_without_one_level_state_rejected(self, monkeypatch):
         exact = dynamics.hamiltonian_grid
@@ -163,18 +161,18 @@ class TestParitySplit:
 
         monkeypatch.setattr(dynamics, "hamiltonian_grid", shifted)
         with pytest.raises(linalg.NumericalError, match="grid point 137"):
-            berry.berry_wilson("minus", 1.0472, 400)
+            berry.berry_wilson(1.0472, 400)
 
     @pytest.mark.parametrize("level,theta", CASES)
     def test_matches_numpy_eigvals_of_the_unsplit_loop(self, level, theta):
-        phases = berry.berry_wilson(level, theta, 800)
+        phases = berry.berry_wilson(theta, 800)[level]
         oracle = eigvals_phases(unsplit_wilson_loop(level, theta, 800))
         for p, q in zip(phases, oracle):
             assert abs(p - q) <= 1e-13
 
     @pytest.mark.parametrize("level,theta", CASES)
     def test_doublet_phases_agree(self, level, theta):
-        low, high = berry.berry_wilson(level, theta, 800)
+        low, high = berry.berry_wilson(theta, 800)[level]
         assert high - low <= 1e-12
 
 
@@ -182,18 +180,18 @@ class TestFold:
     def test_principal_range_unchanged(self):
         for phase in (0.0, -0.0, 1.2345678901234567, -6.283185307179586 + 1e-15,
                       2 * np.pi, -3.0, np.nextafter(-2 * np.pi, 0.0)):
-            folded = berry._fold(phase)
+            folded = berry.fold(phase)
             assert folded == phase and np.signbit(folded) == np.signbit(phase)
 
     def test_whole_turns_removed(self):
-        assert berry._fold(2 * np.pi + 0.25) == pytest.approx(0.25, abs=1e-15)
-        assert berry._fold(-3 * np.pi) == pytest.approx(-np.pi, abs=1e-15)
-        assert berry._fold(4 * np.pi) == 2 * np.pi
-        assert berry._fold(-2 * np.pi) == 0.0
+        assert berry.fold(2 * np.pi + 0.25) == pytest.approx(0.25, abs=1e-15)
+        assert berry.fold(-3 * np.pi) == pytest.approx(-np.pi, abs=1e-15)
+        assert berry.fold(4 * np.pi) == 2 * np.pi
+        assert berry.fold(-2 * np.pi) == 0.0
 
     def test_many_turns(self):
         for phase in (1e5, -1e5, 12345.678):
-            folded = berry._fold(phase)
+            folded = berry.fold(phase)
             assert -2 * np.pi < folded <= 2 * np.pi
             assert berry.phase_residual(folded, phase % (2 * np.pi)) <= 1e-9
 
@@ -205,6 +203,7 @@ class TestZeroLevel:
 
 
 class TestReports:
+    # the per-level reports are composed by cli.cmd_berry
     def test_closed_forms(self):
         th = 0.8
         assert berry.closed_form_phase("zero", th) == 0.0
@@ -215,26 +214,26 @@ class TestReports:
             berry.closed_form_phase("middle", th)
 
     def test_analytic_report(self):
-        rep = berry.report("minus", 0.9, 2000, "analytic")
-        assert rep.level == "minus" and rep.method == "analytic"
-        assert len(rep.phases) == 2
-        assert max(rep.residuals) <= 1e-5
-        assert all(-2 * np.pi < p <= 2 * np.pi for p in rep.phases)
+        (rep,) = cli.cmd_berry(0.9, 2000, "analytic", "minus", None).results["reports"]
+        assert rep["level"] == "minus" and rep["method"] == "analytic"
+        assert len(rep["phases"]) == 2
+        assert max(rep["residuals"]) <= 1e-5
+        assert all(-2 * np.pi < p <= 2 * np.pi for p in rep["phases"])
 
     def test_wilson_report(self):
-        rep = berry.report("plus", 0.9, 300, "wilson")
-        assert len(rep.phases) == 2
-        assert max(rep.residuals) <= 1e-4
+        (rep,) = cli.cmd_berry(0.9, 300, "wilson", "plus", None).results["reports"]
+        assert len(rep["phases"]) == 2
+        assert max(rep["residuals"]) <= 1e-4
 
     def test_zero_report(self):
-        rep = berry.report("zero", 1.4, 1000, "analytic")
-        assert rep.phases == (0.0, 0.0, 0.0, 0.0)
-        assert rep.closed_form == 0.0
+        (rep,) = cli.cmd_berry(1.4, 1000, "analytic", "zero", None).results["reports"]
+        assert rep["phases"] == [0.0, 0.0, 0.0, 0.0]
+        assert rep["closed_form"] == 0.0
 
     def test_wilson_zero_level_rejected(self):
-        with pytest.raises(ValueError):
-            berry.report("zero", 1.4, 1000, "wilson")
+        with pytest.raises(ValueError, match="split doublets"):
+            cli.cmd_berry(1.4, 1000, "wilson", "zero", None)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            berry.report("minus", 1.4, 1000, "quadrature")
+        with pytest.raises(ValueError, match="unknown method"):
+            cli.cmd_berry(1.4, 1000, "quadrature", "minus", None)

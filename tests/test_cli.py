@@ -202,6 +202,13 @@ class TestSpectrum:
         assert code == 0
         assert json.loads(out)["results"]["degeneracy_pattern"] == [8]
 
+    @pytest.mark.parametrize("phidot", ["1e-200", "1e-300"])
+    def test_tiny_drive_scale_keeps_the_split(self, capsys, phidot):
+        # levels are grouped relative to hbar * phidot, not by an absolute gap
+        code, out, _ = run(capsys, "spectrum", "--theta", "1", "--phidot", phidot)
+        assert code == 0
+        assert json.loads(out)["results"]["degeneracy_pattern"] == [2, 4, 2]
+
 
 class TestBerry:
     def test_analytic_equator(self, capsys):
@@ -235,6 +242,29 @@ class TestBerry:
         code, out, err = run(capsys, "berry", "--theta", "1", *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and ">= 100" in err
+
+    def test_wilson_all_is_one_solve(self, capsys, monkeypatch):
+        # both doublets come from one decomposition of the parity blocks
+        shapes = []
+        original = linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigh", counting)
+        code, out, _ = run(capsys, "berry", "--theta", "0.9", "--steps", "200",
+                           "--method", "wilson", "--level", "all")
+        assert code == 0
+        assert shapes == [(400, 4, 4)]
+        levels = [r["level"] for r in json.loads(out)["results"]["reports"]]
+        assert levels == ["minus", "plus"]
+
+    def test_wilson_zero_level_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "berry", "--theta", "0.9", "--method", "wilson",
+                             "--level", "zero")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "split doublets" in err
 
     def test_wilson_at_crossing_is_numerical_failure(self, capsys):
         code, _, err = run(capsys, "berry", "--theta", str(np.pi / 2),

@@ -80,11 +80,11 @@ class TestHamiltonianGrid:
                 assert np.array_equal(grid[k], dynamics.hamiltonian(d))
                 assert np.array_equal(grid[k], expanded_hamiltonian(d))
 
-    def test_rate_and_scale_bitwise(self):
+    def test_wide_phi_range_bitwise(self):
         phis = np.random.default_rng(3).uniform(-50.0, 50.0, 65)
-        grid = dynamics.hamiltonian_grid(0.7, phis, phi_dot=1.3, hbar=2.2)
+        grid = dynamics.hamiltonian_grid(0.7, phis)
         for k, phi in enumerate(phis):
-            d = DriveParams(0.7, float(phi), phi_dot=1.3, hbar=2.2)
+            d = DriveParams(0.7, float(phi))
             assert np.array_equal(grid[k], expanded_hamiltonian(d))
 
     def test_validation(self):
@@ -92,8 +92,6 @@ class TestHamiltonianGrid:
             dynamics.hamiltonian_grid(0.5, [0.1, np.nan])
         with pytest.raises(ValueError, match="finite"):
             dynamics.hamiltonian_grid(np.inf, [0.1])
-        with pytest.raises(ValueError, match="positive"):
-            dynamics.hamiltonian_grid(0.5, [0.1], hbar=0.0)
         with pytest.raises(ValueError, match="1-dimensional"):
             dynamics.hamiltonian_grid(0.5, [[0.1]])
 

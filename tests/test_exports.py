@@ -13,6 +13,8 @@ MOVED_TO_ORACLES = {
     "states": ("basis_image_formula",),
     "dynamics": ("hamiltonian_from_r",),
 }
+# the CLI composes each level's report from the routes themselves
+REMOVED = {"berry": ("BerryReport", "report")}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -29,4 +31,11 @@ def test_package_exports_resolve():
 def test_reference_routes_are_not_in_the_package(name, moved):
     module = importlib.import_module(f"braidphase.{name}")
     for attr in moved:
+        assert not hasattr(module, attr) and not hasattr(braidphase, attr)
+
+
+@pytest.mark.parametrize("name, removed", REMOVED.items())
+def test_removed_names_are_gone(name, removed):
+    module = importlib.import_module(f"braidphase.{name}")
+    for attr in removed:
         assert not hasattr(module, attr) and not hasattr(braidphase, attr)

@@ -258,12 +258,13 @@ class TestStackedEigh:
         solo = linalg.eigh(stack[7])
         assert np.array_equal(dec.eigenvalues[7], solo.eigenvalues)
 
-    def test_sweep_budget_exhausted(self):
+    def test_sweep_budget_exhausted(self, monkeypatch):
         stack = mixed_stack(np.random.default_rng(6), 5, 8)
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
         with pytest.raises(linalg.NumericalError):
-            linalg.eigh(stack, max_sweeps=1)
+            linalg.eigh(stack)
         with pytest.raises(linalg.NumericalError):
-            linalg.eigh(stack[0], max_sweeps=1)
+            linalg.eigh(stack[0])
 
     def test_wilson_grid_matches_numpy(self):
         grid = wilson_grid()
