@@ -4,7 +4,8 @@ Two routes:
 
 * berry_analytic -- gauge-invariant discrete line integral
   gamma = -Im sum_k log <chi(phi_k)|chi(phi_{k+1})> over the closed-form
-  eigenstates (indices 5..8), second-order accurate in the step size;
+  eigenstates (indices 5..8), second-order accurate in the step size, from
+  one read of one fixture batch over the fixture's parity sector;
 * berry_wilson -- the Wilson loops of both split doublets over numerical
   eigenvectors, for levels without closed forms of their connection, from one
   solve of the H grid. H conserves basis-index parity and each doublet has one
@@ -81,16 +82,21 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
 
     The grid identifies phi = 2*pi with phi = 0 so the overlap product closes
     exactly; the result converges at O(steps^-2) and is returned unwrapped
-    (accumulated, not folded to a principal branch).
+    (accumulated, not folded to a principal branch). One batch is read once:
+    overlaps of its consecutive slices, then the closing one, over the indices
+    where it is nonzero (the fixture's parity sector).
     """
     if i not in dynamics.LEVELS["minus"][1] + dynamics.LEVELS["plus"][1]:
         raise ValueError(f"state index must be 5..8, got {i}")
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
-    phis = np.linspace(0.0, TWO_PI, steps + 1)
-    batch = dynamics.fixture_batch(i, theta, phis[:-1])
-    rolled = np.vstack([batch[1:], batch[:1]])  # phi = 2*pi identified with 0
-    overlaps = np.einsum("ij,ij->i", batch.conj(), rolled)
+    phis = np.linspace(0.0, TWO_PI, steps + 1)[:-1]
+    chi = np.ascontiguousarray(dynamics.fixture_batch(i, theta, phis).T)  # row per index
+    chi = chi[np.any(chi.view(float) != 0, axis=1)]  # the indices the fixture occupies
+    bra = chi.conj()
+    overlaps = np.empty(steps, dtype=complex)
+    np.einsum("jk,jk->k", bra[:, :-1], chi[:, 1:], out=overlaps[:-1])
+    np.einsum("jk,jk->k", bra[:, -1:], chi[:, :1], out=overlaps[-1:])  # phi = 2*pi is 0
     return float(-np.sum(np.angle(overlaps)))
 
 

@@ -11,9 +11,9 @@ Angles are radians unless --degrees is given, and must be finite. Sample
 counts (--samples, --phi-samples) are integers >= 1. --tol is a finite
 number >= 0 and defaults per command to the tolerance its checks are
 specified at, which --help of each subcommand shows: 1e-10 for
-verify-algebra, ybe and spectrum, 1e-9 for entangle and sweep; berry's
-depends on --method (1e-5 analytic, 1e-4 wilson), as does its --steps (10000
-analytic, 800 wilson), which must be >= 100 for every level.
+verify-algebra, ybe and spectrum (energies gated at tol * hbar * |phidot|),
+1e-9 for entangle and sweep; berry's depends on --method (1e-5 analytic, 1e-4
+wilson), as does its --steps (10000 analytic, 800 wilson), >= 100 at every level.
 
 Each subparser carries its handler, and main calls it with the command's own
 arguments; a report passes when every one of its gates does.
@@ -234,11 +234,12 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
         "projector_match_max": max(rep.projector_residuals),
         "ladder_decomposition": brackets["decomposition"],
     }
+    scaled = tol * hbar * abs(phidot)  # H is linear in hbar * phidot
     passes = {
-        "closed_form_match": summary["closed_form_match"] <= tol,
-        "fixture_eigen_equation_max": summary["fixture_eigen_equation_max"] <= tol,
+        "closed_form_match": summary["closed_form_match"] <= scaled,
+        "fixture_eigen_equation_max": summary["fixture_eigen_equation_max"] <= scaled,
         "projector_match_max": summary["projector_match_max"] <= max(tol, 1e-8),
-        "ladder_decomposition": summary["ladder_decomposition"] <= tol,
+        "ladder_decomposition": summary["ladder_decomposition"] <= scaled,
     }
     return RunReport(
         command="spectrum",

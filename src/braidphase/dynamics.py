@@ -232,16 +232,17 @@ def fixture_energy(i: int, d: DriveParams) -> float:
 
 
 def fixture_batch(i: int, theta: float, phis: np.ndarray) -> np.ndarray:
-    """Fixture states at many phi values, shape (len(phis), 8)."""
+    """Fixture states at many phi values, shape (len(phis), 8), column-major so
+    that each basis index's amplitudes are contiguous."""
     if i not in FIXTURE_INDICES:
         raise ValueError(f"fixture index must be 1..8, got {i}")
     phis = np.asarray(phis, dtype=float)
-    n = phis.shape[0]
-    out = np.zeros((n, 8), dtype=complex)
+    out = np.zeros((phis.shape[0], 8), dtype=complex, order="F")
     s, c = np.sin(theta / 2), np.cos(theta / 2)
     r2, r3 = 1 / np.sqrt(2), 1 / SQRT3
-    em = np.exp(-1j * phis)
-    ep = np.exp(1j * phis)
+    # only the phase factor the fixture carries
+    em = np.exp(-1j * phis) if i in (5, 7) else None
+    ep = np.exp(1j * phis) if i in (6, 8) else None
     if i == 1:
         out[:, 0b011], out[:, 0b110] = -r2, r2
     elif i == 2:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from braidphase import linalg, yangbaxter
+from braidphase import dynamics, linalg, yangbaxter
 from braidphase.dynamics import DriveParams
 from braidphase.yangbaxter import RParams, SingularParameterError, SpectralParam
 
@@ -133,3 +133,18 @@ def hamiltonian_from_r(d: DriveParams, dt: float = 1e-5) -> np.ndarray:
 
     dr = (r(d.phi + d.phi_dot * dt) - r(d.phi - d.phi_dot * dt)) / (2 * dt)
     return 1j * d.hbar * dr @ r(d.phi).conj().T
+
+
+def dense_line_integral(i: int, theta: float, steps: int) -> float:
+    """The analytic Berry line integral over all eight basis columns: each
+    grid point's fixture against a rolled copy of the grid, phi = 2*pi
+    identified with 0.
+
+    Looks up dynamics.fixture_batch at call time, so a patched batch reaches
+    this route and berry_analytic alike.
+    """
+    phis = np.linspace(0.0, 2 * np.pi, steps + 1)
+    batch = dynamics.fixture_batch(i, theta, phis[:-1])
+    rolled = np.vstack([batch[1:], batch[:1]])
+    overlaps = np.einsum("ij,ij->i", batch.conj(), rolled)
+    return float(-np.sum(np.angle(overlaps)))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from braidphase import berry, cli, dynamics, linalg
 
 
@@ -58,6 +61,62 @@ class TestAnalytic:
             berry.berry_analytic(4, 0.4, 1000)
         with pytest.raises(ValueError):
             berry.berry_analytic(5, 0.4, 99)
+
+
+class TestAnalyticOneRead:
+    """berry_analytic reads one batch once, over the basis indices the fixture
+    occupies; the dense eight-column route of oracles is the reference."""
+
+    # a grid over [-7, 7] with its ends, the poles, the equator and a tiny angle
+    THETAS = np.concatenate([np.linspace(-7.0, 7.0, 58), [0.0, np.pi / 2, np.pi, 1e-300]])
+
+    @pytest.mark.parametrize("steps", [100, 101, 2000, 10 ** 4, 12345])
+    @pytest.mark.parametrize("i", [5, 6, 7, 8])
+    def test_bitwise_equal_to_dense_route(self, i, steps):
+        for theta in self.THETAS:
+            got = berry.berry_analytic(i, theta, steps)
+            assert got == oracles.dense_line_integral(i, theta, steps), theta
+
+    @staticmethod
+    def leak(monkeypatch, entries):
+        # replaces the first basis column that the fixture leaves empty, which
+        # lies outside its parity sector, by entries(column, phis)
+        exact = dynamics.fixture_batch
+
+        def leaky(i, theta, phis):
+            batch = exact(i, theta, phis)
+            outside = np.flatnonzero(~np.any(batch, axis=0))[0]
+            batch[:, outside] = entries(batch[:, outside], np.asarray(phis))
+            return batch
+
+        monkeypatch.setattr(dynamics, "fixture_batch", leaky)
+
+    @pytest.mark.parametrize("i", [5, 6, 7, 8])
+    def test_tiny_leak_outside_the_sector_is_read(self, monkeypatch, i):
+        def one_entry(column, phis):
+            column[137] = 1e-300
+            return column
+
+        self.leak(monkeypatch, one_entry)
+        assert berry.berry_analytic(i, 1.1, 400) == oracles.dense_line_integral(i, 1.1, 400)
+
+    @pytest.mark.parametrize("i", [5, 6, 7, 8])
+    def test_column_outside_the_sector_is_read(self, monkeypatch, i):
+        # a leak that moves the phase: a route that assumed the sector would
+        # still return the clean phase
+        clean = berry.berry_analytic(i, 1.1, 400)
+        self.leak(monkeypatch, lambda column, phis: 0.1 * np.exp(2j * phis))
+        got = berry.berry_analytic(i, 1.1, 400)
+        assert got == oracles.dense_line_integral(i, 1.1, 400)
+        assert abs(got - clean) > 1e-3
+
+    def test_memory_is_bounded_per_step(self):
+        steps = 10 ** 5
+        tracemalloc.start()
+        berry.berry_analytic(5, 1.1, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 250 * steps
 
 
 class TestWilson:

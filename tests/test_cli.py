@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from braidphase import cli, entanglement, linalg, states, yangbaxter
+from braidphase import cli, dynamics, entanglement, linalg, states, yangbaxter
 
 
 def run(capsys, *argv):
@@ -208,6 +208,21 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--theta", "1", "--phidot", phidot)
         assert code == 0
         assert json.loads(out)["results"]["degeneracy_pattern"] == [2, 4, 2]
+
+    @pytest.mark.parametrize("phidot", ["1e-200", "1e-300", "0", "1e200", "-3"])
+    def test_honest_run_passes_at_any_drive_scale(self, capsys, phidot):
+        # the energy residuals are gated at tol * hbar * |phidot|
+        code, out, _ = run(capsys, "spectrum", "--theta", "1", f"--phidot={phidot}")
+        assert code == 0 and json.loads(out)["passed"]
+
+    def test_flipped_fixture_energy_fails_at_tiny_scale(self, capsys, monkeypatch):
+        exact = dynamics.fixture_energy
+        monkeypatch.setattr(dynamics, "fixture_energy",
+                            lambda i, d: -exact(i, d) if i == 5 else exact(i, d))
+        code, out, _ = run(capsys, "spectrum", "--theta", "1", "--phidot", "1e-200")
+        assert code == 1
+        passes = json.loads(out)["passes"]
+        assert not passes["closed_form_match"] and not passes["fixture_eigen_equation_max"]
 
 
 class TestBerry:
