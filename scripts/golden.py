@@ -21,16 +21,30 @@ checkouts is a plain diff:
     python3 scripts/golden.py > b.txt      # in checkout B
     diff a.txt b.txt
 
+The bytes also depend on the machine: on the numpy version, on the SIMD
+extensions numpy dispatches to and on the core of its bundled OpenBLAS. The
+script first prints that fingerprint to stderr, as one line. ``golden.txt``
+beside it holds a fingerprint line and then the output on that machine, and
+the test suite requires equal bytes wherever the fingerprint matches. It is
+written by
+
+    python3 scripts/golden.py > out.txt 2> fingerprint.txt
+    cat fingerprint.txt out.txt > scripts/golden.txt
+
 Exit status 0 when every command exited 0 or 1 (a report was printed).
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import os
 import shlex
 import sys
 import tempfile
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
@@ -68,7 +82,26 @@ def _sha256(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
+def fingerprint() -> str:
+    """The numpy version, the SIMD "found" list of ``np.show_runtime()`` and
+    the core that numpy's bundled OpenBLAS runs ("unknown" without one)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
+    core = "unknown"
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return f"# numpy {np.__version__}; simd {' '.join(found) or 'none'}; openblas {core}"
+
+
 def main() -> int:
+    print(fingerprint(), file=sys.stderr)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for command in README_COMMANDS + EXTRA_COMMANDS:

@@ -32,13 +32,10 @@ from .yangbaxter import (
 from .states import BASIS_LABELS, apply_r, basis_state
 from .entanglement import (
     EntanglementReport,
-    concurrence,
     full_report,
-    one_vs_rest_sq,
     one_vs_rest_sq_closed_form,
     pair_concurrence_closed_form,
     tangle_closed_form,
-    three_tangle,
 )
 from .dynamics import (
     DriveParams,
@@ -68,9 +65,8 @@ __all__ = [
     "THREE_QUBIT", "TWO_QUBIT", "RParams", "SingularParameterError",
     "SpectralParam", "r_matrix", "unitarity_residuals", "ybe_residual",
     "BASIS_LABELS", "apply_r", "basis_state",
-    "EntanglementReport", "concurrence", "full_report", "one_vs_rest_sq",
-    "one_vs_rest_sq_closed_form", "pair_concurrence_closed_form",
-    "tangle_closed_form", "three_tangle",
+    "EntanglementReport", "full_report", "one_vs_rest_sq_closed_form",
+    "pair_concurrence_closed_form", "tangle_closed_form",
     "DriveParams", "SpectrumReport", "Su2Ops", "eigenstate_fixture",
     "fixture_energy", "hamiltonian", "spectrum",
     "su2_ops", "su2_relation_residuals",

@@ -100,6 +100,12 @@ def _check_drive(theta, phis, phi_dot, hbar) -> None:
         raise ValueError("all drive parameters must be finite")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
+    # H carries 2 hbar phidot, and a scale below the normal range would round
+    # H to subnormals or zeros and gate it against zeros
+    if not np.isfinite(2 * hbar * abs(phi_dot)):
+        raise ValueError("drive scale 2*hbar*|phidot| overflows")
+    if phi_dot != 0 and hbar * abs(phi_dot) < np.finfo(float).tiny:
+        raise ValueError("drive scale hbar*|phidot| is below the normal float range")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Entanglement measures for the generated three-qubit states.
 
-three_tangle uses the hyperdeterminant combination 4|d1 - 2 d2 + 4 d3| over
-the state coefficients; concurrence is the Wootters spin-flip measure
-computed through Hermitian eigenproblems only; one_vs_rest_sq is the
+full_report validates its pure states once and computes every measure from
+them: the three-tangle as the hyperdeterminant combination
+4|d1 - 2 d2 + 4 d3| over the state coefficients; each pair concurrence as the
+Wootters spin-flip measure of the pair's reduction, computed through
+Hermitian eigenproblems only; and each one-vs-rest concurrence squared as the
 pure-state identity 2 (1 - tr rho_q^2), which doubles as an independent
 oracle for the monogamy identity
 
     C^2_{A(BC)} = C^2_AB + C^2_AC + tau.
 
-Each measure takes one state (or density matrix) and gives a float, or takes
-a (B, 8) stack (or (B, 4, 4)) by the same code and gives an array of B
-floats, each bitwise equal to the value of its slice alone.
+One state gives a report of floats, and a (B, 8) stack gives a report of
+arrays of B floats by the same code, each bitwise equal to the value of its
+slice alone. The private kernels take stacks that are already valid.
 
 Closed forms for the states produced by apply_r on basis inputs:
 
@@ -29,11 +31,8 @@ from . import linalg, states
 
 __all__ = [
     "EntanglementReport",
-    "three_tangle",
     "tangle_closed_form",
-    "concurrence",
     "pair_concurrence_closed_form",
-    "one_vs_rest_sq",
     "one_vs_rest_sq_closed_form",
     "full_report",
 ]
@@ -47,6 +46,10 @@ FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
 # Relative floor under which an eigenvalue of rho is treated as an exact zero;
 # keeping the noise there would give rho a spurious rank.
 RANK_CLAMP = 1e-13
+
+# Admission tolerance of the Hermitian solves, and the depth below zero at
+# which an eigenvalue of rho is a negative one rather than rounding noise.
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,6 @@ class EntanglementReport:
     c2_b_ac: float
     c2_c_ab: float
     monogamy_residual: float
-
-
-def three_tangle(state):
-    """Residual tangle 4|d1 - 2 d2 + 4 d3| of a pure three-qubit state."""
-    v = states.as_state(state)
-    tau = _three_tangle(v.reshape(-1, 8))
-    return tau if v.ndim == 2 else float(tau[0])
 
 
 def _three_tangle(w: np.ndarray) -> np.ndarray:
@@ -104,17 +100,8 @@ def one_vs_rest_sq_closed_form(theta: float) -> float:
     return float(8 / 9 * np.cos(theta) ** 2 * (1 + 2 * np.sin(theta) ** 2))
 
 
-def _clamped_sqrt_eigvals(lam: np.ndarray, tol: float) -> np.ndarray:
-    """Square roots of each ascending row of eigenvalues, after the rank clamp."""
-    low = lam[:, 0] < -tol
-    if low.any():
-        raise ValueError(f"matrix has eigenvalue {lam[low][0, 0]} below -{tol}")
-    floor = RANK_CLAMP * np.maximum(lam[:, -1:], 0.0)
-    return np.sqrt(np.where(lam < floor, 0.0, lam))
-
-
-def concurrence(rho2, tol: float = 1e-10):
-    """Wootters concurrence of a two-qubit density matrix or a stack of them.
+def _concurrence(stack: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each two-qubit density matrix of a (B, 4, 4) stack.
 
     Computed as max{0, l1 - l2 - l3 - l4} with l_i the descending singular
     values of sqrt(rho) F sqrt(rho)*, F = sigma_y x sigma_y: the square roots
@@ -126,17 +113,16 @@ def concurrence(rho2, tol: float = 1e-10):
     K^dag K would carry ~1e-8 l_1, and an eigenvalue clamped to zero would
     lose the three-tangle 4 l_1 l_2 of a pure-state pair.
 
-    A (B, 4, 4) stack takes one stacked eigh for rho, and one for K^dag K
-    per distinct rank r.
+    The stack takes one stacked eigh for rho, and one for K^dag K per
+    distinct rank r.
     """
-    stack, stacked = linalg.as_density_stack(rho2, 4, tol)
-    c = _concurrence(stack, tol)
-    return c if stacked else float(c[0])
-
-
-def _concurrence(stack: np.ndarray, tol: float) -> np.ndarray:
-    dec = linalg.eigh(stack, tol)
-    roots = _clamped_sqrt_eigvals(dec.eigenvalues, tol)  # also validates positivity
+    dec = linalg.eigh(stack, TOL)
+    eig = dec.eigenvalues  # ascending
+    low = eig[:, 0] < -TOL
+    if low.any():
+        raise ValueError(f"matrix has eigenvalue {eig[low][0, 0]} below -{TOL}")
+    floor = RANK_CLAMP * np.maximum(eig[:, -1:], 0.0)
+    roots = np.sqrt(np.where(eig < floor, 0.0, eig))  # after the rank clamp
     rank = np.count_nonzero(roots > 0.0, axis=1)  # the support is a suffix
     out = np.empty(len(stack))
     for r in np.unique(rank):
@@ -144,24 +130,12 @@ def _concurrence(stack: np.ndarray, tol: float) -> np.ndarray:
         w = dec.eigenvectors[idx, :, 4 - r:] * roots[idx, None, 4 - r:]
         k = np.ascontiguousarray(w.conj().transpose(0, 2, 1)) @ FLIP_4 @ w.conj()
         kk = np.ascontiguousarray(k.conj().transpose(0, 2, 1)) @ k
-        u = linalg.eigh(kk, tol).eigenvectors
+        u = linalg.eigh(kk, TOL).eigenvectors
         cols = (k @ u).transpose(0, 2, 1).reshape(-1, r)  # the columns K u_i
         lam = np.sort(linalg.frobenius_norms(cols).reshape(-1, r), axis=1)[:, ::-1]
         c = lam[:, 0] - np.sum(lam[:, 1:], axis=1)
         out[idx] = np.where(c > 0.0, c, 0.0)
     return out
-
-
-def one_vs_rest_sq(state, which: str):
-    """Squared concurrence between one qubit and the remaining pair.
-
-    For a pure three-qubit state this is 2 (1 - tr rho_which^2).
-    """
-    if which not in QUBITS:
-        raise ValueError(f"which must be one of {tuple(QUBITS)}, got {which!r}")
-    v = states.as_state(state)
-    c2 = _one_vs_rest_sq(v.reshape(-1, 8), QUBITS[which])
-    return c2 if v.ndim == 2 else float(c2[0])
 
 
 def _one_vs_rest_sq(w: np.ndarray, qubit: int) -> np.ndarray:
@@ -179,12 +153,12 @@ def _reduced(w: np.ndarray, keep: tuple) -> np.ndarray:
     return (m[:, :, None, :] * m.conj()[:, None, :, :]).sum(-1)
 
 
-def full_report(state, tol: float = 1e-10) -> EntanglementReport:
+def full_report(state) -> EntanglementReport:
     """Every measure of one pure state, or of a stack, plus the monogamy residual."""
     v = states.as_state(state)
     w = v.reshape(-1, 8)
     pairs = np.stack([_reduced(w, pair) for pair in PAIRS], axis=1)
-    c_ab, c_bc, c_ac = _concurrence(pairs.reshape(-1, 4, 4), tol).reshape(-1, 3).T
+    c_ab, c_bc, c_ac = _concurrence(pairs.reshape(-1, 4, 4)).reshape(-1, 3).T
     tau = _three_tangle(w)
     c2_a, c2_b, c2_c = (_one_vs_rest_sq(w, q) for q in QUBITS.values())
     fields = dict(tau_abc=tau, c_ab=c_ab, c_bc=c_bc, c_ac=c_ac,

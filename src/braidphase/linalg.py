@@ -1,9 +1,10 @@
 """Minimal dense complex linear-algebra kernel.
 
 Matrices and state vectors are plain complex128 numpy arrays. A value is
-validated where it enters the package, and the arithmetic behind that point
-does not check it again: ``frobenius_norms``, the package's one norm, takes
-its stack as it is.
+validated where it enters the package, with ``reject_slices`` naming the
+first bad slice of a stack, and the arithmetic behind that point does not
+check it again: ``frobenius_norms``, the package's one norm, takes its stack
+as it is. No density matrix enters: the package reduces validated states.
 
 The Hermitian eigensolver is a cyclic Jacobi iteration of complex plane
 rotations on the matrix itself. It makes no numpy.linalg call and no matrix
@@ -27,7 +28,6 @@ __all__ = [
     "eigh",
     "frobenius_norms",
     "reject_slices",
-    "as_density_stack",
 ]
 
 
@@ -255,26 +255,3 @@ def _jacobi(t: np.ndarray, skip: np.ndarray, stop: np.ndarray):
             if not every:
                 tv[..., at] = sub
     return out.transpose(2, 0, 1)
-
-
-def as_density_stack(rho, dim: int, tol: float):
-    """(stack, stacked): a dim x dim density matrix, or a stack, as (B, dim, dim).
-
-    Each matrix must be finite, Hermitian and of unit trace within ``tol``;
-    the whole stack is checked at once, and a bad matrix is named by its index.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (dim, dim) or rho.ndim not in (2, 3):
-        raise ValueError(f"density matrix has shape {rho.shape}, expected "
-                         f"{(dim, dim)} or a stack of them")
-    stack, stacked = rho.reshape(-1, dim, dim), rho.ndim == 3
-    reject_slices(~np.isfinite(stack).all(axis=(1, 2)), stacked, "density matrix",
-                  "contains non-finite entries")
-    scale = frobenius_norms(stack)
-    skew = frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
-    reject_slices(skew > tol * np.maximum(scale, 1.0), stacked, "density matrix",
-                  "is not Hermitian within tolerance")
-    trace = np.trace(stack, axis1=1, axis2=2)
-    reject_slices((np.abs(trace.real - 1.0) > tol) | (np.abs(trace.imag) > tol),
-                  stacked, "density matrix", "does not have unit trace within tolerance")
-    return stack, stacked

@@ -15,7 +15,6 @@ from . import linalg, yangbaxter
 __all__ = [
     "BASIS_LABELS",
     "basis_state",
-    "basis_index",
     "as_state",
     "apply_r",
 ]
@@ -25,16 +24,12 @@ BASIS_LABELS = ("000", "001", "010", "011", "100", "101", "110", "111")
 NORM_TOL = 1e-12
 
 
-def basis_index(label: str) -> int:
-    if label not in BASIS_LABELS:
-        raise ValueError(f"bad basis label {label!r}; expected one of {BASIS_LABELS}")
-    return int(label, 2)
-
-
 def basis_state(label: str) -> np.ndarray:
     """Unit vector |klm> for a three-character 0/1 label."""
+    if label not in BASIS_LABELS:
+        raise ValueError(f"bad basis label {label!r}; expected one of {BASIS_LABELS}")
     v = np.zeros(8, dtype=complex)
-    v[basis_index(label)] = 1.0
+    v[int(label, 2)] = 1.0
     return v
 
 

@@ -55,7 +55,7 @@ class SingularParameterError(ValueError):
 class RParams:
     """Angle pair (theta, phi) of the unitary family; radians, any finite value.
     ``theta`` may be a 1-D grid of angles at one ``phi``, held as a read-only
-    float array; two grids are equal, and hash alike, when their angles are."""
+    float array. Two RParams compare, and hash, by identity."""
 
     theta: float
     phi: float
@@ -68,16 +68,6 @@ class RParams:
         if theta.ndim:
             theta.setflags(write=False)
             object.__setattr__(self, "theta", theta)
-
-    def _key(self) -> tuple:
-        theta = self.theta
-        return (tuple(theta.tolist()) if np.ndim(theta) else theta, self.phi)
-
-    def __eq__(self, other):
-        return isinstance(other, RParams) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from braidphase import dynamics, linalg, yangbaxter
+from braidphase import dynamics, entanglement, linalg, states, yangbaxter
 from braidphase.dynamics import DriveParams
 from braidphase.yangbaxter import RParams, SingularParameterError, SpectralParam
 
@@ -36,7 +36,7 @@ def partial_trace(rho, keep, n_qubits: int, tol: float = 1e-10) -> np.ndarray:
     keep = sorted(set(int(k) for k in keep))
     if not keep or any(k < 0 or k >= n_qubits for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n_qubits} qubits")
-    stack, stacked = linalg.as_density_stack(rho, 2 ** n_qubits, tol)
+    stack, stacked = as_density_stack(rho, 2 ** n_qubits, tol)
 
     tensor = stack.reshape([len(stack)] + [2] * (2 * n_qubits))
     traced = [k for k in range(n_qubits) if k not in keep]
@@ -44,6 +44,57 @@ def partial_trace(rho, keep, n_qubits: int, tol: float = 1e-10) -> np.ndarray:
         tensor = np.trace(tensor, axis1=1 + axis, axis2=1 + axis + (tensor.ndim - 1) // 2)
     d = 2 ** len(keep)
     return tensor.reshape((-1, d, d) if stacked else (d, d))
+
+
+def as_density_stack(rho, dim: int, tol: float):
+    """(stack, stacked): a dim x dim density matrix, or a stack, as (B, dim, dim).
+
+    Each matrix must be finite, Hermitian and of unit trace within ``tol``;
+    the whole stack is checked at once, and a bad matrix is named by its index.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (dim, dim) or rho.ndim not in (2, 3):
+        raise ValueError(f"density matrix has shape {rho.shape}, expected "
+                         f"{(dim, dim)} or a stack of them")
+    stack, stacked = rho.reshape(-1, dim, dim), rho.ndim == 3
+    linalg.reject_slices(~np.isfinite(stack).all(axis=(1, 2)), stacked,
+                         "density matrix", "contains non-finite entries")
+    scale = linalg.frobenius_norms(stack)
+    skew = linalg.frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
+    linalg.reject_slices(skew > tol * np.maximum(scale, 1.0), stacked, "density matrix",
+                         "is not Hermitian within tolerance")
+    trace = np.trace(stack, axis1=1, axis2=2)
+    linalg.reject_slices((np.abs(trace.real - 1.0) > tol) | (np.abs(trace.imag) > tol),
+                         stacked, "density matrix",
+                         "does not have unit trace within tolerance")
+    return stack, stacked
+
+
+def concurrence(rho2):
+    """Wootters concurrence of a two-qubit density matrix, or of a (B, 4, 4)
+    stack, through the package's kernel after the density-matrix check."""
+    stack, stacked = as_density_stack(rho2, 4, entanglement.TOL)
+    c = entanglement._concurrence(stack)
+    return c if stacked else float(c[0])
+
+
+def three_tangle(state):
+    """Residual tangle 4|d1 - 2 d2 + 4 d3| of a pure three-qubit state, or of
+    a (B, 8) stack, through the package's kernel after the state check."""
+    v = states.as_state(state)
+    tau = entanglement._three_tangle(v.reshape(-1, 8))
+    return tau if v.ndim == 2 else float(tau[0])
+
+
+def one_vs_rest_sq(state, which: str):
+    """Squared concurrence 2 (1 - tr rho_which^2) between one qubit of a pure
+    three-qubit state (or of a (B, 8) stack) and the remaining pair."""
+    if which not in entanglement.QUBITS:
+        raise ValueError(f"which must be one of {tuple(entanglement.QUBITS)}, "
+                         f"got {which!r}")
+    v = states.as_state(state)
+    c2 = entanglement._one_vs_rest_sq(v.reshape(-1, 8), entanglement.QUBITS[which])
+    return c2 if v.ndim == 2 else float(c2[0])
 
 
 def kron_route_residual(system, x, y, phi, family) -> float:

@@ -15,7 +15,7 @@ import pytest
 from braidphase import berry, braid, dynamics, entanglement, states, yangbaxter
 from braidphase.dynamics import DriveParams
 from braidphase.yangbaxter import RParams, SpectralParam
-from oracles import hamiltonian_from_r
+from oracles import concurrence, hamiltonian_from_r
 
 
 def report_line(tag: str, ok: bool, detail: str) -> None:
@@ -149,7 +149,7 @@ def test_c06_two_qubit_closure():
         r = yangbaxter.r_matrix(yangbaxter.TWO_QUBIT, RParams(theta, 1.3))
         for k in range(4):
             col = r[:, k]
-            c = entanglement.concurrence(np.outer(col, col.conj()))
+            c = concurrence(np.outer(col, col.conj()))
             worst = max(worst, abs(c - abs(np.sin(2 * theta))))
     ok = worst <= tol
     report_line("6 two-qubit closure", ok, f"max residual {worst:.3e} <= {tol}")

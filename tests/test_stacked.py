@@ -1,8 +1,9 @@
 """One code path for a single input and a stack.
 
-as_state, apply_r, three_tangle, one_vs_rest_sq and full_report, and the
-partial-trace oracle the reductions are checked against, take one state (or
-density matrix) or a stack of them. Every slice of a stacked call must be
+as_state, apply_r and full_report, the three_tangle and one_vs_rest_sq
+oracles over the package's kernels, and the partial-trace oracle the
+reductions are checked against, take one state (or density matrix) or a
+stack of them. Every slice of a stacked call must be
 bitwise equal to the call on that slice alone, and a bad slice must be
 rejected by its index.
 """
@@ -12,7 +13,7 @@ import pytest
 
 from braidphase import entanglement, states
 from braidphase.yangbaxter import RParams
-from oracles import partial_trace
+from oracles import one_vs_rest_sq, partial_trace, three_tangle
 
 PHIS = (0.0, 1.3)
 COUNTS = (1, 7, 121)
@@ -121,16 +122,16 @@ class TestPartialTrace:
 class TestMeasures:
     def test_three_tangle(self, cases):
         for _, _, _, kets in cases:
-            stacked = entanglement.three_tangle(kets)
+            stacked = three_tangle(kets)
             assert stacked.shape == (len(kets),)
-            assert stacked.tolist() == [entanglement.three_tangle(v) for v in kets]
+            assert stacked.tolist() == [three_tangle(v) for v in kets]
 
     def test_one_vs_rest_sq(self, cases):
         for _, _, _, kets in cases:
             for which in ("A", "B", "C"):
-                stacked = entanglement.one_vs_rest_sq(kets, which)
+                stacked = one_vs_rest_sq(kets, which)
                 assert stacked.shape == (len(kets),)
-                assert stacked.tolist() == [entanglement.one_vs_rest_sq(v, which)
+                assert stacked.tolist() == [one_vs_rest_sq(v, which)
                                             for v in kets]
 
     def test_full_report(self, cases):
@@ -146,8 +147,8 @@ class TestMeasures:
     def test_bad_slice_named(self):
         kets = basis_inputs(4, 0)
         kets[1] *= 1.1
-        for measure in (entanglement.three_tangle, entanglement.full_report,
-                        lambda v: entanglement.one_vs_rest_sq(v, "B")):
+        for measure in (three_tangle, entanglement.full_report,
+                        lambda v: one_vs_rest_sq(v, "B")):
             with pytest.raises(ValueError, match="state 1 is not finite with unit norm"):
                 measure(kets)
         kets[1] = np.inf
