@@ -92,8 +92,8 @@ def tangle_closed_form(theta: float) -> float:
 
 
 def pair_concurrence_closed_form(theta: float) -> float:
-    return float(abs(abs(np.sin(2 * theta)) / np.sqrt(3)
-                     - 2 * np.cos(theta) ** 2 / 3))
+    s, c = np.sin(theta), np.cos(theta)  # |sin 2 theta| as 2 |s c|: 2 theta overflows
+    return float(abs(2 * abs(s * c) / np.sqrt(3) - 2 * c ** 2 / 3))
 
 
 def one_vs_rest_sq_closed_form(theta: float) -> float:

@@ -174,6 +174,17 @@ class TestSweep:
                       measured[2], closed[2], worst)
             assert row == ",".join("%.17g" % v for v in values)
 
+    def test_largest_finite_angle_has_finite_closed_forms(self, tmp_path, capsys):
+        # 2 * 1e308 overflows; a NaN closed form would drop out of the row max
+        out_path = tmp_path / "c.csv"
+        code, _, err = run(capsys, "sweep", "--theta-min", "0", "--theta-max", "1e308",
+                           "--steps", "3", "--out", str(out_path))
+        assert code == 0 and err == ""
+        text = out_path.read_text()
+        assert "nan" not in text
+        rows = [[float(v) for v in row.split(",")] for row in text.strip().split("\n")[1:]]
+        assert np.isfinite(rows).all()
+
     def test_requires_out(self, capsys):
         code, _, err = run(capsys, "sweep", "--theta-min", "0",
                            "--theta-max", "1", "--steps", "2")
@@ -355,6 +366,18 @@ class TestStrictJson:
         payload = json.loads(out, parse_constant=reject)
         validate(payload)
         assert code == (0 if payload["passed"] else 1) and err == ""
+
+    def test_largest_finite_angle_entangles_cleanly(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 2 * theta would overflow in numpy
+            code, out, err = run(capsys, "entangle", "--theta", "1e308", "--phi", "1e308")
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        validate(payload)
+        assert code == 0 and payload["passed"] and err == ""
 
     def test_nan_in_report_is_usage_error(self, capsys, monkeypatch):
         original = cli.cmd_entangle
