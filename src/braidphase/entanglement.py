@@ -3,8 +3,9 @@
 full_report validates its pure states once and computes every measure from
 them: the three-tangle as the hyperdeterminant combination
 4|d1 - 2 d2 + 4 d3| over the state coefficients; each pair concurrence as the
-Wootters spin-flip measure of the pair's reduction, computed through
-Hermitian eigenproblems only; and each one-vs-rest concurrence squared as the
+Wootters spin-flip measure of the pair's reduction m m^dag, computed from the
+4 x 2 slice m of the state tensor through a 2 x 2 Hermitian eigenproblem,
+with no density matrix formed; and each one-vs-rest concurrence squared as the
 pure-state identity 2 (1 - tr rho_q^2), which doubles as an independent
 oracle for the monogamy identity
 
@@ -42,14 +43,6 @@ PAIRS = ((0, 1), (1, 2), (0, 2))  # AB, BC, AC
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
-
-# Relative floor under which an eigenvalue of rho is treated as an exact zero;
-# keeping the noise there would give rho a spurious rank.
-RANK_CLAMP = 1e-13
-
-# Admission tolerance of the Hermitian solves, and the depth below zero at
-# which an eigenvalue of rho is a negative one rather than rounding noise.
-TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,42 +93,26 @@ def one_vs_rest_sq_closed_form(theta: float) -> float:
     return float(8 / 9 * np.cos(theta) ** 2 * (1 + 2 * np.sin(theta) ** 2))
 
 
-def _concurrence(stack: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each two-qubit density matrix of a (B, 4, 4) stack.
+def _concurrence(w: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each two-qubit state rho = w w^dag of a (B, 4, r)
+    stack of factors.
 
-    Computed as max{0, l1 - l2 - l3 - l4} with l_i the descending singular
-    values of sqrt(rho) F sqrt(rho)*, F = sigma_y x sigma_y: the square roots
-    of eig(sqrt(rho) rho_tilde sqrt(rho)), rho_tilde = F rho* F. With
-    rho = W W^dag over its r nonzero eigenpairs they are the singular values
-    of the r x r matrix K = W^dag F W*, taken as ||K u_i|| over the
-    eigenvectors u_i of the Hermitian K^dag K. A small l_i then carries an
-    error of ~1e-16 l_1, where the square root of a small eigenvalue of
-    K^dag K would carry ~1e-8 l_1, and an eigenvalue clamped to zero would
-    lose the three-tangle 4 l_1 l_2 of a pure-state pair.
-
-    The stack takes one stacked eigh for rho, and one for K^dag K per
-    distinct rank r.
+    Computed as max{0, l1 - l2 - ...} with l_i the descending singular values
+    of sqrt(rho) F sqrt(rho)*, F = sigma_y x sigma_y. They are the singular
+    values of the r x r matrix K = w^dag F w*, whatever the factor, taken as
+    ||K u_i|| over the eigenvectors u_i of the Hermitian K^dag K. A small l_i
+    then carries an error of ~1e-16 l_1, where the square root of a small
+    eigenvalue of K^dag K would carry ~1e-8 l_1 and lose the three-tangle
+    4 l_1 l_2 of a pure-state pair. The stack takes one stacked eigh.
     """
-    dec = linalg.eigh(stack, TOL)
-    eig = dec.eigenvalues  # ascending
-    low = eig[:, 0] < -TOL
-    if low.any():
-        raise ValueError(f"matrix has eigenvalue {eig[low][0, 0]} below -{TOL}")
-    floor = RANK_CLAMP * np.maximum(eig[:, -1:], 0.0)
-    roots = np.sqrt(np.where(eig < floor, 0.0, eig))  # after the rank clamp
-    rank = np.count_nonzero(roots > 0.0, axis=1)  # the support is a suffix
-    out = np.empty(len(stack))
-    for r in np.unique(rank):
-        idx = np.flatnonzero(rank == r)
-        w = dec.eigenvectors[idx, :, 4 - r:] * roots[idx, None, 4 - r:]
-        k = np.ascontiguousarray(w.conj().transpose(0, 2, 1)) @ FLIP_4 @ w.conj()
-        kk = np.ascontiguousarray(k.conj().transpose(0, 2, 1)) @ k
-        u = linalg.eigh(kk, TOL).eigenvectors
-        cols = (k @ u).transpose(0, 2, 1).reshape(-1, r)  # the columns K u_i
-        lam = np.sort(linalg.frobenius_norms(cols).reshape(-1, r), axis=1)[:, ::-1]
-        c = lam[:, 0] - np.sum(lam[:, 1:], axis=1)
-        out[idx] = np.where(c > 0.0, c, 0.0)
-    return out
+    r = w.shape[2]
+    k = np.ascontiguousarray(w.conj().transpose(0, 2, 1)) @ FLIP_4 @ w.conj()
+    kk = np.ascontiguousarray(k.conj().transpose(0, 2, 1)) @ k
+    u = linalg.eigh(kk).eigenvectors
+    cols = (k @ u).transpose(0, 2, 1).reshape(-1, r)  # the columns K u_i
+    lam = np.sort(linalg.frobenius_norms(cols).reshape(-1, r), axis=1)[:, ::-1]
+    c = lam[:, 0] - np.sum(lam[:, 1:], axis=1)
+    return np.where(c > 0.0, c, 0.0)
 
 
 def _one_vs_rest_sq(w: np.ndarray, qubit: int) -> np.ndarray:
@@ -143,13 +120,19 @@ def _one_vs_rest_sq(w: np.ndarray, qubit: int) -> np.ndarray:
     return 2.0 * (1.0 - np.trace(rho @ rho, axis1=1, axis2=2).real)
 
 
-def _reduced(w: np.ndarray, keep: tuple) -> np.ndarray:
-    """Reductions of (B, 8) pure states onto the sorted ``keep`` qubits: m m^dag,
-    m each state as a (kept, traced) matrix. A contiguous m makes numpy sum the
-    traced index pairwise, as the partial trace of w w^dag does, bit for bit."""
+def _factor(w: np.ndarray, keep: tuple) -> np.ndarray:
+    """(B, 8) pure states onto the sorted ``keep`` qubits, each as the contiguous
+    (kept, traced) matrix m whose m m^dag is the reduction."""
     rest = [q for q in range(3) if q not in keep]
     t = w.reshape(-1, 2, 2, 2).transpose([0] + [1 + q for q in (*keep, *rest)])
-    m = np.ascontiguousarray(t).reshape(len(w), 2 ** len(keep), -1)
+    return np.ascontiguousarray(t).reshape(len(w), 2 ** len(keep), -1)
+
+
+def _reduced(w: np.ndarray, keep: tuple) -> np.ndarray:
+    """Reductions m m^dag of (B, 8) pure states onto the sorted ``keep`` qubits.
+    A contiguous m makes numpy sum the traced index pairwise, as the partial
+    trace of w w^dag does, bit for bit."""
+    m = _factor(w, keep)
     return (m[:, :, None, :] * m.conj()[:, None, :, :]).sum(-1)
 
 
@@ -157,8 +140,8 @@ def full_report(state) -> EntanglementReport:
     """Every measure of one pure state, or of a stack, plus the monogamy residual."""
     v = states.as_state(state)
     w = v.reshape(-1, 8)
-    pairs = np.stack([_reduced(w, pair) for pair in PAIRS], axis=1)
-    c_ab, c_bc, c_ac = _concurrence(pairs.reshape(-1, 4, 4)).reshape(-1, 3).T
+    pairs = np.stack([_factor(w, pair) for pair in PAIRS], axis=1)
+    c_ab, c_bc, c_ac = _concurrence(pairs.reshape(-1, 4, 2)).reshape(-1, 3).T
     tau = _three_tangle(w)
     c2_a, c2_b, c2_c = (_one_vs_rest_sq(w, q) for q in QUBITS.values())
     fields = dict(tau_abc=tau, c_ab=c_ab, c_bc=c_bc, c_ac=c_ac,

@@ -6,6 +6,14 @@ from braidphase import dynamics, entanglement, linalg, states, yangbaxter
 from braidphase.dynamics import DriveParams
 from braidphase.yangbaxter import RParams, SingularParameterError, SpectralParam
 
+# Admission tolerance of the density-matrix check, and the depth below zero at
+# which an eigenvalue of rho is a negative one rather than rounding noise.
+TOL = 1e-10
+
+# Relative floor under which an eigenvalue of rho is treated as an exact zero;
+# keeping the noise there would give rho a spurious rank.
+RANK_CLAMP = 1e-13
+
 
 def abs_det(a) -> float:
     """|det a| via Gaussian elimination with partial pivoting."""
@@ -72,9 +80,18 @@ def as_density_stack(rho, dim: int, tol: float):
 
 def concurrence(rho2):
     """Wootters concurrence of a two-qubit density matrix, or of a (B, 4, 4)
-    stack, through the package's kernel after the density-matrix check."""
-    stack, stacked = as_density_stack(rho2, 4, entanglement.TOL)
-    c = entanglement._concurrence(stack)
+    stack, through the package's kernel: after the density-matrix check, each
+    matrix is factored as rho = W W^dag over its eigenpairs, with the
+    eigenvalues under RANK_CLAMP of the largest set to exact zeros."""
+    stack, stacked = as_density_stack(rho2, 4, TOL)
+    dec = linalg.eigh(stack)
+    eig = dec.eigenvalues  # ascending
+    low = eig[:, 0] < -TOL
+    if low.any():
+        raise ValueError(f"matrix has eigenvalue {eig[low][0, 0]} below -{TOL}")
+    floor = RANK_CLAMP * np.maximum(eig[:, -1:], 0.0)
+    roots = np.sqrt(np.where(eig < floor, 0.0, eig))
+    c = entanglement._concurrence(dec.eigenvectors * roots[:, None, :])
     return c if stacked else float(c[0])
 
 

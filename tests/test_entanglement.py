@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidphase import entanglement, states
+from braidphase import entanglement, linalg, states
 from braidphase.yangbaxter import RParams, r_matrix
 from oracles import concurrence, one_vs_rest_sq, partial_trace, three_tangle
 
@@ -190,6 +190,27 @@ class TestFullReport:
         counted(states, "as_state")
         entanglement.full_report(state)
         assert calls == {"as_state": 1}
+
+    def test_readme_sweep_is_one_two_by_two_solve(self, monkeypatch):
+        # each pair's 4 x 2 factor gives a 2 x 2 K^dag K; no rho is solved
+        shapes = []
+        original = linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigh", counting)
+        thetas = np.linspace(0.0, 3.14159, 121)
+        entanglement.full_report(states.apply_r(RParams(thetas, 0.0),
+                                                states.basis_state("000")))
+        assert shapes == [(363, 2, 2)]
+
+    def test_monogamy_residual_of_random_states(self):
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=(2000, 8)) + 1j * rng.normal(size=(2000, 8))
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        assert entanglement.full_report(w).monogamy_residual.max() <= 1e-13
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_reductions_are_the_partial_trace(self, seed):
