@@ -114,8 +114,11 @@ _TARGET = 1e-12
 # Sweep budget of the Jacobi iteration; exceeding it raises NumericalError.
 _MAX_SWEEPS = 64
 
+# Skew-Hermitian mass, relative to the matrix norm, above which eigh rejects.
+_HERMITIAN_TOL = 1e-10
 
-def eigh(a, tol: float = 1e-10) -> EigenDecomposition:
+
+def eigh(a) -> EigenDecomposition:
     """Full spectral decomposition of a Hermitian matrix or a stack of them.
 
     The complex n x n matrix is diagonalized by cyclic Jacobi sweeps of
@@ -138,8 +141,7 @@ def eigh(a, tol: float = 1e-10) -> EigenDecomposition:
     Parameters
     ----------
     a : array_like of shape (n, n) or (B, n, n), each matrix Hermitian within
-        ``tol`` relative to its Frobenius norm.
-    tol : admission tolerance of the Hermiticity check.
+        1e-10 relative to its Frobenius norm.
 
     Returns eigenvalues of shape (..., n) and eigenvectors of shape
     (..., n, n), with the leading axis of a stack kept.
@@ -161,7 +163,7 @@ def eigh(a, tol: float = 1e-10) -> EigenDecomposition:
     stack.imag = np.ldexp(raw.imag, -exponent[:, None, None])
     scale = frobenius_norms(stack)
     skew = frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
-    reject_slices(skew > tol * scale, a.ndim == 3, "matrix",
+    reject_slices(skew > _HERMITIAN_TOL * scale, a.ndim == 3, "matrix",
                   "is not Hermitian within tolerance")
 
     values = np.zeros((len(stack), n))

@@ -112,7 +112,7 @@ class TestEigh:
             rng = np.random.default_rng(seed)
             z = random_complex(rng, (dim, dim))
             a = (z + z.conj().T) / 2
-            dec = linalg.eigh(a, tol)
+            dec = linalg.eigh(a)
             rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
             assert np.linalg.norm(a - rebuilt) <= 10 * tol * np.linalg.norm(a)
 
