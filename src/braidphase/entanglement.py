@@ -85,7 +85,7 @@ def tangle_closed_form(theta: float) -> float:
 
 
 def pair_concurrence_closed_form(theta: float) -> float:
-    s, c = np.sin(theta), np.cos(theta)  # |sin 2 theta| as 2 |s c|: 2 theta overflows
+    s, c = np.sin(theta), np.cos(theta)  # 2 |s c|, as 2 theta overflows near 1e308
     return float(abs(2 * abs(s * c) / np.sqrt(3) - 2 * c ** 2 / 3))
 
 
@@ -121,8 +121,8 @@ def _one_vs_rest_sq(w: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def _factor(w: np.ndarray, keep: tuple) -> np.ndarray:
-    """(B, 8) pure states onto the sorted ``keep`` qubits, each as the contiguous
-    (kept, traced) matrix m whose m m^dag is the reduction."""
+    """Each of (B, 8) pure states as the contiguous (kept, traced) matrix m over
+    the sorted ``keep`` qubits: m m^dag is its reduction onto them."""
     rest = [q for q in range(3) if q not in keep]
     t = w.reshape(-1, 2, 2, 2).transpose([0] + [1 + q for q in (*keep, *rest)])
     return np.ascontiguousarray(t).reshape(len(w), 2 ** len(keep), -1)

@@ -356,21 +356,12 @@ class TestStrictJson:
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--theta", "1", "--phidot", "1e200"),
+        ("entangle", "--theta", "1e308", "--phi", "1e308"),  # 2 * theta overflows
     ])
     def test_extreme_finite_input_gives_strict_report(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-
-        def reject(constant):
-            raise ValueError(f"non-strict JSON constant {constant}")
-
-        payload = json.loads(out, parse_constant=reject)
-        validate(payload)
-        assert code == (0 if payload["passed"] else 1) and err == ""
-
-    def test_largest_finite_angle_entangles_cleanly(self, capsys):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # 2 * theta would overflow in numpy
-            code, out, err = run(capsys, "entangle", "--theta", "1e308", "--phi", "1e308")
+            warnings.simplefilter("error")  # no overflow may reach numpy
+            code, out, err = run(capsys, *argv)
 
         def reject(constant):
             raise ValueError(f"non-strict JSON constant {constant}")
