@@ -8,9 +8,9 @@ Two routes:
   one read of one fixture batch over the fixture's parity sector;
 * berry_wilson -- the Wilson loops of both split doublets over numerical
   eigenvectors, for levels without closed forms of their connection, from one
-  solve of the H grid. H conserves basis-index parity and each doublet has one
-  member in each parity sector, so each loop is diagonal: one U(1) loop of
-  scalar overlaps per sector.
+  solve of the H grid as 2x2 blocks: in each basis-index parity sector H acts
+  on a fixed pair of states, and each doublet has one member in each sector,
+  so each loop is diagonal: one U(1) loop of scalar overlaps per sector.
 
 Phases follow the gamma = i oint <chi|d_phi chi> sign convention (Wilson
 phases are reported as -arg of the loops so both routes agree). Measured
@@ -42,8 +42,14 @@ TWO_PI = 2 * np.pi
 
 # parity of the number of 1-bits of each basis index, which H conserves
 _PARITY = np.array([bin(k).count("1") % 2 for k in range(8)])
-EVEN, ODD = np.flatnonzero(_PARITY == 0), np.flatnonzero(_PARITY == 1)
 _MIXING = _PARITY[:, None] != _PARITY[None, :]
+# In each sector H acts on a fixed orthonormal pair, its doublet range: even
+# |000>, (|011> + |101> + |110>)/sqrt(3); odd (|001> - |010> + |100>)/sqrt(3), |111>.
+# Exactly, for each (copy, source, sign) of _SAME H's column and row copy are sign
+# times source, and its 2x2 block per (sector, row, column) is H[_ROWS, _COLS] * _WEIGHTS.
+_SAME = ((5, 3, 1.0), (6, 3, 1.0), (2, 1, -1.0), (4, 1, 1.0))
+_ROWS, _COLS = [[[0, 0], [3, 3]], [[1, 1], [7, 7]]], [[[0, 3], [0, 3]], [[1, 7], [1, 7]]]
+_WEIGHTS = np.sqrt([[[1.0, 3.0], [3.0, 9.0]], [[9.0, 3.0], [3.0, 1.0]]])
 
 
 def solid_angle(theta: float) -> float:
@@ -103,18 +109,20 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
 def berry_wilson(theta: float, steps: int) -> dict:
     """Phases of the Wilson loops over the two split doublets, by level.
 
-    H conserves the parity of the basis index, so each grid point's
-    Hamiltonian (hbar = phidot = 1) is solved once, as its two 4x4 parity
-    blocks, and each block holds exactly one state of each split level
-    (energy -+cos theta for 'minus'/'plus'). Each doublet's Wilson loop is
-    therefore diagonal: per sector, the product of the scalar overlaps between
-    that level's state at consecutive grid points. Returns
-    {"minus": [low, high], "plus": [low, high]}, each pair sorted, in the
-    line-integral sign convention.
+    H conserves the parity of the basis index, and in each parity sector acts
+    on a fixed orthonormal pair of states (the doublet range). So each grid
+    point's Hamiltonian (hbar = phidot = 1) is solved once, as a 2x2 block per
+    sector on that pair, holding exactly one state of each split level (energy
+    -+cos theta for 'minus'/'plus'). Each doublet's Wilson loop is therefore
+    diagonal: per sector, the product of the overlaps of that level's
+    2-vectors at consecutive grid points (equal to those of the 8-vectors).
+    Returns {"minus": [low, high], "plus": [low, high]}, each pair sorted, in
+    the line-integral sign convention.
 
     The structure is checked at run time: an entry of H that mixes the
-    parities and is not exactly 0, or a sector with other than one state at
-    a level's energy, raises NumericalError naming the grid point.
+    parities and is not exactly 0, a column or row that is not exactly the
+    copy that keeps H on the doublet range, or a sector with other than one
+    state at a level's energy, raises NumericalError naming the grid point.
     """
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
@@ -129,8 +137,15 @@ def berry_wilson(theta: float, steps: int) -> dict:
         raise linalg.NumericalError(
             f"H mixes even and odd parity at grid point {np.argmax(mixed)}; "
             f"cannot split it")
-    blocks = np.stack([hams[:, EVEN[:, None], EVEN], hams[:, ODD[:, None], ODD]], axis=1)
-    dec = linalg.eigh(blocks.reshape(2 * steps, 4, 4))
+    off_range = np.zeros(steps, dtype=bool)
+    for copy, source, sign in _SAME:  # on views, so that no column is copied
+        for m in (hams, np.swapaxes(hams, 1, 2)):
+            off_range |= np.any(m[:, :, copy] != sign * m[:, :, source], axis=1)
+    if off_range.any():
+        raise linalg.NumericalError(
+            f"H leaves the doublet range of its parity sectors at grid point "
+            f"{np.argmax(off_range)}; cannot compress it")
+    dec = linalg.eigh((hams[:, _ROWS, _COLS] * _WEIGHTS).reshape(2 * steps, 2, 2))
     vectors = np.swapaxes(dec.eigenvectors, 1, 2)
 
     phases = {}
@@ -146,7 +161,7 @@ def berry_wilson(theta: float, steps: int) -> dict:
                 f"expected one state at energy {target} in each parity sector, "
                 f"found {counts[bad]} at grid point {bad // 2}")
         # the one eigenvector at the target per (grid point, sector)
-        states = vectors[in_level].reshape(steps, 2, 4)
+        states = vectors[in_level].reshape(steps, 2, 2)
         overlaps = np.einsum("ksi,ksi->ks", states.conj(), np.roll(states, -1, axis=0))
         loops = np.prod(overlaps, axis=0)
         phases[level] = sorted(float(-np.angle(loop)) for loop in loops)

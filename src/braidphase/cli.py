@@ -77,6 +77,12 @@ def _numpy_value(obj):
 # command handlers
 
 
+def _worst(measured, closed, axis=None):
+    """Largest |measured - closed|, NaN if any is: Python's max drops a NaN
+    that does not come first, and a dropped NaN would pass its gate."""
+    return np.max(np.abs(np.subtract(measured, closed)), axis=axis)
+
+
 def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
     rng = np.random.default_rng(seed)
     phis = rng.uniform(0.0, 2 * np.pi, phi_samples)
@@ -91,14 +97,15 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
         bs = braid.build_braidset(phi)
         transcription = transcription or braid.transcription_diagnostics(bs)
         rep = braid.check_es2_relations(bs)
+        # np.maximum keeps a NaN, which Python's max drops unless it comes first
         for name, val in rep.residuals.items():
-            relation_max[name] = max(relation_max.get(name, 0.0), val)
+            relation_max[name] = np.maximum(relation_max.get(name, 0.0), val)
         for name, val in rep.ambiguous.items():
-            ambiguous_max[name] = max(ambiguous_max.get(name, 0.0), val)
-        alpha_dev = max(alpha_dev, abs(rep.alpha - 1.0))
+            ambiguous_max[name] = np.maximum(ambiguous_max.get(name, 0.0), val)
+        alpha_dev = np.maximum(alpha_dev, abs(rep.alpha - 1.0))
         for system, gen in zip(unit_max, (bs.m4, bs.mcal)):
-            unit_max[system] = max(unit_max[system], float(np.max(
-                yangbaxter.unitarity_residuals(gen, thetas))))
+            unit_max[system] = np.maximum(unit_max[system], np.max(
+                yangbaxter.unitarity_residuals(gen, thetas)))
 
     summary = dict(relation_max)
     summary["alpha_deviation"] = alpha_dev
@@ -167,10 +174,8 @@ def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:
     rest_c = entanglement.one_vs_rest_sq_closed_form(theta)
     summary = {
         "tangle": abs(rep.tau_abc - tau_c),
-        "pair_concurrence": max(abs(rep.c_ab - pair_c), abs(rep.c_bc - pair_c),
-                                abs(rep.c_ac - pair_c)),
-        "one_vs_rest_sq": max(abs(rep.c2_a_bc - rest_c), abs(rep.c2_b_ac - rest_c),
-                              abs(rep.c2_c_ab - rest_c)),
+        "pair_concurrence": _worst([rep.c_ab, rep.c_bc, rep.c_ac], pair_c),
+        "one_vs_rest_sq": _worst([rep.c2_a_bc, rep.c2_b_ac, rep.c2_c_ab], rest_c),
         "monogamy": rep.monogamy_residual,
     }
     passes = {name: val <= tol for name, val in summary.items()}
@@ -200,18 +205,18 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
     thetas = np.linspace(theta_min, theta_max, steps)
     kets = states.apply_r(yangbaxter.RParams(thetas, phi), states.basis_state("000"))
     rep = entanglement.full_report(kets)
-    rows = []
-    for theta, tau_m, c_m, c2_m in zip(thetas.tolist(), rep.tau_abc.tolist(),
-                                       rep.c_ab.tolist(), rep.c2_a_bc.tolist()):
-        tau_c = entanglement.tangle_closed_form(theta)
-        c_c = entanglement.pair_concurrence_closed_form(theta)
-        c2_c = entanglement.one_vs_rest_sq_closed_form(theta)
-        worst = max(abs(tau_m - tau_c), abs(c_m - c_c), abs(c2_m - c2_c))
-        rows.append((theta, tau_m, tau_c, c_m, c_c, c2_m, c2_c, worst))
+    forms = (entanglement.tangle_closed_form, entanglement.pair_concurrence_closed_form,
+             entanglement.one_vs_rest_sq_closed_form)
+    closed = np.array([[form(theta) for form in forms] for theta in thetas.tolist()])
+    measured = np.column_stack([rep.tau_abc, rep.c_ab, rep.c2_a_bc])
+    row_worst = _worst(measured, closed, axis=1)
+    # each measure beside its closed form, as in SWEEP_HEADER
+    table = np.column_stack([thetas, np.stack([measured, closed], 2).reshape(steps, 6),
+                             row_worst])
     lines = [SWEEP_HEADER]
-    lines.extend(",".join("%.17g" % v for v in row) for row in rows)
+    lines.extend(",".join("%.17g" % v for v in row) for row in table.tolist())
     csv_text = "\n".join(lines) + "\n"
-    worst = max(row[-1] for row in rows)
+    worst = float(np.max(row_worst))
     report = RunReport(
         command="sweep",
         parameters={"theta_min": theta_min, "theta_max": theta_max,

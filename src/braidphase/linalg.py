@@ -101,10 +101,9 @@ def _round_robin_schedule(n: int) -> tuple:
 # 64 matrices at n = 8, 256 at n = 4. A round's largest temporaries, columns
 # p (or q) of every t and v, hold as many entries as the block, and numpy
 # slows by a factor of several once they grow much past 128 KB. The 1600
-# 4 x 4 blocks of the Wilson loop took a median 24 ms at 4096 entries and
-# 20 ms at 8192 to 32768 (2-vCPU machine, numpy 2.4), but 8192 raised the
-# peak RSS of a Wilson-loop benchmark run from 38.7 to 39.3 MB. No result
-# depends on it.
+# 2 x 2 blocks of the Wilson loop take a median 2.4 ms of CPU at 4096
+# entries, 2.3 ms at 8192 to 32768 and 3.8 ms at 1024 (2-vCPU Xeon, numpy
+# 2.4.6), so larger blocks would buy little. No result depends on it.
 _BLOCK_ENTRIES = 4096
 
 # Off-diagonal Frobenius mass, relative to the matrix norm, at which the

@@ -193,6 +193,31 @@ class TestWilsonDoubletPrecision:
             assert abs(p - q) <= 1e-13
 
 
+# the doublet range of each parity sector, one orthonormal column per state:
+# even |000> and (|011> + |101> + |110>)/sqrt(3), odd (|001> - |010> +
+# |100>)/sqrt(3) and |111>
+SECTOR_BASES = np.zeros((2, 8, 2))
+SECTOR_BASES[0, 0, 0] = SECTOR_BASES[1, 7, 1] = 1.0
+SECTOR_BASES[0, [3, 5, 6], 1] = 1 / np.sqrt(3)
+SECTOR_BASES[1, [1, 2, 4], 0] = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
+ODD = [1, 2, 4, 7]
+
+
+def captured_solve(monkeypatch):
+    """Runs linalg.eigh as is and records each (input, output) in the list
+    it returns."""
+    calls = []
+    original = linalg.eigh
+
+    def recording(a):
+        dec = original(a)
+        calls.append((a, dec))
+        return dec
+
+    monkeypatch.setattr(linalg, "eigh", recording)
+    return calls
+
+
 class TestParitySplit:
     # angles off the README one: the plus doublet at theta = 2.1 (cos < 0)
     # and both doublets ("--level all") at theta = 0.9
@@ -211,16 +236,105 @@ class TestParitySplit:
             berry.berry_wilson(1.0472, 400)
 
     def test_sector_without_one_level_state_rejected(self, monkeypatch):
+        # shifting the odd diagonal also moves H off the doublet range, which
+        # is checked before any level is
         exact = dynamics.hamiltonian_grid
 
         def shifted(theta, phis):
             grid = exact(theta, phis)
-            grid[137, berry.ODD, berry.ODD] += np.cos(theta)
+            grid[137, ODD, ODD] += np.cos(theta)
             return grid
 
         monkeypatch.setattr(dynamics, "hamiltonian_grid", shifted)
-        with pytest.raises(linalg.NumericalError, match="grid point 137"):
+        with pytest.raises(linalg.NumericalError,
+                           match="doublet range of its parity sectors at grid point 137;"):
             berry.berry_wilson(1.0472, 400)
+
+    @staticmethod
+    def nudge(monkeypatch, move):
+        # move(h) edits the H of grid point 137 in place
+        exact = dynamics.hamiltonian_grid
+
+        def nudged(theta, phis):
+            grid = exact(theta, phis)
+            move(grid[137])
+            return grid
+
+        monkeypatch.setattr(dynamics, "hamiltonian_grid", nudged)
+
+    @pytest.mark.parametrize("copy,other", [(5, 3), (6, 5), (2, 1), (4, 2)])
+    def test_tiny_entry_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
+        # a real entry of a column that must copy column 3 or 1, and its
+        # mirror, given an imaginary part far below any tolerance
+        def move(h):
+            h[other, copy] += 1e-300j
+            h[copy, other] = np.conj(h[other, copy])
+
+        self.nudge(monkeypatch, move)
+        with pytest.raises(linalg.NumericalError,
+                           match="doublet range of its parity sectors at grid point 137;"):
+            berry.berry_wilson(1.0472, 400)
+
+    @pytest.mark.parametrize("copy,other", [(5, 0), (4, 7)])
+    def test_row_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
+        # one entry of a row that must copy row 3 or 1, moved by one unit in
+        # the last place and not mirrored: every column still copies its source
+        def move(h):
+            h[copy, other] += np.spacing(abs(h[copy, other].real))
+
+        self.nudge(monkeypatch, move)
+        with pytest.raises(linalg.NumericalError,
+                           match="doublet range of its parity sectors at grid point 137;"):
+            berry.berry_wilson(1.0472, 400)
+
+    def test_block_without_one_level_state_rejected(self, monkeypatch):
+        # an eigenvalue of the odd block at grid point 137 moved off its level
+        original = linalg.eigh
+
+        def moved(a):
+            dec = original(a)
+            dec.eigenvalues[2 * 137 + 1, 0] += 1.0
+            return dec
+
+        monkeypatch.setattr(linalg, "eigh", moved)
+        with pytest.raises(linalg.NumericalError,
+                           match=r"expected one state at energy .* at grid point 137$"):
+            berry.berry_wilson(1.0472, 400)
+
+    def test_one_two_by_two_solve(self, monkeypatch):
+        calls = captured_solve(monkeypatch)
+        berry.berry_wilson(0.9, 150)
+        assert [a.shape for a, _ in calls] == [(300, 2, 2)]
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0472, 1.56, np.pi - 1.56, 2.1, 2.9])
+    def test_lifted_states_are_eigenvectors_of_the_full_h(self, monkeypatch, theta):
+        # each selected 2-vector, lifted by its sector's basis, against the
+        # 8 x 8 H of its grid point
+        steps = 100
+        calls = captured_solve(monkeypatch)
+        berry.berry_wilson(theta, steps)
+        ((_, dec),) = calls
+        gap = abs(np.cos(theta))
+        for k in range(steps):
+            h = dynamics.hamiltonian(dynamics.DriveParams(theta, 2 * np.pi * k / steps))
+            lifted = []
+            for sector in range(2):
+                values = dec.eigenvalues[2 * k + sector]
+                for sign in (-1, 1):
+                    (j,) = np.flatnonzero(np.abs(values - sign * np.cos(theta)) < gap / 2)
+                    w = SECTOR_BASES[sector] @ dec.eigenvectors[2 * k + sector][:, j]
+                    assert np.linalg.norm(h @ w - values[j] * w) <= 1e-13
+                    lifted.append(w)
+            lifted = np.array(lifted).T
+            assert np.abs(lifted.conj().T @ lifted - np.eye(4)).max() <= 1e-13
+
+    def test_memory_is_bounded_per_step(self):
+        steps = 10 ** 4
+        tracemalloc.start()
+        berry.berry_wilson(1.1, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2600 * steps
 
     @pytest.mark.parametrize("level,theta", CASES)
     def test_matches_numpy_eigvals_of_the_unsplit_loop(self, level, theta):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from importlib import resources
@@ -6,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from braidphase import cli, dynamics, entanglement, linalg, states, yangbaxter
+from braidphase import braid, cli, dynamics, entanglement, linalg, states, yangbaxter
 
 
 def run(capsys, *argv):
@@ -55,6 +56,27 @@ class TestVerifyAlgebra:
         ambiguous = payload["results"]["ambiguous_triple_readings_max"]
         assert ambiguous["triple_as_printed"] == pytest.approx(4.0, abs=1e-12)
         assert "triple_as_printed" not in payload["passes"]
+
+    def test_nan_residual_at_a_later_angle_fails(self, capsys, monkeypatch):
+        # a NaN relation residual at the second phi is kept in the running
+        # maximum (Python's max would drop it), so the report is refused
+        exact = braid.check_es2_relations
+        calls = []
+
+        def nan_at_second(bs):
+            rep = exact(bs)
+            calls.append(bs)
+            if len(calls) == 2:
+                name = next(iter(rep.residuals))
+                rep = dataclasses.replace(rep, residuals={**rep.residuals,
+                                                          name: float("nan")})
+            return rep
+
+        monkeypatch.setattr(braid, "check_es2_relations", nan_at_second)
+        code, out, err = run(capsys, "verify-algebra", "--phi-samples", "3")
+        assert len(calls) == 3
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "JSON" in err
 
     def test_unitarity_max_matches_per_angle_loop(self, capsys):
         _, out, _ = run(capsys, "verify-algebra", "--phi-samples", "6", "--seed", "2")
@@ -110,6 +132,17 @@ class TestEntangle:
         code, out, _ = run(capsys, "entangle", "--theta", "30", "--degrees")
         assert code == 0
         assert json.loads(out)["results"]["tau_abc"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("pair,rest", [("c_bc", "c2_b_ac"), ("c_ac", "c2_c_ab")])
+    def test_nan_at_a_later_pair_fails_its_gate(self, monkeypatch, pair, rest):
+        # Python's max would drop a NaN residual that does not come first
+        exact = entanglement.full_report
+        monkeypatch.setattr(entanglement, "full_report", lambda state: dataclasses.replace(
+            exact(state), **{pair: float("nan"), rest: float("nan")}))
+        report = cli.cmd_entangle(0.5, 0.0, "000", 1e-9)
+        assert np.isnan(report.residual_summary["pair_concurrence"])
+        assert np.isnan(report.residual_summary["one_vs_rest_sq"])
+        assert not report.passes["pair_concurrence"] and not report.passed
 
     def test_bad_input_label_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "entangle", "--theta", "0.5", "--input", "012")
@@ -184,6 +217,17 @@ class TestSweep:
         assert "nan" not in text
         rows = [[float(v) for v in row.split(",")] for row in text.strip().split("\n")[1:]]
         assert np.isfinite(rows).all()
+
+    def test_nan_closed_form_in_a_later_row_fails(self, tmp_path, capsys, monkeypatch):
+        # a NaN residual outside the first row and column reaches the gate
+        # (Python's max would drop it) and the report is refused as non-JSON
+        exact = entanglement.pair_concurrence_closed_form
+        monkeypatch.setattr(entanglement, "pair_concurrence_closed_form",
+                            lambda theta: float("nan") if theta == 0.5 else exact(theta))
+        code, out, err = run(capsys, "sweep", "--theta-min", "0", "--theta-max", "1",
+                             "--steps", "3", "--out", str(tmp_path / "c.csv"))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "JSON" in err
 
     def test_requires_out(self, capsys):
         code, _, err = run(capsys, "sweep", "--theta-min", "0",
@@ -285,7 +329,8 @@ class TestBerry:
         assert len(err.splitlines()) == 1 and ">= 100" in err
 
     def test_wilson_all_is_one_solve(self, capsys, monkeypatch):
-        # both doublets come from one decomposition of the parity blocks
+        # both doublets come from one decomposition of the 2 x 2 blocks of H
+        # on each parity sector's doublet range
         shapes = []
         original = linalg.eigh
 
@@ -297,7 +342,7 @@ class TestBerry:
         code, out, _ = run(capsys, "berry", "--theta", "0.9", "--steps", "200",
                            "--method", "wilson", "--level", "all")
         assert code == 0
-        assert shapes == [(400, 4, 4)]
+        assert shapes == [(400, 2, 2)]
         levels = [r["level"] for r in json.loads(out)["results"]["reports"]]
         assert levels == ["minus", "plus"]
 

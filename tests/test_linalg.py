@@ -192,10 +192,9 @@ def wilson_grid(theta=1.0472, steps=800):
 
 def parity_blocks(grid):
     """The (2B, 4, 4) even and odd parity blocks of a (B, 8, 8) grid of H,
-    interleaved per grid point, as the Wilson loop solves them."""
-    from braidphase.berry import EVEN, ODD
-
-    return np.stack([grid[:, EVEN[:, None], EVEN], grid[:, ODD[:, None], ODD]],
+    interleaved per grid point: a stack of degenerate 4 x 4 matrices."""
+    even, odd = np.array([0, 3, 5, 6]), np.array([1, 2, 4, 7])
+    return np.stack([grid[:, even[:, None], even], grid[:, odd[:, None], odd]],
                     axis=1).reshape(-1, 4, 4)
 
 
