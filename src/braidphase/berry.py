@@ -45,8 +45,9 @@ _PARITY = np.array([bin(k).count("1") % 2 for k in range(8)])
 _MIXING = _PARITY[:, None] != _PARITY[None, :]
 # In each sector H acts on a fixed orthonormal pair, its doublet range: even
 # |000>, (|011> + |101> + |110>)/sqrt(3); odd (|001> - |010> + |100>)/sqrt(3), |111>.
-# Exactly, for each (copy, source, sign) of _SAME H's column and row copy are sign
-# times source, and its 2x2 block per (sector, row, column) is H[_ROWS, _COLS] * _WEIGHTS.
+# For each (copy, source, sign) in _SAME, column and row copy of H equal sign times
+# column and row source, exactly; H's 2x2 block on each sector's pair is then
+# H[_ROWS, _COLS] * _WEIGHTS, indexed (sector, row, column).
 _SAME = ((5, 3, 1.0), (6, 3, 1.0), (2, 1, -1.0), (4, 1, 1.0))
 _ROWS, _COLS = [[[0, 0], [3, 3]], [[1, 1], [7, 7]]], [[[0, 3], [0, 3]], [[1, 7], [1, 7]]]
 _WEIGHTS = np.sqrt([[[1.0, 3.0], [3.0, 9.0]], [[9.0, 3.0], [3.0, 1.0]]])

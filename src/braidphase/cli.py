@@ -211,8 +211,7 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
     measured = np.column_stack([rep.tau_abc, rep.c_ab, rep.c2_a_bc])
     row_worst = _worst(measured, closed, axis=1)
     # each measure beside its closed form, as in SWEEP_HEADER
-    table = np.column_stack([thetas, np.stack([measured, closed], 2).reshape(steps, 6),
-                             row_worst])
+    table = np.column_stack([thetas, np.stack([measured, closed], 2).reshape(-1, 6), row_worst])
     lines = [SWEEP_HEADER]
     lines.extend(",".join("%.17g" % v for v in row) for row in table.tolist())
     csv_text = "\n".join(lines) + "\n"

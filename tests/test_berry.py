@@ -223,33 +223,6 @@ class TestParitySplit:
     # and both doublets ("--level all") at theta = 0.9
     CASES = [("plus", 2.1), ("minus", 0.9), ("plus", 0.9)]
 
-    def test_mixing_entry_rejected(self, monkeypatch):
-        exact = dynamics.hamiltonian_grid
-
-        def mixed(theta, phis):
-            grid = exact(theta, phis)
-            grid[137, 0b011, 0b111] = grid[137, 0b111, 0b011] = 1e-300
-            return grid
-
-        monkeypatch.setattr(dynamics, "hamiltonian_grid", mixed)
-        with pytest.raises(linalg.NumericalError, match="parity at grid point 137"):
-            berry.berry_wilson(1.0472, 400)
-
-    def test_sector_without_one_level_state_rejected(self, monkeypatch):
-        # shifting the odd diagonal also moves H off the doublet range, which
-        # is checked before any level is
-        exact = dynamics.hamiltonian_grid
-
-        def shifted(theta, phis):
-            grid = exact(theta, phis)
-            grid[137, ODD, ODD] += np.cos(theta)
-            return grid
-
-        monkeypatch.setattr(dynamics, "hamiltonian_grid", shifted)
-        with pytest.raises(linalg.NumericalError,
-                           match="doublet range of its parity sectors at grid point 137;"):
-            berry.berry_wilson(1.0472, 400)
-
     @staticmethod
     def nudge(monkeypatch, move):
         # move(h) edits the H of grid point 137 in place
@@ -261,6 +234,25 @@ class TestParitySplit:
             return grid
 
         monkeypatch.setattr(dynamics, "hamiltonian_grid", nudged)
+
+    def test_mixing_entry_rejected(self, monkeypatch):
+        def move(h):
+            h[0b011, 0b111] = h[0b111, 0b011] = 1e-300
+
+        self.nudge(monkeypatch, move)
+        with pytest.raises(linalg.NumericalError, match="parity at grid point 137"):
+            berry.berry_wilson(1.0472, 400)
+
+    def test_sector_without_one_level_state_rejected(self, monkeypatch):
+        # shifting the odd diagonal also moves H off the doublet range, which
+        # is checked before any level is
+        def move(h):
+            h[ODD, ODD] += np.cos(1.0472)
+
+        self.nudge(monkeypatch, move)
+        with pytest.raises(linalg.NumericalError,
+                           match="doublet range of its parity sectors at grid point 137;"):
+            berry.berry_wilson(1.0472, 400)
 
     @pytest.mark.parametrize("copy,other", [(5, 3), (6, 5), (2, 1), (4, 2)])
     def test_tiny_entry_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
