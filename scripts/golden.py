@@ -86,14 +86,19 @@ def _sha256(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-def fingerprint() -> str:
-    """The numpy version, the SIMD "found" list of ``np.show_runtime()`` and
-    the core that numpy's bundled OpenBLAS runs ("unknown" without one)."""
+def simd_found() -> list:
+    """The SIMD extensions numpy dispatches to here: the "found" list of
+    ``np.show_runtime()``."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    found = [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
+    return [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
+
+
+def fingerprint() -> str:
+    """The numpy version, the SIMD "found" list of ``np.show_runtime()`` and
+    the core that numpy's bundled OpenBLAS runs ("unknown" without one)."""
     core = "unknown"
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
                                        "numpy.libs", "libscipy_openblas*")):
@@ -101,12 +106,11 @@ def fingerprint() -> str:
         if corename is not None:
             corename.argtypes, corename.restype = [], ctypes.c_char_p
             core = corename().decode()
-    return f"# numpy {np.__version__}; simd {' '.join(found) or 'none'}; openblas {core}"
+    return f"# numpy {np.__version__}; simd {' '.join(simd_found()) or 'none'}; openblas {core}"
 
 
-def main() -> int:
-    print(fingerprint(), file=sys.stderr)
-    ok = True
+def outputs():
+    """(command, exit code, stdout, CSV text or None) of every command, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for command in README_COMMANDS + EXTRA_COMMANDS:
             argv = shlex.split(command)
@@ -115,12 +119,22 @@ def main() -> int:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = cli.main(argv)
-            ok &= code in (0, 1)
-            print(f"{_sha256(stdout.getvalue())}  {command}  (exit {code})")
+            csv_text = None
             if "--out" in argv:
                 with open(argv[argv.index("--out") + 1], encoding="utf-8",
                           newline="") as fh:
-                    print(f"{_sha256(fh.read())}  {command}  [csv]")
+                    csv_text = fh.read()
+            yield command, code, stdout.getvalue(), csv_text
+
+
+def main() -> int:
+    print(fingerprint(), file=sys.stderr)
+    ok = True
+    for command, code, stdout, csv_text in outputs():
+        ok &= code in (0, 1)
+        print(f"{_sha256(stdout)}  {command}  (exit {code})")
+        if csv_text is not None:
+            print(f"{_sha256(csv_text)}  {command}  [csv]")
     return 0 if ok else 1
 
 

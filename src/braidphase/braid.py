@@ -9,6 +9,7 @@ qubit first). The 8x8 composite is
 and mbb = -i * mcal is its Hermitian partner. The family satisfies the
 extraspecial 2-group relations: M^2 = -I, mbb^2 = +I, neighboring lifts
 anticommute and obey the sandwich relations A B A = B, B A B = A.
+build_m4, build_braidset and check_es2_relations take one angle or a 1-D grid.
 """
 
 from __future__ import annotations
@@ -70,14 +71,16 @@ _LIFT_12 = tuple(_frozen(np.kron(m, IDENTITY_2)) for m in _M_PARTS)
 _LIFT_23 = tuple(_frozen(np.kron(IDENTITY_2, m)) for m in _M_PARTS)
 
 
-def _combine(phi: float, parts: tuple) -> np.ndarray:
+def _combine(phi, parts: tuple) -> np.ndarray:
     minus, plus, zero = parts
+    phi = phi[..., None, None] if isinstance(phi, np.ndarray) else phi
     return np.exp(-1j * phi) * minus - np.exp(1j * phi) * plus + zero
 
 
 @dataclass(frozen=True)
 class BraidSet:
-    """Generator family at a fixed phase angle.
+    """Generator family at a fixed phase angle, or over a 1-D grid of them:
+    ``phi`` is then the read-only grid, and every other field has its axis.
 
     m4   -- 4x4 generator M(phi)
     a8   -- M otimes I (acts on qubits 1,2 of three)
@@ -87,13 +90,13 @@ class BraidSet:
     alpha -- measured scalar in mbb^2 = alpha I (fit as tr(mbb^2)/8)
     """
 
-    phi: float
+    phi: float | np.ndarray
     m4: np.ndarray
     a8: np.ndarray
     b8: np.ndarray
     mcal: np.ndarray
     mbb: np.ndarray
-    alpha: float
+    alpha: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,14 +107,14 @@ class Es2Report:
     triple-product readings that are reported but never gate a run.
     """
 
-    phi: float
-    alpha: float
+    phi: float | np.ndarray
+    alpha: float | np.ndarray
     residuals: dict
     ambiguous: dict
 
 
-def build_m4(phi: float) -> np.ndarray:
-    """4x4 braid generator from spin operators.
+def build_m4(phi) -> np.ndarray:
+    """4x4 braid generator from spin operators, or their stack over an array of angles.
 
     Nonzero entries (row, col, 0-indexed): (0,3)=e^{-i phi}, (1,2)=1,
     (2,1)=-1, (3,0)=-e^{i phi}. Squares to -I and is anti-Hermitian.
@@ -119,19 +122,26 @@ def build_m4(phi: float) -> np.ndarray:
     return _combine(phi, _M_PARTS)
 
 
-def build_braidset(phi: float) -> BraidSet:
+def build_braidset(phi) -> BraidSet:
+    """The family at ``phi``, a float or a 1-D array of angles; each slice of
+    an array's build is bitwise the build at that angle alone."""
+    grid = isinstance(phi, np.ndarray)
+    if grid:  # held as a read-only float copy
+        phi = np.array(phi, dtype=float)
+        phi.setflags(write=False)
     m4 = build_m4(phi)
     a8 = _combine(phi, _LIFT_12)
     b8 = _combine(phi, _LIFT_23)
     mcal = (a8 + b8 + b8 @ a8) / SQRT3
     mbb = -1j * mcal
-    alpha = float(np.trace(mbb @ mbb).real) / 8.0
-    return BraidSet(phi=float(phi), m4=m4, a8=a8, b8=b8,
-                    mcal=mcal, mbb=mbb, alpha=alpha)
+    alpha = (mbb @ mbb).diagonal(0, -2, -1).sum(-1).real / 8.0  # its trace
+    return BraidSet(phi=phi if grid else float(phi), m4=m4, a8=a8, b8=b8, mcal=mcal,
+                    mbb=mbb, alpha=alpha if grid else float(alpha))
 
 
 def check_es2_relations(bs: BraidSet) -> Es2Report:
-    """Measure every extraspecial-relation residual for one BraidSet.
+    """Every extraspecial-relation residual of a BraidSet: a float, or over a grid
+    an array whose every entry is bitwise the residual at that angle alone.
 
     Asserted residuals (the caller gates on them):
       m4_square         ||M^2 + I||
@@ -154,16 +164,17 @@ def check_es2_relations(bs: BraidSet) -> Es2Report:
         "aba_sandwich": a @ b @ a - b,
         "bab_sandwich": b @ a @ b - a,
         "anticommutation": a @ b + b @ a,
-        "mbb_square": bs.mbb @ bs.mbb - bs.alpha * np.eye(8, dtype=complex),
-        "mbb_hermitian": bs.mbb - bs.mbb.conj().T,
-        "mcal_antihermitian": bs.mcal + bs.mcal.conj().T,
+        "mbb_square": bs.mbb @ bs.mbb - np.multiply.outer(bs.alpha, np.eye(8, dtype=complex)),
+        "mbb_hermitian": bs.mbb - bs.mbb.conj().swapaxes(-1, -2),
+        "mcal_antihermitian": bs.mcal + bs.mcal.conj().swapaxes(-1, -2),
         "triple_as_printed": triple - mm12,
         "triple_swapped": triple - mm23,
         "triple_sign_flipped": triple + mm23,
     }
-    m4_square = linalg.frobenius_norms([bs.m4 @ bs.m4 + np.eye(4, dtype=complex)])
-    residuals = {"m4_square": float(m4_square[0]), **dict(zip(
-        eight, linalg.frobenius_norms(list(eight.values())).tolist()))}
+    m4_square = (bs.m4 @ bs.m4 + np.eye(4, dtype=complex)).reshape(-1, 4, 4)
+    norms = np.concatenate([linalg.frobenius_norms(m4_square), linalg.frobenius_norms(
+        np.stack(list(eight.values())).reshape(-1, 8, 8))]).reshape((-1,) + np.shape(bs.phi))
+    residuals = dict(zip(("m4_square", *eight), norms if norms.ndim > 1 else norms.tolist()))
     ambiguous = {name: residuals.pop(name) for name in
                  ("triple_as_printed", "triple_swapped", "triple_sign_flipped")}
     return Es2Report(phi=bs.phi, alpha=bs.alpha,

@@ -95,8 +95,8 @@ def _generator(system: str, phi: float) -> np.ndarray:
 
 
 def _unitary(gen: np.ndarray, theta) -> np.ndarray:
-    """sin(theta) I + cos(theta) gen, stacked over the axis of a theta grid."""
-    eye = np.eye(gen.shape[0], dtype=complex)
+    """sin(theta) I + cos(theta) gen, stacked over a theta grid and a generator stack."""
+    eye = np.eye(gen.shape[-1], dtype=complex)
     t = np.asarray(theta)[..., None, None]
     return np.sin(t) * eye + np.cos(t) * gen
 
@@ -109,18 +109,21 @@ def r_matrix(system: str, p: RParams) -> np.ndarray:
 
 def unitarity_residuals(gen: np.ndarray, thetas) -> np.ndarray:
     """||R^dag R - I|| of R = sin(theta) I + cos(theta) gen for each theta, on
-    a generator the caller holds; one stacked product per block of angles,
+    a generator the caller holds, or a (P, n, n) stack of them, giving (P, T);
+    one stacked product per block of the flattened generator x angle pairs,
     each value bitwise the one the single-matrix route gives.
     """
     thetas = np.array(thetas, dtype=float).reshape(-1)
     if not np.isfinite(thetas).all():
         raise ValueError("thetas must be finite")
-    out = np.empty(len(thetas))
-    for lo in range(0, len(thetas), _BLOCK):
-        r = _unitary(gen, thetas[lo:lo + _BLOCK])
+    stack = gen.reshape((-1,) + gen.shape[-2:])
+    out = np.empty(len(stack) * len(thetas))
+    for lo in range(0, len(out), _BLOCK):
+        g, t = np.divmod(np.arange(lo, min(lo + _BLOCK, len(out))), len(thetas))
+        r = _unitary(stack[g], thetas[t])
         r_dag = r.conj().transpose(0, 2, 1).copy()
         out[lo:lo + _BLOCK] = linalg.frobenius_norms(r_dag @ r - np.eye(r.shape[1]))
-    return out
+    return out.reshape(gen.shape[:-2] + thetas.shape)
 
 
 def _require_nonsingular(*xs: complex) -> None:

@@ -35,10 +35,9 @@ def sample_unit_circle_pairs(rng, count):
 def test_c01_generator_algebra():
     """M^2=-I4, mbb^2=I8, mbb Hermitian, anticommutation, both sandwich relations."""
     tol = 1e-10
-    worst = 0.0
-    for phi in np.linspace(0, 2 * np.pi, 17, endpoint=False):
-        rep = braid.check_es2_relations(braid.build_braidset(phi))
-        worst = max(worst, max(rep.residuals.values()))
+    phis = np.linspace(0, 2 * np.pi, 17, endpoint=False)
+    rep = braid.check_es2_relations(braid.build_braidset(phis))
+    worst = np.max(list(rep.residuals.values()))
     ok = worst <= tol
     report_line("1 generator algebra", ok, f"max residual {worst:.3e} <= {tol}")
     assert ok
@@ -53,7 +52,7 @@ def test_c02_unitarity():
         for theta in np.linspace(0, 2 * np.pi, 11, endpoint=False):
             for phi in np.linspace(0, 2 * np.pi, 11, endpoint=False):
                 r = yangbaxter.r_matrix(system, RParams(theta, phi))
-                worst = max(worst, np.linalg.norm(r.conj().T @ r - eye))
+                worst = np.maximum(worst, np.linalg.norm(r.conj().T @ r - eye))
     ok = worst <= tol
     report_line("2 unitarity", ok, f"max ||R+R - I|| {worst:.3e} <= {tol}")
     assert ok
@@ -70,9 +69,9 @@ def test_c03_yang_baxter():
     for x, y in pairs:
         sx, sy = SpectralParam(x), SpectralParam(y)
         for phi in phis:
-            worst4 = max(worst4, yangbaxter.ybe_residual(
+            worst4 = np.maximum(worst4, yangbaxter.ybe_residual(
                 yangbaxter.TWO_QUBIT, sx, sy, phi))
-            worst8 = max(worst8, yangbaxter.ybe_residual(
+            worst8 = np.maximum(worst8, yangbaxter.ybe_residual(
                 yangbaxter.THREE_QUBIT, sx, sy, phi))
     ok = worst4 <= tol
     report_line("3 yang-baxter", ok,
@@ -98,17 +97,17 @@ def test_c04_entanglement_curves():
             for phi in phis:
                 out = states.apply_r(RParams(theta, phi), states.basis_state(label))
                 rep = entanglement.full_report(out)
-                worst_curve = max(
+                worst_curve = np.max([
                     worst_curve,
                     abs(rep.tau_abc - tau_c),
                     abs(rep.c_ab - pair_c), abs(rep.c_bc - pair_c),
                     abs(rep.c_ac - pair_c),
                     abs(rep.c2_a_bc - rest_c), abs(rep.c2_b_ac - rest_c),
-                    abs(rep.c2_c_ab - rest_c))
+                    abs(rep.c2_c_ab - rest_c)])
                 seen.append((rep.tau_abc, rep.c_ab, rep.c_bc, rep.c_ac,
                              rep.c2_a_bc, rep.c2_b_ac, rep.c2_c_ab))
             spread = np.ptp(np.array(seen), axis=0).max()
-            worst_spread = max(worst_spread, float(spread))
+            worst_spread = np.maximum(worst_spread, spread)
     ok = worst_curve <= tol_curve and worst_spread <= tol_phase
     report_line("4 entanglement curves", ok,
                 f"curve residual {worst_curve:.3e} <= {tol_curve}; "
@@ -123,12 +122,12 @@ def test_c05_landmark_points():
     out = states.apply_r(RParams(np.pi / 6, 0.7), states.basis_state("000"))
     rep = entanglement.full_report(out)
     ghz_ok = (abs(rep.tau_abc - 1.0) <= tol
-              and max(rep.c_ab, rep.c_bc, rep.c_ac) <= tol)
+              and np.max([rep.c_ab, rep.c_bc, rep.c_ac]) <= tol)
 
     out = states.apply_r(RParams(np.pi / 2, 0.7), states.basis_state("101"))
     rep2 = entanglement.full_report(out)
-    sep_ok = (rep2.tau_abc <= tol and max(rep2.c_ab, rep2.c_bc, rep2.c_ac) <= tol
-              and max(rep2.c2_a_bc, rep2.c2_b_ac, rep2.c2_c_ab) <= tol)
+    sep_ok = (rep2.tau_abc <= tol and np.max([rep2.c_ab, rep2.c_bc, rep2.c_ac]) <= tol
+              and np.max([rep2.c2_a_bc, rep2.c2_b_ac, rep2.c2_c_ab]) <= tol)
 
     out = states.apply_r(RParams(0.0, 0.7), states.basis_state("000"))
     rep3 = entanglement.full_report(out)
@@ -150,7 +149,7 @@ def test_c06_two_qubit_closure():
         for k in range(4):
             col = r[:, k]
             c = concurrence(np.outer(col, col.conj()))
-            worst = max(worst, abs(c - abs(np.sin(2 * theta))))
+            worst = np.maximum(worst, abs(c - abs(np.sin(2 * theta))))
     ok = worst <= tol
     report_line("6 two-qubit closure", ok, f"max residual {worst:.3e} <= {tol}")
     assert ok
@@ -164,7 +163,7 @@ def test_c07_hamiltonian():
         for phi in np.linspace(0, 2 * np.pi, 5, endpoint=False):
             for phi_dot in (0.5, 1.0, 1.7):
                 d = DriveParams(theta=theta, phi=phi, phi_dot=phi_dot)
-                worst_fd = max(worst_fd, np.linalg.norm(
+                worst_fd = np.maximum(worst_fd, np.linalg.norm(
                     dynamics.hamiltonian(d) - hamiltonian_from_r(d, dt=1e-5)))
 
     worst_closed = 0.0
@@ -173,8 +172,8 @@ def test_c07_hamiltonian():
               DriveParams(theta=0.9, phi=1.1, phi_dot=1.3),
               DriveParams(theta=2.2, phi=4.0, phi_dot=0.7, hbar=2.0)):
         rep = dynamics.spectrum(d)
-        worst_closed = max(worst_closed, rep.closed_form_match)
-        worst_fixture = max(worst_fixture, max(rep.fixture_residuals))
+        worst_closed = np.maximum(worst_closed, rep.closed_form_match)
+        worst_fixture = np.max([worst_fixture, *rep.fixture_residuals])
 
     ok = worst_fd <= tol_fd and worst_closed <= tol_spec and worst_fixture <= tol_spec
     report_line("7 hamiltonian", ok,
@@ -215,8 +214,8 @@ def test_c08b_ladder_unit_normalization():
     def split_residuals(jp, jm, j3, bp, bm, b3):
         bracket = lambda a, b: a @ b - b @ a
         return {
-            "ladder": max(np.linalg.norm(bracket(j3, jp) - jp),
-                          np.linalg.norm(bracket(j3, jm) + jm)),
+            "ladder": np.maximum(np.linalg.norm(bracket(j3, jp) - jp),
+                                 np.linalg.norm(bracket(j3, jm) + jm)),
             "cartan": np.linalg.norm(bracket(jp, jm) - 2 * j3),
             "decomposition": np.linalg.norm(h - (bp * jp + bm * jm + b3 * j3)),
             # spin-1/2 levels of [[b3/2, bp], [bm, -b3/2]]
@@ -253,14 +252,14 @@ def test_c09_berry_phases():
         expected = np.pi * (1 - np.cos(theta))
         for i, sign in ((5, 1), (6, -1), (7, 1), (8, -1)):
             got = berry.berry_analytic(i, theta, 10 ** 4)
-            worst_analytic = max(worst_analytic, abs(got - sign * expected))
+            worst_analytic = np.maximum(worst_analytic, abs(got - sign * expected))
 
     worst_wilson = 0.0
     for theta in (np.pi / 6, np.pi / 3, 1.2, 2.0, 2.8):
         for level, phases in berry.berry_wilson(theta, 800).items():
             closed = berry.closed_form_phase(level, theta)
             for phase in phases:
-                worst_wilson = max(worst_wilson, berry.phase_residual(phase, closed))
+                worst_wilson = np.maximum(worst_wilson, berry.phase_residual(phase, closed))
 
     zeros = [berry.zero_level_phase(theta) for theta in (0.3, 1.0, 2.4)]
     ok = (worst_analytic <= tol_analytic and worst_wilson <= tol_wilson
@@ -284,7 +283,7 @@ def test_c10_monogamy():
         label = states.BASIS_LABELS[rng.integers(0, 8)]
         out = states.apply_r(RParams(theta, phi), states.basis_state(label))
         rep = entanglement.full_report(out)
-        worst = max(worst, rep.monogamy_residual)
+        worst = np.maximum(worst, rep.monogamy_residual)
     ok = worst <= tol
     report_line("10 monogamy", ok, f"max residual {worst:.3e} <= {tol}")
     assert ok

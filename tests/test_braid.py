@@ -149,6 +149,32 @@ class TestPrecomputedParts:
             braid._M_PARTS[0][0, 0] = 1.0
 
 
+class TestGrid:
+    FIELDS = ("m4", "a8", "b8", "mcal", "mbb")
+
+    @pytest.mark.parametrize("count", [1, 64, 65, len(BITWISE_PHIS)])
+    def test_build_slices_bitwise_equal_to_solo(self, count):
+        phis = BITWISE_PHIS[:count]
+        grid = braid.build_braidset(phis)
+        assert grid.phi.tolist() == phis.tolist() and not grid.phi.flags.writeable
+        assert grid.alpha.shape == (count,)
+        for k, phi in enumerate(phis.tolist()):
+            solo = braid.build_braidset(phi)
+            for name in self.FIELDS:
+                assert getattr(grid, name)[k].tobytes() == getattr(solo, name).tobytes()
+            assert grid.alpha[k] == solo.alpha
+
+    def test_relation_slices_bitwise_equal_to_solo(self):
+        phis = BITWISE_PHIS[:200]
+        grid = braid.check_es2_relations(braid.build_braidset(phis))
+        solos = [braid.check_es2_relations(braid.build_braidset(phi)) for phi in phis.tolist()]
+        for kind in ("residuals", "ambiguous"):
+            for name, values in getattr(grid, kind).items():
+                assert values.shape == (200,)
+                assert values.tolist() == [getattr(rep, kind)[name] for rep in solos]
+        assert grid.alpha.tolist() == [rep.alpha for rep in solos]
+
+
 def harmonic_parts():
     """P, C, Q with mcal(phi) = (e^{-i phi} P + C + e^{i phi} Q)/sqrt(3).
 

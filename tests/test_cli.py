@@ -1,11 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import tempfile
+import tracemalloc
 import warnings
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidphase import braid, cli, dynamics, entanglement, linalg, states, yangbaxter
 
@@ -23,6 +30,11 @@ def load_schema():
 
 def validate(payload):
     jsonschema.validate(instance=payload, schema=load_schema())
+
+
+def reject(constant):
+    """json.loads hook that refuses NaN and Infinity, which are not JSON."""
+    raise ValueError(f"non-strict JSON constant {constant}")
 
 
 class TestVerifyAlgebra:
@@ -57,26 +69,53 @@ class TestVerifyAlgebra:
         assert ambiguous["triple_as_printed"] == pytest.approx(4.0, abs=1e-12)
         assert "triple_as_printed" not in payload["passes"]
 
-    def test_nan_residual_at_a_later_angle_fails(self, capsys, monkeypatch):
-        # a NaN relation residual at the second phi is kept in the running
-        # maximum (Python's max would drop it), so the report is refused
+    @staticmethod
+    def nan_at(monkeypatch, block, index):
+        """Make the first relation residual NaN at ``index`` of the ``block``-th
+        stacked check; returns the BraidSets checked."""
         exact = braid.check_es2_relations
         calls = []
 
-        def nan_at_second(bs):
+        def nan_in_block(bs):
             rep = exact(bs)
             calls.append(bs)
-            if len(calls) == 2:
+            if len(calls) == block + 1:
                 name = next(iter(rep.residuals))
-                rep = dataclasses.replace(rep, residuals={**rep.residuals,
-                                                          name: float("nan")})
+                values = rep.residuals[name].copy()
+                values[index] = np.nan
+                rep = dataclasses.replace(rep, residuals={**rep.residuals, name: values})
             return rep
 
-        monkeypatch.setattr(braid, "check_es2_relations", nan_at_second)
+        monkeypatch.setattr(braid, "check_es2_relations", nan_in_block)
+        return calls
+
+    def test_nan_residual_at_a_later_angle_fails(self, capsys, monkeypatch):
+        # a NaN relation residual at the second phi is kept in the maximum
+        # (Python's max would drop it), so the report is refused
+        calls = self.nan_at(monkeypatch, 0, 1)
         code, out, err = run(capsys, "verify-algebra", "--phi-samples", "3")
-        assert len(calls) == 3
+        assert [len(bs.phi) for bs in calls] == [3]
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
+
+    def test_nan_residual_in_a_later_block_fails(self, capsys, monkeypatch):
+        # the NaN is in the second block of 64 angles, at its third
+        calls = self.nan_at(monkeypatch, 1, 2)
+        code, out, err = run(capsys, "verify-algebra", "--phi-samples", "70")
+        assert [len(bs.phi) for bs in calls] == [64, 6]
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "JSON" in err
+
+    def test_memory_is_bounded_by_the_phi_block(self):
+        def peak(samples):
+            tracemalloc.start()
+            cli.cmd_verify_algebra(1e-10, samples, 0)
+            used = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return used
+
+        peak(64)  # first call outside the measurement
+        assert peak(256) <= 1.5 * peak(64)
 
     def test_unitarity_max_matches_per_angle_loop(self, capsys):
         _, out, _ = run(capsys, "verify-algebra", "--phi-samples", "6", "--seed", "2")
@@ -407,10 +446,6 @@ class TestStrictJson:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow may reach numpy
             code, out, err = run(capsys, *argv)
-
-        def reject(constant):
-            raise ValueError(f"non-strict JSON constant {constant}")
-
         payload = json.loads(out, parse_constant=reject)
         validate(payload)
         assert code == 0 and payload["passed"] and err == ""
@@ -545,3 +580,66 @@ class TestHelp:
                         "--level", "zero" if method == "analytic" else "minus")
         parameters = json.loads(out)["parameters"]
         assert (parameters["steps"], parameters["tol"]) == (steps, tol)
+
+
+# argv values: any float, the extremes, non-finite and non-numeric text
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e300", "-1e300", "1e-300", "-1e-300", "1e308", "nan", "-inf", "x"]))
+
+
+def option(name, values):
+    return st.one_of(st.just(()), values.map(lambda value: (name, value)))
+
+
+def counts(low, high):
+    return st.integers(low, high).map(str)
+
+
+SWITCH = st.sampled_from([(), ("--degrees",)])
+TOL = option("--tol", NUMBERS)
+ARGV_PARTS = {
+    "verify-algebra": (option("--phi-samples", counts(-1, 4)), option("--seed", counts(-2, 99)),
+                       TOL),
+    "ybe": (option("--samples", counts(-1, 5)), option("--phi-samples", counts(-1, 3)),
+            option("--seed", counts(-2, 99)), TOL),
+    "entangle": (option("--theta", NUMBERS), option("--phi", NUMBERS),
+                 option("--input", st.sampled_from(["000", "110", "2"])), TOL, SWITCH),
+    "sweep": (option("--theta-min", NUMBERS), option("--theta-max", NUMBERS),
+              option("--steps", counts(-1, 30)), option("--phi", NUMBERS),
+              option("--format", st.sampled_from(["json", "csv"])),
+              st.sampled_from([(), ("--out", "OUT")]), TOL, SWITCH),
+    "spectrum": (option("--theta", NUMBERS), option("--phi", NUMBERS),
+                 option("--phidot", NUMBERS), option("--hbar", NUMBERS), TOL, SWITCH),
+    "berry": (option("--theta", NUMBERS), option("--steps", counts(90, 250)),
+              option("--method", st.sampled_from(["analytic", "wilson"])),
+              option("--level", st.sampled_from(["plus", "minus", "zero", "all"])), TOL, SWITCH),
+}
+ARGVS = st.sampled_from(sorted(ARGV_PARTS)).flatmap(lambda command: st.tuples(
+    *ARGV_PARTS[command]).map(lambda parts: [command, *(a for part in parts for a in part)]))
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150)
+    @given(ARGVS)
+    @example(["spectrum", "--theta", "1", "--phidot", "1e200", "--hbar", "1e200"])
+    @example(["spectrum", "--theta", "1", "--phidot", "1e308"])
+    @example(["spectrum", "--theta", "1", "--hbar", "1e-320", "--phidot", "1e-10"])
+    @example(["spectrum", "--theta", "1", "--hbar", "1e-300", "--phidot", "1e-15"])
+    def test_every_run_ends_in_a_report_or_one_error_line(self, argv):
+        # exit 0/1 with a strict, schema-valid report and nothing on stderr,
+        # or exit 2/3 with one stderr line; no warning may reach numpy
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [os.path.join(tmp, "curves.csv") if a == "OUT" else a for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(argv)
+        if code in (0, 1):
+            payload = json.loads(out.getvalue(), parse_constant=reject)
+            validate(payload)
+            assert payload["passed"] is (code == 0) and err.getvalue() == ""
+        else:
+            assert code in (2, 3) and out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1

@@ -195,7 +195,8 @@ class TestYbeResidual:
 
 
 def sampled_pairs(count, seed=23):
-    """Spectral pairs away from the singular points, as the ybe command samples them."""
+    """Spectral pairs away from the singular points, as the ybe command samples
+    them, drawn pair by pair; ``seed`` may be a Generator, which is then used."""
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     while len(xs) < count:
@@ -315,28 +316,43 @@ class TestUnitarityResiduals:
             assert stacked.tolist() == loop
             assert max(stacked) == max(loop) <= 1e-12
 
+    @pytest.mark.parametrize("system", yangbaxter.SYSTEMS)
+    @pytest.mark.parametrize("count, angles", [(5, 13), (3, 30), (70, 1)])
+    def test_generator_stack_bitwise_equal_to_solo(self, system, count, angles):
+        # count x angles crosses a block boundary of 64 pairs
+        rng = np.random.default_rng(count)
+        phis = rng.uniform(0.0, 2 * np.pi, count)
+        thetas = rng.uniform(0.0, 2 * np.pi, angles)
+        stacked = yangbaxter.unitarity_residuals(yangbaxter._generator(system, phis), thetas)
+        assert stacked.shape == (count, angles)
+        for row, phi in zip(stacked, phis.tolist()):
+            solo = yangbaxter.unitarity_residuals(yangbaxter._generator(system, phi), thetas)
+            assert row.tolist() == solo.tolist()
+
     @pytest.mark.parametrize("system, builder", [
         ("two_qubit", "build_m4"), ("three_qubit", "build_braidset")])
     def test_generator_built_once(self, monkeypatch, capsys, system, builder):
-        # verify-algebra builds each phi once, and its unitarity check runs on
-        # the generator of that build
+        # verify-algebra builds each block of 64 phi once, and its unitarity
+        # check runs on the generator stack of that build
         built, checked = [], []
-        original, unitarity = getattr(braid, builder), yangbaxter.unitarity_residuals
+        owner, name = (braid, builder) if builder == "build_m4" else (cli, "_build_grid")
+        original, unitarity = getattr(owner, name), yangbaxter.unitarity_residuals
 
-        def counting(phi):
-            built.append(original(phi))
+        def counting(phis):
+            built.append(original(phis))
             return built[-1]
 
         def recording(gen, thetas):
             checked.append(gen)
             return unitarity(gen, thetas)
 
-        monkeypatch.setattr(braid, builder, counting)
+        monkeypatch.setattr(owner, name, counting)
         monkeypatch.setattr(yangbaxter, "unitarity_residuals", recording)
-        assert cli.main(["verify-algebra", "--phi-samples", "3", "--seed", "5"]) == 0
+        assert cli.main(["verify-algebra", "--phi-samples", "70", "--seed", "5"]) == 0
         capsys.readouterr()
-        assert len(built) == 3 and len(checked) == 6  # per phi: two_qubit, three_qubit
+        # two blocks, 64 and 6 angles; per block: two_qubit, three_qubit
         gens = [b if builder == "build_m4" else b.mcal for b in built]
+        assert [len(g) for g in gens] == [64, 6] and len(checked) == 4
         assert all(g is c for g, c in zip(gens, checked[yangbaxter.SYSTEMS.index(system)::2]))
 
     def test_non_finite_rejected(self):
@@ -344,3 +360,22 @@ class TestUnitarityResiduals:
             yangbaxter.unitarity_residuals(braid.build_m4(0.0), [0.1, np.inf])
         with pytest.raises(ValueError):
             yangbaxter.unitarity_residuals(braid.build_m4(0.0), [np.nan])
+
+
+class TestSpectralPairDraw:
+    def test_batched_draw_consumes_the_stream_as_pair_by_pair(self):
+        # the same pairs, and the same generator state after them, as the
+        # pair-by-pair loop, over seeds whose draws include rejections
+        rejected = 0
+        for seed in range(1000):
+            count = 1 + seed % 40
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            xs, ys = cli._sample_spectral_pairs(rng, count)
+            ref_xs, ref_ys = sampled_pairs(count, ref)
+            assert [p.x for p in xs] == [p.x for p in ref_xs]
+            assert [p.x for p in ys] == [p.x for p in ref_ys]
+            assert rng.uniform() == ref.uniform()
+            unrejected = np.random.default_rng(seed)
+            unrejected.uniform(size=2 * count + 1)
+            rejected += unrejected.bit_generator.state != ref.bit_generator.state
+        assert rejected
