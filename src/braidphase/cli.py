@@ -30,8 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import berry, braid, dynamics, entanglement, linalg, states, yangbaxter
-# by a name of its own: perfbench's tracer takes one float phi per braid.build_braidset call
-from .braid import build_braidset as _build_grid
 
 __all__ = ["RunReport", "build_parser", "main"]
 
@@ -96,10 +94,11 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
     unit_max = {yangbaxter.TWO_QUBIT: 0.0, yangbaxter.THREE_QUBIT: 0.0}
     # in blocks of 64 angles, which bounds the working set; no result depends on it
     for lo in range(0, phi_samples, yangbaxter._BLOCK):
-        bs = _build_grid(phis[lo:lo + yangbaxter._BLOCK])
-        if not lo:  # read from the first phi's slice of this build
-            transcription = braid.transcription_diagnostics(
-                braid.BraidSet(**{name: field[0] for name, field in vars(bs).items()}))
+        # built one phi at a time (perfbench's tracer takes a float), then stacked
+        builds = [braid.build_braidset(phi) for phi in phis[lo:lo + yangbaxter._BLOCK]]
+        bs = braid.BraidSet(*map(np.array, zip(*(vars(b).values() for b in builds))))
+        if not lo:
+            transcription = braid.transcription_diagnostics(builds[0])
         rep = braid.check_es2_relations(bs)
         # np.max and np.maximum keep a NaN, which Python's max drops if not first
         for name, val in rep.residuals.items():

@@ -161,8 +161,9 @@ def ybe_residual(system: str, x, y, phi, family: str = "rational"):
     c_AA = b0 a1 b2 and c_ABA = b0 b1 b2 from the (a, b) of R(x), R(xy),
     R(y): since the scalars commute, the coefficients of I, AB and BA cancel
     and those of B, BB and BAB are minus those of A, AA and ABA. Each pair is
-    validated and its coefficients formed once per call, the three word
-    differences once per phi and block of pairs; the sum runs in that order.
+    validated and its coefficients formed once per call, the generator built
+    once per phi, the three word differences once per phi and block of pairs;
+    the sum runs in that order.
 
     The rational family satisfies the two_qubit equation identically; the
     three_qubit residual is generically nonzero (the overlapping-triple lifts
@@ -175,6 +176,7 @@ def ybe_residual(system: str, x, y, phi, family: str = "rational"):
     xs, ys = ([x], [y]) if single else (list(x), list(y))
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
+    gens = [_generator(system, p) for p in phis.reshape(-1)]  # once per phi
     out = np.empty((phis.size, len(xs)))
     for lo in range(0, len(xs), _BLOCK):
         coeffs = []
@@ -189,8 +191,8 @@ def ybe_residual(system: str, x, y, phi, family: str = "rational"):
             coeffs.append((a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
                            b0 * a1 * b2, b0 * b1 * b2))
         coeffs = np.array(coeffs, dtype=complex).T[..., None, None]
-        for row, p in zip(out, phis.reshape(-1)):
-            row[lo:lo + _BLOCK] = _word_norms(coeffs, _generator(system, p))
+        for row, gen in zip(out, gens):
+            row[lo:lo + _BLOCK] = _word_norms(coeffs, gen)
     out = out.reshape(phis.shape + (() if single else (len(xs),)))
     return out if out.ndim else float(out)
 

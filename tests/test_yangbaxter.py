@@ -242,6 +242,15 @@ class TestStackedYbeResidual:
         one = ybe_residual(system, xs[64], ys[64], phis, family=family)
         assert one.shape == (4,) and np.array_equal(one, grid[:, 64])
 
+    def test_generator_built_once_per_phi(self, monkeypatch):
+        # 130 pairs span three blocks of 64; each phi's generator is built once
+        built, generator = [], yangbaxter._generator
+        monkeypatch.setattr(yangbaxter, "_generator",
+                            lambda system, phi: built.append(phi) or generator(system, phi))
+        xs, ys = sampled_pairs(130)
+        ybe_residual("three_qubit", xs, ys, [0.0, 0.9])
+        assert built == [0.0, 0.9]
+
     @pytest.mark.parametrize("dim", [4, 8])
     @pytest.mark.parametrize("family", ["rational", "unitary"])
     def test_random_generator_matches_product_route(self, monkeypatch, dim, family):
@@ -332,28 +341,28 @@ class TestUnitarityResiduals:
     @pytest.mark.parametrize("system, builder", [
         ("two_qubit", "build_m4"), ("three_qubit", "build_braidset")])
     def test_generator_built_once(self, monkeypatch, capsys, system, builder):
-        # verify-algebra builds each block of 64 phi once, and its unitarity
-        # check runs on the generator stack of that build
+        # verify-algebra builds each phi once, and its unitarity check runs on
+        # each block of 64 phi as one stack of those builds
         built, checked = [], []
-        owner, name = (braid, builder) if builder == "build_m4" else (cli, "_build_grid")
-        original, unitarity = getattr(owner, name), yangbaxter.unitarity_residuals
+        original, unitarity = getattr(braid, builder), yangbaxter.unitarity_residuals
 
-        def counting(phis):
-            built.append(original(phis))
+        def counting(phi):
+            built.append(original(phi))
             return built[-1]
 
         def recording(gen, thetas):
             checked.append(gen)
             return unitarity(gen, thetas)
 
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(braid, builder, counting)
         monkeypatch.setattr(yangbaxter, "unitarity_residuals", recording)
         assert cli.main(["verify-algebra", "--phi-samples", "70", "--seed", "5"]) == 0
         capsys.readouterr()
         # two blocks, 64 and 6 angles; per block: two_qubit, three_qubit
         gens = [b if builder == "build_m4" else b.mcal for b in built]
-        assert [len(g) for g in gens] == [64, 6] and len(checked) == 4
-        assert all(g is c for g, c in zip(gens, checked[yangbaxter.SYSTEMS.index(system)::2]))
+        stacks = checked[yangbaxter.SYSTEMS.index(system)::2]
+        assert len(gens) == 70 and len(checked) == 4 and [len(s) for s in stacks] == [64, 6]
+        assert np.concatenate(stacks).tobytes() == np.array(gens).tobytes()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
