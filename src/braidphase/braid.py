@@ -122,6 +122,14 @@ def build_m4(phi) -> np.ndarray:
     return _combine(phi, _M_PARTS)
 
 
+def _lifts_and_mcal(phi) -> tuple:
+    """a8, b8 and mcal at ``phi``, a float or an array of angles; the
+    composite generator without the rest of the family."""
+    a8 = _combine(phi, _LIFT_12)
+    b8 = _combine(phi, _LIFT_23)
+    return a8, b8, (a8 + b8 + b8 @ a8) / SQRT3
+
+
 def build_braidset(phi) -> BraidSet:
     """The family at ``phi``, a float or a 1-D array of angles; each slice of
     an array's build is bitwise the build at that angle alone."""
@@ -130,9 +138,7 @@ def build_braidset(phi) -> BraidSet:
         phi = np.array(phi, dtype=float)
         phi.setflags(write=False)
     m4 = build_m4(phi)
-    a8 = _combine(phi, _LIFT_12)
-    b8 = _combine(phi, _LIFT_23)
-    mcal = (a8 + b8 + b8 @ a8) / SQRT3
+    a8, b8, mcal = _lifts_and_mcal(phi)
     mbb = -1j * mcal
     alpha = (mbb @ mbb).diagonal(0, -2, -1).sum(-1).real / 8.0  # its trace
     return BraidSet(phi=phi if grid else float(phi), m4=m4, a8=a8, b8=b8, mcal=mcal,
