@@ -149,11 +149,9 @@ def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
     xs, ys = _sample_spectral_pairs(rng, samples)
     phis = rng.uniform(0.0, 2 * np.pi, phi_samples)
 
-    summary = {
-        f"{system}_{family}_max": float(np.max(
-            yangbaxter.ybe_residual(system, xs, ys, phis, family=family)))
-        for family in ("rational", "unitary") for system in yangbaxter.SYSTEMS
-    }
+    residuals = yangbaxter.ybe_residual(xs, ys, phis)
+    summary = {f"{system}_{family}_max": float(np.max(residuals[f"{system}_{family}"]))
+               for family in yangbaxter.FAMILIES for system in yangbaxter.SYSTEMS}
     passes = {"two_qubit_rational": summary["two_qubit_rational_max"] <= tol}
     return RunReport(
         command="ybe",

@@ -11,11 +11,13 @@ Two parameterizations of the same construction live here:
   R12(x) R23(xy) R12(y) = R23(y) R12(xy) R23(x) as an identity in x, y.
 
 On the unit circle the two families differ, and the unitary one violates the
-multiplicative equation at generic spectral parameters; ybe_residual checks
-the rational family by default and the unitary one on request, as three
-fixed differences of words in the lifted generator over stacks of spectral
-pairs and a phi grid. Whole matrices of either family at a spectral point
-are built only by the tests' product-route oracle.
+multiplicative equation at generic spectral parameters. ybe_residual checks
+both families on both systems in one pass, as three fixed differences of
+words in the lifted generator over stacks of spectral pairs and a phi grid:
+each word conserves the parity of the basis index, so it is checked to be
+exactly zero off its two parity blocks and summed on those blocks alone.
+Whole matrices of either family at a spectral point are built only by the
+tests' product-route oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "TWO_QUBIT",
     "THREE_QUBIT",
     "SYSTEMS",
+    "FAMILIES",
     "SingularParameterError",
     "RParams",
     "SpectralParam",
@@ -41,9 +44,10 @@ __all__ = [
 TWO_QUBIT = "two_qubit"
 THREE_QUBIT = "three_qubit"
 SYSTEMS = (TWO_QUBIT, THREE_QUBIT)
+FAMILIES = ("rational", "unitary")
 
-# Stacks of angles or spectral pairs are worked through this many at a time,
-# which bounds the working set; no result depends on it.
+# Stacks of angles, or of (spectral pair, family) rows, are worked through
+# this many at a time, which bounds the working set; no result depends on it.
 _BLOCK = 64
 
 
@@ -90,7 +94,7 @@ def _generator(system: str, phi: float) -> np.ndarray:
     if system == TWO_QUBIT:
         return braid.build_m4(phi)
     if system == THREE_QUBIT:
-        return braid.build_braidset(phi).mcal
+        return braid._lifts_and_mcal(phi)[2]
     raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 
 
@@ -144,8 +148,20 @@ def _coefficients(family: str, points) -> list:
     raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
 
 
-def ybe_residual(system: str, x, y, phi, family: str = "rational"):
-    """Frobenius norm of LHS - RHS of the multiplicative Yang-Baxter equation.
+def _parity_blocks(dim: int) -> tuple:
+    """The (2, dim/2) even- and odd-parity basis indices of dim (a power of 2)
+    and the (dim, dim) mask of the entries that join the two parities."""
+    parity = np.array([bin(k).count("1") % 2 for k in range(dim)])
+    return np.argsort(parity, kind="stable").reshape(2, -1), parity[:, None] != parity[None, :]
+
+
+# the 8x8 words of two_qubit and the 16x16 words of three_qubit
+_PARITY_BLOCKS = {dim: _parity_blocks(dim) for dim in (8, 16)}
+
+
+def ybe_residual(x, y, phi) -> dict:
+    """Frobenius norms of LHS - RHS of the multiplicative Yang-Baxter equation,
+    for both systems and both families, keyed "<system>_<family>".
 
     ``x`` and ``y`` are SpectralParam values or two equal-length sequences of
     them, ``phi`` an angle or a 1-D grid; sequences add a trailing axis of
@@ -160,10 +176,19 @@ def ybe_residual(system: str, x, y, phi, family: str = "rational"):
     c_ABA (ABA - BAB), with c_A = a0 a1 b2 + b0 a1 a2 - a0 b1 a2,
     c_AA = b0 a1 b2 and c_ABA = b0 b1 b2 from the (a, b) of R(x), R(xy),
     R(y): since the scalars commute, the coefficients of I, AB and BA cancel
-    and those of B, BB and BAB are minus those of A, AA and ABA. Each pair is
-    validated and its coefficients formed once per call, the generator built
-    once per phi, the three word differences once per phi and block of pairs;
-    the sum runs in that order.
+    and those of B, BB and BAB are minus those of A, AA and ABA.
+
+    G conserves the parity of the basis index, and so do A, B and every
+    word. Each word difference is gathered into its even and odd parity
+    blocks (2x4x4 for two_qubit, 2x8x8 for three_qubit) once its entries off
+    the blocks are checked to be exactly 0; a nonzero one raises
+    NumericalError naming the phi. The sum then runs elementwise in the
+    order above, and its norm on the blocks only.
+
+    Each pair is validated and its coefficients formed once per family, the
+    generator of each (system, phi) and its three word differences once per
+    call; memory beyond the result grows with the pairs and the grid, not
+    with their product.
 
     The rational family satisfies the two_qubit equation identically; the
     three_qubit residual is generically nonzero (the overlapping-triple lifts
@@ -176,34 +201,54 @@ def ybe_residual(system: str, x, y, phi, family: str = "rational"):
     xs, ys = ([x], [y]) if single else (list(x), list(y))
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
-    gens = [_generator(system, p) for p in phis.reshape(-1)]  # once per phi
-    out = np.empty((phis.size, len(xs)))
-    for lo in range(0, len(xs), _BLOCK):
-        coeffs = []
-        for px, py in zip(xs[lo:lo + _BLOCK], ys[lo:lo + _BLOCK]):
-            if not (isinstance(px, SpectralParam) and isinstance(py, SpectralParam)):
-                raise TypeError("x and y must be SpectralParam values")
-            # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
-            points = (px.x, px.x * py.x, py.x)
-            _require_nonsingular(*points)
+    # one row per pair and family, the families one after the other
+    coeffs = np.empty((3, len(FAMILIES) * len(xs), 1), dtype=complex)
+    for k, (px, py) in enumerate(zip(xs, ys)):
+        if not (isinstance(px, SpectralParam) and isinstance(py, SpectralParam)):
+            raise TypeError("x and y must be SpectralParam values")
+        # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
+        points = (px.x, px.x * py.x, py.x)
+        _require_nonsingular(*points)
+        for f, family in enumerate(FAMILIES):
             (a0, b0), (a1, b1), (a2, b2) = _coefficients(family, points)
             # LHS (a0 + b0 A)(a1 + b1 B)(a2 + b2 A) - RHS (a2 + b2 B)(a1 + b1 A)(a0 + b0 B)
-            coeffs.append((a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
-                           b0 * a1 * b2, b0 * b1 * b2))
-        coeffs = np.array(coeffs, dtype=complex).T[..., None, None]
-        for row, gen in zip(out, gens):
-            row[lo:lo + _BLOCK] = _word_norms(coeffs, gen)
-    out = out.reshape(phis.shape + (() if single else (len(xs),)))
-    return out if out.ndim else float(out)
+            coeffs[:, f * len(xs) + k, 0] = (a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
+                                             b0 * a1 * b2, b0 * b1 * b2)
+    out = {}
+    for system in SYSTEMS:
+        grid = np.empty((phis.size, coeffs.shape[1]))
+        for row, p in zip(grid, phis.reshape(-1)):
+            words = _parity_words(_generator(system, p), p)
+            for lo in range(0, len(row), _BLOCK):
+                row[lo:lo + _BLOCK] = _word_norms(coeffs[:, lo:lo + _BLOCK], words)
+        grid = grid.reshape(phis.shape + (len(FAMILIES), len(xs)))
+        for f, family in enumerate(FAMILIES):
+            res = grid[..., f, 0] if single else grid[..., f, :]
+            out[f"{system}_{family}"] = res if res.ndim else float(res)
+    return out
 
 
-def _word_norms(coeffs: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """||c_A (A - B) + c_AA (AA - BB) + c_ABA (ABA - BAB)|| over a block of pairs,
-    summed elementwise in that order, of A = gen otimes I_2, B = I_2 otimes gen."""
+def _parity_words(gen: np.ndarray, phi: float) -> np.ndarray:
+    """A - B, AA - BB and ABA - BAB of A = gen otimes I_2, B = I_2 otimes gen,
+    each on its even and odd parity blocks, flattened to (3, 2 h^2): an entry
+    off the blocks that is not exactly 0 raises NumericalError naming phi."""
     a, b = (np.multiply.outer(p, q).transpose(0, 2, 1, 3).reshape(2 * len(gen), -1)
             for p, q in ((gen, braid.IDENTITY_2), (braid.IDENTITY_2, gen)))  # np.kron(p, q)
-    diff = coeffs[0] * (a - b)
+    words = np.stack([a - b, a @ a - b @ b, a @ b @ a - b @ a @ b])
+    blocks, mixing = _PARITY_BLOCKS[len(a)]
+    if np.any(words[:, mixing] != 0):
+        raise linalg.NumericalError(
+            f"Yang-Baxter words at phi = {float(phi)!r} join even and odd basis indices; "
+            f"cannot split them into parity blocks")
+    return words[:, blocks[:, :, None], blocks[:, None, :]].reshape(3, -1)
+
+
+def _word_norms(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """||c_A (A - B) + c_AA (AA - BB) + c_ABA (ABA - BAB)|| over a block of
+    (3, B, 1) coefficients and the (3, E) flattened parity-block words,
+    summed elementwise in that order."""
+    diff = coeffs[0] * words[0]
     term = np.empty_like(diff)
-    for c, word in zip(coeffs[1:], (a @ a - b @ b, a @ b @ a - b @ a @ b)):
+    for c, word in zip(coeffs[1:], words[1:]):
         diff += np.multiply(c, word, out=term)
     return linalg.frobenius_norms(diff)

@@ -64,15 +64,10 @@ def test_c03_yang_baxter():
     rng = np.random.default_rng(2026)
     pairs = sample_unit_circle_pairs(rng, 50)
     phis = np.linspace(0, 2 * np.pi, 5, endpoint=False)
-    worst4 = 0.0
-    worst8 = 0.0
-    for x, y in pairs:
-        sx, sy = SpectralParam(x), SpectralParam(y)
-        for phi in phis:
-            worst4 = np.maximum(worst4, yangbaxter.ybe_residual(
-                yangbaxter.TWO_QUBIT, sx, sy, phi))
-            worst8 = np.maximum(worst8, yangbaxter.ybe_residual(
-                yangbaxter.THREE_QUBIT, sx, sy, phi))
+    res = yangbaxter.ybe_residual([SpectralParam(x) for x, _ in pairs],
+                                  [SpectralParam(y) for _, y in pairs], phis)
+    worst4 = np.max(res["two_qubit_rational"])
+    worst8 = np.max(res["three_qubit_rational"])
     ok = worst4 <= tol
     report_line("3 yang-baxter", ok,
                 f"4x4 max {worst4:.3e} <= {tol}; 8x8 reported (no gate): "

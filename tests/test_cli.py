@@ -131,19 +131,19 @@ class TestVerifyAlgebra:
 
 
 class TestYbe:
-    def test_one_call_per_system_and_family(self, capsys, monkeypatch):
-        # each call covers every sampled pair over the whole phi grid
+    def test_one_call_for_every_system_and_family(self, capsys, monkeypatch):
+        # one call covers both systems and families, every sampled pair and
+        # the whole phi grid
         calls = []
         original = yangbaxter.ybe_residual
 
-        def counting(system, xs, ys, phis, family):
-            calls.append((system, family, len(xs), len(phis)))
-            return original(system, xs, ys, phis, family=family)
+        def counting(xs, ys, phis):
+            calls.append((len(xs), len(phis)))
+            return original(xs, ys, phis)
 
         monkeypatch.setattr(yangbaxter, "ybe_residual", counting)
         assert run(capsys, "ybe", "--samples", "3", "--phi-samples", "4")[0] == 0
-        assert sorted(calls) == sorted((s, f, 3, 4) for s in yangbaxter.SYSTEMS
-                                       for f in ("rational", "unitary"))
+        assert calls == [(3, 4)]
 
     def test_report(self, capsys):
         code, out, _ = run(capsys, "ybe", "--samples", "3", "--phi-samples", "2",

@@ -143,12 +143,14 @@ class TestRFromSpectral:
 class TestYbeResidual:
     def test_identity_point_trivial(self):
         one = SpectralParam(1.0 + 0j)
-        assert ybe_residual("two_qubit", one, one, 0.3) < 1e-15
+        res = ybe_residual(one, one, 0.3)
+        assert list(res) == [f"{s}_{f}" for s in yangbaxter.SYSTEMS for f in yangbaxter.FAMILIES]
+        assert all(isinstance(r, float) and r < 1e-15 for r in res.values())
 
     def test_two_qubit_rational_closes(self):
         x = SpectralParam(np.exp(1j * np.pi / 6))
         y = SpectralParam(np.exp(1j * np.pi / 8))
-        assert ybe_residual("two_qubit", x, y, 0.7) <= 1e-10
+        assert ybe_residual(x, y, 0.7)["two_qubit_rational"] <= 1e-10
 
     def test_two_qubit_rational_closes_for_random_parameters(self):
         rng = np.random.default_rng(3)
@@ -158,15 +160,15 @@ class TestYbeResidual:
             if min(abs(np.cos(a)), abs(np.cos(b)), abs(np.cos(a + b))) < 1e-3:
                 continue
             checked += 1
-            res = ybe_residual("two_qubit", SpectralParam(np.exp(1j * a)),
+            res = ybe_residual(SpectralParam(np.exp(1j * a)),
                                SpectralParam(np.exp(1j * b)), 1.9)
-            assert res <= 1e-10
+            assert res["two_qubit_rational"] <= 1e-10
 
     def test_three_qubit_residual_is_reported_not_asserted(self):
         # the overlapping-triple lifts break the closure; record, don't gate
         x = SpectralParam(np.exp(1j * np.pi / 6))
         y = SpectralParam(np.exp(1j * np.pi / 8))
-        res = ybe_residual("three_qubit", x, y, 0.7)
+        res = ybe_residual(x, y, 0.7)["three_qubit_rational"]
         assert np.isfinite(res) and res >= 0.0
         lifted = np.kron(braid.build_braidset(0.7).mcal, np.eye(2))
         shifted = np.kron(np.eye(2), braid.build_braidset(0.7).mcal)
@@ -176,22 +178,21 @@ class TestYbeResidual:
     def test_unitary_family_violates_multiplicative_form(self):
         x = SpectralParam(np.exp(1j * np.pi / 6))
         y = SpectralParam(np.exp(1j * np.pi / 8))
-        assert ybe_residual("two_qubit", x, y, 0.7, family="unitary") > 1.0
+        assert ybe_residual(x, y, 0.7)["two_qubit_unitary"] > 1.0
 
     def test_singular_composite_rejected(self):
         # arg(x) + arg(y) = pi/2 makes x*y singular for the theta map
         x = SpectralParam(np.exp(1j * np.pi / 4))
         with pytest.raises(SingularParameterError):
-            ybe_residual("two_qubit", x, x, 0.0)
+            ybe_residual(x, x, 0.0)
 
     def test_rational_r_rejects_zero(self):
         with pytest.raises(ValueError):
             rational_r("two_qubit", 0.0, 0.0)
 
     def test_unknown_family_rejected(self):
-        one = SpectralParam(1.0 + 0j)
         with pytest.raises(ValueError):
-            ybe_residual("two_qubit", one, one, 0.0, family="other")
+            yangbaxter._coefficients("other", [1.0 + 0j])
 
 
 def sampled_pairs(count, seed=23):
@@ -208,7 +209,7 @@ def sampled_pairs(count, seed=23):
     return xs, ys
 
 
-SYSTEM_FAMILIES = [(s, f) for s in yangbaxter.SYSTEMS for f in ("rational", "unitary")]
+SYSTEM_FAMILIES = [(s, f) for s in yangbaxter.SYSTEMS for f in yangbaxter.FAMILIES]
 
 
 def within_oracle(residuals, oracle):
@@ -217,14 +218,23 @@ def within_oracle(residuals, oracle):
     return bool(np.all(np.abs(residuals - oracle) <= 1e-14 * np.maximum(1.0, oracle)))
 
 
+def parity_conserving(rng, dim):
+    """A random complex dim x dim matrix, zero wherever the basis indices of its
+    row and column differ in parity."""
+    parity = np.array([bin(k).count("1") % 2 for k in range(dim)])
+    gen = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.where(parity[:, None] == parity[None, :], gen, 0.0)
+
+
 class TestStackedYbeResidual:
     @pytest.mark.parametrize("system,family", SYSTEM_FAMILIES)
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
     def test_stack_matches_per_pair_calls(self, system, family, count):
+        key = f"{system}_{family}"
         xs, ys = sampled_pairs(count)
-        stacked = ybe_residual(system, xs, ys, 0.9, family=family)
+        stacked = ybe_residual(xs, ys, 0.9)[key]
         assert stacked.shape == (count,)
-        single = [ybe_residual(system, x, y, 0.9, family=family) for x, y in zip(xs, ys)]
+        single = [ybe_residual(x, y, 0.9)[key] for x, y in zip(xs, ys)]
         kron = [kron_route_residual(system, x, y, 0.9, family) for x, y in zip(xs, ys)]
         assert all(isinstance(r, float) for r in single)
         assert stacked.tolist() == single
@@ -232,37 +242,69 @@ class TestStackedYbeResidual:
 
     @pytest.mark.parametrize("system,family", SYSTEM_FAMILIES)
     def test_phi_grid_slices_bitwise_equal_to_scalar_calls(self, system, family):
+        key = f"{system}_{family}"
         xs, ys = sampled_pairs(65)
         phis = np.array([0.0, 0.9, -2.5, 1e3])
-        grid = ybe_residual(system, xs, ys, phis, family=family)
+        grid = ybe_residual(xs, ys, phis)[key]
         assert grid.shape == (4, 65)
         for phi, row in zip(phis, grid):
-            assert np.array_equal(row, ybe_residual(system, xs, ys, phi, family=family))
+            assert np.array_equal(row, ybe_residual(xs, ys, phi)[key])
         # one pair over the grid is the column of that pair
-        one = ybe_residual(system, xs[64], ys[64], phis, family=family)
+        one = ybe_residual(xs[64], ys[64], phis)[key]
         assert one.shape == (4,) and np.array_equal(one, grid[:, 64])
 
     def test_generator_built_once_per_phi(self, monkeypatch):
-        # 130 pairs span three blocks of 64; each phi's generator is built once
+        # 130 pairs in two families span five blocks of 64 rows; each
+        # (system, phi) generator is built once, and each pair's coefficients
+        # formed once per family
         built, generator = [], yangbaxter._generator
-        monkeypatch.setattr(yangbaxter, "_generator",
-                            lambda system, phi: built.append(phi) or generator(system, phi))
+        formed, coefficients = [], yangbaxter._coefficients
+        monkeypatch.setattr(yangbaxter, "_generator", lambda system, phi: built.append(
+            (system, phi)) or generator(system, phi))
+        monkeypatch.setattr(yangbaxter, "_coefficients", lambda family, points: formed.append(
+            family) or coefficients(family, points))
         xs, ys = sampled_pairs(130)
-        ybe_residual("three_qubit", xs, ys, [0.0, 0.9])
-        assert built == [0.0, 0.9]
+        ybe_residual(xs, ys, [0.0, 0.9])
+        assert built == [(s, p) for s in yangbaxter.SYSTEMS for p in (0.0, 0.9)]
+        assert sorted(formed) == 130 * ["rational"] + 130 * ["unitary"]
 
     @pytest.mark.parametrize("dim", [4, 8])
     @pytest.mark.parametrize("family", ["rational", "unitary"])
     def test_random_generator_matches_product_route(self, monkeypatch, dim, family):
-        # no braid relation is assumed: any complex G gives the product route's value
-        rng = np.random.default_rng(dim)
-        gen = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        # no braid relation is assumed: any complex G that conserves parity
+        # gives the product route's value
+        gen = parity_conserving(np.random.default_rng(dim), dim)
         monkeypatch.setattr(yangbaxter, "_generator", lambda system, phi: gen)
         xs, ys = sampled_pairs(65)
-        words = ybe_residual("two_qubit", xs, ys, 0.0, family=family)
+        words = ybe_residual(xs, ys, 0.0)[f"two_qubit_{family}"]
         kron = [kron_route_residual("two_qubit", x, y, 0.0, family) for x, y in zip(xs, ys)]
         assert np.median(kron) > 1.0  # far from a closing equation: nothing cancels
         assert within_oracle(words, kron)
+
+    @pytest.mark.parametrize("system", yangbaxter.SYSTEMS)
+    @pytest.mark.parametrize("mutant", ["random", "one_entry"])
+    def test_parity_mixing_generator_raises(self, monkeypatch, system, mutant):
+        # a generator that joins the parities, at one phi of the grid: a random
+        # complex G, or the true one with one entry off its parity blocks set
+        generator = yangbaxter._generator
+        dim = len(generator(system, 0.0))
+        rng = np.random.default_rng(dim)
+
+        def mutated(sys_, phi):
+            gen = generator(sys_, phi)
+            if sys_ != system or phi != 0.9:
+                return gen
+            if mutant == "random":
+                return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            gen = gen.copy()
+            gen[0, 1] = 1e-300  # indices 0 and 1 differ in parity
+            return gen
+
+        monkeypatch.setattr(yangbaxter, "_generator", mutated)
+        xs, ys = sampled_pairs(3)
+        with pytest.raises(linalg.NumericalError, match=r"phi = 0\.9 "):
+            ybe_residual(xs, ys, [0.0, 0.9, 1.7])
+        assert all(np.isfinite(r).all() for r in ybe_residual(xs, ys, [0.0, 1.7]).values())
 
     def test_mutant_generator_fails_the_two_qubit_gate(self, monkeypatch, capsys):
         minus, plus, zero = braid._M_PARTS
@@ -276,14 +318,17 @@ class TestStackedYbeResidual:
         assert worst > 1.0 and within_oracle(worst, kron)
 
     def test_memory_does_not_grow_with_pairs_times_phis(self):
+        # the peak beyond the four returned grids, which hold pairs x phis
+        # floats each by their nature
         def peak(count, phi_count):
             xs, ys = sampled_pairs(count)
             phis = np.linspace(0.0, 6.0, phi_count)
             tracemalloc.start()
-            ybe_residual("three_qubit", xs, ys, phis)
+            res = ybe_residual(xs, ys, phis)
             used = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            return used
+            assert all(r.shape == (phi_count, count) for r in res.values())
+            return used - sum(r.nbytes for r in res.values())
 
         peak(50, 5)  # first call outside the measurement
         assert peak(1000, 20) <= 1.5 * peak(50, 5)
@@ -291,22 +336,21 @@ class TestStackedYbeResidual:
     def test_mismatched_lengths_rejected(self):
         xs, ys = sampled_pairs(3)
         with pytest.raises(ValueError):
-            ybe_residual("two_qubit", xs, ys[:2], 0.0)
+            ybe_residual(xs, ys[:2], 0.0)
 
     def test_bad_member_rejected(self):
         xs, ys = sampled_pairs(3)
         with pytest.raises(TypeError):
-            ybe_residual("two_qubit", xs, ys[:2] + [0.5], 0.0)
+            ybe_residual(xs, ys[:2] + [0.5], 0.0)
         singular = SpectralParam(np.exp(1j * np.pi / 4))
         with pytest.raises(SingularParameterError):
-            ybe_residual("two_qubit", xs + [singular], ys + [singular], 0.0)
+            ybe_residual(xs + [singular], ys + [singular], 0.0)
 
     def test_non_finite_phi_rejected(self):
         one = SpectralParam(1.0 + 0j)
-        for family in ("rational", "unitary"):
-            for phi in (np.nan, [0.1, np.inf], np.zeros((2, 2))):
-                with pytest.raises(ValueError):
-                    ybe_residual("two_qubit", one, one, phi, family=family)
+        for phi in (np.nan, [0.1, np.inf], np.zeros((2, 2))):
+            with pytest.raises(ValueError):
+                ybe_residual(one, one, phi)
 
 
 class TestUnitarityResiduals:
