@@ -626,18 +626,31 @@ class TestArgvFuzz:
     @example(["spectrum", "--theta", "1", "--phidot", "1e308"])
     @example(["spectrum", "--theta", "1", "--hbar", "1e-320", "--phidot", "1e-10"])
     @example(["spectrum", "--theta", "1", "--hbar", "1e-300", "--phidot", "1e-15"])
+    @example(["sweep", "--theta-min", "0.0", "--theta-max", "0.0", "--steps", "2",
+              "--format", "json", "--out", "OUT"])
     def test_every_run_ends_in_a_report_or_one_error_line(self, argv):
         # exit 0/1 with a strict, schema-valid report and nothing on stderr,
-        # or exit 2/3 with one stderr line; no warning may reach numpy
+        # or exit 2/3 with one stderr line; no warning may reach numpy. The
+        # report goes to --out, and stdout stays empty, unless --out takes
+        # the sweep's CSV rows (its default format)
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+        to_out = "--out" in argv and not (argv[0] == "sweep" and fmt == "csv")
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            argv = [os.path.join(tmp, "curves.csv") if a == "OUT" else a for a in argv]
+            path = os.path.join(tmp, "curves.csv")
+            argv = [path if a == "OUT" else a for a in argv]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code = cli.main(argv)
+            if code in (0, 1) and to_out:
+                assert out.getvalue() == ""
+                with open(path, encoding="utf-8") as fh:
+                    report = fh.read()
+            else:
+                report = out.getvalue()
         if code in (0, 1):
-            payload = json.loads(out.getvalue(), parse_constant=reject)
+            payload = json.loads(report, parse_constant=reject)
             validate(payload)
             assert payload["passed"] is (code == 0) and err.getvalue() == ""
         else:
