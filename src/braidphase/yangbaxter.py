@@ -152,7 +152,8 @@ def _parity_blocks(dim: int) -> tuple:
     """The (2, dim/2) even- and odd-parity basis indices of dim (a power of 2)
     and the (dim, dim) mask of the entries that join the two parities."""
     parity = np.array([bin(k).count("1") % 2 for k in range(dim)])
-    return np.argsort(parity, kind="stable").reshape(2, -1), parity[:, None] != parity[None, :]
+    blocks = np.stack([np.flatnonzero(parity == p) for p in (0, 1)])
+    return blocks, parity[:, None] != parity[None, :]
 
 
 # the 8x8 words of two_qubit and the 16x16 words of three_qubit
