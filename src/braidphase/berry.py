@@ -8,9 +8,9 @@ Two routes:
   one read of one fixture batch over the fixture's parity sector;
 * berry_wilson -- the Wilson loops of both split doublets over numerical
   eigenvectors, for levels without closed forms of their connection, from one
-  solve of the H grid as 2x2 blocks: in each basis-index parity sector H acts
-  on a fixed pair of states, and each doublet has one member in each sector,
-  so each loop is diagonal: one U(1) loop of scalar overlaps per sector.
+  solve of the H grid's 2x2 blocks on the doublet range of each basis-index
+  parity sector (dynamics._compress); each doublet has one member in each
+  sector, so each loop is diagonal: one U(1) loop of scalar overlaps per sector.
 
 Phases follow the gamma = i oint <chi|d_phi chi> sign convention (Wilson
 phases are reported as -arg of the loops so both routes agree). Measured
@@ -39,19 +39,6 @@ __all__ = [
 ]
 
 TWO_PI = 2 * np.pi
-
-# parity of the number of 1-bits of each basis index, which H conserves
-_PARITY = np.array([bin(k).count("1") % 2 for k in range(8)])
-_MIXING = _PARITY[:, None] != _PARITY[None, :]
-# In each sector H acts on a fixed orthonormal pair, its doublet range: even
-# |000>, (|011> + |101> + |110>)/sqrt(3); odd (|001> - |010> + |100>)/sqrt(3), |111>.
-# For each (copy, source, sign) in _SAME, column and row copy of H equal sign times
-# column and row source, exactly; H's 2x2 block on each sector's pair is then
-# H[_ROWS, _COLS] * _WEIGHTS, indexed (sector, row, column).
-_SAME = ((5, 3, 1.0), (6, 3, 1.0), (2, 1, -1.0), (4, 1, 1.0))
-_ROWS, _COLS = [[[0, 0], [3, 3]], [[1, 1], [7, 7]]], [[[0, 3], [0, 3]], [[1, 7], [1, 7]]]
-_WEIGHTS = np.sqrt([[[1.0, 3.0], [3.0, 9.0]], [[9.0, 3.0], [3.0, 1.0]]])
-
 
 def solid_angle(theta: float) -> float:
     """Solid angle 2*pi*(1 - cos theta) swept by the drive loop."""
@@ -110,20 +97,17 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
 def berry_wilson(theta: float, steps: int) -> dict:
     """Phases of the Wilson loops over the two split doublets, by level.
 
-    H conserves the parity of the basis index, and in each parity sector acts
-    on a fixed orthonormal pair of states (the doublet range). So each grid
-    point's Hamiltonian (hbar = phidot = 1) is solved once, as a 2x2 block per
-    sector on that pair, holding exactly one state of each split level (energy
-    -+cos theta for 'minus'/'plus'). Each doublet's Wilson loop is therefore
-    diagonal: per sector, the product of the overlaps of that level's
-    2-vectors at consecutive grid points (equal to those of the 8-vectors).
-    Returns {"minus": [low, high], "plus": [low, high]}, each pair sorted, in
-    the line-integral sign convention.
-
-    The structure is checked at run time: an entry of H that mixes the
-    parities and is not exactly 0, a column or row that is not exactly the
-    copy that keeps H on the doublet range, or a sector with other than one
-    state at a level's energy, raises NumericalError naming the grid point.
+    Each grid point's Hamiltonian (hbar = phidot = 1) is solved once, as its
+    2x2 block per parity sector on that sector's doublet range, from
+    dynamics._compress, which checks the structure exactly and raises
+    NumericalError naming the grid point. Each block holds exactly one state
+    of each split level (energy -+cos theta for 'minus'/'plus'), so each
+    doublet's Wilson loop is diagonal: per sector, the product of the
+    overlaps of that level's 2-vectors at consecutive grid points (equal to
+    those of the 8-vectors). A sector with other than one state at a level's
+    energy raises NumericalError naming the grid point. Returns
+    {"minus": [low, high], "plus": [low, high]}, each pair sorted, in the
+    line-integral sign convention.
     """
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
@@ -133,20 +117,7 @@ def berry_wilson(theta: float, steps: int) -> dict:
             f"level gap {gap} below 1e-8; doublet crosses the zero level")
 
     hams = dynamics.hamiltonian_grid(theta, TWO_PI * np.arange(steps) / steps)
-    mixed = np.any(hams[:, _MIXING] != 0, axis=1)
-    if mixed.any():
-        raise linalg.NumericalError(
-            f"H mixes even and odd parity at grid point {np.argmax(mixed)}; "
-            f"cannot split it")
-    off_range = np.zeros(steps, dtype=bool)
-    for copy, source, sign in _SAME:  # on views, so that no column is copied
-        for m in (hams, np.swapaxes(hams, 1, 2)):
-            off_range |= np.any(m[:, :, copy] != sign * m[:, :, source], axis=1)
-    if off_range.any():
-        raise linalg.NumericalError(
-            f"H leaves the doublet range of its parity sectors at grid point "
-            f"{np.argmax(off_range)}; cannot compress it")
-    dec = linalg.eigh((hams[:, _ROWS, _COLS] * _WEIGHTS).reshape(2 * steps, 2, 2))
+    dec = linalg.eigh(dynamics._compress(hams).reshape(2 * steps, 2, 2))
     vectors = np.swapaxes(dec.eigenvectors, 1, 2)
 
     phases = {}

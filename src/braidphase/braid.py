@@ -70,6 +70,12 @@ _M_PARTS = tuple(_frozen(m) for m in (
 _LIFT_12 = tuple(_frozen(np.kron(m, IDENTITY_2)) for m in _M_PARTS)
 _LIFT_23 = tuple(_frozen(np.kron(IDENTITY_2, m)) for m in _M_PARTS)
 
+# the (2, dim/2) even and odd basis indices (1-bits mod 2), which every generator, its
+# lifts and H conserve, and the (dim, dim) mask of the entries joining them; dims 8, 16
+_PARITY_BLOCKS = {
+    len(p): (np.stack([np.flatnonzero(p == 0), np.flatnonzero(p == 1)]), p[:, None] != p[None, :])
+    for p in (np.array([bin(k).count("1") % 2 for k in range(dim)]) for dim in (8, 16))}
+
 
 def _combine(phi, parts: tuple) -> np.ndarray:
     minus, plus, zero = parts

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .braid import IDENTITY_2, SPIN
+from .braid import _PARITY_BLOCKS, IDENTITY_2, SPIN
 
 __all__ = [
     "DriveParams",
@@ -79,6 +79,19 @@ I_3 = (S1_3 + S2_3 + S3_3 + S2_3 @ (S1P @ S3M + S1M @ S3P)
        - 0.5 * (S1P @ S2M + S1M @ S2P + S2P @ S3M + S2M @ S3P))
 for _m in (I_PLUS, I_MINUS, I_3):
     _m.setflags(write=False)
+
+# In each parity sector H acts on a fixed orthonormal pair, its doublet range: even
+# |000>, (|011> + |101> + |110>)/sqrt(3); odd (|001> - |010> + |100>)/sqrt(3), |111>,
+# held in _LIFT (sector, index, member). For each (copy, source, sign) in _SAME, column
+# and row copy of H are sign times column and row source, exactly, so H (e_copy - sign
+# e_source) = 0, and a sector's 2x2 block is H on its _SOURCES times _WEIGHTS.
+_SAME = ((5, 3, 1.0), (6, 3, 1.0), (2, 1, -1.0), (4, 1, 1.0))
+_SOURCES = np.array([[0, 3], [1, 7]])
+_WEIGHTS = np.sqrt([[[1.0, 3.0], [3.0, 9.0]], [[9.0, 3.0], [3.0, 1.0]]])
+_LIFT = np.eye(8)[:, _SOURCES]
+for _copy, _source, _sign in _SAME:
+    _LIFT[_copy] = _sign * _LIFT[_source]
+_LIFT = (_LIFT / np.sqrt(np.count_nonzero(_LIFT, axis=0))).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -127,7 +140,7 @@ class Su2Ops:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """eigh output for H plus closed-form and fixture comparisons.
+    """H's eigenvalues, ascending, plus closed-form and fixture comparisons.
 
     degeneracy_pattern lists cluster sizes in ascending-eigenvalue order
     (clusters split at gaps above 1e-8 * hbar * |phidot|). closed_form_match
@@ -138,7 +151,6 @@ class SpectrumReport:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     degeneracy_pattern: tuple
     closed_form_match: float
     fixture_residuals: tuple
@@ -169,6 +181,27 @@ def _generator(theta, phis, phi_dot, hbar) -> np.ndarray:
     f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / SQRT3
     f2 = 2 * hbar * phi_dot * np.cos(theta) ** 2 / 3
     return f1 * (em * I_PLUS + np.conj(em) * I_MINUS) + f2 * I_3
+
+
+def _compress(hams: np.ndarray) -> np.ndarray:
+    """The (B, 2, 2, 2) blocks (grid point, sector, row, column) of a (B, 8, 8)
+    H stack on the doublet range, after checking with != that no entry mixes
+    the parities and that every copy rule holds; else NumericalError names the
+    grid point."""
+    mixed = np.any(hams[:, _PARITY_BLOCKS[8][1]] != 0, axis=1)
+    if mixed.any():
+        raise linalg.NumericalError(
+            f"H mixes even and odd parity at grid point {np.argmax(mixed)}; "
+            f"cannot split it")
+    off_range = np.zeros(len(hams), dtype=bool)
+    for copy, source, sign in _SAME:  # on views, so that no column is copied
+        for m in (hams, np.swapaxes(hams, 1, 2)):
+            off_range |= np.any(m[:, :, copy] != sign * m[:, :, source], axis=1)
+    if off_range.any():
+        raise linalg.NumericalError(
+            f"H leaves the doublet range of its parity sectors at grid point "
+            f"{np.argmax(off_range)}; cannot compress it")
+    return hams[:, _SOURCES[:, :, None], _SOURCES[:, None, :]] * _WEIGHTS
 
 
 def su2_ops(d: DriveParams) -> Su2Ops:
@@ -290,20 +323,22 @@ def eigenstate_fixture(i: int, theta: float, phi: float) -> np.ndarray:
 
 
 def spectrum(d: DriveParams) -> SpectrumReport:
-    """eigh of the Hamiltonian plus closed-form and fixture verification."""
+    """H's spectrum from one eigh of its (2, 2, 2) _compress blocks, whose
+    eigenvectors are lifted through the doublet range, and from its exact
+    kernel, spanned by e_copy - sign e_source, as the zero level (eigenvalues
+    exactly 0); then checked against the closed-form fixtures."""
     h = hamiltonian(d)
-    dec = linalg.eigh(h)
+    dec = linalg.eigh(_compress(h[None])[0])
     # H is linear in hbar * phidot, so the grouping gap scales with it
     gap = 1e-8 * d.hbar * abs(d.phi_dot)
 
-    clusters = []
-    start = 0
-    lam = dec.eigenvalues
-    for k in range(1, 9):
-        if k == 8 or lam[k] - lam[k - 1] > gap:
-            clusters.append((start, k))
-            start = k
-    pattern = tuple(hi - lo for lo, hi in clusters)
+    # states 0..3 span the kernel; 4..7 are the lifted block eigenvectors
+    values = np.concatenate([np.zeros(4), dec.eigenvalues.reshape(4)])
+    order = np.argsort(values, kind="stable")
+    lam = values[order]
+    clusters = np.split(order, np.flatnonzero(np.diff(lam) > gap) + 1)
+    lifted = np.swapaxes(_LIFT @ dec.eigenvectors, 1, 2).reshape(4, 8)
+    kernel = _span_projector([np.eye(8)[c] - sign * np.eye(8)[s] for c, s, sign in _SAME])
 
     fixtures = [eigenstate_fixture(i, d.theta, d.phi) for i in FIXTURE_INDICES]
     energies = [fixture_energy(i, d) for i in FIXTURE_INDICES]
@@ -312,18 +347,17 @@ def spectrum(d: DriveParams) -> SpectrumReport:
         [h @ v - en * v for v, en in zip(fixtures, energies)]).tolist())
 
     projector_diffs = []
-    for lo, hi in clusters:
-        vecs = dec.eigenvectors[:, lo:hi]
-        p_num = vecs @ vecs.conj().T
-        mean = float(np.mean(lam[lo:hi]))
+    for states in clusters:
+        vecs = lifted[states[states >= 4] - 4]
+        p_num = vecs.T @ vecs.conj() + (kernel if states.min() < 4 else 0)
+        mean = float(np.mean(values[states]))
         members = [v for v, en in zip(fixtures, energies)
                    if abs(en - mean) <= gap]
         projector_diffs.append(p_num - _span_projector(members))
 
     return SpectrumReport(
         eigenvalues=lam,
-        eigenvectors=dec.eigenvectors,
-        degeneracy_pattern=pattern,
+        degeneracy_pattern=tuple(len(states) for states in clusters),
         closed_form_match=closed_match,
         fixture_residuals=fixture_residuals,
         projector_residuals=tuple(linalg.frobenius_norms(projector_diffs).tolist()),

@@ -148,18 +148,6 @@ def _coefficients(family: str, points) -> list:
     raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
 
 
-def _parity_blocks(dim: int) -> tuple:
-    """The (2, dim/2) even- and odd-parity basis indices of dim (a power of 2)
-    and the (dim, dim) mask of the entries that join the two parities."""
-    parity = np.array([bin(k).count("1") % 2 for k in range(dim)])
-    blocks = np.stack([np.flatnonzero(parity == p) for p in (0, 1)])
-    return blocks, parity[:, None] != parity[None, :]
-
-
-# the 8x8 words of two_qubit and the 16x16 words of three_qubit
-_PARITY_BLOCKS = {dim: _parity_blocks(dim) for dim in (8, 16)}
-
-
 def ybe_residual(x, y, phi) -> dict:
     """Frobenius norms of LHS - RHS of the multiplicative Yang-Baxter equation,
     for both systems and both families, keyed "<system>_<family>".
@@ -236,7 +224,7 @@ def _parity_words(gen: np.ndarray, phi: float) -> np.ndarray:
     a, b = (np.multiply.outer(p, q).transpose(0, 2, 1, 3).reshape(2 * len(gen), -1)
             for p, q in ((gen, braid.IDENTITY_2), (braid.IDENTITY_2, gen)))  # np.kron(p, q)
     words = np.stack([a - b, a @ a - b @ b, a @ b @ a - b @ a @ b])
-    blocks, mixing = _PARITY_BLOCKS[len(a)]
+    blocks, mixing = braid._PARITY_BLOCKS[len(a)]
     if np.any(words[:, mixing] != 0):
         raise linalg.NumericalError(
             f"Yang-Baxter words at phi = {float(phi)!r} join even and odd basis indices; "

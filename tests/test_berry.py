@@ -218,10 +218,51 @@ def captured_solve(monkeypatch):
     return calls
 
 
-class TestParitySplit:
+class CompressRejections:
+    """The exact-structure rejections of dynamics._compress, through one of its
+    callers: ``nudge(monkeypatch, move)`` has move(h) edit in place the H that
+    ``solve()`` compresses as grid point ``POINT``."""
+
+    def test_mixing_entry_rejected(self, monkeypatch):
+        def move(h):
+            h[0b011, 0b111] = h[0b111, 0b011] = 1e-300
+
+        self.nudge(monkeypatch, move)
+        with pytest.raises(linalg.NumericalError,
+                           match=f"parity at grid point {self.POINT};"):
+            self.solve()
+
+    @pytest.mark.parametrize("copy,other", [(5, 3), (6, 5), (2, 1), (4, 2)])
+    def test_tiny_entry_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
+        # a real entry of a column that must copy column 3 or 1, and its
+        # mirror, given an imaginary part far below any tolerance
+        def move(h):
+            h[other, copy] += 1e-300j
+            h[copy, other] = np.conj(h[other, copy])
+
+        self.nudge(monkeypatch, move)
+        with pytest.raises(linalg.NumericalError, match="doublet range of its parity "
+                           f"sectors at grid point {self.POINT};"):
+            self.solve()
+
+    @pytest.mark.parametrize("copy,other", [(5, 0), (4, 7)])
+    def test_row_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
+        # one entry of a row that must copy row 3 or 1, moved by one unit in
+        # the last place and not mirrored: every column still copies its source
+        def move(h):
+            h[copy, other] += np.spacing(abs(h[copy, other].real))
+
+        self.nudge(monkeypatch, move)
+        with pytest.raises(linalg.NumericalError, match="doublet range of its parity "
+                           f"sectors at grid point {self.POINT};"):
+            self.solve()
+
+
+class TestParitySplit(CompressRejections):
     # angles off the README one: the plus doublet at theta = 2.1 (cos < 0)
     # and both doublets ("--level all") at theta = 0.9
     CASES = [("plus", 2.1), ("minus", 0.9), ("plus", 0.9)]
+    POINT = 137
 
     @staticmethod
     def nudge(monkeypatch, move):
@@ -235,44 +276,15 @@ class TestParitySplit:
 
         monkeypatch.setattr(dynamics, "hamiltonian_grid", nudged)
 
-    def test_mixing_entry_rejected(self, monkeypatch):
-        def move(h):
-            h[0b011, 0b111] = h[0b111, 0b011] = 1e-300
-
-        self.nudge(monkeypatch, move)
-        with pytest.raises(linalg.NumericalError, match="parity at grid point 137"):
-            berry.berry_wilson(1.0472, 400)
+    @staticmethod
+    def solve():
+        berry.berry_wilson(1.0472, 400)
 
     def test_sector_without_one_level_state_rejected(self, monkeypatch):
         # shifting the odd diagonal also moves H off the doublet range, which
         # is checked before any level is
         def move(h):
             h[ODD, ODD] += np.cos(1.0472)
-
-        self.nudge(monkeypatch, move)
-        with pytest.raises(linalg.NumericalError,
-                           match="doublet range of its parity sectors at grid point 137;"):
-            berry.berry_wilson(1.0472, 400)
-
-    @pytest.mark.parametrize("copy,other", [(5, 3), (6, 5), (2, 1), (4, 2)])
-    def test_tiny_entry_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
-        # a real entry of a column that must copy column 3 or 1, and its
-        # mirror, given an imaginary part far below any tolerance
-        def move(h):
-            h[other, copy] += 1e-300j
-            h[copy, other] = np.conj(h[other, copy])
-
-        self.nudge(monkeypatch, move)
-        with pytest.raises(linalg.NumericalError,
-                           match="doublet range of its parity sectors at grid point 137;"):
-            berry.berry_wilson(1.0472, 400)
-
-    @pytest.mark.parametrize("copy,other", [(5, 0), (4, 7)])
-    def test_row_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
-        # one entry of a row that must copy row 3 or 1, moved by one unit in
-        # the last place and not mirrored: every column still copies its source
-        def move(h):
-            h[copy, other] += np.spacing(abs(h[copy, other].real))
 
         self.nudge(monkeypatch, move)
         with pytest.raises(linalg.NumericalError,
@@ -339,6 +351,38 @@ class TestParitySplit:
     def test_doublet_phases_agree(self, level, theta):
         low, high = berry.berry_wilson(theta, 800)[level]
         assert high - low <= 1e-12
+
+
+class TestSpectrumParitySplit(CompressRejections):
+    # spectrum compresses its one H as grid point 0: here the H of grid point
+    # 137 of TestParitySplit's loop
+    POINT = 0
+    PHI = 2 * np.pi * 137 / 400
+
+    @staticmethod
+    def nudge(monkeypatch, move):
+        exact = dynamics.hamiltonian
+
+        def nudged(d):
+            h = exact(d)
+            move(h)
+            return h
+
+        monkeypatch.setattr(dynamics, "hamiltonian", nudged)
+
+    def solve(self):
+        dynamics.spectrum(dynamics.DriveParams(1.0472, self.PHI))
+
+    def test_cli_exits_3(self, monkeypatch, capsys):
+        def move(h):
+            h[0b011, 0b111] = h[0b111, 0b011] = 1e-300
+
+        self.nudge(monkeypatch, move)
+        code = cli.main(["spectrum", "--theta", "1.0472", "--phi", repr(self.PHI)])
+        out = capsys.readouterr()
+        assert code == 3 and out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert "parity at grid point 0;" in out.err
 
 
 class TestFold:

@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
+import shlex
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -15,6 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidphase import braid, cli, dynamics, entanglement, linalg, states, yangbaxter
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
+import golden  # noqa: E402
+
+GOLDEN_SPECTRUM = [command for command in golden.README_COMMANDS + golden.EXTRA_COMMANDS
+                   if command.startswith("spectrum")]
 
 
 def run(capsys, *argv):
@@ -332,6 +341,41 @@ class TestSpectrum:
         assert code == 1
         passes = json.loads(out)["passes"]
         assert not passes["closed_form_match"] and not passes["fixture_eigen_equation_max"]
+
+
+class TestGoldenCommands:
+    def test_no_eigh_above_two_by_two(self, monkeypatch):
+        # every golden command in-process, with the shape of each matrix or
+        # stack linalg.eigh is given recorded
+        shapes = []
+        original = linalg.eigh
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(linalg, "eigh", recording)
+        solved = 0
+        for command, code, _, _ in golden.outputs():
+            assert code in (0, 1), command
+            assert all(shape[-1] <= 2 for shape in shapes), (command, shapes)
+            if command.startswith("spectrum"):
+                assert shapes == [(2, 2, 2)], command
+            solved += bool(shapes)
+            shapes.clear()
+        assert solved >= len(GOLDEN_SPECTRUM) + 1  # spectrum, berry wilson, entangle
+
+    @pytest.mark.parametrize("command", GOLDEN_SPECTRUM)
+    def test_fixture_swap_mutant_fails(self, capsys, monkeypatch, command):
+        # the members of the minus and plus levels swapped in the level table
+        (minus, fives), (plus, sixes) = dynamics.LEVELS["minus"], dynamics.LEVELS["plus"]
+        monkeypatch.setitem(dynamics.LEVELS, "minus", (minus, sixes))
+        monkeypatch.setitem(dynamics.LEVELS, "plus", (plus, fives))
+        code, out, _ = run(capsys, *shlex.split(command))
+        assert code == 1
+        passes = json.loads(out)["passes"]
+        assert not passes["fixture_eigen_equation_max"]
+        assert not passes["projector_match_max"]
 
 
 class TestBerry:

@@ -265,3 +265,18 @@ class TestSpectrum:
         for theta in (0.5, 2.4):
             rep = dynamics.spectrum(DriveParams(theta=theta, phi=0.8))
             assert max(rep.projector_residuals) <= 1e-8
+
+    @pytest.mark.parametrize("hbar,phi_dot", [(1.0, 1.0), (1e-150, -1.0), (1.0, 1e150)])
+    def test_sweep_against_the_closed_forms(self, hbar, phi_dot):
+        # the eigenprojectors (lifted block eigenvectors, and the exact kernel
+        # for the zero level) against the fixtures' spans, and the eigenvalues
+        # against the closed forms, over theta across both crossings of the
+        # flat point, several turns and both signs of cos(theta)
+        scale = hbar * abs(phi_dot)
+        for theta in np.linspace(-7.0, 7.0, 201):
+            for phi in (0.0, 1.3, 4.4):
+                rep = dynamics.spectrum(DriveParams(theta, phi, phi_dot, hbar))
+                assert max(rep.projector_residuals) <= 1e-14, (theta, phi)
+                assert rep.closed_form_match <= 1e-15 * scale, (theta, phi)
+                assert sum(rep.degeneracy_pattern) == 8
+                assert all(type(n) is int for n in rep.degeneracy_pattern)
