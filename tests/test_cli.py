@@ -355,15 +355,12 @@ class TestGoldenCommands:
             return original(a)
 
         monkeypatch.setattr(linalg, "eigh", recording)
-        solved = 0
         for command, code, _, _ in golden.outputs():
             assert code in (0, 1), command
             assert all(shape[-1] <= 2 for shape in shapes), (command, shapes)
             if command.startswith("spectrum"):
                 assert shapes == [(2, 2, 2)], command
-            solved += bool(shapes)
             shapes.clear()
-        assert solved >= len(GOLDEN_SPECTRUM) + 1  # spectrum, berry wilson, entangle
 
     @pytest.mark.parametrize("command", GOLDEN_SPECTRUM)
     def test_fixture_swap_mutant_fails(self, capsys, monkeypatch, command):
