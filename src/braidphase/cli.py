@@ -8,7 +8,8 @@ error (one line on stderr), 3 numerical failure. A report holding NaN or
 Infinity is not JSON, and is refused as a usage error.
 
 Angles are radians unless --degrees is given, and must be finite. Sample
-counts (--samples, --phi-samples) are integers >= 1. --tol is a finite
+counts (--samples, --phi-samples) are integers >= 1; --seed is an integer
+>= 0, and random.Random(seed) draws every sample. --tol is a finite
 number >= 0 and defaults per command to the tolerance its checks are
 specified at, which --help of each subcommand shows: 1e-10 for
 verify-algebra, ybe and spectrum (energies gated at tol * hbar * |phidot|),
@@ -24,6 +25,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import random
 import sys
 from dataclasses import dataclass
 
@@ -83,10 +86,16 @@ def _worst(measured, closed, axis=None):
     return np.max(np.abs(np.subtract(measured, closed)), axis=axis)
 
 
+def _uniform(rng: random.Random, low: float, high: float, count: int) -> list:
+    """``count`` draws low + (high - low) * rng.random(), in [low, high):
+    random() is the method whose stream Python keeps across versions."""
+    return [low + (high - low) * rng.random() for _ in range(count)]
+
+
 def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
-    rng = np.random.default_rng(seed)
-    phis = rng.uniform(0.0, 2 * np.pi, phi_samples)
-    thetas = rng.uniform(0.0, 2 * np.pi, phi_samples)
+    rng = random.Random(seed)
+    phis = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
+    thetas = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
 
     relation_max: dict = {}
     ambiguous_max: dict = {}
@@ -131,23 +140,24 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
     )
 
 
-def _sample_spectral_pairs(rng, count: int):
-    """Pairs away from the singular x + 1/x = 0, drawing a, b for each pair still
-    missing at once: the stream is consumed exactly as pair by pair."""
-    a = b = np.empty(0)
+def _sample_spectral_pairs(rng: random.Random, count: int):
+    """``count`` pairs (e^{ia}, e^{ib}) away from the singular x + 1/x = 0,
+    drawn pair by pair: a, then b, uniform on [-pi, pi), and a pair with
+    |cos a|, |cos b| or |cos(a + b)| below 1e-3 is dropped."""
+    a, b = [], []
     while len(a) < count:
-        u = rng.uniform(-np.pi, np.pi, 2 * (count - len(a)))
-        ua, ub = u[0::2], u[1::2]
-        keep = np.min(np.abs(np.cos([ua, ub, ua + ub])), axis=0) >= 1e-3
-        a, b = np.concatenate([a, ua[keep]]), np.concatenate([b, ub[keep]])
-    return ([yangbaxter.SpectralParam(x) for x in np.exp(1j * a)],
-            [yangbaxter.SpectralParam(y) for y in np.exp(1j * b)])
+        ua, ub = _uniform(rng, -math.pi, math.pi, 2)
+        if min(abs(math.cos(ua)), abs(math.cos(ub)), abs(math.cos(ua + ub))) >= 1e-3:
+            a.append(ua)
+            b.append(ub)
+    return ([yangbaxter.SpectralParam(x) for x in np.exp(1j * np.array(a))],
+            [yangbaxter.SpectralParam(y) for y in np.exp(1j * np.array(b))])
 
 
 def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     xs, ys = _sample_spectral_pairs(rng, samples)
-    phis = rng.uniform(0.0, 2 * np.pi, phi_samples)
+    phis = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
 
     residuals = yangbaxter.ybe_residual(xs, ys, phis)
     summary = {f"{system}_{family}_max": float(np.max(residuals[f"{system}_{family}"]))
@@ -341,15 +351,22 @@ _angle = _finite("angle must be a finite number")  # every angle argument
 _tol = _finite("tolerance must be a finite number >= 0", low=0.0)  # every --tol
 
 
-def _count(text: str) -> int:
-    """argparse type of every sample count: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"count must be an integer >= 1, got {text!r}")
-    return value
+def _integer(requirement: str, low: int):
+    """argparse type of an integer >= ``low``; an error states ``requirement``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _integer("count must be an integer >= 1", 1)  # every sample count
+# random.Random seeds from |seed|, so a negative seed would repeat a positive one
+_seed = _integer("seed must be an integer >= 0", 0)
 
 
 def _add_common(parser, run, tol, *, sampled: bool, tol_help="%(default)s"):
@@ -361,8 +378,8 @@ def _add_common(parser, run, tol, *, sampled: bool, tol_help="%(default)s"):
                         help=f"pass/fail tolerance (default: {tol_help})")
     parser.add_argument("--out", default=None, help="write output to this path")
     if sampled:
-        parser.add_argument("--seed", type=int, default=0,
-                            help="seed for random sampling")
+        parser.add_argument("--seed", type=_seed, default=0,
+                            help="seed of random.Random, which draws the samples (>= 0)")
     else:
         parser.add_argument("--degrees", action="store_true",
                             help="interpret angle arguments as degrees")

@@ -171,8 +171,10 @@ def ybe_residual(x, y, phi) -> dict:
     word. Each word difference is gathered into its even and odd parity
     blocks (2x4x4 for two_qubit, 2x8x8 for three_qubit) once its entries off
     the blocks are checked to be exactly 0; a nonzero one raises
-    NumericalError naming the phi. The sum then runs elementwise in the
-    order above, and its norm on the blocks only.
+    NumericalError naming the phi. The sum is then one stacked complex
+    matrix product per block of up to 64 (pair, family) rows, each row's
+    (c_A, c_AA, c_ABA) by the three flattened word differences, and its norm
+    is taken on the parity blocks only.
 
     Each pair is validated and its coefficients formed once per family, the
     generator of each (system, phi) and its three word differences once per
@@ -190,8 +192,9 @@ def ybe_residual(x, y, phi) -> dict:
     xs, ys = ([x], [y]) if single else (list(x), list(y))
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
-    # one row per pair and family, the families one after the other
-    coeffs = np.empty((3, len(FAMILIES) * len(xs), 1), dtype=complex)
+    # one (1, 3) row (c_A, c_AA, c_ABA) per pair and family, the families one
+    # after the other
+    coeffs = np.empty((len(FAMILIES) * len(xs), 1, 3), dtype=complex)
     for k, (px, py) in enumerate(zip(xs, ys)):
         if not (isinstance(px, SpectralParam) and isinstance(py, SpectralParam)):
             raise TypeError("x and y must be SpectralParam values")
@@ -201,15 +204,17 @@ def ybe_residual(x, y, phi) -> dict:
         for f, family in enumerate(FAMILIES):
             (a0, b0), (a1, b1), (a2, b2) = _coefficients(family, points)
             # LHS (a0 + b0 A)(a1 + b1 B)(a2 + b2 A) - RHS (a2 + b2 B)(a1 + b1 A)(a0 + b0 B)
-            coeffs[:, f * len(xs) + k, 0] = (a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
-                                             b0 * a1 * b2, b0 * b1 * b2)
+            coeffs[f * len(xs) + k, 0] = (a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
+                                          b0 * a1 * b2, b0 * b1 * b2)
     out = {}
     for system in SYSTEMS:
-        grid = np.empty((phis.size, coeffs.shape[1]))
+        grid = np.empty((phis.size, len(coeffs)))
         for row, p in zip(grid, phis.reshape(-1)):
             words = _parity_words(_generator(system, p), p)
             for lo in range(0, len(row), _BLOCK):
-                row[lo:lo + _BLOCK] = _word_norms(coeffs[:, lo:lo + _BLOCK], words)
+                # a stack of (1, 3) @ (3, E) products, one per row: a (B, 3)
+                # @ (3, E) product rounds a row by where BLAS tiles it
+                row[lo:lo + _BLOCK] = linalg.frobenius_norms(coeffs[lo:lo + _BLOCK] @ words)
         grid = grid.reshape(phis.shape + (len(FAMILIES), len(xs)))
         for f, family in enumerate(FAMILIES):
             res = grid[..., f, 0] if single else grid[..., f, :]
@@ -231,13 +236,3 @@ def _parity_words(gen: np.ndarray, phi: float) -> np.ndarray:
             f"cannot split them into parity blocks")
     return words[:, blocks[:, :, None], blocks[:, None, :]].reshape(3, -1)
 
-
-def _word_norms(coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """||c_A (A - B) + c_AA (AA - BB) + c_ABA (ABA - BAB)|| over a block of
-    (3, B, 1) coefficients and the (3, E) flattened parity-block words,
-    summed elementwise in that order."""
-    diff = coeffs[0] * words[0]
-    term = np.empty_like(diff)
-    for c, word in zip(coeffs[1:], words[1:]):
-        diff += np.multiply(c, word, out=term)
-    return linalg.frobenius_norms(diff)

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import shlex
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -464,6 +465,29 @@ class TestCounts:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and ">= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-algebra", "--seed", "-1"),
+        ("ybe", "--seed=-1"),
+        ("ybe", "--seed", "1.5"),
+    ])
+    def test_bad_seed_is_usage_error(self, capsys, argv):
+        # random.Random(-1) would seed as random.Random(1)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and ">= 0" in err
+
+    def test_seeded_commands_do_not_import_numpy_random(self, tmp_path):
+        # their samples come from Python's random, which a fresh interpreter
+        # has loaded already; numpy.random would be a one-time import
+        code = ("import os, sys; from braidphase import cli; "
+                "codes = [cli.main([command, '--out', os.devnull]) "
+                "for command in ('verify-algebra', 'ybe')]; "
+                "print(codes, 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.stdout, done.stderr) == ("[0, 0] False\n", "")
 
 
 class TestStrictJson:

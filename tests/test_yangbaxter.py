@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -197,16 +199,30 @@ class TestYbeResidual:
 
 def sampled_pairs(count, seed=23):
     """Spectral pairs away from the singular points, as the ybe command samples
-    them, drawn pair by pair; ``seed`` may be a Generator, which is then used."""
-    rng = np.random.default_rng(seed)
+    them, drawn pair by pair; ``seed`` may be a random.Random, which is then used."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     xs, ys = [], []
     while len(xs) < count:
-        a, b = rng.uniform(-np.pi, np.pi, 2)
+        a = -math.pi + 2 * math.pi * rng.random()
+        b = -math.pi + 2 * math.pi * rng.random()
         if min(abs(np.cos(a)), abs(np.cos(b)), abs(np.cos(a + b))) < 1e-3:
             continue
         xs.append(SpectralParam(np.exp(1j * a)))
         ys.append(SpectralParam(np.exp(1j * b)))
     return xs, ys
+
+
+def ybe_peak(count, phi_count):
+    """tracemalloc peak of a ybe_residual call beyond the four returned grids,
+    which hold pairs x phis floats each by their nature."""
+    xs, ys = sampled_pairs(count)
+    phis = np.linspace(0.0, 6.0, phi_count)
+    tracemalloc.start()
+    res = ybe_residual(xs, ys, phis)
+    used = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert all(r.shape == (phi_count, count) for r in res.values())
+    return used - sum(r.nbytes for r in res.values())
 
 
 SYSTEM_FAMILIES = [(s, f) for s in yangbaxter.SYSTEMS for f in yangbaxter.FAMILIES]
@@ -311,27 +327,21 @@ class TestStackedYbeResidual:
         monkeypatch.setattr(braid, "_M_PARTS", (minus, 2 * plus, zero))
         assert cli.main(["ybe", "--samples", "50", "--phi-samples", "5", "--seed", "0"]) == 1
         worst = json.loads(capsys.readouterr().out)["residual_summary"]["two_qubit_rational_max"]
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)  # the command's samples, drawn as it draws them
         xs, ys = cli._sample_spectral_pairs(rng, 50)
         kron = max(kron_route_residual("two_qubit", x, y, phi, "rational")
-                   for phi in rng.uniform(0.0, 2 * np.pi, 5) for x, y in zip(xs, ys))
+                   for phi in cli._uniform(rng, 0.0, 2 * np.pi, 5) for x, y in zip(xs, ys))
         assert worst > 1.0 and within_oracle(worst, kron)
 
     def test_memory_does_not_grow_with_pairs_times_phis(self):
-        # the peak beyond the four returned grids, which hold pairs x phis
-        # floats each by their nature
-        def peak(count, phi_count):
-            xs, ys = sampled_pairs(count)
-            phis = np.linspace(0.0, 6.0, phi_count)
-            tracemalloc.start()
-            res = ybe_residual(xs, ys, phis)
-            used = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert all(r.shape == (phi_count, count) for r in res.values())
-            return used - sum(r.nbytes for r in res.values())
+        ybe_peak(50, 5)  # first call outside the measurement
+        assert ybe_peak(1000, 20) <= 1.5 * ybe_peak(50, 5)
 
-        peak(50, 5)  # first call outside the measurement
-        assert peak(1000, 20) <= 1.5 * peak(50, 5)
+    def test_memory_of_the_readme_call(self):
+        # one (64, E) complex product per block, and no broadcast multiply
+        # with its buffered iterator (a 263 KB buffer per multiply)
+        ybe_peak(50, 5)  # first call outside the measurement
+        assert ybe_peak(50, 5) <= 300 * 1024
 
     def test_mismatched_lengths_rejected(self):
         xs, ys = sampled_pairs(3)
@@ -416,19 +426,20 @@ class TestUnitarityResiduals:
 
 
 class TestSpectralPairDraw:
-    def test_batched_draw_consumes_the_stream_as_pair_by_pair(self):
-        # the same pairs, and the same generator state after them, as the
-        # pair-by-pair loop, over seeds whose draws include rejections
+    def test_draw_consumes_the_stream_pair_by_pair(self):
+        # the same pairs, and the same stream state after them, as an
+        # independent pair-by-pair loop, over seeds whose draws include rejections
         rejected = 0
         for seed in range(1000):
             count = 1 + seed % 40
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng, ref = random.Random(seed), random.Random(seed)
             xs, ys = cli._sample_spectral_pairs(rng, count)
             ref_xs, ref_ys = sampled_pairs(count, ref)
             assert [p.x for p in xs] == [p.x for p in ref_xs]
             assert [p.x for p in ys] == [p.x for p in ref_ys]
-            assert rng.uniform() == ref.uniform()
-            unrejected = np.random.default_rng(seed)
-            unrejected.uniform(size=2 * count + 1)
-            rejected += unrejected.bit_generator.state != ref.bit_generator.state
+            assert rng.getstate() == ref.getstate()
+            unrejected = random.Random(seed)
+            for _ in range(2 * count):
+                unrejected.random()
+            rejected += unrejected.getstate() != ref.getstate()
         assert rejected
