@@ -477,6 +477,8 @@ class TestCounts:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and ">= 0" in err
 
+
+class TestColdStart:
     def test_seeded_commands_do_not_import_numpy_random(self, tmp_path):
         # their samples come from Python's random, which a fresh interpreter
         # has loaded already; numpy.random would be a one-time import

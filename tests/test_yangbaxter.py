@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,10 @@ from oracles import (
     rational_r,
     theta_from_spectral,
 )
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+import golden  # noqa: E402
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -337,9 +345,32 @@ class TestStackedYbeResidual:
         ybe_peak(50, 5)  # first call outside the measurement
         assert ybe_peak(1000, 20) <= 1.5 * ybe_peak(50, 5)
 
+    def test_stack_matches_per_pair_calls_on_the_haswell_blas_core(self):
+        # OpenBLAS's Haswell core rounds a row of a (B, 3) @ (3, E) product
+        # by where its tiles put it; each row's own product does not depend
+        # on the batch. A core the CPU lacks would crash the interpreter
+        if not {"X86_V3", "AVX2"} & set(golden.simd_found()):
+            pytest.skip("the Haswell core needs AVX2")
+        code = ("import random, sys; sys.path.insert(0, sys.argv[1]); import golden; "
+                "from braidphase import cli, yangbaxter as yb; "
+                "xs, ys = cli._sample_spectral_pairs(random.Random(3), 65); "
+                "stacked = yb.ybe_residual(xs, ys, 0.9); "
+                "solo = [yb.ybe_residual(x, y, 0.9) for x, y in zip(xs, ys)]; "
+                "print(golden.fingerprint()); "
+                "print(all(stacked[key].tolist() == [s[key] for s in solo] for key in stacked))")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["OPENBLAS_CORETYPE"] = "Haswell"
+        done = subprocess.run([sys.executable, "-c", code, str(SCRIPTS)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        fingerprint, same = done.stdout.splitlines()
+        if not fingerprint.endswith("openblas Haswell"):
+            pytest.skip(f"OpenBLAS did not switch cores: {fingerprint}")
+        assert same == "True"
+
     def test_memory_of_the_readme_call(self):
-        # one (64, E) complex product per block, and no broadcast multiply
-        # with its buffered iterator (a 263 KB buffer per multiply)
+        # one stacked complex product per block, and no broadcast multiply
+        # with numpy's buffered iterator (a 263 KB buffer per multiply)
         ybe_peak(50, 5)  # first call outside the measurement
         assert ybe_peak(50, 5) <= 300 * 1024
 
