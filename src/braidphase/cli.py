@@ -128,8 +128,8 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
         command="verify-algebra",
         parameters={"tol": tol, "phi_samples": phi_samples, "seed": seed},
         results={
-            "phi_values": list(phis),
-            "theta_values": list(thetas),
+            "phi_values": phis,
+            "theta_values": thetas,
             "relation_residuals_max": relation_max,
             "ambiguous_triple_readings_max": ambiguous_max,
             "unitarity_max": dict(unit_max),
