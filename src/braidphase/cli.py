@@ -17,7 +17,9 @@ verify-algebra, ybe and spectrum (energies gated at tol * hbar * |phidot|),
 wilson), as does its --steps (10000 analytic, 800 wilson), >= 100 at every level.
 
 Each subparser carries its handler, and main calls it with the command's own
-arguments; a report passes when every one of its gates does.
+arguments; a report passes when every one of its gates does. main parses an
+argv that starts with a command name with a parser of that command alone,
+built on first use, and any other argv with the parser of every command.
 """
 
 from __future__ import annotations
@@ -385,29 +387,25 @@ def _add_common(parser, run, tol, *, sampled: bool, tol_help="%(default)s"):
                             help="interpret angle arguments as degrees")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="braidphase",
-        description="Three-qubit braid system: algebra checks, entanglement "
-                    "measures, spectra, and geometric phases.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-algebra", help="generator-algebra and unitarity checks")
+def _verify_algebra(p):
     p.add_argument("--phi-samples", type=_count, default=17)
     _add_common(p, cmd_verify_algebra, 1e-10, sampled=True)
 
-    p = sub.add_parser("ybe", help="Yang-Baxter residuals over sampled spectral parameters")
+
+def _ybe(p):
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--phi-samples", type=_count, default=5)
     _add_common(p, cmd_ybe, 1e-10, sampled=True)
 
-    p = sub.add_parser("entangle", help="entanglement measures of one generated state")
+
+def _entangle(p):
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--input", dest="label", default="000", choices=states.BASIS_LABELS)
     _add_common(p, cmd_entangle, 1e-9, sampled=False)
 
-    p = sub.add_parser("sweep", help="theta sweep of the entanglement curves (CSV)")
+
+def _sweep(p):
     p.add_argument("--theta-min", type=_angle, required=True)
     p.add_argument("--theta-max", type=_angle, required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -416,14 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv (default) writes the rows to --out; json gives only the summary")
     _add_common(p, cmd_sweep, 1e-9, sampled=False)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and eigenstate checks of the drive generator")
+
+def _spectrum(p):
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--phidot", type=float, default=1.0)
     p.add_argument("--hbar", type=float, default=1.0)
     _add_common(p, cmd_spectrum, 1e-10, sampled=False)
 
-    p = sub.add_parser("berry", help="geometric phases of the drive loop")
+
+def _berry(p):
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--steps", type=int, default=None,
                    help="loop points (default: 10000 analytic, 800 wilson)")
@@ -432,13 +432,43 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, cmd_berry, None, sampled=False,
                 tol_help="1e-5 analytic, 1e-4 wilson")
 
+
+# command: (its --help line, the function that declares its arguments), in
+# the order the top-level --help lists them
+_COMMANDS = {
+    "verify-algebra": ("generator-algebra and unitarity checks", _verify_algebra),
+    "ybe": ("Yang-Baxter residuals over sampled spectral parameters", _ybe),
+    "entangle": ("entanglement measures of one generated state", _entangle),
+    "sweep": ("theta sweep of the entanglement curves (CSV)", _sweep),
+    "spectrum": ("eigenvalues and eigenstate checks of the drive generator", _spectrum),
+    "berry": ("geometric phases of the drive loop", _berry),
+}
+
+
+def _build(commands) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each of ``commands``."""
+    parser = _Parser(
+        prog="braidphase",
+        description="Three-qubit braid system: algebra checks, entanglement "
+                    "measures, spectra, and geometric phases.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        help_text, declare = _COMMANDS[name]
+        declare(sub.add_parser(name, help=help_text))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
+    return _build(_COMMANDS)
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main(), built once per process; parsing does not change it."""
-    return build_parser()
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of main() for ``command``, which holds that command alone
+    (the parser of every command for None), built once per process; parsing
+    does not change it."""
+    return _build(_COMMANDS if command is None else (command,))
 
 
 def _write(path: str, text: str) -> None:
@@ -447,8 +477,13 @@ def _write(path: str, text: str) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command's own parser gives the prog, help and error text of the full
+    # one; every other argv (no command, an unknown one, top-level --help)
+    # needs the full one for its text
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = vars(_parser().parse_args(argv))
+        args = vars(_parser(command).parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     # without the command and its output options, args are the handler's own

@@ -177,10 +177,24 @@ def hamiltonian_grid(theta: float, phis) -> np.ndarray:
 
 
 def _generator(theta, phis, phi_dot, hbar) -> np.ndarray:
-    em = np.exp(-1j * phis)[:, None, None]
+    """f1 (e^{-i phi} I+ + e^{i phi} I-) + f2 I3 at each phi, as a (B, 8, 8)
+    view of a batch-last (64, B) array: evaluated on the entries where one of
+    the operators is nonzero, read from them at call time, each bitwise the
+    whole-matrix expression; exactly +0 elsewhere."""
+    ops = np.stack([I_PLUS, I_MINUS, I_3]).reshape(3, 64)
+    support = np.flatnonzero(np.any(ops != 0, axis=0))
+    i_plus, i_minus, i_3 = ops[:, support, None]
+    em = np.exp(-1j * phis)
     f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / SQRT3
     f2 = 2 * hbar * phi_dot * np.cos(theta) ** 2 / 3
-    return f1 * (em * I_PLUS + np.conj(em) * I_MINUS) + f2 * I_3
+    # in place, in the order of the expression: each step rounds as it does
+    h = em * i_plus
+    h += np.conj(em) * i_minus
+    h *= f1
+    h += f2 * i_3
+    out = np.zeros((64, len(phis)), dtype=complex)
+    out[support] = h
+    return out.T.reshape(len(phis), 8, 8)
 
 
 def _compress(hams: np.ndarray) -> np.ndarray:

@@ -136,16 +136,47 @@ def _require_nonsingular(*xs: complex) -> None:
             raise SingularParameterError(f"x = {x} has x + 1/x = 0; build from angles instead")
 
 
-def _coefficients(family: str, points) -> list:
-    """(a, b) with R(x) = a I + b generator at each complex point x, from
-    Python scalars: ((x + 1/x)/2, (x - 1/x)/2) for the rational family, and
-    (sin(theta), cos(theta)) at theta = pi/2 - arg(x), arg in (-pi, pi], for
-    the unitary one (x = 1 maps to the identity)."""
+def _word_coefficients(a, b):
+    """(c_A, c_AA, c_ABA) from the (a, b) of R(x), R(xy), R(y), three values each."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    # LHS (a0 + b0 A)(a1 + b1 B)(a2 + b2 A) - RHS (a2 + b2 B)(a1 + b1 A)(a0 + b0 B)
+    return a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2, b0 * a1 * b2, b0 * b1 * b2
+
+
+def _coefficients(family: str, points: np.ndarray) -> np.ndarray:
+    """The (N, 3) rows (c_A, c_AA, c_ABA) of ybe_residual, one per row
+    (x, xy, y) of the (N, 3) complex ``points``, from (a, b) with
+    R(x) = a I + b generator at each point: ((x + 1/x)/2, (x - 1/x)/2) in
+    Python complex arithmetic for the rational family (numpy's complex
+    multiply rounds some rows otherwise), and (sin(theta), cos(theta)) at
+    theta = pi/2 - arg(x), arg in (-pi, pi], over the whole stack for the
+    unitary one (x = 1 maps to the identity). Each row is bitwise the one
+    that Python scalars at its points alone give."""
     if family == "rational":
-        return [((x + 1 / x) / 2, (x - 1 / x) / 2) for x in points]
+        rows = np.empty((len(points), 3), dtype=complex)
+        for k in range(len(points)):
+            xs = points[k].tolist()
+            rows[k] = _word_coefficients([(x + 1 / x) / 2 for x in xs],
+                                         [(x - 1 / x) / 2 for x in xs])
+        return rows
     if family == "unitary":
-        return [(np.sin(t), np.cos(t)) for t in (np.pi / 2 - np.angle(x) for x in points)]
+        t = np.pi / 2 - np.angle(points)
+        return np.stack(_word_coefficients(np.sin(t).T, np.cos(t).T), axis=-1)
     raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
+
+
+def _pair_coefficients(xs, ys) -> np.ndarray:
+    """One (1, 3) row (c_A, c_AA, c_ABA) per spectral pair and family, the
+    families one after the other, after checking each pair."""
+    points = np.empty((len(xs), 3), dtype=complex)
+    for k, (px, py) in enumerate(zip(xs, ys)):
+        if not (isinstance(px, SpectralParam) and isinstance(py, SpectralParam)):
+            raise TypeError("x and y must be SpectralParam values")
+        # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
+        points[k] = point = (px.x, px.x * py.x, py.x)
+        _require_nonsingular(*point)
+    return np.concatenate([_coefficients(family, points) for family in FAMILIES],
+                          dtype=complex).reshape(-1, 1, 3)
 
 
 def ybe_residual(x, y, phi) -> dict:
@@ -192,20 +223,7 @@ def ybe_residual(x, y, phi) -> dict:
     xs, ys = ([x], [y]) if single else (list(x), list(y))
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
-    # one (1, 3) row (c_A, c_AA, c_ABA) per pair and family, the families one
-    # after the other
-    coeffs = np.empty((len(FAMILIES) * len(xs), 1, 3), dtype=complex)
-    for k, (px, py) in enumerate(zip(xs, ys)):
-        if not (isinstance(px, SpectralParam) and isinstance(py, SpectralParam)):
-            raise TypeError("x and y must be SpectralParam values")
-        # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
-        points = (px.x, px.x * py.x, py.x)
-        _require_nonsingular(*points)
-        for f, family in enumerate(FAMILIES):
-            (a0, b0), (a1, b1), (a2, b2) = _coefficients(family, points)
-            # LHS (a0 + b0 A)(a1 + b1 B)(a2 + b2 A) - RHS (a2 + b2 B)(a1 + b1 A)(a0 + b0 B)
-            coeffs[f * len(xs) + k, 0] = (a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
-                                          b0 * a1 * b2, b0 * b1 * b2)
+    coeffs = _pair_coefficients(xs, ys)
     out = {}
     for system in SYSTEMS:
         grid = np.empty((phis.size, len(coeffs)))

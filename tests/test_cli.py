@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 import warnings
 from importlib import resources
@@ -491,6 +492,26 @@ class TestColdStart:
                               capture_output=True, text=True, timeout=120)
         assert (done.stdout, done.stderr) == ("[0, 0] False\n", "")
 
+    def test_a_run_builds_its_own_command_parser_alone(self, tmp_path):
+        # the import builds no parser, so that setup time cannot absorb the
+        # work; a run builds the top-level parser and its command's subparser
+        code = textwrap.dedent("""
+            import argparse, os
+            built, init = [], argparse.ArgumentParser.__init__
+            def record(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = record
+            from braidphase import cli
+            print(built)
+            print(cli.main(["entangle", "--theta", "0.5", "--out", os.devnull]), built)
+            """)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.stdout, done.stderr) == (
+            "[]\n0 ['braidphase', 'braidphase entangle']\n", "")
+
 
 class TestStrictJson:
     @pytest.mark.parametrize("argv", [
@@ -563,8 +584,10 @@ class TestOutFile:
 
 
 class TestParserReuse:
-    """main() parses with one parser per process; reusing it across commands,
-    usage errors included, must give the bytes of a fresh parser per call."""
+    """main() parses with one cached parser per command, which holds that
+    command alone, and one of every command for any other argv; reusing them
+    across commands, usage errors included, must give the bytes of a fresh
+    build_parser() per call."""
 
     @staticmethod
     def argvs(tmp_path):
@@ -590,20 +613,48 @@ class TestParserReuse:
 
     def test_cached_parser_matches_fresh_parsers(self, capsys, tmp_path, monkeypatch):
         cached = self.outputs(capsys, tmp_path) + self.outputs(capsys, tmp_path)
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        monkeypatch.setattr(cli, "_parser", lambda command: cli.build_parser())
         fresh = self.outputs(capsys, tmp_path) + self.outputs(capsys, tmp_path)
         assert cached == fresh
         codes = [code for code, _, _ in cached[:len(cached) // 2]]
         assert codes == [0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 0, 2]
         assert all(out == "" for code, out, _ in cached if code == 2)
 
+    # help and usage errors: no command, an unknown one, top-level --help,
+    # each command's --help, a missing required option, an unrecognized
+    # trailing argument and a negative seed
+    HELP_AND_USAGE = [
+        (), ("frobnicate",), ("--help",), *((command, "--help") for command in cli._COMMANDS),
+        ("spectrum",), ("berry", "--theta", "0.7", "extra"), ("verify-algebra", "--seed", "-1"),
+    ]
+
+    def test_command_parser_matches_full_parser(self, capsys, tmp_path, monkeypatch):
+        argvs = [shlex.split(command) for command in golden.README_COMMANDS
+                 + golden.EXTRA_COMMANDS]
+        argvs = [[str(tmp_path / a) if a == "curves.csv" else a for a in argv]
+                 for argv in argvs] + [list(argv) for argv in self.HELP_AND_USAGE]
+        own = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parser", lambda command: cli.build_parser())
+        full = [run(capsys, *argv) for argv in argvs]
+        assert own == full
+        usage = len(self.HELP_AND_USAGE)
+        assert all(code in (0, 1) and err == "" for code, _, err in own[:-usage])
+        assert [code for code, _, _ in own[-usage:]] == [2, 2] + 7 * [0] + 3 * [2]
+        assert all(out == "" and len(err.splitlines()) == 1
+                   for code, out, err in own if code == 2)
+
     def test_parser_built_once(self):
-        assert cli._parser() is cli._parser()
+        assert cli._parser(None) is cli._parser(None)
+        for command in cli._COMMANDS:
+            parser = cli._parser(command)
+            assert parser is cli._parser(command) and parser is not cli._parser(None)
+            (commands,) = parser._subparsers._group_actions
+            assert list(commands.choices) == [command]
 
     def test_handler_replaced_after_parse_runs(self, capsys, monkeypatch):
         # a wrapper put in place of a handler (as a tracer does) runs even
         # though the cached parser was built with the original
-        cli._parser()
+        cli._parser("spectrum")
         calls = []
         original = cli.cmd_spectrum
 

@@ -87,6 +87,32 @@ class TestHamiltonianGrid:
             d = DriveParams(0.7, float(phi))
             assert np.array_equal(grid[k], expanded_hamiltonian(d))
 
+    def test_support_bitwise_equal_to_whole_matrix_expression(self):
+        # at 0, pi/2, pi and 3pi/2 a part of e^{-i phi} is 0 or -0, which the
+        # sign bits of H's entries carry
+        phis = np.concatenate([np.pi / 2 * np.arange(4), np.linspace(-7.0, 7.0, 101)])
+        support = (dynamics.I_PLUS != 0) | (dynamics.I_MINUS != 0) | (dynamics.I_3 != 0)
+        for theta, phi_dot, hbar in ((1.0472, 1.0, 1.0), (2.6, -2.5, 0.7), (0.0, 1.0, 3.0)):
+            grid = dynamics._generator(theta, phis, phi_dot, hbar)
+            em = np.exp(-1j * phis)[:, None, None]
+            f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / dynamics.SQRT3
+            f2 = 2 * hbar * phi_dot * np.cos(theta) ** 2 / 3
+            whole = f1 * (em * dynamics.I_PLUS + np.conj(em) * dynamics.I_MINUS) \
+                + f2 * dynamics.I_3
+            assert grid.shape == whole.shape and support.sum() == 32
+            assert np.ascontiguousarray(grid[:, support]).tobytes() == \
+                np.ascontiguousarray(whole[:, support]).tobytes()
+            assert np.all(grid[:, ~support] == 0)
+
+    def test_patched_operator_reaches_the_generator(self, monkeypatch):
+        # the support is read from the operators at each call, so an entry
+        # that a patched operator adds off it shows in H
+        mutant = dynamics.I_3.copy()
+        mutant[0, 7] = 1.0
+        monkeypatch.setattr(dynamics, "I_3", mutant)
+        h = dynamics.hamiltonian(DriveParams(0.9, 0.4))
+        assert h[0, 7] == 2 * np.cos(0.9) ** 2 / 3
+
     def test_validation(self):
         with pytest.raises(ValueError, match="finite"):
             dynamics.hamiltonian_grid(0.5, [0.1, np.nan])

@@ -286,11 +286,11 @@ class TestStackedYbeResidual:
         monkeypatch.setattr(yangbaxter, "_generator", lambda system, phi: built.append(
             (system, phi)) or generator(system, phi))
         monkeypatch.setattr(yangbaxter, "_coefficients", lambda family, points: formed.append(
-            family) or coefficients(family, points))
+            (family, len(points))) or coefficients(family, points))
         xs, ys = sampled_pairs(130)
         ybe_residual(xs, ys, [0.0, 0.9])
         assert built == [(s, p) for s in yangbaxter.SYSTEMS for p in (0.0, 0.9)]
-        assert sorted(formed) == 130 * ["rational"] + 130 * ["unitary"]
+        assert sorted(formed) == [("rational", 130), ("unitary", 130)]
 
     @pytest.mark.parametrize("dim", [4, 8])
     @pytest.mark.parametrize("family", ["rational", "unitary"])
@@ -454,6 +454,24 @@ class TestUnitarityResiduals:
             yangbaxter.unitarity_residuals(braid.build_m4(0.0), [0.1, np.inf])
         with pytest.raises(ValueError):
             yangbaxter.unitarity_residuals(braid.build_m4(0.0), [np.nan])
+
+
+class TestStackedCoefficients:
+    def test_unitary_stack_bitwise_equal_to_per_point(self):
+        # the unitary rows over the ybe command's own (x, xy, y) points, from
+        # one stacked evaluation per draw, against np.angle, np.sin and np.cos
+        # on each Python complex alone and the products in Python
+        for seed in range(1000):
+            xs, ys = cli._sample_spectral_pairs(random.Random(seed), 50)
+            points = [(x.x, x.x * y.x, y.x) for x, y in zip(xs, ys)]
+            solo = []
+            for point in points:
+                (a0, b0), (a1, b1), (a2, b2) = [
+                    (np.sin(t), np.cos(t)) for t in (np.pi / 2 - np.angle(x) for x in point)]
+                solo.append((a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
+                             b0 * a1 * b2, b0 * b1 * b2))
+            stacked = yangbaxter._coefficients("unitary", np.array(points))
+            assert stacked.tobytes() == np.array(solo).tobytes()
 
 
 class TestSpectralPairDraw:
