@@ -14,7 +14,7 @@ build_m4, build_braidset and check_es2_relations take one angle or a 1-D grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,13 +36,11 @@ __all__ = [
 SQRT3 = np.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class SpinOps:
-    """Single-qubit spin operators: s_plus = |0><1|, s_minus = |1><0|, s3 = diag(1/2, -1/2)."""
+class SpinOps(namedtuple("SpinOps", "s_plus s_minus s3")):
+    """Single-qubit spin operators, 2x2 np.ndarray each: s_plus = |0><1|,
+    s_minus = |1><0|, s3 = diag(1/2, -1/2)."""
 
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    s3: np.ndarray
+    __slots__ = ()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -83,40 +81,32 @@ def _combine(phi, parts: tuple) -> np.ndarray:
     return np.exp(-1j * phi) * minus - np.exp(1j * phi) * plus + zero
 
 
-@dataclass(frozen=True)
-class BraidSet:
+class BraidSet(namedtuple("BraidSet", "phi m4 a8 b8 mcal mbb alpha")):
     """Generator family at a fixed phase angle, or over a 1-D grid of them:
     ``phi`` is then the read-only grid, and every other field has its axis.
 
-    m4   -- 4x4 generator M(phi)
-    a8   -- M otimes I (acts on qubits 1,2 of three)
-    b8   -- I otimes M (acts on qubits 2,3)
-    mcal -- (a8 + b8 + b8 a8)/sqrt(3), anti-Hermitian
-    mbb  -- -i mcal, Hermitian
-    alpha -- measured scalar in mbb^2 = alpha I (fit as tr(mbb^2)/8)
+    phi   -- float | np.ndarray, the phase angle
+    m4    -- np.ndarray, 4x4 generator M(phi)
+    a8    -- np.ndarray, M otimes I (acts on qubits 1,2 of three)
+    b8    -- np.ndarray, I otimes M (acts on qubits 2,3)
+    mcal  -- np.ndarray, (a8 + b8 + b8 a8)/sqrt(3), anti-Hermitian
+    mbb   -- np.ndarray, -i mcal, Hermitian
+    alpha -- float | np.ndarray, measured scalar in mbb^2 = alpha I (fit as tr(mbb^2)/8)
     """
 
-    phi: float | np.ndarray
-    m4: np.ndarray
-    a8: np.ndarray
-    b8: np.ndarray
-    mcal: np.ndarray
-    mbb: np.ndarray
-    alpha: float | np.ndarray
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Es2Report:
+class Es2Report(namedtuple("Es2Report", "phi alpha residuals ambiguous")):
     """Named Frobenius residuals of the generator-algebra relations.
 
-    ``residuals`` are the asserted relations; ``ambiguous`` holds the mixed
-    triple-product readings that are reported but never gate a run.
+    phi, alpha -- float | np.ndarray, as in the BraidSet checked
+    residuals  -- dict, the asserted relations
+    ambiguous  -- dict, the mixed triple-product readings that are reported
+                  but never gate a run
     """
 
-    phi: float | np.ndarray
-    alpha: float | np.ndarray
-    residuals: dict
-    ambiguous: dict
+    __slots__ = ()
 
 
 def build_m4(phi) -> np.ndarray:

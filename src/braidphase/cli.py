@@ -5,7 +5,8 @@ Every command emits a RunReport (JSON, deterministic byte-for-byte for fixed
 flags and seed); sweep writes the CSV contract to --out and the summary
 report to stdout. Exit codes: 0 success, 1 a gated check failed, 2 usage
 error (one line on stderr), 3 numerical failure. A report holding NaN or
-Infinity is not JSON, and is refused as a usage error.
+Infinity is not JSON, and is refused as a usage error, as is a count whose
+arrays cannot be allocated.
 
 Angles are radians unless --degrees is given, and must be finite. Sample
 counts (--samples, --phi-samples) are integers >= 1; --seed is an integer
@@ -30,7 +31,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,16 +43,12 @@ SWEEP_HEADER = ("theta,tau_measured,tau_closed,c_pair_measured,c_pair_closed,"
                 "c2_one_rest_measured,c2_one_rest_closed,max_residual")
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Uniform result envelope: echoed command, inputs, outputs, and gates;
-    the run passes when every gate in ``passes`` does."""
+class RunReport(namedtuple("RunReport", "command parameters results residual_summary passes")):
+    """Uniform result envelope: the echoed ``command`` (str) and four dicts,
+    its ``parameters``, ``results``, ``residual_summary`` and gates; the run
+    passes when every gate in ``passes`` does."""
 
-    command: str
-    parameters: dict
-    results: dict
-    residual_summary: dict
-    passes: dict
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -107,7 +104,7 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
     for lo in range(0, phi_samples, yangbaxter._BLOCK):
         # built one phi at a time (perfbench's tracer takes a float), then stacked
         builds = [braid.build_braidset(phi) for phi in phis[lo:lo + yangbaxter._BLOCK]]
-        bs = braid.BraidSet(*map(np.array, zip(*(vars(b).values() for b in builds))))
+        bs = braid.BraidSet(*map(np.array, zip(*builds)))
         if not lo:
             transcription = braid.transcription_diagnostics(builds[0])
         rep = braid.check_es2_relations(bs)
@@ -504,7 +501,7 @@ def main(argv=None) -> int:
     except linalg.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

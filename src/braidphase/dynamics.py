@@ -29,7 +29,7 @@ J+- = I+-/sqrt(3), J3 = I3/3 closes an exact su(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -94,17 +94,19 @@ for _copy, _source, _sign in _SAME:
 _LIFT = (_LIFT / np.sqrt(np.count_nonzero(_LIFT, axis=0))).transpose(1, 0, 2)
 
 
-@dataclass(frozen=True)
-class DriveParams:
-    """Drive configuration: fixed theta, instantaneous phi, rate phi_dot, scale hbar."""
+class DriveParams(namedtuple("DriveParams", "theta phi phi_dot hbar")):
+    """Drive configuration, floats: fixed theta, instantaneous phi, rate
+    phi_dot (default 1) and scale hbar (default 1)."""
 
-    theta: float
-    phi: float
-    phi_dot: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_drive(self.theta, self.phi, self.phi_dot, self.hbar)
+    def __new__(cls, theta, phi, phi_dot=1.0, hbar=1.0):
+        _check_drive(theta, phi, phi_dot, hbar)
+        return super().__new__(cls, theta, phi, phi_dot, hbar)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through __new__, so it validates
+        return cls(*iterable)
 
 
 def _check_drive(theta, phis, phi_dot, hbar) -> None:
@@ -121,40 +123,33 @@ def _check_drive(theta, phis, phi_dot, hbar) -> None:
         raise ValueError("drive scale hbar*|phidot| is below the normal float range")
 
 
-@dataclass(frozen=True)
-class Su2Ops:
+class Su2Ops(namedtuple("Su2Ops", "i_plus i_minus i_3 b_plus b_minus b_3")):
     """Ladder operators and field coefficients of the split H = B+ I+ + B- I- + B3 I3.
 
-    i_plus, i_minus and i_3 are the read-only module constants I_PLUS,
-    I_MINUS and I_3, x3-normalized ([I3, I+-] = +-3 I+-); the unit-normalized
-    su(2) split is H = (sqrt(3) B+-)(I+-/sqrt(3)) + (3 B3)(I3/3).
+    i_plus, i_minus, i_3 -- np.ndarray, the read-only module constants I_PLUS,
+        I_MINUS and I_3, x3-normalized ([I3, I+-] = +-3 I+-); the unit-normalized
+        su(2) split is H = (sqrt(3) B+-)(I+-/sqrt(3)) + (3 B3)(I3/3)
+    b_plus, b_minus -- complex; b_3 -- float
     """
 
-    i_plus: np.ndarray
-    i_minus: np.ndarray
-    i_3: np.ndarray
-    b_plus: complex
-    b_minus: complex
-    b_3: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_pattern "
+                                "closed_form_match fixture_residuals projector_residuals")):
     """H's eigenvalues, ascending, plus closed-form and fixture comparisons.
 
-    degeneracy_pattern lists cluster sizes in ascending-eigenvalue order
-    (clusters split at gaps above 1e-8 * hbar * |phidot|). closed_form_match
-    is the max deviation from the sorted multiset
-    {0 x4, +-hbar phidot cos(theta) x2}.
-    projector_residuals compares, per cluster, the numerical eigenprojector
-    with the one spanned by the fixtures assigned to that cluster.
+    eigenvalues -- np.ndarray
+    degeneracy_pattern -- tuple of cluster sizes in ascending-eigenvalue order
+        (clusters split at gaps above 1e-8 * hbar * |phidot|)
+    closed_form_match -- float, the max deviation from the sorted multiset
+        {0 x4, +-hbar phidot cos(theta) x2}
+    fixture_residuals -- tuple of ||H v - E v||, one per fixture v of energy E
+    projector_residuals -- tuple comparing, per cluster, the numerical
+        eigenprojector with the one spanned by the fixtures assigned to that cluster
     """
 
-    eigenvalues: np.ndarray
-    degeneracy_pattern: tuple
-    closed_form_match: float
-    fixture_residuals: tuple
-    projector_residuals: tuple
+    __slots__ = ()
 
 
 def hamiltonian(d: DriveParams) -> np.ndarray:

@@ -24,7 +24,7 @@ Closed forms for the states produced by apply_r on basis inputs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,22 +45,15 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(namedtuple("EntanglementReport", "tau_abc c_ab c_bc c_ac "
+                                    "c2_a_bc c2_b_ac c2_c_ab monogamy_residual")):
     """All measures of one pure three-qubit state, or of a stack of them.
 
     monogamy_residual = |c2_a_bc - c_ab^2 - c_ac^2 - tau_abc|. Each field is
-    a float for one state and an array of B floats for a (B, 8) stack.
+    a float for one state and an np.ndarray of B floats for a (B, 8) stack.
     """
 
-    tau_abc: float
-    c_ab: float
-    c_bc: float
-    c_ac: float
-    c2_a_bc: float
-    c2_b_ac: float
-    c2_c_ab: float
-    monogamy_residual: float
+    __slots__ = ()
 
 
 def _three_tangle(w: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ matrix of a stack comes out bitwise equal to the same matrix solved alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,20 +35,18 @@ class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to reach its target."""
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+class EigenDecomposition(namedtuple("EigenDecomposition", "eigenvalues eigenvectors")):
+    """Spectral decomposition of a Hermitian matrix; unpacks, like numpy's EighResult.
 
-    eigenvalues  -- real, ascending, shape (n,)
-    eigenvectors -- complex, shape (n, n), column k pairs with eigenvalue k;
+    eigenvalues  -- np.ndarray, real, ascending, shape (n,)
+    eigenvectors -- np.ndarray, complex, shape (n, n), column k pairs with eigenvalue k;
                     columns are orthonormal. Degenerate eigenvalues come with
                     an arbitrary orthonormal basis of their eigenspace.
 
     For a stack of B matrices both arrays carry a leading axis of length B.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ()
 
 
 def frobenius_norms(stack) -> np.ndarray:

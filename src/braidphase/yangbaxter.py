@@ -22,7 +22,7 @@ tests' product-route oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -55,39 +55,49 @@ class SingularParameterError(ValueError):
     """Spectral parameter with x + 1/x = 0, where the theta map degenerates."""
 
 
-@dataclass(frozen=True, eq=False)
-class RParams:
+class RParams(namedtuple("RParams", "theta phi")):
     """Angle pair (theta, phi) of the unitary family; radians, any finite value.
-    ``theta`` may be a 1-D grid of angles at one ``phi``, held as a read-only
-    float array. Two RParams compare, and hash, by identity."""
 
-    theta: float
-    phi: float
+    theta -- float, or a 1-D grid of angles at one ``phi``, held as a
+             read-only float np.ndarray
+    phi   -- float
 
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        if theta.ndim > 1 or np.ndim(self.phi) or not (
-                np.isfinite(theta).all() and np.isfinite(self.phi)):
+    Two RParams compare, and hash, by identity."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __new__(cls, theta, phi):
+        grid = np.array(theta, dtype=float)
+        if grid.ndim > 1 or np.ndim(phi) or not (np.isfinite(grid).all() and np.isfinite(phi)):
             raise ValueError("theta (a float or a 1-D grid) and phi must be finite floats")
-        if theta.ndim:
-            theta.setflags(write=False)
-            object.__setattr__(self, "theta", theta)
+        if grid.ndim:
+            grid.setflags(write=False)
+            theta = grid
+        return super().__new__(cls, theta, phi)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through __new__, so it validates
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SpectralParam:
-    """Multiplicative spectral parameter on the unit circle, within 1e-10."""
+class SpectralParam(namedtuple("SpectralParam", "x")):
+    """Multiplicative spectral parameter x, a complex on the unit circle within 1e-10."""
 
-    x: complex
+    __slots__ = ()
     _tol = 1e-10  # a class constant, not a field
 
-    def __post_init__(self):
-        x = complex(self.x)
+    def __new__(cls, x):
+        x = complex(x)
         if not (np.isfinite(x.real) and np.isfinite(x.imag)):
             raise ValueError("x must be finite")
-        if abs(abs(x) - 1.0) > self._tol:
-            raise ValueError(f"|x| = {abs(x)} is not on the unit circle within {self._tol}")
-        object.__setattr__(self, "x", x)
+        if abs(abs(x) - 1.0) > cls._tol:
+            raise ValueError(f"|x| = {abs(x)} is not on the unit circle within {cls._tol}")
+        return super().__new__(cls, x)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through __new__, so it validates
+        return cls(*iterable)
 
 
 def _generator(system: str, phi: float) -> np.ndarray:

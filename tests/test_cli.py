@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -94,7 +93,7 @@ class TestVerifyAlgebra:
                 name = next(iter(rep.residuals))
                 values = rep.residuals[name].copy()
                 values[index] = np.nan
-                rep = dataclasses.replace(rep, residuals={**rep.residuals, name: values})
+                rep = rep._replace(residuals={**rep.residuals, name: values})
             return rep
 
         monkeypatch.setattr(braid, "check_es2_relations", nan_in_block)
@@ -187,8 +186,8 @@ class TestEntangle:
     def test_nan_at_a_later_pair_fails_its_gate(self, monkeypatch, pair, rest):
         # Python's max would drop a NaN residual that does not come first
         exact = entanglement.full_report
-        monkeypatch.setattr(entanglement, "full_report", lambda state: dataclasses.replace(
-            exact(state), **{pair: float("nan"), rest: float("nan")}))
+        monkeypatch.setattr(entanglement, "full_report", lambda state: exact(state)._replace(
+            **{pair: float("nan"), rest: float("nan")}))
         report = cli.cmd_entangle(0.5, 0.0, "000", 1e-9)
         assert np.isnan(report.residual_summary["pair_concurrence"])
         assert np.isnan(report.residual_summary["one_vs_rest_sq"])
@@ -512,6 +511,18 @@ class TestColdStart:
         assert (done.stdout, done.stderr) == (
             "[]\n0 ['braidphase', 'braidphase entangle']\n", "")
 
+    def test_import_loads_no_dataclasses(self, tmp_path):
+        # the records are named tuples: importing the CLI creates no dataclass,
+        # and is not what imports the dataclasses module
+        code = ("import sys, numpy, argparse, json; "
+                "before = 'dataclasses' in sys.modules; import braidphase.cli; "
+                "print(before, 'dataclasses' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        before, after = done.stdout.split()
+        assert done.stderr == "" and after == before
+
 
 class TestStrictJson:
     @pytest.mark.parametrize("argv", [
@@ -746,6 +757,11 @@ class TestArgvFuzz:
     @example(["spectrum", "--theta", "1", "--hbar", "1e-300", "--phidot", "1e-15"])
     @example(["sweep", "--theta-min", "0.0", "--theta-max", "0.0", "--steps", "2",
               "--format", "json", "--out", "OUT"])
+    # counts whose arrays numpy refuses to allocate, before it allocates anything
+    @example(["sweep", "--theta-min", "0", "--theta-max", "1", "--steps", "1000000000000",
+              "--out", "OUT"])
+    @example(["berry", "--theta", "0.5", "--steps", "1000000000000"])
+    @example(["berry", "--theta", "0.5", "--steps", "1000000000000", "--method", "wilson"])
     def test_every_run_ends_in_a_report_or_one_error_line(self, argv):
         # exit 0/1 with a strict, schema-valid report and nothing on stderr,
         # or exit 2/3 with one stderr line; no warning may reach numpy. The
