@@ -87,25 +87,20 @@ def one_vs_rest_sq_closed_form(theta: float) -> float:
 
 
 def _concurrence(w: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each two-qubit state rho = w w^dag of a (B, 4, r)
-    stack of factors.
-
-    Computed as max{0, l1 - l2 - ...} with l_i the descending singular values
-    of sqrt(rho) F sqrt(rho)*, F = sigma_y x sigma_y. They are the singular
-    values of the r x r matrix K = w^dag F w*, whatever the factor, taken as
-    ||K u_i|| over the eigenvectors u_i of the Hermitian K^dag K. A small l_i
-    then carries an error of ~1e-16 l_1, where the square root of a small
-    eigenvalue of K^dag K would carry ~1e-8 l_1 and lose the three-tangle
-    4 l_1 l_2 of a pure-state pair. The stack takes one stacked eigh.
-    """
-    r = w.shape[2]
+    """Wootters concurrence |l_1 - l_2| of each two-qubit state rho = w w^dag of
+    a (B, 4, 2) stack of factors: rho has rank at most 2, so l_1 and l_2, the
+    singular values of the 2 x 2 K = w^dag F w*, F = sigma_y x sigma_y, are
+    those of sqrt(rho) F sqrt(rho)* that are not zero. They are taken as
+    ||K u_i|| over the eigenvectors u_i of K^dag K, from one stacked eigh: a
+    small l_i then carries an error of ~1e-16 l_1, where the square root of
+    a small eigenvalue would carry ~1e-8 l_1 and lose the three-tangle
+    4 l_1 l_2 of a pure-state pair."""
     k = np.ascontiguousarray(w.conj().transpose(0, 2, 1)) @ FLIP_4 @ w.conj()
     kk = np.ascontiguousarray(k.conj().transpose(0, 2, 1)) @ k
     u = linalg.eigh(kk).eigenvectors
-    cols = (k @ u).transpose(0, 2, 1).reshape(-1, r)  # the columns K u_i
-    lam = np.sort(linalg.frobenius_norms(cols).reshape(-1, r), axis=1)[:, ::-1]
-    c = lam[:, 0] - np.sum(lam[:, 1:], axis=1)
-    return np.where(c > 0.0, c, 0.0)
+    cols = (k @ u).transpose(0, 2, 1).reshape(-1, 2)  # the columns K u_i
+    lam = linalg.frobenius_norms(cols).reshape(-1, 2)
+    return np.abs(lam[:, 0] - lam[:, 1])
 
 
 def _one_vs_rest_sq(w: np.ndarray, qubit: int) -> np.ndarray:

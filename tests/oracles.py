@@ -79,19 +79,21 @@ def as_density_stack(rho, dim: int, tol: float):
 
 
 def concurrence(rho2):
-    """Wootters concurrence of a two-qubit density matrix, or of a (B, 4, 4)
-    stack, through the package's kernel: after the density-matrix check, each
-    matrix is factored as rho = W W^dag over its eigenpairs, with the
-    eigenvalues under RANK_CLAMP of the largest set to exact zeros."""
+    """Wootters concurrence of a two-qubit density matrix of rank at most 2,
+    or of a (B, 4, 4) stack, through the package's kernel: after the
+    density-matrix check, each matrix is factored as rho = W W^dag over its
+    two largest eigenpairs (numpy.linalg is a test oracle only), with the
+    eigenvalues under RANK_CLAMP of the largest set to exact zeros. A matrix
+    of higher rank is rejected: the kernel takes pure-state pair factors."""
     stack, stacked = as_density_stack(rho2, 4, TOL)
-    dec = linalg.eigh(stack)
-    eig = dec.eigenvalues  # ascending
+    eig, vectors = np.linalg.eigh(stack)  # ascending
     low = eig[:, 0] < -TOL
     if low.any():
         raise ValueError(f"matrix has eigenvalue {eig[low][0, 0]} below -{TOL}")
     floor = RANK_CLAMP * np.maximum(eig[:, -1:], 0.0)
     roots = np.sqrt(np.where(eig < floor, 0.0, eig))
-    c = entanglement._concurrence(dec.eigenvectors * roots[:, None, :])
+    linalg.reject_slices(roots[:, 1] > 0.0, stacked, "density matrix", "has rank above 2")
+    c = entanglement._concurrence(vectors[:, :, 2:] * roots[:, None, 2:])
     return c if stacked else float(c[0])
 
 

