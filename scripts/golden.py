@@ -13,7 +13,8 @@ phi = 0, where R and H are real and complex rounding cannot show), a
 ``verify-algebra`` over more than one block of 64 angles, a ``ybe`` over
 more than two blocks of 64 spectral pairs and a grid of 9 phi values, an
 ``entangle`` from another input at phi != 0, and an ``entangle`` at the
-largest finite angles, where 2 * theta overflows, and prints
+largest finite angles, where 2 * theta overflows, and a ``spectrum`` at a
+negative drive rate and hbar != 1 (cos(theta) < 0), and prints
 one ``sha256  argv`` line per output: the stdout of every command, and the CSV
 the sweep writes (to a temporary directory). The package is imported from the
 ``src`` directory of the checkout this script sits in, so comparing two
@@ -79,6 +80,7 @@ EXTRA_COMMANDS = (
     "entangle --theta 1.2 --phi 2.3 --input 110",
     "ybe --samples 130 --phi-samples 9 --seed 11",
     "entangle --theta 1e308 --phi 1e308",
+    "spectrum --theta 2.6 --phi 0.3 --phidot -2.5 --hbar 0.7",
 )
 
 

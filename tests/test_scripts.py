@@ -15,7 +15,7 @@ import golden  # noqa: E402
 
 # Relative to max(1, |v|), the bound on how far a golden report value may move
 # at numpy's baseline dispatch with OpenBLAS's Prescott core; the largest move
-# measured, on an AVX-512 Xeon with numpy 2.4.6, is 8.9e-16 (13 of the 25
+# measured, on an AVX-512 Xeon with numpy 2.4.6, is 8.9e-16 (16 of the 26
 # golden outputs change bytes).
 DISPATCH_BOUND = 2e-15
 
