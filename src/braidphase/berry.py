@@ -8,9 +8,10 @@ Two routes:
   one read of one fixture batch over the fixture's parity sector;
 * berry_wilson -- the Wilson loops of both split doublets over numerical
   eigenvectors, for levels without closed forms of their connection, from one
-  solve of the H grid's 2x2 blocks on the doublet range of each basis-index
-  parity sector (dynamics._compress); each doublet has one member in each
-  sector, so each loop is diagonal: one U(1) loop of scalar overlaps per sector.
+  solve of H's 2x2 blocks on the doublet range of each basis-index parity
+  sector at every grid point, built from the ladder operators
+  (dynamics._doublet_blocks); each doublet has one member in each sector, so
+  each loop is diagonal: one U(1) loop of scalar overlaps per sector.
 
 Phases follow the gamma = i oint <chi|d_phi chi> sign convention (Wilson
 phases are reported as -arg of the loops so both routes agree). Measured
@@ -84,6 +85,8 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
         raise ValueError(f"state index must be 5..8, got {i}")
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     phis = np.linspace(0.0, TWO_PI, steps + 1)[:-1]
     chi = np.ascontiguousarray(dynamics.fixture_batch(i, theta, phis).T)  # row per index
     chi = chi[np.any(chi.view(float) != 0, axis=1)]  # the indices the fixture occupies
@@ -99,8 +102,9 @@ def berry_wilson(theta: float, steps: int) -> dict:
 
     Each grid point's Hamiltonian (hbar = phidot = 1) is solved once, as its
     2x2 block per parity sector on that sector's doublet range, from
-    dynamics._compress, which checks the structure exactly and raises
-    NumericalError naming the grid point. Each block holds exactly one state
+    dynamics._doublet_blocks, which first checks exactly that the ladder
+    operators keep that structure and raises NumericalError naming the
+    operator; no 8x8 H is built. Each block holds exactly one state
     of each split level (energy -+cos theta for 'minus'/'plus'), so each
     doublet's Wilson loop is diagonal: per sector, the product of the
     overlaps of that level's 2-vectors at consecutive grid points (equal to
@@ -111,13 +115,13 @@ def berry_wilson(theta: float, steps: int) -> dict:
     """
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
+    # validates theta before it is used
+    blocks = dynamics._doublet_blocks(theta, TWO_PI * np.arange(steps) / steps, 1.0, 1.0)
     gap = abs(np.cos(theta))
     if gap < 1e-8:
         raise linalg.NumericalError(
             f"level gap {gap} below 1e-8; doublet crosses the zero level")
-
-    hams = dynamics.hamiltonian_grid(theta, TWO_PI * np.arange(steps) / steps)
-    dec = linalg.eigh(dynamics._compress(hams).reshape(2 * steps, 2, 2))
+    dec = linalg.eigh(blocks.reshape(2 * steps, 2, 2))
     vectors = np.swapaxes(dec.eigenvectors, 1, 2)
 
     phases = {}

@@ -16,6 +16,8 @@ spectrum is {0 x4, -hbar phidot cos(theta) x2, +hbar phidot cos(theta) x2} and
 the eight closed-form eigenstates are available as fixtures. LEVELS, the one table of
 level membership, is checked exactly by the eigen-equations. H conserves the
 parity of the basis index; each split doublet has one member in each sector.
+spectrum and the Wilson loop solve H's 2x2 blocks on each sector's doublet
+range, evaluated from the ladder operators once these pass one exact check.
 
 su2_ops exposes the ladder split H = B+ I+ + B- I- + B3 I3, whose operators
 I_PLUS, I_MINUS and I_3 are read-only constants that H is built from.
@@ -46,7 +48,6 @@ __all__ = [
     "I_MINUS",
     "I_3",
     "hamiltonian",
-    "hamiltonian_grid",
     "su2_ops",
     "su2_relation_residuals",
     "spectrum",
@@ -84,10 +85,12 @@ for _m in (I_PLUS, I_MINUS, I_3):
 # |000>, (|011> + |101> + |110>)/sqrt(3); odd (|001> - |010> + |100>)/sqrt(3), |111>,
 # held in _LIFT (sector, index, member). For each (copy, source, sign) in _SAME, column
 # and row copy of H are sign times column and row source, exactly, so H (e_copy - sign
-# e_source) = 0, and a sector's 2x2 block is H on its _SOURCES times _WEIGHTS.
+# e_source) = 0, and a sector's 2x2 block is H on its _SOURCES times _WEIGHTS; the
+# flat 8x8 entries of those blocks are _BLOCK_ENTRIES (sector, row, column).
 _SAME = ((5, 3, 1.0), (6, 3, 1.0), (2, 1, -1.0), (4, 1, 1.0))
 _SOURCES = np.array([[0, 3], [1, 7]])
 _WEIGHTS = np.sqrt([[[1.0, 3.0], [3.0, 9.0]], [[9.0, 3.0], [3.0, 1.0]]])
+_BLOCK_ENTRIES = (8 * _SOURCES[:, :, None] + _SOURCES[:, None, :]).ravel()
 _LIFT = np.eye(8)[:, _SOURCES]
 for _copy, _source, _sign in _SAME:
     _LIFT[_copy] = _sign * _LIFT[_source]
@@ -153,32 +156,20 @@ class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_patter
 
 
 def hamiltonian(d: DriveParams) -> np.ndarray:
-    """The 8x8 Hermitian drive generator at the given parameters."""
+    """The 8x8 Hermitian drive generator at the given parameters: exactly +0
+    off the entries where one of the operators is nonzero."""
     # d was validated when it was made
-    return _generator(d.theta, np.array([d.phi], dtype=float), d.phi_dot, d.hbar)[0]
+    support = np.flatnonzero((I_PLUS != 0) | (I_MINUS != 0) | (I_3 != 0))
+    out = np.zeros(64, dtype=complex)
+    out[support] = _generator(support, d.theta, np.array([d.phi]), d.phi_dot, d.hbar)[:, 0]
+    return out.reshape(8, 8)
 
 
-def hamiltonian_grid(theta: float, phis) -> np.ndarray:
-    """The drive generator (hbar = phidot = 1) at every drive angle of ``phis``,
-    shape (len(phis), 8, 8).
-
-    Each slice is bitwise the generator built at that angle alone.
-    """
-    phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 1:
-        raise ValueError(f"phis must be 1-dimensional, got shape {phis.shape}")
-    _check_drive(theta, phis, 1.0, 1.0)
-    return _generator(theta, phis, 1.0, 1.0)
-
-
-def _generator(theta, phis, phi_dot, hbar) -> np.ndarray:
-    """f1 (e^{-i phi} I+ + e^{i phi} I-) + f2 I3 at each phi, as a (B, 8, 8)
-    view of a batch-last (64, B) array: evaluated on the entries where one of
-    the operators is nonzero, read from them at call time, each bitwise the
-    whole-matrix expression; exactly +0 elsewhere."""
-    ops = np.stack([I_PLUS, I_MINUS, I_3]).reshape(3, 64)
-    support = np.flatnonzero(np.any(ops != 0, axis=0))
-    i_plus, i_minus, i_3 = ops[:, support, None]
+def _generator(entries, theta, phis, phi_dot, hbar) -> np.ndarray:
+    """f1 (e^{-i phi} I+ + e^{i phi} I-) + f2 I3 on the flat 8x8 ``entries``
+    at each phi, shape (len(entries), len(phis)), with the operators read at
+    call time: each entry bitwise the whole-matrix expression's."""
+    i_plus, i_minus, i_3 = (op.reshape(64)[entries, None] for op in (I_PLUS, I_MINUS, I_3))
     em = np.exp(-1j * phis)
     f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / SQRT3
     f2 = 2 * hbar * phi_dot * np.cos(theta) ** 2 / 3
@@ -187,30 +178,30 @@ def _generator(theta, phis, phi_dot, hbar) -> np.ndarray:
     h += np.conj(em) * i_minus
     h *= f1
     h += f2 * i_3
-    out = np.zeros((64, len(phis)), dtype=complex)
-    out[support] = h
-    return out.T.reshape(len(phis), 8, 8)
+    return h
 
 
-def _compress(hams: np.ndarray) -> np.ndarray:
-    """The (B, 2, 2, 2) blocks (grid point, sector, row, column) of a (B, 8, 8)
-    H stack on the doublet range, after checking with != that no entry mixes
-    the parities and that every copy rule holds; else NumericalError names the
-    grid point."""
-    mixed = np.any(hams[:, _PARITY_BLOCKS[8][1]] != 0, axis=1)
-    if mixed.any():
-        raise linalg.NumericalError(
-            f"H mixes even and odd parity at grid point {np.argmax(mixed)}; "
-            f"cannot split it")
-    off_range = np.zeros(len(hams), dtype=bool)
-    for copy, source, sign in _SAME:  # on views, so that no column is copied
-        for m in (hams, np.swapaxes(hams, 1, 2)):
-            off_range |= np.any(m[:, :, copy] != sign * m[:, :, source], axis=1)
-    if off_range.any():
-        raise linalg.NumericalError(
-            f"H leaves the doublet range of its parity sectors at grid point "
-            f"{np.argmax(off_range)}; cannot compress it")
-    return hams[:, _SOURCES[:, :, None], _SOURCES[:, None, :]] * _WEIGHTS
+def _doublet_blocks(theta, phis, phi_dot, hbar) -> np.ndarray:
+    """The (B, 2, 2, 2) blocks (drive angle, sector, row, column) of H on the
+    doublet range at each angle of the 1-D ``phis``, evaluated on the 8 source
+    entries only: each bitwise the block of the whole 8x8 H.
+
+    The operators are checked first, with !=, and NumericalError names one that
+    has a parity-mixing entry or breaks a copy rule of _SAME. Negation is exact,
+    so every H built from operators that pass keeps both."""
+    _check_drive(theta, phis, phi_dot, hbar)
+    for name, op in (("I_PLUS", I_PLUS), ("I_MINUS", I_MINUS), ("I_3", I_3)):
+        if np.any(op[_PARITY_BLOCKS[8][1]] != 0):
+            raise linalg.NumericalError(f"{name} mixes even and odd parity; cannot split H")
+        for copy, source, sign in _SAME:
+            for kind, m in (("column", op.T), ("row", op)):
+                if np.any(m[copy] != sign * m[source]):
+                    raise linalg.NumericalError(
+                        f"{name} {kind} {copy} is not {sign:+.0f} times {kind} {source}; "
+                        f"H leaves the doublet range of its parity sectors")
+    h = _generator(_BLOCK_ENTRIES, theta, phis, phi_dot, hbar)
+    h *= _WEIGHTS.reshape(8, 1)
+    return h.T.reshape(len(phis), 2, 2, 2)
 
 
 def su2_ops(d: DriveParams) -> Su2Ops:
@@ -332,12 +323,13 @@ def eigenstate_fixture(i: int, theta: float, phi: float) -> np.ndarray:
 
 
 def spectrum(d: DriveParams) -> SpectrumReport:
-    """H's spectrum from one eigh of its (2, 2, 2) _compress blocks, whose
-    eigenvectors are lifted through the doublet range, and from its exact
-    kernel, spanned by e_copy - sign e_source, as the zero level (eigenvalues
-    exactly 0); then checked against the closed-form fixtures."""
+    """H's spectrum from one eigh of its (2, 2, 2) blocks on the doublet range
+    (_doublet_blocks, which checks the operators), whose eigenvectors are
+    lifted through that range, and from its exact kernel, spanned by
+    e_copy - sign e_source, as the zero level (eigenvalues exactly 0); then
+    checked against the closed-form fixtures, on the whole 8x8 H."""
     h = hamiltonian(d)
-    dec = linalg.eigh(_compress(h[None])[0])
+    dec = linalg.eigh(_doublet_blocks(d.theta, np.array([d.phi]), d.phi_dot, d.hbar)[0])
     # H is linear in hbar * phidot, so the grouping gap scales with it
     gap = 1e-8 * d.hbar * abs(d.phi_dot)
 

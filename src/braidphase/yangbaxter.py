@@ -6,18 +6,19 @@ Two parameterizations of the same construction live here:
   used for state generation and dynamics (r_matrix), and reached from a
   spectral parameter x on the unit circle at theta = pi/2 - arg(x);
 * the Baxterized rational family
-  R(x) = ((x + 1/x)/2) I + ((x - 1/x)/2) mcal(phi),
-  which is what actually satisfies the multiplicative Yang-Baxter equation
-  R12(x) R23(xy) R12(y) = R23(y) R12(xy) R23(x) as an identity in x, y.
+  R(x) = ((x + 1/x)/2) I + ((x - 1/x)/2) mcal(phi), which satisfies the
+  multiplicative Yang-Baxter equation R12(x) R23(xy) R12(y) =
+  R23(y) R12(xy) R23(x) as an identity in x, y on two qubits.
 
-On the unit circle the two families differ, and the unitary one violates the
-multiplicative equation at generic spectral parameters. ybe_residual checks
-both families on both systems in one pass, as three fixed differences of
-words in the lifted generator over stacks of spectral pairs and a phi grid:
-each word conserves the parity of the basis index, so it is checked to be
-exactly zero off its two parity blocks and summed on those blocks alone.
-Whole matrices of either family at a spectral point are built only by the
-tests' product-route oracle.
+Through the unit-circle map the unitary family violates that equation at
+generic spectral parameters; the map fails, not the family, which satisfies
+it under the velocity-addition rule of the README finding "8x8 Yang-Baxter
+residual". ybe_residual checks both families on both systems in one pass, as
+three fixed differences of words in the lifted generator over stacks of
+spectral pairs and a phi grid: each word conserves the parity of the basis
+index, so it is checked to be exactly zero off its two parity blocks and
+summed on those blocks alone. Whole matrices of either family at a spectral
+point are built only by the tests' product-route oracle.
 """
 
 from __future__ import annotations
@@ -222,9 +223,10 @@ def ybe_residual(x, y, phi) -> dict:
     call; memory beyond the result grows with the pairs and the grid, not
     with their product.
 
-    The rational family satisfies the two_qubit equation identically; the
-    three_qubit residual is generically nonzero (the overlapping-triple lifts
-    do not close the extraspecial algebra) and is reported, never asserted.
+    The rational family satisfies the two_qubit equation identically; its
+    three_qubit residual ({A, B} = -(2/3) I there, not 0) and the unitary
+    ones, through the unit-circle map, are generically nonzero and reported,
+    never asserted (the module docstring names the unitary family's rule).
     """
     phis = np.array(phi, dtype=float)
     if phis.ndim > 1 or not np.isfinite(phis).all():

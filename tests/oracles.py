@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from braidphase import dynamics, entanglement, linalg, states, yangbaxter
+from braidphase import braid, dynamics, entanglement, linalg, states, yangbaxter
 from braidphase.dynamics import DriveParams
 from braidphase.yangbaxter import RParams, SingularParameterError, SpectralParam
 
@@ -203,6 +203,39 @@ def hamiltonian_from_r(d: DriveParams, dt: float = 1e-5) -> np.ndarray:
 
     dr = (r(d.phi + d.phi_dot * dt) - r(d.phi - d.phi_dot * dt)) / (2 * dt)
     return 1j * d.hbar * dr @ r(d.phi).conj().T
+
+
+def hamiltonian_grid(theta: float, phis, phi_dot: float = 1.0, hbar: float = 1.0) -> np.ndarray:
+    """The drive generator f1 (e^{-i phi} I+ + e^{i phi} I-) + f2 I3 as whole
+    8x8 matrices, one per drive angle of ``phis``: shape (len(phis), 8, 8).
+
+    Evaluated on every entry at once, not on the operators' support, and
+    looks the operators up at call time.
+    """
+    em = np.exp(-1j * np.asarray(phis, dtype=float))[:, None, None]
+    f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / np.sqrt(3.0)
+    f2 = 2 * hbar * phi_dot * np.cos(theta) ** 2 / 3
+    return f1 * (em * dynamics.I_PLUS + np.conj(em) * dynamics.I_MINUS) + f2 * dynamics.I_3
+
+
+def compress(hams: np.ndarray) -> np.ndarray:
+    """The (B, 2, 2, 2) blocks (grid point, sector, row, column) of a (B, 8, 8)
+    H stack on the doublet range, after checking with != at every grid point
+    that no entry mixes the parities and that every copy rule holds; else
+    NumericalError names the grid point."""
+    mixed = np.any(hams[:, braid._PARITY_BLOCKS[8][1]] != 0, axis=1)
+    if mixed.any():
+        raise linalg.NumericalError(f"H mixes even and odd parity at grid point "
+                                    f"{np.argmax(mixed)}")
+    off_range = np.zeros(len(hams), dtype=bool)
+    for copy, source, sign in dynamics._SAME:
+        for m in (hams, np.swapaxes(hams, 1, 2)):
+            off_range |= np.any(m[:, :, copy] != sign * m[:, :, source], axis=1)
+    if off_range.any():
+        raise linalg.NumericalError(f"H leaves the doublet range at grid point "
+                                    f"{np.argmax(off_range)}")
+    sources = dynamics._SOURCES
+    return hams[:, sources[:, :, None], sources[:, None, :]] * dynamics._WEIGHTS
 
 
 def dense_line_integral(i: int, theta: float, steps: int) -> float:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,12 @@ class TestAnalytic:
             berry.berry_analytic(4, 0.4, 1000)
         with pytest.raises(ValueError):
             berry.berry_analytic(5, 0.4, 99)
+        # theta is checked before any sine or cosine of it is taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    berry.berry_analytic(5, theta, 200)
 
 
 class TestAnalyticOneRead:
@@ -156,6 +163,11 @@ class TestWilson:
     def test_validation(self):
         with pytest.raises(ValueError):
             berry.berry_wilson(0.9, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    berry.berry_wilson(theta, 800)
 
 
 def unsplit_wilson_loop(level, theta, steps):
@@ -219,77 +231,92 @@ def captured_solve(monkeypatch):
     return calls
 
 
-class CompressRejections:
-    """The exact-structure rejections of dynamics._compress, through one of its
-    callers: ``nudge(monkeypatch, move)`` has move(h) edit in place the H that
-    ``solve()`` compresses as grid point ``POINT``."""
+OPERATORS = ("I_PLUS", "I_MINUS", "I_3")
+
+
+def nudge(monkeypatch, name, move):
+    """Replaces dynamics.<name> by a copy that move(op) has edited in place."""
+    op = getattr(dynamics, name).copy()
+    move(op)
+    monkeypatch.setattr(dynamics, name, op)
+
+
+def mixing_move(op):
+    op[0b011, 0b111] = op[0b111, 0b011] = 1e-300
+
+
+class OperatorRejections:
+    """The exact-structure rejections of dynamics._doublet_blocks, through one
+    of its callers: ``solve()`` runs it, and ``ARGV`` runs it through the CLI,
+    after one of the operators that H is built from has been nudged."""
 
     def test_mixing_entry_rejected(self, monkeypatch):
-        def move(h):
-            h[0b011, 0b111] = h[0b111, 0b011] = 1e-300
-
-        self.nudge(monkeypatch, move)
-        with pytest.raises(linalg.NumericalError,
-                           match=f"parity at grid point {self.POINT};"):
-            self.solve()
+        for name in OPERATORS:
+            with monkeypatch.context() as m:
+                nudge(m, name, mixing_move)
+                with pytest.raises(linalg.NumericalError,
+                                   match=f"^{name} mixes even and odd parity;"):
+                    self.solve()
 
     @pytest.mark.parametrize("copy,other", [(5, 3), (6, 5), (2, 1), (4, 2)])
     def test_tiny_entry_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
-        # a real entry of a column that must copy column 3 or 1, and its
-        # mirror, given an imaginary part far below any tolerance
-        def move(h):
-            h[other, copy] += 1e-300j
-            h[copy, other] = np.conj(h[other, copy])
+        # an entry of a column that must copy column 3 or 1 given an imaginary
+        # part far below any tolerance
+        def move(op):
+            op[other, copy] += 1e-300j
 
-        self.nudge(monkeypatch, move)
-        with pytest.raises(linalg.NumericalError, match="doublet range of its parity "
-                           f"sectors at grid point {self.POINT};"):
-            self.solve()
+        for name in OPERATORS:
+            with monkeypatch.context() as m:
+                nudge(m, name, move)
+                with pytest.raises(linalg.NumericalError, match=f"^{name} (column|row) .* "
+                                   "H leaves the doublet range of its parity sectors$"):
+                    self.solve()
 
     @pytest.mark.parametrize("copy,other", [(5, 0), (4, 7)])
     def test_row_off_the_doublet_range_rejected(self, monkeypatch, copy, other):
         # one entry of a row that must copy row 3 or 1, moved by one unit in
-        # the last place and not mirrored: every column still copies its source
-        def move(h):
-            h[copy, other] += np.spacing(abs(h[copy, other].real))
+        # the last place (of 0 or of 1): every column still copies its source
+        def move(op):
+            op[copy, other] += np.spacing(abs(op[copy, other].real))
 
-        self.nudge(monkeypatch, move)
-        with pytest.raises(linalg.NumericalError, match="doublet range of its parity "
-                           f"sectors at grid point {self.POINT};"):
-            self.solve()
+        source = {5: 3, 4: 1}[copy]
+        for name in OPERATORS:
+            with monkeypatch.context() as m:
+                nudge(m, name, move)
+                with pytest.raises(linalg.NumericalError,
+                                   match=f"^{name} row {copy} is not \\+1 times row {source};"):
+                    self.solve()
+
+    def test_cli_exits_3(self, monkeypatch, capsys):
+        for name in OPERATORS:
+            with monkeypatch.context() as m:
+                nudge(m, name, mixing_move)
+                code = cli.main(self.ARGV)
+            out = capsys.readouterr()
+            assert code == 3 and out.out == ""
+            assert len(out.err.splitlines()) == 1
+            assert f"{name} mixes even and odd parity;" in out.err
 
 
-class TestParitySplit(CompressRejections):
+class TestParitySplit(OperatorRejections):
     # angles off the README one: the plus doublet at theta = 2.1 (cos < 0)
     # and both doublets ("--level all") at theta = 0.9
     CASES = [("plus", 2.1), ("minus", 0.9), ("plus", 0.9)]
-    POINT = 137
-
-    @staticmethod
-    def nudge(monkeypatch, move):
-        # move(h) edits the H of grid point 137 in place
-        exact = dynamics.hamiltonian_grid
-
-        def nudged(theta, phis):
-            grid = exact(theta, phis)
-            move(grid[137])
-            return grid
-
-        monkeypatch.setattr(dynamics, "hamiltonian_grid", nudged)
+    ARGV = ["berry", "--theta", "1.0472", "--steps", "400", "--method", "wilson"]
 
     @staticmethod
     def solve():
         berry.berry_wilson(1.0472, 400)
 
     def test_sector_without_one_level_state_rejected(self, monkeypatch):
-        # shifting the odd diagonal also moves H off the doublet range, which
-        # is checked before any level is
-        def move(h):
-            h[ODD, ODD] += np.cos(1.0472)
+        # shifting the odd diagonal of I_3 also moves H off the doublet range,
+        # which is checked before any level is
+        def move(op):
+            op[ODD, ODD] += 1.0
 
-        self.nudge(monkeypatch, move)
+        nudge(monkeypatch, "I_3", move)
         with pytest.raises(linalg.NumericalError,
-                           match="doublet range of its parity sectors at grid point 137;"):
+                           match="doublet range of its parity sectors$"):
             berry.berry_wilson(1.0472, 400)
 
     def test_block_without_one_level_state_rejected(self, monkeypatch):
@@ -334,12 +361,12 @@ class TestParitySplit(CompressRejections):
             assert np.abs(lifted.conj().T @ lifted - np.eye(4)).max() <= 1e-13
 
     def test_memory_is_bounded_per_step(self):
-        steps = 10 ** 4
-        tracemalloc.start()
-        berry.berry_wilson(1.1, steps)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak <= 2600 * steps
+        for steps in (10 ** 4, 10 ** 5):
+            tracemalloc.start()
+            berry.berry_wilson(1.1, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 1000 * steps, steps
 
     @pytest.mark.parametrize("level,theta", CASES)
     def test_matches_numpy_eigvals_of_the_unsplit_loop(self, level, theta):
@@ -354,36 +381,13 @@ class TestParitySplit(CompressRejections):
         assert high - low <= 1e-12
 
 
-class TestSpectrumParitySplit(CompressRejections):
-    # spectrum compresses its one H as grid point 0: here the H of grid point
-    # 137 of TestParitySplit's loop
-    POINT = 0
+class TestSpectrumParitySplit(OperatorRejections):
+    # the drive of grid point 137 of TestParitySplit's loop
     PHI = 2 * np.pi * 137 / 400
-
-    @staticmethod
-    def nudge(monkeypatch, move):
-        exact = dynamics.hamiltonian
-
-        def nudged(d):
-            h = exact(d)
-            move(h)
-            return h
-
-        monkeypatch.setattr(dynamics, "hamiltonian", nudged)
+    ARGV = ["spectrum", "--theta", "1.0472", "--phi", repr(PHI)]
 
     def solve(self):
         dynamics.spectrum(dynamics.DriveParams(1.0472, self.PHI))
-
-    def test_cli_exits_3(self, monkeypatch, capsys):
-        def move(h):
-            h[0b011, 0b111] = h[0b111, 0b011] = 1e-300
-
-        self.nudge(monkeypatch, move)
-        code = cli.main(["spectrum", "--theta", "1.0472", "--phi", repr(self.PHI)])
-        out = capsys.readouterr()
-        assert code == 3 and out.out == ""
-        assert len(out.err.splitlines()) == 1
-        assert "parity at grid point 0;" in out.err
 
 
 class TestFold:

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidphase import dynamics, entanglement
+import oracles
+from braidphase import dynamics, entanglement, linalg
 from braidphase.dynamics import DriveParams
 from oracles import hamiltonian_from_r, three_tangle
 
@@ -69,40 +72,40 @@ def expanded_hamiltonian(d):
 
 
 class TestHamiltonianGrid:
+    """H over grids of drive angles: hamiltonian() at each angle, evaluated on
+    the operators' support only, and _doublet_blocks over the whole grid,
+    evaluated on the block entries only, each bitwise equal to the
+    whole-matrix oracle (compressed, with its structure checked at every grid
+    point, for the blocks)."""
+
     @pytest.mark.parametrize("steps", [1, 800])
     def test_bitwise_equal_to_per_point_calls(self, steps):
         for theta in (1.0472, 2.1):
             phis = 2 * np.pi * np.arange(steps) / steps
-            grid = dynamics.hamiltonian_grid(theta, phis)
-            assert grid.shape == (steps, 8, 8)
+            grid = oracles.hamiltonian_grid(theta, phis)
             for k in range(steps):
                 d = DriveParams(theta, 2 * np.pi * k / steps)
-                assert np.array_equal(grid[k], dynamics.hamiltonian(d))
-                assert np.array_equal(grid[k], expanded_hamiltonian(d))
+                h = dynamics.hamiltonian(d)
+                assert np.array_equal(h, grid[k])
+                assert np.array_equal(h, expanded_hamiltonian(d))
 
     def test_wide_phi_range_bitwise(self):
-        phis = np.random.default_rng(3).uniform(-50.0, 50.0, 65)
-        grid = dynamics.hamiltonian_grid(0.7, phis)
-        for k, phi in enumerate(phis):
+        for phi in np.random.default_rng(3).uniform(-50.0, 50.0, 65):
             d = DriveParams(0.7, float(phi))
-            assert np.array_equal(grid[k], expanded_hamiltonian(d))
+            assert np.array_equal(dynamics.hamiltonian(d), expanded_hamiltonian(d))
 
     def test_support_bitwise_equal_to_whole_matrix_expression(self):
         # at 0, pi/2, pi and 3pi/2 a part of e^{-i phi} is 0 or -0, which the
         # sign bits of H's entries carry
         phis = np.concatenate([np.pi / 2 * np.arange(4), np.linspace(-7.0, 7.0, 101)])
         support = (dynamics.I_PLUS != 0) | (dynamics.I_MINUS != 0) | (dynamics.I_3 != 0)
+        assert support.sum() == 32
         for theta, phi_dot, hbar in ((1.0472, 1.0, 1.0), (2.6, -2.5, 0.7), (0.0, 1.0, 3.0)):
-            grid = dynamics._generator(theta, phis, phi_dot, hbar)
-            em = np.exp(-1j * phis)[:, None, None]
-            f1 = hbar * phi_dot * np.sin(theta) * np.cos(theta) / dynamics.SQRT3
-            f2 = 2 * hbar * phi_dot * np.cos(theta) ** 2 / 3
-            whole = f1 * (em * dynamics.I_PLUS + np.conj(em) * dynamics.I_MINUS) \
-                + f2 * dynamics.I_3
-            assert grid.shape == whole.shape and support.sum() == 32
-            assert np.ascontiguousarray(grid[:, support]).tobytes() == \
-                np.ascontiguousarray(whole[:, support]).tobytes()
-            assert np.all(grid[:, ~support] == 0)
+            whole = oracles.hamiltonian_grid(theta, phis, phi_dot, hbar)
+            for phi, w in zip(phis, whole):
+                h = dynamics.hamiltonian(DriveParams(theta, float(phi), phi_dot, hbar))
+                assert h[support].tobytes() == w[support].tobytes()
+                assert np.all(h[~support] == 0)
 
     def test_patched_operator_reaches_the_generator(self, monkeypatch):
         # the support is read from the operators at each call, so an entry
@@ -113,16 +116,46 @@ class TestHamiltonianGrid:
         h = dynamics.hamiltonian(DriveParams(0.9, 0.4))
         assert h[0, 7] == 2 * np.cos(0.9) ** 2 / 3
 
+
+    @pytest.mark.parametrize("steps", [100, 800, 2000, 10 ** 4])
+    def test_blocks_bitwise_equal_to_the_compressed_whole_matrix(self, steps):
+        phis = 2 * np.pi * np.arange(steps) / steps
+        for theta in (1.0472, 0.3, 2.1, 1.56, 0.0, -7.0, 1e300):
+            for phi_dot, hbar in ((1.0, 1.0), (-2.5, 0.7)):
+                blocks = dynamics._doublet_blocks(theta, phis, phi_dot, hbar)
+                oracle = oracles.compress(oracles.hamiltonian_grid(theta, phis, phi_dot, hbar))
+                assert blocks.shape == (steps, 2, 2, 2)
+                assert blocks.tobytes() == oracle.tobytes(), (theta, phi_dot)
+
+    def test_blocks_at_random_drives_bitwise_equal_to_compressed_hamiltonian(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            d = DriveParams(rng.uniform(-7.0, 7.0), rng.uniform(-50.0, 50.0),
+                            rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0))
+            blocks = dynamics._doublet_blocks(d.theta, np.array([d.phi]), d.phi_dot, d.hbar)
+            assert blocks.tobytes() == oracles.compress(dynamics.hamiltonian(d)[None]).tobytes()
+
+    @pytest.mark.parametrize("name,entry,message", [
+        ("I_3", (5, 0), "I_3 row 5 is not +1 times row 3;"),
+        ("I_PLUS", (0, 7), "I_PLUS mixes even and odd parity;"),
+        ("I_MINUS", (1, 2), "I_MINUS column 2 is not -1 times column 1;"),
+    ])
+    def test_patched_operator_is_checked_by_the_blocks(self, monkeypatch, name, entry, message):
+        # the operators are read and checked at each call
+        mutant = getattr(dynamics, name).copy()
+        mutant[entry] += 1e-300
+        monkeypatch.setattr(dynamics, name, mutant)
+        with pytest.raises(linalg.NumericalError, match="^" + re.escape(message)):
+            dynamics._doublet_blocks(0.9, np.array([0.4]), 1.0, 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="finite"):
-            dynamics.hamiltonian_grid(0.5, [0.1, np.nan])
+            dynamics._doublet_blocks(0.5, np.array([0.1, np.nan]), 1.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
-            dynamics.hamiltonian_grid(np.inf, [0.1])
-        with pytest.raises(ValueError, match="1-dimensional"):
-            dynamics.hamiltonian_grid(0.5, [[0.1]])
+            dynamics._doublet_blocks(np.inf, np.array([0.1]), 1.0, 1.0)
 
     def test_drive_validated_once(self, monkeypatch):
-        # a DriveParams was checked when it was made; the grid checks its own
+        # a DriveParams was checked when it was made; the blocks check their own
         d = DriveParams(theta=0.9, phi=1.1)
         calls = []
         check = dynamics._check_drive
@@ -130,7 +163,7 @@ class TestHamiltonianGrid:
                             lambda *args: calls.append(args) or check(*args))
         dynamics.hamiltonian(d)
         assert len(calls) == 0
-        dynamics.hamiltonian_grid(0.9, [1.1, 1.2])
+        dynamics._doublet_blocks(0.9, np.array([1.1, 1.2]), 1.0, 1.0)
         assert len(calls) == 1
 
 

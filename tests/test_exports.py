@@ -11,7 +11,7 @@ MODULES = ("linalg", "braid", "yangbaxter", "states", "entanglement", "dynamics"
 MOVED_TO_ORACLES = {
     "yangbaxter": ("rational_r", "r_from_spectral", "theta_from_spectral"),
     "states": ("basis_image_formula",),
-    "dynamics": ("hamiltonian_from_r",),
+    "dynamics": ("hamiltonian_from_r", "hamiltonian_grid"),
     "entanglement": ("concurrence", "three_tangle", "one_vs_rest_sq"),
     "linalg": ("as_density_stack",),
 }

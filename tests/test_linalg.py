@@ -195,7 +195,8 @@ def wilson_blocks(theta=1.0472, steps=800, phis=None):
     grid is ``steps`` equal drive angles unless ``phis`` names them."""
     if phis is None:
         phis = 2 * np.pi * np.arange(steps) / steps
-    return dynamics._compress(dynamics.hamiltonian_grid(theta, phis)).reshape(-1, 2, 2)
+    phis = np.asarray(phis, dtype=float)
+    return dynamics._doublet_blocks(theta, phis, 1.0, 1.0).reshape(-1, 2, 2)
 
 
 def assert_bitwise_equal(dec, other):
