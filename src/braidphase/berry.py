@@ -9,9 +9,9 @@ Two routes:
 * berry_wilson -- the Wilson loops of both split doublets over numerical
   eigenvectors, for levels without closed forms of their connection, from one
   solve of H's 2x2 blocks on the doublet range of each basis-index parity
-  sector at every grid point, built from the ladder operators
-  (dynamics._doublet_blocks); each doublet has one member in each sector, so
-  each loop is diagonal: one U(1) loop of scalar overlaps per sector.
+  sector, built from the ladder operators (dynamics._doublet_blocks); each
+  doublet has one member in each sector, so each loop is diagonal: one U(1)
+  loop of scalar overlaps per sector.
 
 Phases follow the gamma = i oint <chi|d_phi chi> sign convention (Wilson
 phases are reported as -arg of the loops so both routes agree). Measured
@@ -102,9 +102,9 @@ def berry_wilson(theta: float, steps: int) -> dict:
 
     Each grid point's Hamiltonian (hbar = phidot = 1) is solved once, as its
     2x2 block per parity sector on that sector's doublet range, from
-    dynamics._doublet_blocks, which first checks exactly that the ladder
-    operators keep that structure and raises NumericalError naming the
-    operator; no 8x8 H is built. Each block holds exactly one state
+    dynamics._doublet_blocks, which validates theta before its cosine is
+    taken and checks exactly that the ladder operators keep that structure,
+    else NumericalError names the operator. Each block holds exactly one state
     of each split level (energy -+cos theta for 'minus'/'plus'), so each
     doublet's Wilson loop is diagonal: per sector, the product of the
     overlaps of that level's 2-vectors at consecutive grid points (equal to
@@ -115,7 +115,6 @@ def berry_wilson(theta: float, steps: int) -> dict:
     """
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
-    # validates theta before it is used
     blocks = dynamics._doublet_blocks(theta, TWO_PI * np.arange(steps) / steps, 1.0, 1.0)
     gap = abs(np.cos(theta))
     if gap < 1e-8:

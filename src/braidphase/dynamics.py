@@ -15,9 +15,9 @@ the finite-difference generator i hbar (dR/dt) R^dag of the braid matrix. The
 spectrum is {0 x4, -hbar phidot cos(theta) x2, +hbar phidot cos(theta) x2} and
 the eight closed-form eigenstates are available as fixtures. LEVELS, the one table of
 level membership, is checked exactly by the eigen-equations. H conserves the
-parity of the basis index; each split doublet has one member in each sector.
-spectrum and the Wilson loop solve H's 2x2 blocks on each sector's doublet
-range, evaluated from the ladder operators once these pass one exact check.
+parity of the basis index; each split doublet has one member in each sector, and
+spectrum and the Wilson loop solve H's 2x2 blocks on the sectors' doublet ranges,
+built from the ladder operators after one exact check of them.
 
 su2_ops exposes the ladder split H = B+ I+ + B- I- + B3 I3, whose operators
 I_PLUS, I_MINUS and I_3 are read-only constants that H is built from.
@@ -85,8 +85,7 @@ for _m in (I_PLUS, I_MINUS, I_3):
 # |000>, (|011> + |101> + |110>)/sqrt(3); odd (|001> - |010> + |100>)/sqrt(3), |111>,
 # held in _LIFT (sector, index, member). For each (copy, source, sign) in _SAME, column
 # and row copy of H are sign times column and row source, exactly, so H (e_copy - sign
-# e_source) = 0, and a sector's 2x2 block is H on its _SOURCES times _WEIGHTS; the
-# flat 8x8 entries of those blocks are _BLOCK_ENTRIES (sector, row, column).
+# e_source) = 0, and a sector's 2x2 block is H on its _SOURCES times _WEIGHTS.
 _SAME = ((5, 3, 1.0), (6, 3, 1.0), (2, 1, -1.0), (4, 1, 1.0))
 _SOURCES = np.array([[0, 3], [1, 7]])
 _WEIGHTS = np.sqrt([[[1.0, 3.0], [3.0, 9.0]], [[9.0, 3.0], [3.0, 1.0]]])
@@ -156,12 +155,12 @@ class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_patter
 
 
 def hamiltonian(d: DriveParams) -> np.ndarray:
-    """The 8x8 Hermitian drive generator at the given parameters: exactly +0
-    off the entries where one of the operators is nonzero."""
-    # d was validated when it was made
+    """The 8x8 Hermitian drive generator at the given parameters."""
+    # d was validated when it was made; H is +0 off the operators' support
     support = np.flatnonzero((I_PLUS != 0) | (I_MINUS != 0) | (I_3 != 0))
     out = np.zeros(64, dtype=complex)
-    out[support] = _generator(support, d.theta, np.array([d.phi]), d.phi_dot, d.hbar)[:, 0]
+    phis = np.array([d.phi], dtype=float)
+    out[support] = _generator(support, d.theta, phis, d.phi_dot, d.hbar)[:, 0]
     return out.reshape(8, 8)
 
 
@@ -186,19 +185,23 @@ def _doublet_blocks(theta, phis, phi_dot, hbar) -> np.ndarray:
     doublet range at each angle of the 1-D ``phis``, evaluated on the 8 source
     entries only: each bitwise the block of the whole 8x8 H.
 
-    The operators are checked first, with !=, and NumericalError names one that
-    has a parity-mixing entry or breaks a copy rule of _SAME. Negation is exact,
-    so every H built from operators that pass keeps both."""
+    The operators are checked first, with !=: NumericalError names one with a
+    parity-mixing entry or a broken copy rule of _SAME. Negation is exact, so
+    every H built from operators that pass keeps both."""
     _check_drive(theta, phis, phi_dot, hbar)
-    for name, op in (("I_PLUS", I_PLUS), ("I_MINUS", I_MINUS), ("I_3", I_3)):
-        if np.any(op[_PARITY_BLOCKS[8][1]] != 0):
+    ops = np.stack([I_PLUS, I_MINUS, I_3])
+    copies, sources, signs = (np.array(v) for v in zip(*_SAME))
+    mixed = np.any(ops[:, _PARITY_BLOCKS[8][1]] != 0, axis=1)
+    off = {"column": np.any(ops[:, :, copies] != signs * ops[:, :, sources], axis=1),
+           "row": np.any(ops[:, copies] != signs[:, None] * ops[:, sources], axis=2)}
+    for k, name in enumerate(("I_PLUS", "I_MINUS", "I_3")):
+        if mixed[k]:
             raise linalg.NumericalError(f"{name} mixes even and odd parity; cannot split H")
-        for copy, source, sign in _SAME:
-            for kind, m in (("column", op.T), ("row", op)):
-                if np.any(m[copy] != sign * m[source]):
-                    raise linalg.NumericalError(
-                        f"{name} {kind} {copy} is not {sign:+.0f} times {kind} {source}; "
-                        f"H leaves the doublet range of its parity sectors")
+        for j, (copy, source, sign) in enumerate(_SAME):
+            for kind, broken in off.items():
+                if broken[k, j]:
+                    raise linalg.NumericalError(f"{name} {kind} {copy} is not {sign:+.0f} times "
+                                                f"{kind} {source}; H leaves the doublet range")
     h = _generator(_BLOCK_ENTRIES, theta, phis, phi_dot, hbar)
     h *= _WEIGHTS.reshape(8, 1)
     return h.T.reshape(len(phis), 2, 2, 2)
@@ -323,11 +326,10 @@ def eigenstate_fixture(i: int, theta: float, phi: float) -> np.ndarray:
 
 
 def spectrum(d: DriveParams) -> SpectrumReport:
-    """H's spectrum from one eigh of its (2, 2, 2) blocks on the doublet range
-    (_doublet_blocks, which checks the operators), whose eigenvectors are
-    lifted through that range, and from its exact kernel, spanned by
-    e_copy - sign e_source, as the zero level (eigenvalues exactly 0); then
-    checked against the closed-form fixtures, on the whole 8x8 H."""
+    """H's spectrum from one eigh of its (2, 2, 2) _doublet_blocks, whose
+    eigenvectors are lifted through the doublet range, and from its exact
+    kernel, spanned by e_copy - sign e_source, as the zero level (eigenvalues
+    exactly 0); then checked against the closed-form fixtures on the 8x8 H."""
     h = hamiltonian(d)
     dec = linalg.eigh(_doublet_blocks(d.theta, np.array([d.phi]), d.phi_dot, d.hbar)[0])
     # H is linear in hbar * phidot, so the grouping gap scales with it

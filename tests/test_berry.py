@@ -268,8 +268,8 @@ class OperatorRejections:
         for name in OPERATORS:
             with monkeypatch.context() as m:
                 nudge(m, name, move)
-                with pytest.raises(linalg.NumericalError, match=f"^{name} (column|row) .* "
-                                   "H leaves the doublet range of its parity sectors$"):
+                with pytest.raises(linalg.NumericalError,
+                                   match=f"^{name} (column|row) .* H leaves the doublet range$"):
                     self.solve()
 
     @pytest.mark.parametrize("copy,other", [(5, 0), (4, 7)])
@@ -315,8 +315,8 @@ class TestParitySplit(OperatorRejections):
             op[ODD, ODD] += 1.0
 
         nudge(monkeypatch, "I_3", move)
-        with pytest.raises(linalg.NumericalError,
-                           match="doublet range of its parity sectors$"):
+        with pytest.raises(linalg.NumericalError, match="^I_3 column 2 is not -1 times "
+                           "column 1; H leaves the doublet range$"):
             berry.berry_wilson(1.0472, 400)
 
     def test_block_without_one_level_state_rejected(self, monkeypatch):
