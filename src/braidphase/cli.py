@@ -41,6 +41,8 @@ __all__ = ["RunReport", "build_parser", "main"]
 
 SWEEP_HEADER = ("theta,tau_measured,tau_closed,c_pair_measured,c_pair_closed,"
                 "c2_one_rest_measured,c2_one_rest_closed,max_residual")
+# one CSV row: every column as "%.17g", which round-trips a float
+_SWEEP_ROW = ",".join(["%.17g"] * len(SWEEP_HEADER.split(",")))
 
 
 class RunReport(namedtuple("RunReport", "command parameters results residual_summary passes")):
@@ -216,15 +218,15 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
     thetas = np.linspace(theta_min, theta_max, steps)
     kets = states.apply_r(yangbaxter.RParams(thetas, phi), states.basis_state("000"))
     rep = entanglement.full_report(kets)
-    forms = (entanglement.tangle_closed_form, entanglement.pair_concurrence_closed_form,
-             entanglement.one_vs_rest_sq_closed_form)
-    closed = np.array([[form(theta) for form in forms] for theta in thetas.tolist()])
+    closed = np.column_stack([entanglement.tangle_closed_form(thetas),
+                             entanglement.pair_concurrence_closed_form(thetas),
+                             entanglement.one_vs_rest_sq_closed_form(thetas)])
     measured = np.column_stack([rep.tau_abc, rep.c_ab, rep.c2_a_bc])
     row_worst = _worst(measured, closed, axis=1)
     # each measure beside its closed form, as in SWEEP_HEADER
     table = np.column_stack([thetas, np.stack([measured, closed], 2).reshape(-1, 6), row_worst])
     lines = [SWEEP_HEADER]
-    lines.extend(",".join("%.17g" % v for v in row) for row in table.tolist())
+    lines.extend(_SWEEP_ROW % row for row in map(tuple, table.tolist()))
     csv_text = "\n".join(lines) + "\n"
     worst = float(np.max(row_worst))
     report = RunReport(

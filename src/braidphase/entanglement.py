@@ -4,10 +4,10 @@ full_report validates its pure states once and computes every measure from
 them: the three-tangle as the hyperdeterminant combination
 4|d1 - 2 d2 + 4 d3| over the state coefficients; each pair concurrence as the
 Wootters spin-flip measure of the pair's reduction m m^dag, computed from the
-4 x 2 slice m of the state tensor through a 2 x 2 Hermitian eigenproblem,
-with no density matrix formed; and each one-vs-rest concurrence squared as the
-pure-state identity 2 (1 - tr rho_q^2), which doubles as an independent
-oracle for the monogamy identity
+4 x 2 slice m of the state tensor through two invariants of a 2 x 2 matrix,
+with no eigenproblem and no density matrix formed; and each one-vs-rest
+concurrence squared as the pure-state identity 2 (1 - tr rho_q^2), which
+doubles as an independent oracle for the monogamy identity
 
     C^2_{A(BC)} = C^2_AB + C^2_AC + tau.
 
@@ -15,7 +15,8 @@ One state gives a report of floats, and a (B, 8) stack gives a report of
 arrays of B floats by the same code, each bitwise equal to the value of its
 slice alone. The private kernels take stacks that are already valid.
 
-Closed forms for the states produced by apply_r on basis inputs:
+Closed forms for the states produced by apply_r on basis inputs, each
+evaluated on a float or a whole array of theta by one expression:
 
     tau(theta)   = 16 sqrt(3) |sin(theta) cos^3(theta)| / 9
     C_pair(theta) = | |sin(2 theta)|/sqrt(3) - (2/3) cos^2(theta) |
@@ -24,11 +25,12 @@ Closed forms for the states produced by apply_r on basis inputs:
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
 
-from . import linalg, states
+from . import states
 
 __all__ = [
     "EntanglementReport",
@@ -40,9 +42,6 @@ __all__ = [
 
 QUBITS = {"A": 0, "B": 1, "C": 2}
 PAIRS = ((0, 1), (1, 2), (0, 2))  # AB, BC, AC
-
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 class EntanglementReport(namedtuple("EntanglementReport", "tau_abc c_ab c_bc c_ac "
@@ -73,34 +72,70 @@ def _three_tangle(w: np.ndarray) -> np.ndarray:
     return 4 * np.abs(d1 - 2 * d2 + 4 * d3)
 
 
-def tangle_closed_form(theta: float) -> float:
-    return float(16 * np.sqrt(3) * abs(np.sin(theta) * np.cos(theta) ** 3) / 9)
+def _closed_form(expression):
+    """The closed form ``expression`` of theta, taking a float or an array of
+    angles: an array gives the array of values, and a float the Python float
+    of the same expression on a one-element array, so the value at an angle
+    is bitwise its value in any grid."""
+    @functools.wraps(expression)
+    def form(theta):
+        values = expression(np.atleast_1d(np.asarray(theta, dtype=float)))
+        return values if np.ndim(theta) else float(values[0])
+    return form
 
 
-def pair_concurrence_closed_form(theta: float) -> float:
+@_closed_form
+def tangle_closed_form(theta):
+    return 16 * np.sqrt(3) * np.abs(np.sin(theta) * np.cos(theta) ** 3) / 9
+
+
+@_closed_form
+def pair_concurrence_closed_form(theta):
     s, c = np.sin(theta), np.cos(theta)  # 2 |s c|, as 2 theta overflows near 1e308
-    return float(abs(2 * abs(s * c) / np.sqrt(3) - 2 * c ** 2 / 3))
+    return np.abs(2 * np.abs(s * c) / np.sqrt(3) - 2 * c ** 2 / 3)
 
 
-def one_vs_rest_sq_closed_form(theta: float) -> float:
-    return float(8 / 9 * np.cos(theta) ** 2 * (1 + 2 * np.sin(theta) ** 2))
+@_closed_form
+def one_vs_rest_sq_closed_form(theta):
+    return 8 / 9 * np.cos(theta) ** 2 * (1 + 2 * np.sin(theta) ** 2)
 
 
 def _concurrence(w: np.ndarray) -> np.ndarray:
-    """Wootters concurrence |l_1 - l_2| of each two-qubit state rho = w w^dag of
-    a (B, 4, 2) stack of factors: rho has rank at most 2, so l_1 and l_2, the
-    singular values of the 2 x 2 K = w^dag F w*, F = sigma_y x sigma_y, are
-    those of sqrt(rho) F sqrt(rho)* that are not zero. They are taken as
-    ||K u_i|| over the eigenvectors u_i of K^dag K, from one stacked eigh: a
-    small l_i then carries an error of ~1e-16 l_1, where the square root of
-    a small eigenvalue would carry ~1e-8 l_1 and lose the three-tangle
-    4 l_1 l_2 of a pure-state pair."""
-    k = np.ascontiguousarray(w.conj().transpose(0, 2, 1)) @ FLIP_4 @ w.conj()
-    kk = np.ascontiguousarray(k.conj().transpose(0, 2, 1)) @ k
-    u = linalg.eigh(kk).eigenvectors
-    cols = (k @ u).transpose(0, 2, 1).reshape(-1, 2)  # the columns K u_i
-    lam = linalg.frobenius_norms(cols).reshape(-1, 2)
-    return np.abs(lam[:, 0] - lam[:, 1])
+    """Wootters concurrence l_1 - l_2 of each two-qubit state rho = w w^dag of
+    a (B, 4, 2) stack of factors: rho has rank at most 2, so l_1 >= l_2 are
+    the singular values of the 2 x 2 K = w^dag F w*, F = sigma_y x sigma_y,
+    and two invariants of K fix them. With K^dag K = [[p, r], [r*, q]],
+
+        l_1^2 - l_2^2 = sqrt((p - q)^2 + 4 |r|^2),
+        l_1 + l_2     = sqrt(p + q + 2 |det K|),
+
+    and C is their quotient, exactly 0 where K = 0. The numerator carries an
+    error of ~1e-16 l_1^2 and the denominator is at least l_1, so a small l_2
+    keeps an error of ~1e-16 l_1, where the square root of a small eigenvalue
+    of K^dag K would carry ~1e-8 l_1 and lose the three-tangle 4 l_1 l_2 of a
+    pure-state pair. The invariants are read from G = w^T F w = K*, which
+    has K's; every product is taken on real planes and every modulus from
+    real squares, so no complex multiply or abs rounds them."""
+    # real planes with the batch last, so that each entry of every w is one
+    # contiguous run; F is the antidiagonal (-1, 1, 1, -1), so
+    # G_ab = m_1ab + m_1ba - m_0ab - m_0ba with m_iab = w_{3-i, a} w_{i, b}
+    t = w.transpose(1, 2, 0)
+    wr, wi = np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
+    top_r, top_i = wr[[0, 1], None], wi[[0, 1], None]
+    bot_r, bot_i = wr[[3, 2], :, None], wi[[3, 2], :, None]
+    mr = top_r * bot_r - top_i * bot_i
+    mi = top_r * bot_i + top_i * bot_r
+    gr, gi = mr[1] - mr[0], mi[1] - mi[0]
+    (ar, br), (_, cr) = gr + gr.transpose(1, 0, 2)
+    (ai, bi), (_, ci) = gi + gi.transpose(1, 0, 2)
+    pa, pb, pc = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci
+    rr = ar * br + ai * bi + br * cr + bi * ci  # r = a* b + b* c
+    ri = ar * bi - ai * br + br * ci - bi * cr
+    dr = ar * cr - ai * ci - (br * br - bi * bi)  # det G = a c - b^2
+    di = ar * ci + ai * cr - 2 * br * bi
+    diff = np.sqrt((pa - pc) ** 2 + 4 * (rr * rr + ri * ri))
+    total = np.sqrt(pa + 2 * pb + pc + 2 * np.sqrt(dr * dr + di * di))
+    return np.divide(diff, total, out=np.zeros_like(diff), where=total > 0.0)
 
 
 def _one_vs_rest_sq(w: np.ndarray, qubit: int) -> np.ndarray:

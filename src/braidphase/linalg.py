@@ -7,9 +7,9 @@ check it again: ``frobenius_norms``, the package's one norm, takes its stack
 as it is. No density matrix enters: the package reduces validated states.
 
 The Hermitian eigensolver, ``eigh``, takes the one size the package solves,
-2 x 2 matrices, alone or stacked: H on the doublet range of each parity
-sector and the K^dag K of each pair concurrence. It makes no numpy.linalg
-call and no matrix product.
+2 x 2 matrices, alone or stacked, and serves only H on the doublet range of
+each parity sector: the entanglement measures solve no eigenproblem. It
+makes no numpy.linalg call and no matrix product.
 """
 
 from __future__ import annotations

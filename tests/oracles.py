@@ -80,11 +80,12 @@ def as_density_stack(rho, dim: int, tol: float):
 
 def concurrence(rho2):
     """Wootters concurrence of a two-qubit density matrix of rank at most 2,
-    or of a (B, 4, 4) stack, through the package's kernel: after the
-    density-matrix check, each matrix is factored as rho = W W^dag over its
-    two largest eigenpairs (numpy.linalg is a test oracle only), with the
-    eigenvalues under RANK_CLAMP of the largest set to exact zeros. A matrix
-    of higher rank is rejected: the kernel takes pure-state pair factors."""
+    or of a (B, 4, 4) stack, through the package's kernel, which reads two
+    invariants of each pair's 2 x 2 K: after the density-matrix check, each
+    matrix is factored as rho = W W^dag over its two largest eigenpairs
+    (numpy.linalg is a test oracle only), with the eigenvalues under
+    RANK_CLAMP of the largest set to exact zeros. A matrix of higher rank is
+    rejected: the kernel takes pure-state pair factors."""
     stack, stacked = as_density_stack(rho2, 4, TOL)
     eig, vectors = np.linalg.eigh(stack)  # ascending
     low = eig[:, 0] < -TOL
@@ -95,6 +96,17 @@ def concurrence(rho2):
     linalg.reject_slices(roots[:, 1] > 0.0, stacked, "density matrix", "has rank above 2")
     c = entanglement._concurrence(vectors[:, :, 2:] * roots[:, None, 2:])
     return c if stacked else float(c[0])
+
+
+def concurrence_svd(w) -> np.ndarray:
+    """Wootters concurrence l_1 - l_2 of each two-qubit state w w^dag of a
+    (B, 4, 2) stack of factors, with l_1 >= l_2 the singular values of each
+    K = w^dag (sigma_y x sigma_y) w* from numpy.linalg.svd: a route
+    independent of the package's kernel, which reads two invariants of K."""
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    k = np.conj(np.swapaxes(w, 1, 2)) @ np.kron(sigma_y, sigma_y) @ np.conj(w)
+    values = np.linalg.svd(k, compute_uv=False)  # descending
+    return values[:, 0] - values[:, 1]
 
 
 def three_tangle(state):

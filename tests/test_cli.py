@@ -256,6 +256,23 @@ class TestSweep:
                       measured[2], closed[2], worst)
             assert row == ",".join("%.17g" % v for v in values)
 
+    def test_each_closed_form_is_one_call_on_the_grid(self, tmp_path, capsys, monkeypatch):
+        # the README sweep evaluates each closed form once, on the whole grid
+        calls = []
+        names = ("tangle_closed_form", "pair_concurrence_closed_form",
+                 "one_vs_rest_sq_closed_form")
+        for name in names:
+            def recording(theta, name=name, form=getattr(entanglement, name)):
+                calls.append((name, np.array(theta)))
+                return form(theta)
+            monkeypatch.setattr(entanglement, name, recording)
+        code, _, _ = run(capsys, "sweep", "--theta-min", "0", "--theta-max", "3.14159",
+                         "--steps", "121", "--out", str(tmp_path / "c.csv"))
+        assert code == 0
+        assert sorted(name for name, _ in calls) == sorted(names)
+        for _, theta in calls:
+            assert np.array_equal(theta, np.linspace(0.0, 3.14159, 121))
+
     def test_largest_finite_angle_has_finite_closed_forms(self, tmp_path, capsys):
         # 2 * 1e308 overflows; a NaN closed form would drop out of the row max
         out_path = tmp_path / "c.csv"
@@ -272,7 +289,7 @@ class TestSweep:
         # (Python's max would drop it) and the report is refused as non-JSON
         exact = entanglement.pair_concurrence_closed_form
         monkeypatch.setattr(entanglement, "pair_concurrence_closed_form",
-                            lambda theta: float("nan") if theta == 0.5 else exact(theta))
+                            lambda theta: np.where(np.equal(theta, 0.5), np.nan, exact(theta)))
         code, out, err = run(capsys, "sweep", "--theta-min", "0", "--theta-max", "1",
                              "--steps", "3", "--out", str(tmp_path / "c.csv"))
         assert code == 2 and out == ""

@@ -1,13 +1,27 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidphase import entanglement, linalg, states
+from braidphase import cli, entanglement, linalg, states
 from braidphase.yangbaxter import RParams, r_matrix
-from oracles import concurrence, one_vs_rest_sq, partial_trace, three_tangle
+from oracles import (concurrence, concurrence_svd, one_vs_rest_sq, partial_trace,
+                     three_tangle)
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+# angles where the three-tangle 4 l1 l2 is small but nonzero, so the small
+# Wootters value l2 must survive; 3.14159 ends the README sweep
+_OFFSETS = (1e-8, 1.2e-7, 1.8e-6, 3e-5)
+NEAR_TANGLE_ZEROS = (list(_OFFSETS) + [np.pi - d for d in _OFFSETS]
+                     + [np.pi / 2 + d for d in _OFFSETS] + [3.14159])
+
+CLOSED_FORMS = (entanglement.tangle_closed_form,
+                entanglement.pair_concurrence_closed_form,
+                entanglement.one_vs_rest_sq_closed_form)
 
 
 def ghz():
@@ -66,6 +80,18 @@ class TestClosedForms:
         assert entanglement.one_vs_rest_sq_closed_form(0.0) == pytest.approx(8 / 9)
         assert entanglement.one_vs_rest_sq_closed_form(np.pi / 2) == pytest.approx(
             0.0, abs=1e-30)
+
+    @pytest.mark.parametrize("form", CLOSED_FORMS, ids=lambda form: form.__name__)
+    def test_grid_is_bitwise_the_float_route(self, form):
+        # the README sweep grid, 2,001 angles over [0, pi], and large angles
+        thetas = np.concatenate([np.linspace(0.0, 3.14159, 121),
+                                 np.linspace(0.0, np.pi, 2001), [7.0, -7.0, 1e308]])
+        values = form(thetas)
+        assert values.shape == thetas.shape and np.isfinite(values).all()
+        for theta, value in zip(thetas.tolist(), values):
+            alone = form(theta)
+            assert type(alone) is float
+            assert np.float64(alone).tobytes() == value.tobytes(), theta
 
 
 def bell_diagonal(rng, weights):
@@ -126,6 +152,49 @@ class TestConcurrence:
             concurrence(np.eye(4, dtype=complex))
         with pytest.raises(ValueError):
             concurrence(np.diag([2.0, -1.0, 0, 0]).astype(complex))
+
+
+def pair_factors(kets):
+    """The (3 B, 4, 2) pair factors of (B, 8) states, pairs AB, BC, AC."""
+    w = np.reshape(kets, (-1, 8))
+    return np.stack([entanglement._factor(w, pair) for pair in entanglement.PAIRS],
+                    axis=1).reshape(-1, 4, 2)
+
+
+class TestConcurrenceInvariants:
+    """The kernel reads l1 - l2 from two invariants of each 2 x 2 K; the
+    oracle takes the singular values of K from numpy.linalg.svd. Both carry
+    an error of about 1e-16 l1, and l1 <= 1 on unit states."""
+
+    def test_matches_svd_on_random_pair_factors(self):
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=(2000, 4, 2)) + 1j * rng.normal(size=(2000, 4, 2))
+        w /= np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=(1, 2)))[:, None, None]
+        assert np.abs(entanglement._concurrence(w) - concurrence_svd(w)).max() <= 1e-15
+
+    def test_matches_svd_near_tangle_zeros(self):
+        kets = [states.apply_r(RParams(theta, 0.3), states.basis_state(label))
+                for theta in NEAR_TANGLE_ZEROS for label in states.BASIS_LABELS]
+        w = pair_factors(kets)
+        assert np.abs(entanglement._concurrence(w) - concurrence_svd(w)).max() <= 1e-15
+
+    def test_landmark_states_are_exact(self):
+        # no pair of GHZ or |000> is entangled, exactly; the W state as built,
+        # with amplitudes x = fl(1/sqrt 3), has C = 2 x^2, which comes out
+        # correctly rounded, 2 ulps above 2/3
+        x = Fraction(w_state()[1].real)
+        for state, exact in ((ghz(), 0.0), (w_state(), float(2 * x * x)),
+                             (states.basis_state("000"), 0.0)):
+            rep = entanglement.full_report(state)
+            assert (rep.c_ab, rep.c_bc, rep.c_ac) == (exact,) * 3
+        assert float(2 * x * x) == pytest.approx(2 / 3, abs=5e-16)
+
+    def test_product_state_divides_by_no_zero(self):
+        # K = 0 for every pair of |000>: C is 0.0 with no warning, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = entanglement.full_report(states.basis_state("000"))
+        assert rep == (0.0,) * 8
 
 
 class TestOneVsRest:
@@ -198,26 +267,30 @@ class TestFullReport:
         entanglement.full_report(state)
         assert calls == {"as_state": 1}
 
-    def test_readme_sweep_is_one_two_by_two_solve(self, monkeypatch):
-        # each pair's 4 x 2 factor gives a 2 x 2 K^dag K; no rho is solved
+    def test_readme_sweep_and_entangle_solve_no_eigenproblem(self, monkeypatch, capsys):
+        # each pair concurrence comes from two invariants of its 2 x 2 K, so
+        # neither the README sweep's stack nor the entangle command calls eigh
         shapes = []
         original = linalg.eigh
 
-        def counting(a, *args, **kwargs):
+        def recording(a):
             shapes.append(np.shape(a))
-            return original(a, *args, **kwargs)
+            return original(a)
 
-        monkeypatch.setattr(linalg, "eigh", counting)
+        monkeypatch.setattr(linalg, "eigh", recording)
         thetas = np.linspace(0.0, 3.14159, 121)
         entanglement.full_report(states.apply_r(RParams(thetas, 0.0),
                                                 states.basis_state("000")))
-        assert shapes == [(363, 2, 2)]
+        assert cli.main(["entangle", "--theta", "0.5236", "--phi", "0",
+                         "--input", "000"]) == 0
+        assert capsys.readouterr().out
+        assert shapes == []
 
     def test_monogamy_residual_of_random_states(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(2000, 8)) + 1j * rng.normal(size=(2000, 8))
         w /= np.linalg.norm(w, axis=1)[:, None]
-        assert entanglement.full_report(w).monogamy_residual.max() <= 1e-13
+        assert entanglement.full_report(w).monogamy_residual.max() <= 2.3e-15
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_reductions_are_the_partial_trace(self, seed):
@@ -250,12 +323,7 @@ class TestCurveAgreement:
             assert rep.tau_abc == pytest.approx(ckw, abs=1e-8)
 
     def test_near_tangle_zeros(self):
-        # the three-tangle 4 l1 l2 is small but nonzero here, so the small
-        # Wootters value l2 must survive; 3.14159 ends the README sweep
-        offsets = (1e-8, 1.2e-7, 1.8e-6, 3e-5)
-        thetas = (list(offsets) + [np.pi - d for d in offsets]
-                  + [np.pi / 2 + d for d in offsets] + [3.14159])
-        for theta in thetas:
+        for theta in NEAR_TANGLE_ZEROS:
             for label in states.BASIS_LABELS:
                 out = states.apply_r(RParams(theta, 0.3), states.basis_state(label))
                 rep = entanglement.full_report(out)
