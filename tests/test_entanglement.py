@@ -154,13 +154,6 @@ class TestConcurrence:
             concurrence(np.diag([2.0, -1.0, 0, 0]).astype(complex))
 
 
-def pair_factors(kets):
-    """The (3 B, 4, 2) pair factors of (B, 8) states, pairs AB, BC, AC."""
-    w = np.reshape(kets, (-1, 8))
-    return np.stack([entanglement._factor(w, pair) for pair in entanglement.PAIRS],
-                    axis=1).reshape(-1, 4, 2)
-
-
 class TestConcurrenceInvariants:
     """The kernel reads l1 - l2 from two invariants of each 2 x 2 K; the
     oracle takes the singular values of K from numpy.linalg.svd. Both carry
@@ -175,7 +168,8 @@ class TestConcurrenceInvariants:
     def test_matches_svd_near_tangle_zeros(self):
         kets = [states.apply_r(RParams(theta, 0.3), states.basis_state(label))
                 for theta in NEAR_TANGLE_ZEROS for label in states.BASIS_LABELS]
-        w = pair_factors(kets)
+        w = np.concatenate([entanglement._factor(np.array(kets), pair)
+                            for pair in entanglement.PAIRS])
         assert np.abs(entanglement._concurrence(w) - concurrence_svd(w)).max() <= 1e-15
 
     def test_landmark_states_are_exact(self):
