@@ -3,9 +3,9 @@
 Builds the braid generators and their unitary Yang-Baxterized matrix,
 generates entangled three-qubit states, computes entanglement measures
 (three-tangle, Wootters concurrence, one-vs-rest concurrence), constructs the
-driven Hamiltonian with its spectrum, and evaluates geometric phases of the
-adiabatic drive loop — each closed-form claim checked by an independent
-numerical route.
+driven Hamiltonian with its spectrum, and evaluates the geometric phases
+(holonomy) of its instantaneous eigenstates over the drive loop — each
+closed-form claim checked by an independent numerical route.
 """
 
 from .linalg import EigenDecomposition, NumericalError, eigh

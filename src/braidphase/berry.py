@@ -1,4 +1,4 @@
-"""Geometric phases for the adiabatic loop phi: 0 -> 2*pi.
+"""Geometric phases (holonomy) of H's instantaneous eigenstates over phi: 0 -> 2*pi.
 
 Two routes:
 
@@ -129,7 +129,7 @@ def berry_wilson(theta: float, steps: int) -> dict:
             continue
         target = sign * np.cos(theta)
         in_level = np.abs(dec.eigenvalues - target) < gap / 2
-        counts = in_level.sum(axis=1)
+        counts = in_level[:, 0].astype(int) + in_level[:, 1]  # not bool + bool, an OR
         if np.any(counts != 1):
             bad = np.argmax(counts != 1)
             raise linalg.NumericalError(

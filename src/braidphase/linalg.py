@@ -71,10 +71,10 @@ def reject_slices(bad, stacked: bool, what: str, problem: str,
 
 
 # A stack is solved in blocks of this many complex entries (64 KB), 1024
-# matrices. The 1600 Wilson blocks take a median 2.4 ms of CPU at 4096
-# entries, 2.1 ms at 8192 to 32768 and 3.6 ms at 1024 (2-vCPU Xeon, numpy
-# 2.4.6); unblocked, the tracemalloc peak of berry_wilson(1.1, 10**4) is
-# 2,920 B per step against 1,590 B. No result depends on it.
+# matrices. The 1600 Wilson blocks take a median 0.55 ms of CPU at 4096
+# entries, 0.71 ms at 2048, 0.93 ms at 1024 and 0.64 ms unblocked (2-vCPU
+# Xeon, numpy 2.4.6); the tracemalloc peak of berry_wilson(1.1, .) is 680 B
+# per step at 10**4 and 10**5 steps, 1,357 B unblocked. No result depends on it.
 _BLOCK_ENTRIES = 4096
 
 # Off-diagonal Frobenius mass, relative to the matrix norm, at or below which
@@ -83,6 +83,9 @@ _TARGET = 1e-12
 
 # Skew-Hermitian mass, relative to the matrix norm, above which eigh rejects.
 _HERMITIAN_TOL = 1e-10
+
+# Plane order of the transpose of a (4, B) stack; with conj, the dagger.
+_DAGGER = [0, 2, 1, 3]
 
 
 def eigh(a) -> EigenDecomposition:
@@ -111,69 +114,63 @@ def eigh(a) -> EigenDecomposition:
                          f"got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix contains non-finite entries")
-    raw = a.reshape(-1, 2, 2)
-    peak = np.maximum(np.abs(raw.real), np.abs(raw.imag)).max(axis=(1, 2), initial=0.0)
+    # entry k of every matrix is one contiguous plane, the batch last, so that
+    # each per-matrix reduction is an elementwise pass over the leading axis
+    stack = a.reshape(-1, 4).T.copy()
+    peak = np.maximum(np.abs(stack.real), np.abs(stack.imag)).max(axis=0, initial=0.0)
     exponent = np.frexp(peak)[1]
-    stack = np.empty_like(raw)
-    stack.real = np.ldexp(raw.real, -exponent[:, None, None])
-    stack.imag = np.ldexp(raw.imag, -exponent[:, None, None])
-    scale = frobenius_norms(stack)
-    skew = frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
+    np.ldexp(stack.real, -exponent, out=stack.real)
+    np.ldexp(stack.imag, -exponent, out=stack.imag)
+    scale = _plane_norms(stack)
+    skew = _plane_norms(stack - stack[_DAGGER].conj())
     reject_slices(skew > _HERMITIAN_TOL * scale, a.ndim == 3, "matrix",
                   "is not Hermitian within tolerance")
 
-    values = np.zeros((len(stack), 2))
-    vectors = np.broadcast_to(np.eye(2, dtype=complex), stack.shape).copy()
+    values = np.empty((len(peak), 2))
+    vectors = np.zeros((len(peak), 4), dtype=complex)
+    vectors[:, ::3] = 1.0
     block = _BLOCK_ENTRIES // 4
-    for lo in range(0, len(stack), block):
-        live = lo + np.flatnonzero(peak[lo:lo + block] > 0.0)
-        if live.size:
-            sub = stack[live]
-            tv = _rotate((sub + sub.conj().transpose(0, 2, 1)) / 2, _TARGET * scale[live])
-            lam = np.diagonal(tv[:, :2], axis1=1, axis2=2).real
-            order = np.argsort(lam, axis=1, kind="stable")
-            values[live] = np.ldexp(np.take_along_axis(lam, order, axis=1),
-                                    exponent[live, None])
-            vectors[live] = np.take_along_axis(tv[:, 2:], order[:, None, :], axis=2)
+    for lo in range(0, len(peak), block):
+        # a zero matrix needs no mask: its t has the diagonal +0, not rotated
+        live = slice(lo, lo + block)
+        t = (stack[:, live] + stack[_DAGGER, live].conj()) / 2
+        stop = _TARGET * scale[live]
+        lam, v = t[::3].real.copy(), vectors[live].T
+        # the off-diagonal mass of a matrix is the norm of its pair t01, t10
+        todo = _plane_norms(t[1:3]) > stop
+        if todo.any():
+            # one rotation [[c, s], [-conj(s), c]]: c and s / e are the cosine
+            # and sine of the real rotation that zeroes a pivot of modulus
+            # |t01|, and e is its phase; rows, then columns, entry by entry
+            pick = slice(None) if todo.all() else todo
+            t00, t01, t10, t11 = t[:, pick]
+            mod = np.abs(t01)
+            tau = (t11.real - t00.real) / (2 * mod)
+            tan = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
+            c = 1.0 / np.hypot(1.0, tan)
+            s = tan * c * (t01 / mod)
+            sc = s.conj()
+            r00, r01 = c * t00 - s * t10, c * t01 - s * t11
+            r10, r11 = sc * t00 + c * t10, sc * t01 + c * t11
+            lam[0, pick], lam[1, pick] = (c * r00 - sc * r01).real, (s * r10 + c * r11).real
+            off = np.stack((s * r00 + c * r01, c * r10 - sc * r11))
+            if not np.all(_plane_norms(off) <= stop[pick]):
+                raise NumericalError("a Jacobi rotation left a 2 x 2 matrix off diagonal")
+            # the columns of the identity, rotated: the products by its exact
+            # zeros and ones leave c, s and -conj(s), with every zero +0
+            v[:, pick] = c, s + 0.0, 0.0 - sc, c
+        # ascending: swap the pair, and the columns, where it is descending
+        swap = lam[0] > lam[1]
+        values[live] = np.ldexp(np.where(swap, lam[::-1], lam), exponent[live]).T
+        vectors[live] = np.where(swap, v[[1, 0, 3, 2]], v).T
     return EigenDecomposition(values.reshape(a.shape[:-1]), vectors.reshape(a.shape))
 
 
-def _rotate(t: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """One Jacobi rotation [[c, s], [-conj(s), c]] of each matrix of a
-    (B, 2, 2) Hermitian stack whose off-diagonal mass is above its ``stop``:
-    c and s / e are the cosine and sine of the real rotation that zeroes a
-    pivot of modulus |t_01|, and e is the phase of t_01. Returns a (B, 4, 2)
-    stack, the matrices on top of their rotations."""
-    # rows and columns lead and the batch is last, so that an entry of every
-    # matrix is one contiguous run; t sits on top of its rotation v
-    tv = np.empty((4, 2, len(t)), dtype=complex)
-    tv[:2] = t.transpose(1, 2, 0)
-    tv[2:] = np.eye(2)[:, :, None]
-    # the off-diagonal mass of a matrix is the norm of its pair t_01, t_10
-    todo = frobenius_norms(tv[[0, 1], [1, 0]].T) > stop
-    if not todo.any():
-        return tv.transpose(2, 0, 1)
-    every = todo.all()
-    sub = tv if every else tv[..., todo]
-    # the one pivot (p, q) = (0, 1), as length-1 index arrays
-    p, q = pq = np.array([[0], [1]])
-    tpq = sub[p, q]
-    mod = np.abs(tpq)
-    dp, dq = sub[pq, pq].real
-    tau = (dq - dp) / (2 * mod)
-    tan = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
-    c = 1.0 / np.hypot(1.0, tan)
-    s = tan * c * (tpq / mod)
-    sc = s.conj()
-    # rows p, q of t, then columns p, q of t and v together; c is real
-    xp, xq = sub[p], sub[q]
-    sub[p] = c[:, None] * xp - s[:, None] * xq
-    sub[q] = sc[:, None] * xp + c[:, None] * xq
-    yp, yq = sub[:, p], sub[:, q]
-    sub[:, p] = c * yp - sc * yq
-    sub[:, q] = s * yp + c * yq
-    if not np.all(frobenius_norms(sub[[0, 1], [1, 0]].T) <= stop[todo]):
-        raise NumericalError("a Jacobi rotation left a 2 x 2 matrix off diagonal")
-    if not every:
-        tv[..., todo] = sub
-    return tv.transpose(2, 0, 1)
+def _plane_norms(planes: np.ndarray) -> np.ndarray:
+    """frobenius_norms of an (n, B) stack of entry planes, one per column."""
+    # bitwise frobenius_norms of the (B, n) stack only for n <= 4 terms
+    mod = np.abs(planes)
+    exponent = np.frexp(mod.max(axis=0, initial=0.0))[1]
+    np.ldexp(mod, -exponent, out=mod)
+    np.square(mod, out=mod)
+    return np.ldexp(np.sqrt(mod.sum(axis=0)), exponent)

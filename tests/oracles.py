@@ -263,3 +263,77 @@ def dense_line_integral(i: int, theta: float, steps: int) -> float:
     rolled = np.vstack([batch[1:], batch[:1]])
     overlaps = np.einsum("ij,ij->i", batch.conj(), rolled)
     return float(-np.sum(np.angle(overlaps)))
+
+
+def eigh_reference(a) -> linalg.EigenDecomposition:
+    """The Jacobi kernel as it was before its entries became planes, frozen
+    as a bitwise oracle: rows and columns of (B, 2, 2) stacks, per-row norms
+    through linalg.frobenius_norms, fancy-index row and column updates and a
+    stable argsort. Still no numpy.linalg call and no matrix product. The
+    stop and Hermitian tolerances are read from linalg at call time."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-2:] != (2, 2):
+        raise ValueError(f"eigh takes a 2 x 2 matrix or a (B, 2, 2) stack, "
+                         f"got shape {a.shape}")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise ValueError("matrix contains non-finite entries")
+    raw = a.reshape(-1, 2, 2)
+    peak = np.maximum(np.abs(raw.real), np.abs(raw.imag)).max(axis=(1, 2), initial=0.0)
+    exponent = np.frexp(peak)[1]
+    stack = np.empty_like(raw)
+    stack.real = np.ldexp(raw.real, -exponent[:, None, None])
+    stack.imag = np.ldexp(raw.imag, -exponent[:, None, None])
+    scale = linalg.frobenius_norms(stack)
+    skew = linalg.frobenius_norms(stack - stack.conj().transpose(0, 2, 1))
+    linalg.reject_slices(skew > linalg._HERMITIAN_TOL * scale, a.ndim == 3, "matrix",
+                         "is not Hermitian within tolerance")
+
+    values = np.zeros((len(stack), 2))
+    vectors = np.broadcast_to(np.eye(2, dtype=complex), stack.shape).copy()
+    block = 1024
+    for lo in range(0, len(stack), block):
+        live = lo + np.flatnonzero(peak[lo:lo + block] > 0.0)
+        if live.size:
+            sub = stack[live]
+            tv = _rotate_reference((sub + sub.conj().transpose(0, 2, 1)) / 2,
+                                   linalg._TARGET * scale[live])
+            lam = np.diagonal(tv[:, :2], axis1=1, axis2=2).real
+            order = np.argsort(lam, axis=1, kind="stable")
+            values[live] = np.ldexp(np.take_along_axis(lam, order, axis=1),
+                                    exponent[live, None])
+            vectors[live] = np.take_along_axis(tv[:, 2:], order[:, None, :], axis=2)
+    return linalg.EigenDecomposition(values.reshape(a.shape[:-1]), vectors.reshape(a.shape))
+
+
+def _rotate_reference(t: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """One Jacobi rotation [[c, s], [-conj(s), c]] of each matrix of a
+    (B, 2, 2) Hermitian stack whose off-diagonal mass is above its ``stop``;
+    returns a (B, 4, 2) stack, the matrices on top of their rotations."""
+    tv = np.empty((4, 2, len(t)), dtype=complex)
+    tv[:2] = t.transpose(1, 2, 0)
+    tv[2:] = np.eye(2)[:, :, None]
+    todo = linalg.frobenius_norms(tv[[0, 1], [1, 0]].T) > stop
+    if not todo.any():
+        return tv.transpose(2, 0, 1)
+    every = todo.all()
+    sub = tv if every else tv[..., todo]
+    p, q = pq = np.array([[0], [1]])
+    tpq = sub[p, q]
+    mod = np.abs(tpq)
+    dp, dq = sub[pq, pq].real
+    tau = (dq - dp) / (2 * mod)
+    tan = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
+    c = 1.0 / np.hypot(1.0, tan)
+    s = tan * c * (tpq / mod)
+    sc = s.conj()
+    xp, xq = sub[p], sub[q]
+    sub[p] = c[:, None] * xp - s[:, None] * xq
+    sub[q] = sc[:, None] * xp + c[:, None] * xq
+    yp, yq = sub[:, p], sub[:, q]
+    sub[:, p] = c * yp - sc * yq
+    sub[:, q] = s * yp + c * yq
+    if not np.all(linalg.frobenius_norms(sub[[0, 1], [1, 0]].T) <= stop[todo]):
+        raise linalg.NumericalError("a Jacobi rotation left a 2 x 2 matrix off diagonal")
+    if not every:
+        tv[..., todo] = sub
+    return tv.transpose(2, 0, 1)

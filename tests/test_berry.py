@@ -333,6 +333,21 @@ class TestParitySplit(OperatorRejections):
                            match=r"expected one state at energy .* at grid point 137$"):
             berry.berry_wilson(1.0472, 400)
 
+    def test_block_with_two_level_states_rejected(self, monkeypatch):
+        # both eigenvalues of the even block at grid point 61 on the minus
+        # level: counted as 2, where a logical OR of the two would read 1
+        original = linalg.eigh
+
+        def doubled(a):
+            dec = original(a)
+            dec.eigenvalues[2 * 61, 1] = dec.eigenvalues[2 * 61, 0]
+            return dec
+
+        monkeypatch.setattr(linalg, "eigh", doubled)
+        with pytest.raises(linalg.NumericalError,
+                           match=r"expected one state at energy .* found 2 at grid point 61$"):
+            berry.berry_wilson(1.0472, 400)
+
     def test_one_two_by_two_solve(self, monkeypatch):
         calls = captured_solve(monkeypatch)
         berry.berry_wilson(0.9, 150)

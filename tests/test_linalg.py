@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from braidphase import dynamics, linalg
 from braidphase.braid import build_braidset, build_m4
-from oracles import abs_det, partial_trace
+from oracles import abs_det, eigh_reference, partial_trace
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -212,6 +212,16 @@ def assert_slices_bitwise_equal_to_solo(stack):
                              linalg.eigh(stack[k]))
 
 
+# The kernel's functions, read by the static checks of TestStackedEigh.
+KERNEL = (linalg.eigh, linalg._plane_norms)
+
+REDUCTIONS = {"sum", "prod", "max", "min", "amax", "amin", "all", "any", "mean",
+              "argmax", "argmin", "cumsum", "count_nonzero"}
+
+TRAILING_AXIS_CALLS = {"argsort", "sort", "take_along_axis", "diagonal", "trace",
+                       "swapaxes", "moveaxis"}
+
+
 class TestStackedEigh:
     @pytest.mark.parametrize("count", [1, 7, 64, 65, 255, 256, 257, 800, 1600])
     def test_slices_bitwise_equal_to_solo(self, count):
@@ -336,12 +346,105 @@ class TestStackedEigh:
                 for name in names:
                     assert name.split(".")[:2] not in (["np", "linalg"],
                                                        ["numpy", "linalg"]), path
-        for kernel in (linalg.eigh, linalg._rotate):
+        for kernel in KERNEL:
             tree = ast.parse(textwrap.dedent(inspect.getsource(kernel)))
             for node in ast.walk(tree):
                 assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
                 assert not (isinstance(node, ast.Attribute)
                             and node.attr in ("matmul", "dot", "einsum", "tensordot", "vdot"))
+
+    def test_kernel_reduces_over_the_leading_axis_only(self):
+        # a matrix's entries are planes of the leading axis, so a reduction
+        # over any later axis would run one short inner loop per matrix:
+        # every reduction names axis=0 or takes none (a whole-array pass), and
+        # nothing sorts, gathers or reads a diagonal along a trailing axis
+        for kernel in KERNEL:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(kernel)))
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                name, owner = node.func.attr, node.func.value
+                assert name not in TRAILING_AXIS_CALLS, (kernel.__name__, name)
+                if name not in REDUCTIONS:
+                    continue
+                positional = 1 if isinstance(owner, ast.Name) and owner.id == "np" else 0
+                assert len(node.args) <= positional, (kernel.__name__, name)
+                for keyword in node.keywords:
+                    if keyword.arg == "axis":
+                        assert (isinstance(keyword.value, ast.Constant)
+                                and keyword.value.value == 0), (kernel.__name__, name)
+
+
+def assert_same_bits(dec, other):
+    """Equal shapes and equal bytes: stricter than array_equal, which takes
+    -0.0 for 0.0."""
+    for ours, theirs in zip(dec, other):
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+
+
+class TestAgainstReference:
+    """The entry-plane kernel against the frozen row-and-column kernel of
+    oracles.eigh_reference, byte for byte."""
+
+    @pytest.mark.parametrize("theta", [1.0472, 0.80, 1.35, 1.79, 2.34, 2.1, 0.3, 1.56])
+    @pytest.mark.parametrize("steps", [100, 800, 10 ** 4])
+    def test_wilson_blocks(self, theta, steps):
+        blocks = wilson_blocks(theta, steps)
+        assert_same_bits(linalg.eigh(blocks), eigh_reference(blocks))
+
+    @pytest.mark.parametrize("count", [1, 2, 1023, 1024, 1025, 2049])
+    def test_mixed_stacks_across_block_edges(self, count):
+        stack = mixed_stack(np.random.default_rng(count), count)
+        assert_same_bits(linalg.eigh(stack), eigh_reference(stack))
+        assert_same_bits(linalg.eigh(stack[0]), eigh_reference(stack[0]))
+
+    def test_diagonal_zero_and_degenerate_slices(self):
+        # within-target off-diagonal pairs, exact zeros (signed too),
+        # degenerate slices, exact multiples of the identity and real slices,
+        # whose rotations have sines with zero parts
+        rng = np.random.default_rng(21)
+        stack = mixed_stack(rng, 1100)
+        stack[::3] = rng.uniform(-2.0, 2.0, (len(stack[::3]), 2))[:, :, None] * np.eye(2)
+        stack[::3, 0, 1] = 1e-14 * random_complex(rng, len(stack[::3]))
+        stack[::3, 1, 0] = stack[::3, 0, 1].conj()
+        stack[1::7] = stack[1::7].real
+        stack[2::7] = 1j * np.array([[0, -1], [1, 0]]) * stack[2::7, 1, 0].imag[:, None, None]
+        q = np.linalg.qr(random_complex(rng, (len(stack[4::9]), 2, 2)))[0]
+        stack[4::9] = (q * rng.integers(-2, 3, (len(q), 1, 1))) @ q.conj().transpose(0, 2, 1)
+        stack[5::11] = rng.integers(-2, 3, (len(stack[5::11]), 1, 1)) * np.eye(2)
+        stack[::13] = 0.0
+        stack[6::13] = -0.0
+        stack[7::13] = complex(-0.0, -0.0)
+        stack[8::13] = np.array([[0.0, complex(-0.0, -0.0)], [-0.0, 0.0]])
+        assert_same_bits(linalg.eigh(stack), eigh_reference(stack))
+        assert_same_bits(linalg.eigh(np.zeros((3, 2, 2), dtype=complex)),
+                         eigh_reference(np.zeros((3, 2, 2), dtype=complex)))
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_scaled_by_a_power_of_two(self, k):
+        for stack in (mixed_stack(np.random.default_rng(13), 300), wilson_blocks(steps=100)):
+            scaled = np.ldexp(1.0, k) * stack
+            assert_same_bits(linalg.eigh(scaled), eigh_reference(scaled))
+
+    def test_fortran_and_reversed_layouts(self):
+        stack = mixed_stack(np.random.default_rng(14), 1500)
+        for layout in (np.asfortranarray(stack), stack[::-1], stack.transpose(0, 2, 1).conj()):
+            assert_same_bits(linalg.eigh(layout), eigh_reference(layout))
+
+    @pytest.mark.parametrize("entries", [2, 4])
+    def test_plane_norms_are_frobenius_norms(self, entries):
+        # the kernel's norm sums the leading axis of (n, B) planes; for n <= 4
+        # numpy sums a row of a (B, n) stack in that same order, at every
+        # scale from subnormal to 2**300
+        rng = np.random.default_rng(entries)
+        exponents = rng.integers(-300, 301, (4000, entries)).astype(float)
+        stack = random_complex(rng, (4000, entries)) * 2.0 ** exponents
+        stack[::5] *= 2.0 ** -780  # entries down among the subnormals
+        stack[1::5, 0] = 5e-324
+        stack[2::5] = 0.0
+        assert np.any((np.abs(stack.real) < 2.2e-308) & (stack.real != 0))
+        assert np.array_equal(linalg._plane_norms(stack.T.copy()), linalg.frobenius_norms(stack))
 
 
 class TestPartialTrace:
