@@ -17,10 +17,11 @@ verify-algebra, ybe and spectrum (energies gated at tol * hbar * |phidot|),
 1e-9 for entangle and sweep; berry's depends on --method (1e-5 analytic, 1e-4
 wilson), as does its --steps (10000 analytic, 800 wilson), >= 100 at every level.
 
-Each subparser carries its handler, and main calls it with the command's own
-arguments; a report passes when every one of its gates does. main parses an
-argv that starts with a command name with a parser of that command alone,
-built on first use, and any other argv with the parser of every command.
+main calls the handler cmd_<command> (dashes as underscores), looked up when
+it runs, with the command's own arguments; a report passes when it has a gate
+and every one of its gates does. main parses an argv that starts with a
+command name with a parser of that command alone, built on first use, and any
+other argv with the parser of every command.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import berry, braid, dynamics, entanglement, linalg, states, yangbaxter
 
-__all__ = ["RunReport", "build_parser", "main"]
+__all__ = ["RunReport", "main"]
 
 SWEEP_HEADER = ("theta,tau_measured,tau_closed,c_pair_measured,c_pair_closed,"
                 "c2_one_rest_measured,c2_one_rest_closed,max_residual")
@@ -48,23 +49,16 @@ _SWEEP_ROW = ",".join(["%.17g"] * len(SWEEP_HEADER.split(",")))
 class RunReport(namedtuple("RunReport", "command parameters results residual_summary passes")):
     """Uniform result envelope: the echoed ``command`` (str) and four dicts,
     its ``parameters``, ``results``, ``residual_summary`` and gates; the run
-    passes when every gate in ``passes`` does."""
+    passes when ``passes`` holds a gate and every gate in it passes."""
 
     __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return all(self.passes.values())
+        return bool(self.passes) and all(self.passes.values())
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "residual_summary": self.residual_summary,
-            "passes": self.passes,
-            "passed": self.passed,
-        }
+        payload = {**self._asdict(), "passed": self.passed}
         # allow_nan=False: NaN and Infinity are not JSON (RFC 8259)
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                           default=_numpy_value) + "\n"
@@ -79,6 +73,17 @@ def _numpy_value(obj):
 
 # ---------------------------------------------------------------------------
 # command handlers
+
+
+def _report(command: str, parameters: dict, results: dict, gates: dict,
+            summary: dict | None = None) -> RunReport:
+    """The RunReport of ``gates``, {gate: (residual, bound)}: a gate passes
+    when its residual is at most its bound, which a NaN never is. The
+    residual summary is ``summary``, by default {gate: residual}."""
+    if summary is None:
+        summary = {gate: residual for gate, (residual, _) in gates.items()}
+    return RunReport(command, parameters, results, summary,
+                     {gate: residual <= bound for gate, (residual, bound) in gates.items()})
 
 
 def _worst(measured, closed, axis=None):
@@ -98,10 +103,7 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
     phis = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
     thetas = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
 
-    relation_max: dict = {}
-    ambiguous_max: dict = {}
-    alpha_dev = 0.0
-    unit_max = {yangbaxter.TWO_QUBIT: 0.0, yangbaxter.THREE_QUBIT: 0.0}
+    worst: dict = {}  # each residual's maximum over every block
     # in blocks of 64 angles, which bounds the working set; no result depends on it
     for lo in range(0, phi_samples, yangbaxter._BLOCK):
         # built one phi at a time (perfbench's tracer takes a float), then stacked
@@ -110,35 +112,23 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
         if not lo:
             transcription = braid.transcription_diagnostics(builds[0])
         rep = braid.check_es2_relations(bs)
+        block = {**rep.residuals, **rep.ambiguous, "alpha_deviation": np.abs(rep.alpha - 1.0),
+                 **{f"unitarity_{system}": yangbaxter.unitarity_residuals(gen, thetas)
+                    for system, gen in zip(yangbaxter.SYSTEMS, (bs.m4, bs.mcal))}}
         # np.max and np.maximum keep a NaN, which Python's max drops if not first
-        for name, val in rep.residuals.items():
-            relation_max[name] = np.maximum(relation_max.get(name, 0.0), np.max(val))
-        for name, val in rep.ambiguous.items():
-            ambiguous_max[name] = np.maximum(ambiguous_max.get(name, 0.0), np.max(val))
-        alpha_dev = np.maximum(alpha_dev, np.max(np.abs(rep.alpha - 1.0)))
-        for system, gen in zip(unit_max, (bs.m4, bs.mcal)):
-            unit_max[system] = np.maximum(unit_max[system], np.max(
-                yangbaxter.unitarity_residuals(gen, thetas)))
+        for name, val in block.items():
+            worst[name] = np.maximum(worst.get(name, 0.0), np.max(val))
 
-    summary = dict(relation_max)
-    summary["alpha_deviation"] = alpha_dev
-    summary["unitarity_two_qubit"] = unit_max[yangbaxter.TWO_QUBIT]
-    summary["unitarity_three_qubit"] = unit_max[yangbaxter.THREE_QUBIT]
-    passes = {name: val <= tol for name, val in summary.items()}
-    return RunReport(
-        command="verify-algebra",
-        parameters={"tol": tol, "phi_samples": phi_samples, "seed": seed},
-        results={
-            "phi_values": phis,
-            "theta_values": thetas,
-            "relation_residuals_max": relation_max,
-            "ambiguous_triple_readings_max": ambiguous_max,
-            "unitarity_max": dict(unit_max),
-            "transcription_diagnostics": transcription,
-        },
-        residual_summary=summary,
-        passes=passes,
-    )
+    return _report(
+        "verify-algebra", {"tol": tol, "phi_samples": phi_samples, "seed": seed},
+        {"phi_values": phis,
+         "theta_values": thetas,
+         "relation_residuals_max": {name: worst[name] for name in rep.residuals},
+         "ambiguous_triple_readings_max": {name: worst[name] for name in rep.ambiguous},
+         "unitarity_max": {system: worst[f"unitarity_{system}"]
+                           for system in yangbaxter.SYSTEMS},
+         "transcription_diagnostics": transcription},
+        {name: (val, tol) for name, val in worst.items() if name not in rep.ambiguous})
 
 
 def _sample_spectral_pairs(rng: random.Random, count: int):
@@ -163,20 +153,12 @@ def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
     residuals = yangbaxter.ybe_residual(xs, ys, phis)
     summary = {f"{system}_{family}_max": float(np.max(residuals[f"{system}_{family}"]))
                for family in yangbaxter.FAMILIES for system in yangbaxter.SYSTEMS}
-    passes = {"two_qubit_rational": summary["two_qubit_rational_max"] <= tol}
-    return RunReport(
-        command="ybe",
-        parameters={"tol": tol, "samples": samples,
-                    "phi_samples": phi_samples, "seed": seed},
-        results={
-            "gated": "two_qubit_rational",
-            "reported_only": ["three_qubit_rational", "two_qubit_unitary",
-                              "three_qubit_unitary"],
-            "max_residuals": dict(summary),
-        },
-        residual_summary=summary,
-        passes=passes,
-    )
+    return _report(
+        "ybe", {"tol": tol, "samples": samples, "phi_samples": phi_samples, "seed": seed},
+        {"gated": "two_qubit_rational",
+         "reported_only": ["three_qubit_rational", "two_qubit_unitary", "three_qubit_unitary"],
+         "max_residuals": dict(summary)},
+        {"two_qubit_rational": (summary["two_qubit_rational_max"], tol)}, summary)
 
 
 def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:
@@ -185,27 +167,18 @@ def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:
     tau_c = entanglement.tangle_closed_form(theta)
     pair_c = entanglement.pair_concurrence_closed_form(theta)
     rest_c = entanglement.one_vs_rest_sq_closed_form(theta)
-    summary = {
-        "tangle": abs(rep.tau_abc - tau_c),
-        "pair_concurrence": _worst([rep.c_ab, rep.c_bc, rep.c_ac], pair_c),
-        "one_vs_rest_sq": _worst([rep.c2_a_bc, rep.c2_b_ac, rep.c2_c_ab], rest_c),
-        "monogamy": rep.monogamy_residual,
-    }
-    passes = {name: val <= tol for name, val in summary.items()}
-    return RunReport(
-        command="entangle",
-        parameters={"theta": theta, "phi": phi, "input": label, "tol": tol},
-        results={
-            "tau_abc": rep.tau_abc,
-            "c_ab": rep.c_ab, "c_bc": rep.c_bc, "c_ac": rep.c_ac,
-            "c2_a_bc": rep.c2_a_bc, "c2_b_ac": rep.c2_b_ac, "c2_c_ab": rep.c2_c_ab,
-            "monogamy_residual": rep.monogamy_residual,
-            "closed_forms": {"tangle": tau_c, "pair_concurrence": pair_c,
-                             "one_vs_rest_sq": rest_c},
-        },
-        residual_summary=summary,
-        passes=passes,
-    )
+    return _report(
+        "entangle", {"theta": theta, "phi": phi, "input": label, "tol": tol},
+        {"tau_abc": rep.tau_abc,
+         "c_ab": rep.c_ab, "c_bc": rep.c_bc, "c_ac": rep.c_ac,
+         "c2_a_bc": rep.c2_a_bc, "c2_b_ac": rep.c2_b_ac, "c2_c_ab": rep.c2_c_ab,
+         "monogamy_residual": rep.monogamy_residual,
+         "closed_forms": {"tangle": tau_c, "pair_concurrence": pair_c,
+                          "one_vs_rest_sq": rest_c}},
+        {"tangle": (abs(rep.tau_abc - tau_c), tol),
+         "pair_concurrence": (_worst([rep.c_ab, rep.c_bc, rep.c_ac], pair_c), tol),
+         "one_vs_rest_sq": (_worst([rep.c2_a_bc, rep.c2_b_ac, rep.c2_c_ab], rest_c), tol),
+         "monogamy": (rep.monogamy_residual, tol)})
 
 
 def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
@@ -229,14 +202,11 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
     lines.extend(_SWEEP_ROW % row for row in map(tuple, table.tolist()))
     csv_text = "\n".join(lines) + "\n"
     worst = float(np.max(row_worst))
-    report = RunReport(
-        command="sweep",
-        parameters={"theta_min": theta_min, "theta_max": theta_max,
-                    "steps": steps, "phi": phi, "tol": tol},
-        results={"rows": steps, "input": "000", "pair_column": "c_ab"},
-        residual_summary={"closed_form_match_max": worst},
-        passes={"closed_form_match": worst <= tol},
-    )
+    report = _report(
+        "sweep", {"theta_min": theta_min, "theta_max": theta_max,
+                  "steps": steps, "phi": phi, "tol": tol},
+        {"rows": steps, "input": "000", "pair_column": "c_ab"},
+        {"closed_form_match": (worst, tol)}, {"closed_form_match_max": worst})
     return report, csv_text
 
 
@@ -245,50 +215,39 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
     d = dynamics.DriveParams(theta=theta, phi=phi, phi_dot=phidot, hbar=hbar)
     rep = dynamics.spectrum(d)
     brackets = dynamics.su2_relation_residuals(d)
-    summary = {
-        "closed_form_match": rep.closed_form_match,
-        "fixture_eigen_equation_max": max(rep.fixture_residuals),
-        "projector_match_max": max(rep.projector_residuals),
-        "ladder_decomposition": brackets["decomposition"],
-    }
     scaled = tol * hbar * abs(phidot)  # H is linear in hbar * phidot
-    passes = {
-        "closed_form_match": summary["closed_form_match"] <= scaled,
-        "fixture_eigen_equation_max": summary["fixture_eigen_equation_max"] <= scaled,
-        "projector_match_max": summary["projector_match_max"] <= max(tol, 1e-8),
-        "ladder_decomposition": summary["ladder_decomposition"] <= scaled,
-    }
-    return RunReport(
-        command="spectrum",
-        parameters={"theta": theta, "phi": phi, "phidot": phidot,
-                    "hbar": hbar, "tol": tol},
-        results={
-            "eigenvalues": list(rep.eigenvalues),
-            "degeneracy_pattern": list(rep.degeneracy_pattern),
-            "fixture_residuals": list(rep.fixture_residuals),
-            "projector_residuals": list(rep.projector_residuals),
-            "bracket_residuals": brackets,
-        },
-        residual_summary=summary,
-        passes=passes,
-    )
+    return _report(
+        "spectrum", {"theta": theta, "phi": phi, "phidot": phidot, "hbar": hbar, "tol": tol},
+        {"eigenvalues": list(rep.eigenvalues),
+         "degeneracy_pattern": list(rep.degeneracy_pattern),
+         "fixture_residuals": list(rep.fixture_residuals),
+         "projector_residuals": list(rep.projector_residuals),
+         "bracket_residuals": brackets},
+        {"closed_form_match": (rep.closed_form_match, scaled),
+         "fixture_eigen_equation_max": (max(rep.fixture_residuals), scaled),
+         "projector_match_max": (max(rep.projector_residuals), max(tol, 1e-8)),
+         "ladder_decomposition": (brackets["decomposition"], scaled)})
+
+
+# method: (its default --steps, its default --tol)
+_BERRY_DEFAULTS = {"analytic": (10_000, 1e-5), "wilson": (800, 1e-4)}
+_LEVELS = (*dynamics.LEVELS, "all")
 
 
 def cmd_berry(theta: float, steps: int | None, method: str, level: str,
               tol: float | None) -> RunReport:
     """Each requested level's phases, folded, against its closed form.
 
-    None for ``steps`` or ``tol`` takes the method's default: 10000 and 1e-5
-    analytic, 800 and 1e-4 wilson. The wilson method covers the two split
-    doublets only and takes both from one berry_wilson call."""
-    if method == "analytic":
-        steps = 10_000 if steps is None else steps
-        tol = 1e-5 if tol is None else tol
-    elif method == "wilson":
-        steps = 800 if steps is None else steps
-        tol = 1e-4 if tol is None else tol
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'analytic' or 'wilson'")
+    None for ``steps`` or ``tol`` takes the method's default from
+    _BERRY_DEFAULTS. The wilson method covers the two split doublets only and
+    takes both from one berry_wilson call."""
+    for name, value, choices in (("method", method, _BERRY_DEFAULTS), ("level", level, _LEVELS)):
+        if value not in choices:
+            *rest, last = map(repr, choices)
+            raise ValueError(f"unknown {name} {value!r}; expected {', '.join(rest)} or {last}")
+    default_steps, default_tol = _BERRY_DEFAULTS[method]
+    steps = default_steps if steps is None else steps
+    tol = default_tol if tol is None else tol
     if steps < 100:  # every level and method, the flat zero level included
         raise ValueError(f"steps must be >= 100, got {steps}")
     if method == "wilson":
@@ -312,16 +271,10 @@ def cmd_berry(theta: float, steps: int | None, method: str, level: str,
         reports.append({"level": lv, "method": method, "phases": folded,
                         "closed_form": closed, "solid_angle": berry.solid_angle(theta),
                         "residuals": [berry.phase_residual(p, closed) for p in folded]})
-    summary = {f"{r['level']}_residual_max": max(r["residuals"]) for r in reports}
-    passes = {name: val <= tol for name, val in summary.items()}
-    return RunReport(
-        command="berry",
-        parameters={"theta": theta, "steps": steps, "method": method,
-                    "level": level, "tol": tol},
-        results={"reports": reports},
-        residual_summary=summary,
-        passes=passes,
-    )
+    return _report(
+        "berry", {"theta": theta, "steps": steps, "method": method, "level": level, "tol": tol},
+        {"reports": reports},
+        {f"{r['level']}_residual_max": (max(r["residuals"]), tol) for r in reports})
 
 
 # ---------------------------------------------------------------------------
@@ -335,46 +288,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _finite(requirement: str, low: float = -np.inf):
-    """argparse type of a finite float >= ``low``; an error states ``requirement``."""
-    def parse(text: str) -> float:
+def _number(kind, requirement: str, low):
+    """argparse type of a finite ``kind`` (float or int) >= ``low``; an error
+    states ``requirement``."""
+    def parse(text: str):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
-            value = float("nan")
-        if not (np.isfinite(value) and value >= low):
+            value = math.nan
+        # a chained comparison holds for an int of any size (math.isfinite
+        # overflows on one), and fails on NaN
+        if not low <= value < math.inf:
             raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
         return value
     return parse
 
 
-_angle = _finite("angle must be a finite number")  # every angle argument
-_tol = _finite("tolerance must be a finite number >= 0", low=0.0)  # every --tol
-
-
-def _integer(requirement: str, low: int):
-    """argparse type of an integer >= ``low``; an error states ``requirement``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
-        return value
-    return parse
-
-
-_count = _integer("count must be an integer >= 1", 1)  # every sample count
+_angle = _number(float, "angle must be a finite number", -sys.float_info.max)
+_tol = _number(float, "tolerance must be a finite number >= 0", 0.0)  # every --tol
+_count = _number(int, "count must be an integer >= 1", 1)  # every sample count
 # random.Random seeds from |seed|, so a negative seed would repeat a positive one
-_seed = _integer("seed must be an integer >= 0", 0)
+_seed = _number(int, "seed must be an integer >= 0", 0)
 
 
-def _add_common(parser, run, tol, *, sampled: bool, tol_help="%(default)s"):
-    """The handler ``run``; --tol with default ``tol`` and --out; plus --seed
-    on a sampling command and --degrees on one that takes angles (no command
-    does both)."""
-    parser.set_defaults(run=run)
+def _add_common(parser, tol, *, sampled: bool, tol_help="%(default)s"):
+    """--tol with default ``tol`` and --out; plus --seed on a sampling command
+    and --degrees on one that takes angles (no command does both)."""
     parser.add_argument("--tol", type=_tol, default=tol,
                         help=f"pass/fail tolerance (default: {tol_help})")
     parser.add_argument("--out", default=None, help="write output to this path")
@@ -388,20 +327,20 @@ def _add_common(parser, run, tol, *, sampled: bool, tol_help="%(default)s"):
 
 def _verify_algebra(p):
     p.add_argument("--phi-samples", type=_count, default=17)
-    _add_common(p, cmd_verify_algebra, 1e-10, sampled=True)
+    _add_common(p, 1e-10, sampled=True)
 
 
 def _ybe(p):
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--phi-samples", type=_count, default=5)
-    _add_common(p, cmd_ybe, 1e-10, sampled=True)
+    _add_common(p, 1e-10, sampled=True)
 
 
 def _entangle(p):
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--input", dest="label", default="000", choices=states.BASIS_LABELS)
-    _add_common(p, cmd_entangle, 1e-9, sampled=False)
+    _add_common(p, 1e-9, sampled=False)
 
 
 def _sweep(p):
@@ -411,7 +350,7 @@ def _sweep(p):
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="csv (default) writes the rows to --out; json gives only the summary")
-    _add_common(p, cmd_sweep, 1e-9, sampled=False)
+    _add_common(p, 1e-9, sampled=False)
 
 
 def _spectrum(p):
@@ -419,17 +358,16 @@ def _spectrum(p):
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--phidot", type=float, default=1.0)
     p.add_argument("--hbar", type=float, default=1.0)
-    _add_common(p, cmd_spectrum, 1e-10, sampled=False)
+    _add_common(p, 1e-10, sampled=False)
 
 
 def _berry(p):
     p.add_argument("--theta", type=_angle, required=True)
     p.add_argument("--steps", type=int, default=None,
                    help="loop points (default: 10000 analytic, 800 wilson)")
-    p.add_argument("--method", choices=("analytic", "wilson"), default="analytic")
-    p.add_argument("--level", choices=(*dynamics.LEVELS, "all"), default="all")
-    _add_common(p, cmd_berry, None, sampled=False,
-                tol_help="1e-5 analytic, 1e-4 wilson")
+    p.add_argument("--method", choices=_BERRY_DEFAULTS, default="analytic")
+    p.add_argument("--level", choices=_LEVELS, default="all")
+    _add_common(p, None, sampled=False, tol_help="1e-5 analytic, 1e-4 wilson")
 
 
 # command: (its --help line, the function that declares its arguments), in
@@ -457,11 +395,6 @@ def _build(commands) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command."""
-    return _build(_COMMANDS)
-
-
 @functools.cache
 def _parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of main() for ``command``, which holds that command alone
@@ -485,17 +418,17 @@ def main(argv=None) -> int:
         args = vars(_parser(command).parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up now, so that a wrapper put in place of a handler after the
+    # cached parser was built (as a tracer does) is the one that runs
+    run = globals()["cmd_" + args.pop("command").replace("-", "_")]
     # without the command and its output options, args are the handler's own
-    del args["command"]
-    run, out, fmt = args.pop("run"), args.pop("out"), args.pop("format", None)
+    out, fmt = args.pop("out"), args.pop("format", None)
     if args.pop("degrees", False):
         for name in ("theta", "phi", "theta_min", "theta_max"):
             if name in args:
                 args[name] = float(np.radians(args[name]))
     try:
-        # looked up by name, so that a wrapper put in place of a handler
-        # after the cached parser was built is the one that runs
-        result = globals()[run.__name__](**args)
+        result = run(**args)
         report, csv_text = result if fmt else (result, None)  # sweep: (report, CSV)
         if fmt == "csv" and out is None:
             raise ValueError("sweep requires --out for its CSV output")
@@ -510,11 +443,10 @@ def main(argv=None) -> int:
     try:
         if fmt == "csv":  # the rows go to --out, the report to stdout
             _write(out, csv_text)
+        if out is None or fmt == "csv":
             sys.stdout.write(text)
-        elif out is not None:
-            _write(out, text)
         else:
-            sys.stdout.write(text)
+            _write(out, text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,11 +131,15 @@ def eigh(a) -> EigenDecomposition:
     vectors[:, ::3] = 1.0
     block = _BLOCK_ENTRIES // 4
     for lo in range(0, len(peak), block):
-        # a zero matrix needs no mask: its t has the diagonal +0, not rotated
         live = slice(lo, lo + block)
-        t = (stack[:, live] + stack[_DAGGER, live].conj()) / 2
+        # halved on the float view, not by a complex / 2 (a complex division);
+        # the two differ only in the sign of a zero part, and + 0.0 gives the
+        # diagonal the +0 that / 2 gives it, so no output bit changes: a zero
+        # matrix needs no mask, its diagonal is +0 and it is not rotated
+        t = stack[:, live] + stack[_DAGGER, live].conj()
+        np.multiply(t.view(float), 0.5, out=t.view(float))
         stop = _TARGET * scale[live]
-        lam, v = t[::3].real.copy(), vectors[live].T
+        lam, v = t[::3].real + 0.0, vectors[live].T
         # the off-diagonal mass of a matrix is the norm of its pair t01, t10
         todo = _plane_norms(t[1:3]) > stop
         if todo.any():

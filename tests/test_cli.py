@@ -450,6 +450,17 @@ class TestBerry:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "split doublets" in err
 
+    @pytest.mark.parametrize("method, level, choices", [
+        ("analytic", "bogus", "'zero', 'minus', 'plus' or 'all'"),
+        ("wilson", "bogus", "'zero', 'minus', 'plus' or 'all'"),
+        ("quadrature", "all", "'analytic' or 'wilson'"),
+    ])
+    def test_unknown_choice_rejected(self, method, level, choices):
+        # a level that selects nothing would leave no gate, and no KeyError
+        # may escape the wilson route
+        with pytest.raises(ValueError, match=f"; expected {choices}$"):
+            cli.cmd_berry(0.7, None, method, level, None)
+
     def test_wilson_at_crossing_is_numerical_failure(self, capsys):
         code, _, err = run(capsys, "berry", "--theta", str(np.pi / 2),
                            "--steps", "150", "--method", "wilson", "--level", "minus")
@@ -602,6 +613,19 @@ class TestStrictJson:
                 report.to_json()
 
 
+class TestRunReport:
+    # a report with no gate does not pass: a vacuous pass would hide a check
+    # that selected nothing
+    @pytest.mark.parametrize("passes, passed", [
+        ({}, False), ({"a": True}, True), ({"a": True, "b": np.False_}, False),
+    ])
+    def test_passes_when_it_has_gates_and_every_gate_does(self, passes, passed):
+        report = cli.RunReport(command="berry", parameters={}, results={},
+                               residual_summary={}, passes=passes)
+        assert report.passed is passed
+        assert json.loads(report.to_json())["passed"] is passed
+
+
 class TestOutFile:
     def test_json_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -615,7 +639,7 @@ class TestParserReuse:
     """main() parses with one cached parser per command, which holds that
     command alone, and one of every command for any other argv; reusing them
     across commands, usage errors included, must give the bytes of a fresh
-    build_parser() per call."""
+    parser of every command, cli._build(cli._COMMANDS), per call."""
 
     @staticmethod
     def argvs(tmp_path):
@@ -641,7 +665,7 @@ class TestParserReuse:
 
     def test_cached_parser_matches_fresh_parsers(self, capsys, tmp_path, monkeypatch):
         cached = self.outputs(capsys, tmp_path) + self.outputs(capsys, tmp_path)
-        monkeypatch.setattr(cli, "_parser", lambda command: cli.build_parser())
+        monkeypatch.setattr(cli, "_parser", lambda command: cli._build(cli._COMMANDS))
         fresh = self.outputs(capsys, tmp_path) + self.outputs(capsys, tmp_path)
         assert cached == fresh
         codes = [code for code, _, _ in cached[:len(cached) // 2]]
@@ -662,7 +686,7 @@ class TestParserReuse:
         argvs = [[str(tmp_path / a) if a == "curves.csv" else a for a in argv]
                  for argv in argvs] + [list(argv) for argv in self.HELP_AND_USAGE]
         own = [run(capsys, *argv) for argv in argvs]
-        monkeypatch.setattr(cli, "_parser", lambda command: cli.build_parser())
+        monkeypatch.setattr(cli, "_parser", lambda command: cli._build(cli._COMMANDS))
         full = [run(capsys, *argv) for argv in argvs]
         assert own == full
         usage = len(self.HELP_AND_USAGE)

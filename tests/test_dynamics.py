@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from braidphase import dynamics, entanglement, linalg
+from braidphase import dynamics, entanglement, linalg, yangbaxter
 from braidphase.dynamics import DriveParams
+from braidphase.yangbaxter import RParams
 from oracles import hamiltonian_from_r, three_tangle
 
 angles = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
@@ -226,6 +227,120 @@ class TestSu2Ops:
         assert res["i3_squared_quarter_global"] == pytest.approx(
             np.sqrt(4 * 2 ** 2 + 4 * 0.25 ** 2), abs=1e-12)
         assert res["i3_squared_quarter_span"] == pytest.approx(4.0, abs=1e-12)
+
+
+# operator: (its image on each sector's doublet range, its normalization):
+# J+- = I+-/sqrt(3) is sigma+-, and J3 = I3/3 is sigma_z/2
+SIGMA_IMAGES = {
+    "I_PLUS": (np.array([[0.0, 1.0], [0.0, 0.0]]), dynamics.SQRT3),
+    "I_MINUS": (np.array([[0.0, 0.0], [1.0, 0.0]]), dynamics.SQRT3),
+    "I_3": (np.array([[0.5, 0.0], [0.0, -0.5]]), 3.0),
+}
+
+
+def compressed_images():
+    """Each operator, read at call time, on each sector's doublet range by the
+    route of H's blocks (its _SOURCES entries times _WEIGHTS), normalized:
+    shape (2, 2, 2), sector first."""
+    sources = dynamics._SOURCES
+    return {name: getattr(dynamics, name)[sources[:, :, None], sources[:, None, :]]
+            * dynamics._WEIGHTS / norm for name, (_, norm) in SIGMA_IMAGES.items()}
+
+
+def lifted_images():
+    """The same images through the orthonormal pairs of _LIFT: L^dag op L."""
+    lift = dynamics._LIFT
+    return {name: lift.transpose(0, 2, 1) @ getattr(dynamics, name) @ lift / norm
+            for name, (_, norm) in SIGMA_IMAGES.items()}
+
+
+def within_ulps(images, ulps):
+    """Whether every image is within ``ulps`` units in the last place of its
+    sigma, entry by entry, in both sectors (0 ulps: equal)."""
+    return all(np.all(np.abs(images[name] - sigma) <= ulps * np.spacing(np.abs(sigma)))
+               for name, (sigma, _) in SIGMA_IMAGES.items())
+
+
+class TestSigmaImages:
+    """H on each sector's doublet range is a spin-1/2 in a field: its
+    operators' images there are the Pauli ladder and sigma_z / 2."""
+
+    def test_compressed_images_are_exact(self):
+        images = compressed_images()
+        assert within_ulps(images, 0)
+        for name, (sigma, _) in SIGMA_IMAGES.items():
+            assert np.all(images[name] == sigma), name
+
+    def test_lifted_images_within_one_ulp(self):
+        assert within_ulps(lifted_images(), 1)
+
+    def test_nudged_i3_fails(self, monkeypatch):
+        # two ulps of the |000> diagonal of I_3 (1.5) outlast the division by
+        # 3 and break the exact image; four break the lifted one
+        for ulps, images, allowed in ((2, compressed_images, 0), (4, lifted_images, 1)):
+            with monkeypatch.context() as m:
+                op = dynamics.I_3.copy()
+                op[0, 0] += ulps * np.spacing(op[0, 0].real)
+                m.setattr(dynamics, "I_3", op)
+                assert not within_ulps(images(), allowed)
+            assert within_ulps(images(), allowed)
+
+
+def r_ratio(theta, phi):
+    """R(theta, phi) R(theta, 0)^dag of the three-qubit system: the evolution
+    from phi = 0 that H = i hbar dR/dt R^dag generates."""
+    def r(at):
+        return yangbaxter.r_matrix(yangbaxter.THREE_QUBIT, RParams(theta, at))
+    return r(phi) @ r(0.0).conj().T
+
+
+def driven_evolution(theta, phi_end, steps, phi_dot, hbar):
+    """The time-ordered midpoint product of exp(-i H dt / hbar) over a drive
+    from phi = 0 to ``phi_end`` in ``steps`` equal steps, each exponential
+    from a numpy.linalg.eigh of H at the step's midpoint."""
+    dt = phi_end / phi_dot / steps
+    u = np.eye(8, dtype=complex)
+    for k in range(steps):
+        w, v = np.linalg.eigh(dynamics.hamiltonian(
+            DriveParams(theta, phi_dot * (k + 0.5) * dt, phi_dot, hbar)))
+        u = (v * np.exp(-1j * w * dt / hbar)) @ v.conj().T @ u
+    return u
+
+
+class TestDrivenEvolution:
+    """The drive is never adiabatic: the Schroedinger evolution under H is
+    exactly R(phi) R(0)^dag, whatever phi_dot and hbar, so a state leaves its
+    level and comes back only when the loop closes."""
+
+    def test_product_converges_to_the_r_ratio_at_any_rate(self):
+        exact = r_ratio(1.0472, np.pi)
+        errors = {steps: [np.abs(driven_evolution(1.0472, np.pi, steps, phi_dot, hbar)
+                                 - exact).max()
+                          for phi_dot, hbar in ((1.0, 1.0), (2.5, 0.7))]
+                  for steps in (200, 400)}
+        for rates in errors.values():
+            assert rates[0] == pytest.approx(rates[1], abs=1e-14)
+        assert errors[200][0] == pytest.approx(1.67e-5, rel=0.01)
+        assert errors[400][0] == pytest.approx(4.19e-6, rel=0.01)
+        # a midpoint rule: twice the steps, a quarter of the error
+        assert errors[200][0] / errors[400][0] == pytest.approx(4.0, rel=0.01)
+
+    @pytest.mark.parametrize("theta, fidelity", [(1.0472, 0.2500), (2.1, 0.2549),
+                                                 (0.3, 0.9127)])
+    def test_fixture_leaves_its_level(self, theta, fidelity):
+        # fixture 5, carried by the evolution to phi = pi, against fixture 5 there
+        start, there = (dynamics.eigenstate_fixture(5, theta, phi) for phi in (0.0, np.pi))
+        assert abs(np.vdot(there, r_ratio(theta, np.pi) @ start)) ** 2 == pytest.approx(
+            fidelity, abs=5e-5)
+        if theta == 1.0472:
+            carried = driven_evolution(theta, np.pi, 400, 1.0, 1.0) @ start
+            assert abs(np.vdot(there, carried)) ** 2 == pytest.approx(fidelity, abs=5e-5)
+
+    def test_loop_closes_on_the_identity(self):
+        # 2.3e-16 measured: the rounding of R at phi = 2 pi, about one ulp of 1
+        assert np.abs(r_ratio(1.0472, 2 * np.pi) - np.eye(8)).max() <= 2 * np.spacing(1.0)
+        closed = driven_evolution(1.0472, 2 * np.pi, 400, 1.0, 1.0)
+        assert np.abs(closed - np.eye(8)).max() <= 2e-5
 
 
 class TestFixtures:

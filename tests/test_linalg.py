@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import pathlib
 import textwrap
 
@@ -420,6 +421,20 @@ class TestAgainstReference:
         assert_same_bits(linalg.eigh(stack), eigh_reference(stack))
         assert_same_bits(linalg.eigh(np.zeros((3, 2, 2), dtype=complex)),
                          eigh_reference(np.zeros((3, 2, 2), dtype=complex)))
+
+    def test_every_sign_of_zero(self):
+        # a + a^dag is halved on its float view, which keeps a -0 part that a
+        # complex / 2 would make +0: over every pattern of signed zeros among
+        # small entries, the bytes stay those of the frozen / 2 kernel
+        diagonal, parts = [0.0, -0.0, 1.0, -1.0, 2.0], [0.0, -0.0, 1.0, -1.0, 0.5, -2.0]
+        mats = []
+        for d0, d1, i0, i1, re, im, re_sign, im_sign in itertools.product(
+                diagonal, diagonal, [0.0, -0.0], [0.0, -0.0], parts, parts, [1, -1], [1, -1]):
+            # the lower entry conjugates the upper one, up to the signs of its zeros
+            low = complex(re or re_sign * 0.0, -im or im_sign * 0.0)
+            mats.append([[complex(d0, i0), complex(re, im)], [low, complex(d1, i1)]])
+        stack = np.array(mats)
+        assert_same_bits(linalg.eigh(stack), eigh_reference(stack))
 
     @pytest.mark.parametrize("k", [-1000, 1000])
     def test_scaled_by_a_power_of_two(self, k):
