@@ -304,6 +304,7 @@ def _number(kind, requirement: str, low):
     return parse
 
 
+# every angle argument; -sys.float_info.max is the lowest finite float
 _angle = _number(float, "angle must be a finite number", -sys.float_info.max)
 _tol = _number(float, "tolerance must be a finite number >= 0", 0.0)  # every --tol
 _count = _number(int, "count must be an integer >= 1", 1)  # every sample count
