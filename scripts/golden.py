@@ -5,9 +5,10 @@ Runs each README command in-process through ``braidphase.cli.main``, plus
 ``verify-algebra --seed 99``, ``ybe --seed 7``, the Wilson loop of the plus
 doublet alone and of both doublets at theta = 2.1, of both doublets at
 theta = 0.3 and at theta = 1.56 (near the crossing, a level gap of 0.011),
-the analytic route of the minus level alone and of the zero level alone at
-theta = 0.9 and of the plus level alone over an odd step count at
-theta = 2.6, and the README sweep, an
+the analytic route of the minus level alone, then of the plus level alone
+at the same step count, and of the zero level alone at theta = 0.9 and of
+the plus level alone over an odd step count at theta = 2.6, and the README
+sweep, an
 ``entangle`` and a ``spectrum`` at phi != 0 (every README command runs at
 phi = 0, where R and H are real and complex rounding cannot show), a
 ``verify-algebra`` over more than one block of 64 angles, a ``ybe`` over
@@ -71,6 +72,7 @@ EXTRA_COMMANDS = (
     "berry --theta 0.3 --steps 800 --method wilson --level all",
     "berry --theta 1.56 --steps 800 --method wilson --level all",
     "berry --theta 0.9 --steps 2000 --method analytic --level minus",
+    "berry --theta 0.9 --steps 2000 --method analytic --level plus",
     "berry --theta 0.9 --steps 2000 --method analytic --level zero",
     "berry --theta 2.6 --steps 12345 --method analytic --level plus",
     "sweep --theta-min 0 --theta-max 3.14159 --steps 121 --phi 1.3 --out curves.csv",
