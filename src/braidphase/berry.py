@@ -23,6 +23,7 @@ moves a phase into (-2*pi, 2*pi], the range reports use.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -72,6 +73,20 @@ def fold(phase: float) -> float:
     return rest + 0.0  # -0.0 -> 0.0
 
 
+@functools.lru_cache(maxsize=2)
+def _loop(steps: int) -> tuple:
+    """The analytic loop of ``steps`` points, built once per step count and
+    read-only: its drive angles phi_k = 2*pi*k/steps (by linspace, phi = 2*pi
+    left out) and their factors e^{-i phi} and e^{i phi}, the arguments phis,
+    em and ep of dynamics._fixture_batch. Each holds 8 or 16 B per step, so
+    the cache holds the grids of two step counts."""
+    phis = np.linspace(0.0, TWO_PI, steps + 1)[:-1]
+    loop = (phis, np.exp(-1j * phis), np.exp(1j * phis))
+    for a in loop:
+        a.setflags(write=False)
+    return loop
+
+
 def berry_analytic(i: int, theta: float, steps: int) -> float:
     """Discrete closed-loop line integral for one closed-form eigenstate (i in 5..8).
 
@@ -87,8 +102,8 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
         raise ValueError(f"steps must be >= 100, got {steps}")
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    phis = np.linspace(0.0, TWO_PI, steps + 1)[:-1]
-    chi = np.ascontiguousarray(dynamics.fixture_batch(i, theta, phis).T)  # row per index
+    # a row per basis index, over the loop of this step count
+    chi = np.ascontiguousarray(dynamics._fixture_batch(i, theta, *_loop(steps)).T)
     chi = chi[np.any(chi.view(float) != 0, axis=1)]  # the indices the fixture occupies
     bra = chi.conj()
     overlaps = np.empty(steps, dtype=complex)

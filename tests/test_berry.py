@@ -87,16 +87,17 @@ class TestAnalyticOneRead:
     @staticmethod
     def leak(monkeypatch, entries):
         # replaces the first basis column that the fixture leaves empty, which
-        # lies outside its parity sector, by entries(column, phis)
-        exact = dynamics.fixture_batch
+        # lies outside its parity sector, by entries(column, phis); berry_analytic
+        # reads its batch from the private form, which fixture_batch calls
+        exact = dynamics._fixture_batch
 
-        def leaky(i, theta, phis):
-            batch = exact(i, theta, phis)
+        def leaky(i, theta, phis, em, ep):
+            batch = exact(i, theta, phis, em, ep)
             outside = np.flatnonzero(~np.any(batch, axis=0))[0]
             batch[:, outside] = entries(batch[:, outside], np.asarray(phis))
             return batch
 
-        monkeypatch.setattr(dynamics, "fixture_batch", leaky)
+        monkeypatch.setattr(dynamics, "_fixture_batch", leaky)
 
     @pytest.mark.parametrize("i", [5, 6, 7, 8])
     def test_tiny_leak_outside_the_sector_is_read(self, monkeypatch, i):
@@ -119,11 +120,46 @@ class TestAnalyticOneRead:
 
     def test_memory_is_bounded_per_step(self):
         steps = 10 ** 5
+        berry._loop.cache_clear()  # so that the grid the cache keeps is counted
         tracemalloc.start()
         berry.berry_analytic(5, 1.1, steps)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak <= 250 * steps
+
+
+class TestLoopCache:
+    """The analytic loop's grid and phase factors are built once per step
+    count, and a phase does not depend on whether they were."""
+
+    @pytest.mark.parametrize("i", [5, 6, 7, 8])
+    def test_cold_and_warm_phases_bitwise_equal(self, i):
+        berry._loop.cache_clear()
+        phases, misses = {}, []
+        for steps in (2000, 10 ** 4, 2000, 10 ** 4):
+            got = berry.berry_analytic(i, 0.9, steps)
+            misses.append(berry._loop.cache_info().misses)
+            assert got == oracles.dense_line_integral(i, 0.9, steps), steps
+            assert got == phases.setdefault(steps, got), steps
+        assert misses == [1, 2, 2, 2]  # cold, cold, then warm twice
+
+    def test_members_of_a_level_share_one_grid(self):
+        berry._loop.cache_clear()
+        for i in (5, 6, 7, 8):
+            berry.berry_analytic(i, 1.1, 400)
+        assert berry._loop.cache_info()[:2] == (3, 1)  # hits, misses
+
+    def test_cached_arrays_are_read_only(self):
+        for a in berry._loop(400):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_cache_holds_at_most_maxsize_grids(self):
+        for steps in range(100, 130):
+            berry.berry_analytic(5, 1.1, steps)
+            info = berry._loop.cache_info()
+            assert info.currsize <= info.maxsize
+        assert info.maxsize == info.currsize == 2
 
 
 class TestWilson:
