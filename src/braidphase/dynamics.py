@@ -154,10 +154,23 @@ class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_patter
     __slots__ = ()
 
 
+def _support(i_plus, i_minus, i_3) -> np.ndarray:
+    """The flat 8x8 entries where any of the three operators is nonzero."""
+    return np.flatnonzero((i_plus != 0) | (i_minus != 0) | (i_3 != 0))
+
+
+# H's support, of the read-only operators; hamiltonian builds it anew only for
+# an operator put in their place
+_OPERATORS = (I_PLUS, I_MINUS, I_3)
+_SUPPORT = _support(*_OPERATORS)
+
+
 def hamiltonian(d: DriveParams) -> np.ndarray:
     """The 8x8 Hermitian drive generator at the given parameters."""
     # d was validated when it was made; H is +0 off the operators' support
-    support = np.flatnonzero((I_PLUS != 0) | (I_MINUS != 0) | (I_3 != 0))
+    ops = (I_PLUS, I_MINUS, I_3)
+    support = (_SUPPORT if all(a is b for a, b in zip(ops, _OPERATORS))
+               else _support(*ops))
     out = np.zeros(64, dtype=complex)
     phis = np.array([d.phi], dtype=float)
     out[support] = _generator(support, d.theta, phis, d.phi_dot, d.hbar)[:, 0]
@@ -225,6 +238,12 @@ def _span_projector(vectors) -> np.ndarray:
         if norm > 1e-12:
             basis.append(w / norm)
     return sum((np.outer(b, b.conj()) for b in basis), np.zeros((8, 8), dtype=complex))
+
+
+# H's exact kernel, spanned by e_copy - sign e_source for each rule of _SAME: the
+# projector on spectrum's zero level
+_KERNEL = _span_projector([np.eye(8)[c] - sign * np.eye(8)[s] for c, s, sign in _SAME])
+_KERNEL.setflags(write=False)
 
 
 def su2_relation_residuals(d: DriveParams) -> dict:
@@ -348,7 +367,6 @@ def spectrum(d: DriveParams) -> SpectrumReport:
     lam = values[order]
     clusters = np.split(order, np.flatnonzero(np.diff(lam) > gap) + 1)
     lifted = np.swapaxes(_LIFT @ dec.eigenvectors, 1, 2).reshape(4, 8)
-    kernel = _span_projector([np.eye(8)[c] - sign * np.eye(8)[s] for c, s, sign in _SAME])
 
     fixtures = [eigenstate_fixture(i, d.theta, d.phi) for i in FIXTURE_INDICES]
     energies = [fixture_energy(i, d) for i in FIXTURE_INDICES]
@@ -359,7 +377,7 @@ def spectrum(d: DriveParams) -> SpectrumReport:
     projector_diffs = []
     for states in clusters:
         vecs = lifted[states[states >= 4] - 4]
-        p_num = vecs.T @ vecs.conj() + (kernel if states.min() < 4 else 0)
+        p_num = vecs.T @ vecs.conj() + (_KERNEL if states.min() < 4 else 0)
         mean = float(np.mean(values[states]))
         members = [v for v, en in zip(fixtures, energies)
                    if abs(en - mean) <= gap]

@@ -117,6 +117,14 @@ class TestHamiltonianGrid:
         h = dynamics.hamiltonian(DriveParams(0.9, 0.4))
         assert h[0, 7] == 2 * np.cos(0.9) ** 2 / 3
 
+    def test_support_built_once(self, monkeypatch):
+        # the support of the package's operators is built at import, and a
+        # call that finds them in place builds none
+        support = (dynamics.I_PLUS != 0) | (dynamics.I_MINUS != 0) | (dynamics.I_3 != 0)
+        assert np.array_equal(dynamics._SUPPORT, np.flatnonzero(support))
+        monkeypatch.setattr(dynamics, "_support", lambda *ops: pytest.fail("support rebuilt"))
+        dynamics.hamiltonian(DriveParams(0.9, 0.4))
+
 
     @pytest.mark.parametrize("steps", [100, 800, 2000, 10 ** 4])
     def test_blocks_bitwise_equal_to_the_compressed_whole_matrix(self, steps):
@@ -439,6 +447,25 @@ class TestSpectrum:
         for theta in (0.5, 2.4):
             rep = dynamics.spectrum(DriveParams(theta=theta, phi=0.8))
             assert max(rep.projector_residuals) <= 1e-8
+
+    def test_kernel_projector_built_once(self, monkeypatch):
+        # bitwise the Gram-Schmidt projector of the kernel vectors and
+        # read-only; spectrum then builds one projector per cluster, of the
+        # fixtures that span it, and none of the kernel
+        vectors = [np.eye(8)[c] - sign * np.eye(8)[s] for c, s, sign in dynamics._SAME]
+        assert dynamics._KERNEL.tobytes() == dynamics._span_projector(vectors).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            dynamics._KERNEL[0, 0] = 1.0
+        built = []
+        original = dynamics._span_projector
+
+        def recording(vectors):
+            built.append(len(vectors))
+            return original(vectors)
+
+        monkeypatch.setattr(dynamics, "_span_projector", recording)
+        rep = dynamics.spectrum(DriveParams(theta=0.9, phi=1.1))
+        assert built == list(rep.degeneracy_pattern) == [2, 4, 2]
 
     @pytest.mark.parametrize("hbar,phi_dot", [(1.0, 1.0), (1e-150, -1.0), (1.0, 1e150)])
     def test_sweep_against_the_closed_forms(self, hbar, phi_dot):
