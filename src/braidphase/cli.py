@@ -9,8 +9,8 @@ Infinity is not JSON, and is refused as a usage error, as is a count whose
 arrays cannot be allocated.
 
 Angles are radians unless --degrees is given, and must be finite. Sample
-counts (--samples, --phi-samples) are integers >= 1; --seed is an integer
->= 0, and random.Random(seed) draws every sample. --tol is a finite
+counts (--samples, --phi-samples) are integers from 1 to 10^5; --seed is an
+integer >= 0, and random.Random(seed) draws every sample. --tol is a finite
 number >= 0 and defaults per command to the tolerance its checks are
 specified at, which --help of each subcommand shows: 1e-10 for
 verify-algebra, ybe and spectrum (energies gated at tol * hbar * |phidot|),
@@ -92,6 +92,20 @@ def _worst(measured, closed, axis=None):
     return np.max(np.abs(np.subtract(measured, closed)), axis=axis)
 
 
+# the largest sample count: samples are drawn into Python lists (and
+# verify-algebra echoes its angles) before any array exists, so a larger count
+# would take memory without bound before anything could refuse it; 10^5 floats
+# hold about 3 MB per list
+_MAX_SAMPLES = 10 ** 5
+
+
+def _check_counts(**counts) -> None:
+    """ValueError naming the first of ``counts`` outside 1.._MAX_SAMPLES."""
+    for name, count in counts.items():
+        if not 1 <= count <= _MAX_SAMPLES:
+            raise ValueError(f"{name} must be between 1 and {_MAX_SAMPLES}, got {count}")
+
+
 def _uniform(rng: random.Random, low: float, high: float, count: int) -> list:
     """``count`` draws low + (high - low) * rng.random(), in [low, high):
     random() is the method whose stream Python keeps across versions."""
@@ -99,6 +113,7 @@ def _uniform(rng: random.Random, low: float, high: float, count: int) -> list:
 
 
 def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
+    _check_counts(phi_samples=phi_samples)
     rng = random.Random(seed)
     phis = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
     thetas = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
@@ -146,6 +161,7 @@ def _sample_spectral_pairs(rng: random.Random, count: int):
 
 
 def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
+    _check_counts(samples=samples, phi_samples=phi_samples)
     rng = random.Random(seed)
     xs, ys = _sample_spectral_pairs(rng, samples)
     phis = _uniform(rng, 0.0, 2 * math.pi, phi_samples)

@@ -495,6 +495,38 @@ class TestCounts:
         assert len(err.splitlines()) == 1 and ">= 1" in err
 
     @pytest.mark.parametrize("argv", [
+        ("verify-algebra", "--phi-samples", "100000000000000000000"),
+        ("verify-algebra", "--phi-samples", "100001"),
+        ("ybe", "--samples", "100000000000000000000"),
+        ("ybe", "--phi-samples", "100001"),
+    ])
+    def test_count_above_the_bound_exits_before_any_draw(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_uniform", lambda *args: pytest.fail("samples drawn"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: {argv[1][2:].replace('-', '_')} must be between 1 and "
+                       f"100000, got {argv[2]}\n")
+
+    @pytest.mark.parametrize("handler,counts,name", [
+        (cli.cmd_verify_algebra, {"phi_samples": 0}, "phi_samples"),
+        (cli.cmd_verify_algebra, {"phi_samples": -3}, "phi_samples"),
+        (cli.cmd_verify_algebra, {"phi_samples": cli._MAX_SAMPLES + 1}, "phi_samples"),
+        (cli.cmd_ybe, {"samples": 0, "phi_samples": 5}, "samples"),
+        (cli.cmd_ybe, {"samples": 5, "phi_samples": 0}, "phi_samples"),
+        (cli.cmd_ybe, {"samples": cli._MAX_SAMPLES + 1, "phi_samples": 5}, "samples"),
+        (cli.cmd_ybe, {"samples": 5, "phi_samples": cli._MAX_SAMPLES + 1}, "phi_samples"),
+    ])
+    def test_handler_checks_its_own_counts(self, handler, counts, name):
+        # called directly, without the parser's check
+        message = f"^{name} must be between 1 and 100000, got {counts[name]}$"
+        with pytest.raises(ValueError, match=message):
+            handler(tol=1e-10, seed=1, **counts)
+
+    def test_count_of_one_runs(self):
+        assert cli.cmd_verify_algebra(1e-10, 1, 1).passed
+        assert cli.cmd_ybe(1e-10, 1, 1, 1).passed
+
+    @pytest.mark.parametrize("argv", [
         ("verify-algebra", "--seed", "-1"),
         ("ybe", "--seed=-1"),
         ("ybe", "--seed", "1.5"),
