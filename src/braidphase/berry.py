@@ -5,7 +5,9 @@ Two routes:
 * berry_analytic -- gauge-invariant discrete line integral
   gamma = -Im sum_k log <chi(phi_k)|chi(phi_{k+1})> over the closed-form
   eigenstates (indices 5..8), second-order accurate in the step size, from
-  one read of one fixture batch over the fixture's parity sector;
+  one read of one fixture batch over the fixture's parity sector; the loop's
+  phi grid and its factors e^{-+i phi} are built once per step count (_loop)
+  and shared by every member of a level and every later call;
 * berry_wilson -- the Wilson loops of both split doublets over numerical
   eigenvectors, for levels without closed forms of their connection, from one
   solve of H's 2x2 blocks on the doublet range of each basis-index parity
