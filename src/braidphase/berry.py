@@ -80,8 +80,8 @@ def _loop(steps: int) -> tuple:
     """The analytic loop of ``steps`` points, built once per step count and
     read-only: its drive angles phi_k = 2*pi*k/steps (by linspace, phi = 2*pi
     left out) and their factors e^{-i phi} and e^{i phi}, the arguments phis,
-    em and ep of dynamics._fixture_batch. Each holds 8 or 16 B per step, so
-    the cache holds the grids of two step counts."""
+    em and ep of dynamics._fixture_batch. The three hold 40 B per step; the
+    cache keeps those of the last two step counts used."""
     phis = np.linspace(0.0, TWO_PI, steps + 1)[:-1]
     loop = (phis, np.exp(-1j * phis), np.exp(1j * phis))
     for a in loop:

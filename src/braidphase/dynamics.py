@@ -31,6 +31,7 @@ J+- = I+-/sqrt(3), J3 = I3/3 closes an exact su(2).
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -240,10 +241,13 @@ def _span_projector(vectors) -> np.ndarray:
     return sum((np.outer(b, b.conj()) for b in basis), np.zeros((8, 8), dtype=complex))
 
 
-# H's exact kernel, spanned by e_copy - sign e_source for each rule of _SAME: the
-# projector on spectrum's zero level
-_KERNEL = _span_projector([np.eye(8)[c] - sign * np.eye(8)[s] for c, s, sign in _SAME])
-_KERNEL.setflags(write=False)
+@functools.cache
+def _kernel() -> np.ndarray:
+    """The projector on H's exact kernel, spanned by e_copy - sign e_source for
+    each rule of _SAME: spectrum's zero level, built on first use, read-only."""
+    kernel = _span_projector([np.eye(8)[c] - sign * np.eye(8)[s] for c, s, sign in _SAME])
+    kernel.setflags(write=False)
+    return kernel
 
 
 def su2_relation_residuals(d: DriveParams) -> dict:
@@ -377,7 +381,7 @@ def spectrum(d: DriveParams) -> SpectrumReport:
     projector_diffs = []
     for states in clusters:
         vecs = lifted[states[states >= 4] - 4]
-        p_num = vecs.T @ vecs.conj() + (_KERNEL if states.min() < 4 else 0)
+        p_num = vecs.T @ vecs.conj() + (_kernel() if states.min() < 4 else 0)
         mean = float(np.mean(values[states]))
         members = [v for v, en in zip(fixtures, energies)
                    if abs(en - mean) <= gap]

@@ -453,9 +453,11 @@ class TestSpectrum:
         # read-only; spectrum then builds one projector per cluster, of the
         # fixtures that span it, and none of the kernel
         vectors = [np.eye(8)[c] - sign * np.eye(8)[s] for c, s, sign in dynamics._SAME]
-        assert dynamics._KERNEL.tobytes() == dynamics._span_projector(vectors).tobytes()
+        kernel = dynamics._kernel()
+        assert kernel.tobytes() == dynamics._span_projector(vectors).tobytes()
+        assert dynamics._kernel() is kernel
         with pytest.raises(ValueError, match="read-only"):
-            dynamics._KERNEL[0, 0] = 1.0
+            kernel[0, 0] = 1.0
         built = []
         original = dynamics._span_projector
 
