@@ -155,23 +155,10 @@ class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_patter
     __slots__ = ()
 
 
-def _support(i_plus, i_minus, i_3) -> np.ndarray:
-    """The flat 8x8 entries where any of the three operators is nonzero."""
-    return np.flatnonzero((i_plus != 0) | (i_minus != 0) | (i_3 != 0))
-
-
-# H's support, of the read-only operators; hamiltonian builds it anew only for
-# an operator put in their place
-_OPERATORS = (I_PLUS, I_MINUS, I_3)
-_SUPPORT = _support(*_OPERATORS)
-
-
 def hamiltonian(d: DriveParams) -> np.ndarray:
     """The 8x8 Hermitian drive generator at the given parameters."""
     # d was validated when it was made; H is +0 off the operators' support
-    ops = (I_PLUS, I_MINUS, I_3)
-    support = (_SUPPORT if all(a is b for a, b in zip(ops, _OPERATORS))
-               else _support(*ops))
+    support = np.flatnonzero((I_PLUS != 0) | (I_MINUS != 0) | (I_3 != 0))
     out = np.zeros(64, dtype=complex)
     phis = np.array([d.phi], dtype=float)
     out[support] = _generator(support, d.theta, phis, d.phi_dot, d.hbar)[:, 0]

@@ -117,14 +117,6 @@ class TestHamiltonianGrid:
         h = dynamics.hamiltonian(DriveParams(0.9, 0.4))
         assert h[0, 7] == 2 * np.cos(0.9) ** 2 / 3
 
-    def test_support_built_once(self, monkeypatch):
-        # the support of the package's operators is built at import, and a
-        # call that finds them in place builds none
-        support = (dynamics.I_PLUS != 0) | (dynamics.I_MINUS != 0) | (dynamics.I_3 != 0)
-        assert np.array_equal(dynamics._SUPPORT, np.flatnonzero(support))
-        monkeypatch.setattr(dynamics, "_support", lambda *ops: pytest.fail("support rebuilt"))
-        dynamics.hamiltonian(DriveParams(0.9, 0.4))
-
 
     @pytest.mark.parametrize("steps", [100, 800, 2000, 10 ** 4])
     def test_blocks_bitwise_equal_to_the_compressed_whole_matrix(self, steps):
