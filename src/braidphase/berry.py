@@ -6,8 +6,9 @@ Two routes:
   gamma = -Im sum_k log <chi(phi_k)|chi(phi_{k+1})> over the closed-form
   eigenstates (indices 5..8), second-order accurate in the step size, from
   one read of one fixture batch over the fixture's parity sector; the loop's
-  phi grid and its factors e^{-+i phi} are built once per step count (_loop)
-  and shared by every member of a level and every later call;
+  phi grid and the level's factor e^{-+i phi} are built once per step count
+  and level (_loop) and shared by both members of the level and by every
+  later call at that step count in the process;
 * berry_wilson -- the Wilson loops of both split doublets over numerical
   eigenvectors, for levels without closed forms of their connection, from one
   solve of H's 2x2 blocks on the doublet range of each basis-index parity
@@ -76,14 +77,16 @@ def fold(phase: float) -> float:
 
 
 @functools.lru_cache(maxsize=2)
-def _loop(steps: int) -> tuple:
-    """The analytic loop of ``steps`` points, built once per step count and
-    read-only: its drive angles phi_k = 2*pi*k/steps (by linspace, phi = 2*pi
-    left out) and their factors e^{-i phi} and e^{i phi}, the arguments phis,
-    em and ep of dynamics._fixture_batch. The three hold 40 B per step; the
-    cache keeps those of the last two step counts used."""
+def _loop(steps: int, sign: int) -> tuple:
+    """The analytic loop of ``steps`` points for the split level of energy
+    sign ``sign``, built once per step count and level and read-only: its
+    drive angles phi_k = 2*pi*k/steps (by linspace, phi = 2*pi left out) and
+    the phase factor e^{sign i phi} that the level's fixtures carry (5 and 7
+    e^{-i phi}, 6 and 8 e^{i phi}), the arguments phis and factor of
+    dynamics.fixture_batch. A loop holds 24 B per step, and the cache keeps
+    the last two: both levels of one step count, or one level of two."""
     phis = np.linspace(0.0, TWO_PI, steps + 1)[:-1]
-    loop = (phis, np.exp(-1j * phis), np.exp(1j * phis))
+    loop = (phis, np.exp(-1j * phis) if sign < 0 else np.exp(1j * phis))
     for a in loop:
         a.setflags(write=False)
     return loop
@@ -104,8 +107,9 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
         raise ValueError(f"steps must be >= 100, got {steps}")
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    # a row per basis index, over the loop of this step count
-    chi = np.ascontiguousarray(dynamics._fixture_batch(i, theta, *_loop(steps)).T)
+    sign = next(sign for sign, members in dynamics.LEVELS.values() if i in members)
+    # a row per basis index, over the loop of this step count and level
+    chi = np.ascontiguousarray(dynamics.fixture_batch(i, theta, *_loop(steps, sign)).T)
     chi = chi[np.any(chi.view(float) != 0, axis=1)]  # the indices the fixture occupies
     bra = chi.conj()
     overlaps = np.empty(steps, dtype=complex)

@@ -283,25 +283,22 @@ def fixture_energy(i: int, d: DriveParams) -> float:
     return float(sign * (d.hbar * d.phi_dot * np.cos(d.theta)))
 
 
-def fixture_batch(i: int, theta: float, phis: np.ndarray) -> np.ndarray:
+def fixture_batch(i: int, theta: float, phis: np.ndarray, factor=None) -> np.ndarray:
     """Fixture states at many phi values, shape (len(phis), 8), column-major so
-    that each basis index's amplitudes are contiguous."""
+    that each basis index's amplitudes are contiguous. ``factor`` is the phase
+    factor that fixture ``i`` carries at ``phis``, e^{-i phi} for 5 and 7 and
+    e^{i phi} for 6 and 8, computed here when not given; 1..4 carry none."""
     if i not in FIXTURE_INDICES:
         raise ValueError(f"fixture index must be 1..8, got {i}")
     phis = np.asarray(phis, dtype=float)
-    # only the phase factor the fixture carries
-    em = np.exp(-1j * phis) if i in (5, 7) else None
-    ep = np.exp(1j * phis) if i in (6, 8) else None
-    return _fixture_batch(i, theta, phis, em, ep)
-
-
-def _fixture_batch(i, theta, phis, em, ep) -> np.ndarray:
-    """fixture_batch of fixture ``i`` (1..8, not checked) at the 1-D float
-    ``phis``, with their phase factors given: em = e^{-i phi}, read by
-    fixtures 5 and 7, and ep = e^{i phi}, read by 6 and 8 (None where unread)."""
     out = np.zeros((phis.shape[0], 8), dtype=complex, order="F")
     s, c = np.sin(theta / 2), np.cos(theta / 2)
     r2, r3 = 1 / np.sqrt(2), 1 / SQRT3
+    # only the phase factor the fixture carries
+    em = ep = factor
+    if factor is None:
+        em = np.exp(-1j * phis) if i in (5, 7) else None
+        ep = np.exp(1j * phis) if i in (6, 8) else None
     if i == 1:
         out[:, 0b011], out[:, 0b110] = -r2, r2
     elif i == 2:

@@ -255,8 +255,8 @@ def dense_line_integral(i: int, theta: float, steps: int) -> float:
     grid point's fixture against a rolled copy of the grid, phi = 2*pi
     identified with 0.
 
-    fixture_batch looks up dynamics._fixture_batch at call time, so a patched
-    private batch reaches this route and berry_analytic alike.
+    Looks up dynamics.fixture_batch at call time, so a patched batch reaches
+    this route and berry_analytic alike.
     """
     phis = np.linspace(0.0, 2 * np.pi, steps + 1)
     batch = dynamics.fixture_batch(i, theta, phis[:-1])

@@ -88,16 +88,16 @@ class TestAnalyticOneRead:
     def leak(monkeypatch, entries):
         # replaces the first basis column that the fixture leaves empty, which
         # lies outside its parity sector, by entries(column, phis); berry_analytic
-        # reads its batch from the private form, which fixture_batch calls
-        exact = dynamics._fixture_batch
+        # passes the phase factor of its cached loop
+        exact = dynamics.fixture_batch
 
-        def leaky(i, theta, phis, em, ep):
-            batch = exact(i, theta, phis, em, ep)
+        def leaky(i, theta, phis, factor=None):
+            batch = exact(i, theta, phis, factor)
             outside = np.flatnonzero(~np.any(batch, axis=0))[0]
             batch[:, outside] = entries(batch[:, outside], np.asarray(phis))
             return batch
 
-        monkeypatch.setattr(dynamics, "_fixture_batch", leaky)
+        monkeypatch.setattr(dynamics, "fixture_batch", leaky)
 
     @pytest.mark.parametrize("i", [5, 6, 7, 8])
     def test_tiny_leak_outside_the_sector_is_read(self, monkeypatch, i):
@@ -143,14 +143,16 @@ class TestLoopCache:
             assert got == phases.setdefault(steps, got), steps
         assert misses == [1, 2, 2, 2]  # cold, cold, then warm twice
 
-    def test_members_of_a_level_share_one_grid(self):
+    def test_members_of_a_level_share_one_loop(self):
+        # 5 and 7 are the minus level, 6 and 8 the plus level
         berry._loop.cache_clear()
         for i in (5, 6, 7, 8):
             berry.berry_analytic(i, 1.1, 400)
-        assert berry._loop.cache_info()[:2] == (3, 1)  # hits, misses
+        assert berry._loop.cache_info()[:2] == (2, 2)  # hits, misses
 
-    def test_cached_arrays_are_read_only(self):
-        for a in berry._loop(400):
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_cached_arrays_are_read_only(self, sign):
+        for a in berry._loop(400, sign):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
 
