@@ -92,18 +92,21 @@ def _worst(measured, closed, axis=None):
     return np.max(np.abs(np.subtract(measured, closed)), axis=axis)
 
 
-# the largest sample count: samples are drawn into Python lists (and
-# verify-algebra echoes its angles) before any array exists, so a larger count
-# would take memory without bound before anything could refuse it; 10^5 floats
-# hold about 3 MB per list
+# the largest sample count, refused by the parser and by each handler. It
+# bounds memory only: samples are drawn into Python lists (and verify-algebra
+# echoes its angles) before any array exists, so a larger count would take
+# memory without bound before anything could refuse it; 10^5 floats hold about
+# 3 MB per list. It does not bound time: verify-algebra makes phi_samples^2
+# unitarity checks, and at 10^5 it runs for hours.
 _MAX_SAMPLES = 10 ** 5
+_COUNT = f"an integer >= 1 and <= {_MAX_SAMPLES}"  # the range, as messages state it
 
 
 def _check_counts(**counts) -> None:
     """ValueError naming the first of ``counts`` outside 1.._MAX_SAMPLES."""
     for name, count in counts.items():
         if not 1 <= count <= _MAX_SAMPLES:
-            raise ValueError(f"{name} must be between 1 and {_MAX_SAMPLES}, got {count}")
+            raise ValueError(f"{name} must be {_COUNT}, got {count}")
 
 
 def _uniform(rng: random.Random, low: float, high: float, count: int) -> list:
@@ -304,9 +307,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _number(kind, requirement: str, low):
-    """argparse type of a finite ``kind`` (float or int) >= ``low``; an error
-    states ``requirement``."""
+def _number(kind, requirement: str, low, high=math.inf):
+    """argparse type of a finite ``kind`` (float or int) from ``low`` to
+    ``high``; an error states ``requirement``."""
     def parse(text: str):
         try:
             value = kind(text)
@@ -314,7 +317,7 @@ def _number(kind, requirement: str, low):
             value = math.nan
         # a chained comparison holds for an int of any size (math.isfinite
         # overflows on one), and fails on NaN
-        if not low <= value < math.inf:
+        if not (low <= value < math.inf and value <= high):
             raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
         return value
     return parse
@@ -323,7 +326,7 @@ def _number(kind, requirement: str, low):
 # every angle argument; -sys.float_info.max is the lowest finite float
 _angle = _number(float, "angle must be a finite number", -sys.float_info.max)
 _tol = _number(float, "tolerance must be a finite number >= 0", 0.0)  # every --tol
-_count = _number(int, "count must be an integer >= 1", 1)  # every sample count
+_count = _number(int, f"count must be {_COUNT}", 1, _MAX_SAMPLES)  # every sample count
 # random.Random seeds from |seed|, so a negative seed would repeat a positive one
 _seed = _number(int, "seed must be an integer >= 0", 0)
 
@@ -343,13 +346,16 @@ def _add_common(parser, tol, *, sampled: bool, tol_help="%(default)s"):
 
 
 def _verify_algebra(p):
-    p.add_argument("--phi-samples", type=_count, default=17)
+    p.add_argument("--phi-samples", type=_count, default=17,
+                   help=f"how many (phi, theta) pairs to draw, {_COUNT}")
     _add_common(p, 1e-10, sampled=True)
 
 
 def _ybe(p):
-    p.add_argument("--samples", type=_count, default=50)
-    p.add_argument("--phi-samples", type=_count, default=5)
+    p.add_argument("--samples", type=_count, default=50,
+                   help=f"how many spectral pairs to draw, {_COUNT}")
+    p.add_argument("--phi-samples", type=_count, default=5,
+                   help=f"how many phi to draw, {_COUNT}")
     _add_common(p, 1e-10, sampled=True)
 
 

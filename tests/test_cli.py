@@ -504,8 +504,8 @@ class TestCounts:
         monkeypatch.setattr(cli, "_uniform", lambda *args: pytest.fail("samples drawn"))
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == (f"error: {argv[1][2:].replace('-', '_')} must be between 1 and "
-                       f"100000, got {argv[2]}\n")
+        assert err == (f"braidphase {argv[0]}: error: argument {argv[1]}: count must be "
+                       f"an integer >= 1 and <= 100000, got {argv[2]!r}\n")
 
     @pytest.mark.parametrize("handler,counts,name", [
         (cli.cmd_verify_algebra, {"phi_samples": 0}, "phi_samples"),
@@ -518,7 +518,7 @@ class TestCounts:
     ])
     def test_handler_checks_its_own_counts(self, handler, counts, name):
         # called directly, without the parser's check
-        message = f"^{name} must be between 1 and 100000, got {counts[name]}$"
+        message = f"^{name} must be an integer >= 1 and <= 100000, got {counts[name]}$"
         with pytest.raises(ValueError, match=message):
             handler(tol=1e-10, seed=1, **counts)
 

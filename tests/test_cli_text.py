@@ -41,8 +41,8 @@ ARGVS = [
     ("spectrum", "--theta", "1", "--tol=-1e-300"),
     ("spectrum", "--theta", "1", "--tol=-inf"), ("ybe", "--tol", "1e400"),
     ("berry", "--theta", "0.7", "--tol", "-0", "--steps", "99"),
-    # counts and seeds: a 400-digit count is accepted (the next option fails),
-    # and so is one padded with whitespace
+    # counts and seeds: a 400-digit count is refused by the upper bound, not
+    # by an overflow, and a count padded with whitespace is accepted
     ("ybe", "--samples", BIG, "--phi-samples", "0"),
     ("verify-algebra", "--phi-samples", "-" + BIG), ("ybe", "--samples", "1.5"),
     ("ybe", "--samples", "inf"), ("verify-algebra", "--seed", "nan"),
