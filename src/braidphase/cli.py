@@ -75,14 +75,12 @@ def _numpy_value(obj):
 # command handlers
 
 
-def _report(command: str, parameters: dict, results: dict, gates: dict,
-            summary: dict | None = None) -> RunReport:
+def _report(command: str, parameters: dict, results: dict, gates: dict) -> RunReport:
     """The RunReport of ``gates``, {gate: (residual, bound)}: a gate passes
-    when its residual is at most its bound, which a NaN never is. The
-    residual summary is ``summary``, by default {gate: residual}."""
-    if summary is None:
-        summary = {gate: residual for gate, (residual, _) in gates.items()}
-    return RunReport(command, parameters, results, summary,
+    when its residual is at most its bound, which a NaN never is, and the
+    residual summary is {gate: residual}."""
+    return RunReport(command, parameters, results,
+                     {gate: residual for gate, (residual, _) in gates.items()},
                      {gate: residual <= bound for gate, (residual, bound) in gates.items()})
 
 
@@ -170,14 +168,14 @@ def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
     phis = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
 
     residuals = yangbaxter.ybe_residual(xs, ys, phis)
-    summary = {f"{system}_{family}_max": float(np.max(residuals[f"{system}_{family}"]))
-               for family in yangbaxter.FAMILIES for system in yangbaxter.SYSTEMS}
+    maxima = {f"{system}_{family}_max": float(np.max(residuals[f"{system}_{family}"]))
+              for family in yangbaxter.FAMILIES for system in yangbaxter.SYSTEMS}
     return _report(
         "ybe", {"tol": tol, "samples": samples, "phi_samples": phi_samples, "seed": seed},
         {"gated": "two_qubit_rational",
          "reported_only": ["three_qubit_rational", "two_qubit_unitary", "three_qubit_unitary"],
-         "max_residuals": dict(summary)},
-        {"two_qubit_rational": (summary["two_qubit_rational_max"], tol)}, summary)
+         "max_residuals": maxima},
+        {"two_qubit_rational_max": (maxima["two_qubit_rational_max"], tol)})
 
 
 def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:
@@ -220,12 +218,11 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
     lines = [SWEEP_HEADER]
     lines.extend(_SWEEP_ROW % row for row in map(tuple, table.tolist()))
     csv_text = "\n".join(lines) + "\n"
-    worst = float(np.max(row_worst))
     report = _report(
         "sweep", {"theta_min": theta_min, "theta_max": theta_max,
                   "steps": steps, "phi": phi, "tol": tol},
         {"rows": steps, "input": "000", "pair_column": "c_ab"},
-        {"closed_form_match": (worst, tol)}, {"closed_form_match_max": worst})
+        {"closed_form_match_max": (float(np.max(row_worst)), tol)})
     return report, csv_text
 
 

@@ -163,8 +163,9 @@ class TestYbe:
         validate(payload)
         assert payload["residual_summary"]["two_qubit_rational_max"] <= 1e-10
         # measured, reported, never gated
-        assert payload["residual_summary"]["three_qubit_rational_max"] > 0.0
-        assert list(payload["passes"]) == ["two_qubit_rational"]
+        assert payload["results"]["max_residuals"]["three_qubit_rational_max"] > 0.0
+        assert list(payload["passes"]) == list(payload["residual_summary"]) == [
+            "two_qubit_rational_max"]
 
 
 class TestEntangle:
