@@ -9,13 +9,14 @@ Infinity is not JSON, and is refused as a usage error, as is a count whose
 arrays cannot be allocated.
 
 Angles are radians unless --degrees is given, and must be finite. Sample
-counts (--samples, --phi-samples) are integers from 1 to 10^5; --seed is an
-integer >= 0, and random.Random(seed) draws every sample. --tol is a finite
-number >= 0 and defaults per command to the tolerance its checks are
-specified at, which --help of each subcommand shows: 1e-10 for
-verify-algebra, ybe and spectrum (energies gated at tol * hbar * |phidot|),
-1e-9 for entangle and sweep; berry's depends on --method (1e-5 analytic, 1e-4
-wilson), as does its --steps (10000 analytic, 800 wilson), >= 100 at every level.
+counts (--samples, --phi-samples) are integers from 1 to 10^5, and sweep's
+--steps from 2 to 10^5; --seed is an integer >= 0, and random.Random(seed)
+draws every sample. --tol is a finite number >= 0 and defaults per command
+to the tolerance its checks are specified at, which --help of each
+subcommand shows: 1e-10 for verify-algebra, ybe and spectrum (energies
+gated at tol * hbar * |phidot|), 1e-9 for entangle and sweep; berry's
+depends on --method (1e-5 analytic, 1e-4 wilson), as does its --steps
+(10000 analytic, 800 wilson), >= 100 at every level.
 
 main calls the handler cmd_<command> (dashes as underscores), looked up when
 it runs, with the command's own arguments; a report passes when it has a gate
@@ -90,21 +91,26 @@ def _worst(measured, closed, axis=None):
     return np.max(np.abs(np.subtract(measured, closed)), axis=axis)
 
 
-# the largest sample count, refused by the parser and by each handler. It
-# bounds memory only: samples are drawn into Python lists (and verify-algebra
-# echoes its angles) before any array exists, so a larger count would take
-# memory without bound before anything could refuse it; 10^5 floats hold about
-# 3 MB per list. It does not bound time: verify-algebra makes phi_samples^2
+# the largest sample count and sweep --steps, refused by the parser and by
+# each handler. It bounds memory: samples are drawn into Python lists (and
+# verify-algebra echoes its angles) before any array exists, and the sweep
+# holds its whole grid and CSV text, so a larger count would take memory
+# without bound before anything could refuse it; 10^5 floats hold about 3 MB
+# per list. It does not bound time: verify-algebra makes phi_samples^2
 # unitarity checks, and at 10^5 it runs for hours.
 _MAX_SAMPLES = 10 ** 5
-_COUNT = f"an integer >= 1 and <= {_MAX_SAMPLES}"  # the range, as messages state it
 
 
-def _check_counts(**counts) -> None:
-    """ValueError naming the first of ``counts`` outside 1.._MAX_SAMPLES."""
+def _bounded(low: int) -> str:
+    """The range low.._MAX_SAMPLES, as messages and help state it."""
+    return f"an integer >= {low} and <= {_MAX_SAMPLES}"
+
+
+def _check_counts(low: int = 1, **counts) -> None:
+    """ValueError naming the first of ``counts`` outside low.._MAX_SAMPLES."""
     for name, count in counts.items():
-        if not 1 <= count <= _MAX_SAMPLES:
-            raise ValueError(f"{name} must be {_COUNT}, got {count}")
+        if not low <= count <= _MAX_SAMPLES:
+            raise ValueError(f"{name} must be {_bounded(low)}, got {count}")
 
 
 def _uniform(rng: random.Random, low: float, high: float, count: int) -> list:
@@ -203,8 +209,7 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
     """(report, CSV text) of the entanglement curves at ``steps`` angles."""
     if theta_min > theta_max:
         raise ValueError("theta_min must not exceed theta_max")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    _check_counts(2, steps=steps)
     thetas = np.linspace(theta_min, theta_max, steps)
     kets = states.apply_r(yangbaxter.RParams(thetas, phi), states.basis_state("000"))
     rep = entanglement.full_report(kets)
@@ -323,7 +328,8 @@ def _number(kind, requirement: str, low, high=math.inf):
 # every angle argument; -sys.float_info.max is the lowest finite float
 _angle = _number(float, "angle must be a finite number", -sys.float_info.max)
 _tol = _number(float, "tolerance must be a finite number >= 0", 0.0)  # every --tol
-_count = _number(int, f"count must be {_COUNT}", 1, _MAX_SAMPLES)  # every sample count
+_count = _number(int, f"count must be {_bounded(1)}", 1, _MAX_SAMPLES)  # every sample count
+_steps = _number(int, f"steps must be {_bounded(2)}", 2, _MAX_SAMPLES)  # sweep --steps
 # random.Random seeds from |seed|, so a negative seed would repeat a positive one
 _seed = _number(int, "seed must be an integer >= 0", 0)
 
@@ -344,15 +350,15 @@ def _add_common(parser, tol, *, sampled: bool, tol_help="%(default)s"):
 
 def _verify_algebra(p):
     p.add_argument("--phi-samples", type=_count, default=17,
-                   help=f"how many (phi, theta) pairs to draw, {_COUNT}")
+                   help=f"how many (phi, theta) pairs to draw, {_bounded(1)}")
     _add_common(p, 1e-10, sampled=True)
 
 
 def _ybe(p):
     p.add_argument("--samples", type=_count, default=50,
-                   help=f"how many spectral pairs to draw, {_COUNT}")
+                   help=f"how many spectral pairs to draw, {_bounded(1)}")
     p.add_argument("--phi-samples", type=_count, default=5,
-                   help=f"how many phi to draw, {_COUNT}")
+                   help=f"how many phi to draw, {_bounded(1)}")
     _add_common(p, 1e-10, sampled=True)
 
 
@@ -366,7 +372,8 @@ def _entangle(p):
 def _sweep(p):
     p.add_argument("--theta-min", type=_angle, required=True)
     p.add_argument("--theta-max", type=_angle, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_steps, required=True,
+                   help=f"how many evenly spaced angles, {_bounded(2)}")
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="csv (default) writes the rows to --out; json gives only the summary")

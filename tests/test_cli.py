@@ -523,6 +523,21 @@ class TestCounts:
         with pytest.raises(ValueError, match=message):
             handler(tol=1e-10, seed=1, **counts)
 
+    @pytest.mark.parametrize("steps", ["100001", "100000000000000000000"])
+    def test_sweep_steps_above_the_bound_is_usage_error(self, capsys, tmp_path, steps):
+        code, out, err = run(capsys, "sweep", "--theta-min", "0", "--theta-max", "1",
+                             "--steps", steps, "--out", str(tmp_path / "c.csv"))
+        assert code == 2 and out == "" and not (tmp_path / "c.csv").exists()
+        assert err == (f"braidphase sweep: error: argument --steps: steps must be "
+                       f"an integer >= 2 and <= 100000, got {steps!r}\n")
+
+    @pytest.mark.parametrize("steps", [1, cli._MAX_SAMPLES + 1])
+    def test_sweep_checks_its_own_steps(self, steps):
+        # the parser's wording, without the parser's check
+        message = f"^steps must be an integer >= 2 and <= 100000, got {steps}$"
+        with pytest.raises(ValueError, match=message):
+            cli.cmd_sweep(0.0, 1.0, steps, 0.0, 1e-9)
+
     def test_count_of_one_runs(self):
         assert cli.cmd_verify_algebra(1e-10, 1, 1).passed
         assert cli.cmd_ybe(1e-10, 1, 1, 1).passed
