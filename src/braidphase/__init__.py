@@ -44,9 +44,9 @@ from .dynamics import (
     eigenstate_fixture,
     fixture_energy,
     hamiltonian,
+    ladder_residuals,
     spectrum,
     su2_ops,
-    su2_relation_residuals,
 )
 from .berry import (
     berry_analytic,
@@ -68,8 +68,7 @@ __all__ = [
     "EntanglementReport", "full_report", "one_vs_rest_sq_closed_form",
     "pair_concurrence_closed_form", "tangle_closed_form",
     "DriveParams", "SpectrumReport", "Su2Ops", "eigenstate_fixture",
-    "fixture_energy", "hamiltonian", "spectrum",
-    "su2_ops", "su2_relation_residuals",
+    "fixture_energy", "hamiltonian", "ladder_residuals", "spectrum", "su2_ops",
     "berry_analytic", "berry_wilson", "closed_form_phase", "solid_angle",
     "zero_level_phase",
     "__version__",

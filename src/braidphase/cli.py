@@ -92,25 +92,19 @@ def _worst(measured, closed, axis=None):
 
 
 # the largest sample count and sweep --steps, refused by the parser and by
-# each handler. It bounds memory: samples are drawn into Python lists (and
-# verify-algebra echoes its angles) before any array exists, and the sweep
-# holds its whole grid and CSV text, so a larger count would take memory
-# without bound before anything could refuse it; 10^5 floats hold about 3 MB
-# per list. It does not bound time: verify-algebra makes phi_samples^2
-# unitarity checks, and at 10^5 it runs for hours.
+# each handler: samples are drawn into Python lists (10^5 floats hold about
+# 3 MB each), and the sweep holds its whole grid and CSV text, before anything
+# could refuse a larger count. Time is linear in every count. _RANGE words
+# each range, keyed by its lower bound, for messages and help alike.
 _MAX_SAMPLES = 10 ** 5
-
-
-def _bounded(low: int) -> str:
-    """The range low.._MAX_SAMPLES, as messages and help state it."""
-    return f"an integer >= {low} and <= {_MAX_SAMPLES}"
+_RANGE = {low: f"an integer >= {low} and <= {_MAX_SAMPLES}" for low in (1, 2)}
 
 
 def _check_counts(low: int = 1, **counts) -> None:
     """ValueError naming the first of ``counts`` outside low.._MAX_SAMPLES."""
     for name, count in counts.items():
         if not low <= count <= _MAX_SAMPLES:
-            raise ValueError(f"{name} must be {_bounded(low)}, got {count}")
+            raise ValueError(f"{name} must be {_RANGE[low]}, got {count}")
 
 
 def _uniform(rng: random.Random, low: float, high: float, count: int) -> list:
@@ -134,12 +128,15 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
         if not lo:
             transcription = braid.transcription_diagnostics(builds[0])
         rep = braid.check_es2_relations(bs)
-        block = {**rep.residuals, **rep.ambiguous, "alpha_deviation": np.abs(rep.alpha - 1.0),
-                 **{f"unitarity_{system}": yangbaxter.unitarity_residuals(gen, thetas)
-                    for system, gen in zip(yangbaxter.SYSTEMS, (bs.m4, bs.mcal))}}
+        block = {**rep.residuals, **rep.ambiguous, "alpha_deviation": np.abs(rep.alpha - 1.0)}
+        for system, gen in zip(yangbaxter.SYSTEMS, (bs.m4, bs.mcal)):
+            # phi_k paired with theta_k, and the bound over every theta
+            block[f"unitarity_{system}"], block[f"unitarity_all_theta_{system}"] = (
+                yangbaxter.unitarity_residuals(gen, thetas[lo:lo + yangbaxter._BLOCK]))
         # np.max and np.maximum keep a NaN, which Python's max drops if not first
         for name, val in block.items():
             worst[name] = np.maximum(worst.get(name, 0.0), np.max(val))
+    ladder = dynamics.ladder_residuals()  # the operators are constants: once per run
 
     return _report(
         "verify-algebra", {"tol": tol, "phi_samples": phi_samples, "seed": seed},
@@ -147,10 +144,12 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
          "theta_values": thetas,
          "relation_residuals_max": {name: worst[name] for name in rep.residuals},
          "ambiguous_triple_readings_max": {name: worst[name] for name in rep.ambiguous},
-         "unitarity_max": {system: worst[f"unitarity_{system}"]
-                           for system in yangbaxter.SYSTEMS},
+         **{f"{check}_max": {system: worst[f"{check}_{system}"] for system in yangbaxter.SYSTEMS}
+            for check in ("unitarity", "unitarity_all_theta")},
+         "ladder": ladder,
          "transcription_diagnostics": transcription},
-        {name: (val, tol) for name, val in worst.items() if name not in rep.ambiguous})
+        {name: (val, tol) for name, val in {**worst, **ladder["residuals"]}.items()
+         if name not in rep.ambiguous})
 
 
 def _sample_spectral_pairs(rng: random.Random, count: int):
@@ -235,19 +234,20 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
                  tol: float) -> RunReport:
     d = dynamics.DriveParams(theta=theta, phi=phi, phi_dot=phidot, hbar=hbar)
     rep = dynamics.spectrum(d)
-    brackets = dynamics.su2_relation_residuals(d)
+    ops = dynamics.su2_ops(d)
+    split = ops.b_plus * ops.i_plus + ops.b_minus * ops.i_minus + ops.b_3 * ops.i_3
     scaled = tol * hbar * abs(phidot)  # H is linear in hbar * phidot
     return _report(
         "spectrum", {"theta": theta, "phi": phi, "phidot": phidot, "hbar": hbar, "tol": tol},
         {"eigenvalues": list(rep.eigenvalues),
          "degeneracy_pattern": list(rep.degeneracy_pattern),
          "fixture_residuals": list(rep.fixture_residuals),
-         "projector_residuals": list(rep.projector_residuals),
-         "bracket_residuals": brackets},
+         "projector_residuals": list(rep.projector_residuals)},
         {"closed_form_match": (rep.closed_form_match, scaled),
          "fixture_eigen_equation_max": (max(rep.fixture_residuals), scaled),
          "projector_match_max": (max(rep.projector_residuals), max(tol, 1e-8)),
-         "ladder_decomposition": (brackets["decomposition"], scaled)})
+         "ladder_decomposition": (
+             float(linalg.frobenius_norms([dynamics.hamiltonian(d) - split])[0]), scaled)})
 
 
 # method: (its default --steps, its default --tol)
@@ -328,8 +328,8 @@ def _number(kind, requirement: str, low, high=math.inf):
 # every angle argument; -sys.float_info.max is the lowest finite float
 _angle = _number(float, "angle must be a finite number", -sys.float_info.max)
 _tol = _number(float, "tolerance must be a finite number >= 0", 0.0)  # every --tol
-_count = _number(int, f"count must be {_bounded(1)}", 1, _MAX_SAMPLES)  # every sample count
-_steps = _number(int, f"steps must be {_bounded(2)}", 2, _MAX_SAMPLES)  # sweep --steps
+_count = _number(int, f"count must be {_RANGE[1]}", 1, _MAX_SAMPLES)  # every sample count
+_steps = _number(int, f"steps must be {_RANGE[2]}", 2, _MAX_SAMPLES)  # sweep --steps
 # random.Random seeds from |seed|, so a negative seed would repeat a positive one
 _seed = _number(int, "seed must be an integer >= 0", 0)
 
@@ -350,15 +350,15 @@ def _add_common(parser, tol, *, sampled: bool, tol_help="%(default)s"):
 
 def _verify_algebra(p):
     p.add_argument("--phi-samples", type=_count, default=17,
-                   help=f"how many (phi, theta) pairs to draw, {_bounded(1)}")
+                   help=f"how many (phi, theta) pairs to draw, {_RANGE[1]}")
     _add_common(p, 1e-10, sampled=True)
 
 
 def _ybe(p):
     p.add_argument("--samples", type=_count, default=50,
-                   help=f"how many spectral pairs to draw, {_bounded(1)}")
+                   help=f"how many spectral pairs to draw, {_RANGE[1]}")
     p.add_argument("--phi-samples", type=_count, default=5,
-                   help=f"how many phi to draw, {_bounded(1)}")
+                   help=f"how many phi to draw, {_RANGE[1]}")
     _add_common(p, 1e-10, sampled=True)
 
 
@@ -373,7 +373,7 @@ def _sweep(p):
     p.add_argument("--theta-min", type=_angle, required=True)
     p.add_argument("--theta-max", type=_angle, required=True)
     p.add_argument("--steps", type=_steps, required=True,
-                   help=f"how many evenly spaced angles, {_bounded(2)}")
+                   help=f"how many evenly spaced angles, {_RANGE[2]}")
     p.add_argument("--phi", type=_angle, default=0.0)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="csv (default) writes the rows to --out; json gives only the summary")

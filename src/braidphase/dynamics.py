@@ -19,14 +19,13 @@ parity of the basis index; each split doublet has one member in each sector, and
 spectrum and the Wilson loop solve H's 2x2 blocks on the sectors' doublet ranges,
 built from the ladder operators after one exact check of them.
 
-su2_ops exposes the ladder split H = B+ I+ + B- I- + B3 I3, whose operators
-I_PLUS, I_MINUS and I_3 are read-only constants that H is built from.
-Measured bracket facts, reported by su2_relation_residuals: (I+-)^2 = 0 and
-[I+, I-] = 2 I3 hold exactly, but [I3, I+-] = +-3 I+- (not +-I+-), and I3^2
-equals (9/4) times the projector onto span{fixture 5..8} rather than I/4. So
-i_plus, i_minus and i_3 are x3-normalized; the unit-normalized su(2) split is
-H = (sqrt(3) B+-)(I+-/sqrt(3)) + (3 B3)(I3/3), whose family
-J+- = I+-/sqrt(3), J3 = I3/3 closes an exact su(2).
+su2_ops exposes the ladder split H = B+ I+ + B- I- + B3 I3 of the read-only
+constants I_PLUS, I_MINUS and I_3 that H is built from. Their brackets depend
+on no drive, and ladder_residuals checks them: (I+-)^2 = 0 and [I+, I-] = 2 I3
+hold exactly, but [I3, I+-] = +-3 I+- (not +-I+-), and I3^2 is (9/4) times
+the projector onto the doublet range (not I/4). So they are x3-normalized;
+J+- = I+-/sqrt(3), J3 = I3/3 close an exact su(2), with the fields sqrt(3) B+-
+and 3 B3.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ __all__ = [
     "I_3",
     "hamiltonian",
     "su2_ops",
-    "su2_relation_residuals",
+    "ladder_residuals",
     "spectrum",
     "eigenstate_fixture",
     "fixture_batch",
@@ -237,34 +236,25 @@ def _kernel() -> np.ndarray:
     return kernel
 
 
-def su2_relation_residuals(d: DriveParams) -> dict:
-    """Frobenius residuals of every bracket identity, raw and rescaled.
-
-    The *_unit entries test [I3, I+-] = +-I+-; the *_triple entries test the
-    relation that actually holds, [I3, I+-] = +-3 I+-. The rescaled_* entries
-    use J+- = I+-/sqrt(3), J3 = I3/3, which close an exact su(2). The
-    i3_squared_* entries probe I3^2 against I/4 globally, against I/4 and
-    (9/4) I on the span of fixtures 5..8, and against (9/4) P_span globally.
-    """
-    ops = su2_ops(d)
-    ip, im, i3 = ops.i_plus, ops.i_minus, ops.i_3
-    eye = np.eye(8, dtype=complex)
-    h = hamiltonian(d)
-    span = _span_projector([eigenstate_fixture(i, d.theta, d.phi) for i in (5, 6, 7, 8)])
+def ladder_residuals() -> dict:
+    """Frobenius residuals of the brackets of I_PLUS, I_MINUS and I_3, which
+    depend on no drive: {"residuals": the identities that hold, "misreadings":
+    the unit readings that do not}. *_triple is [I3, I+-] = +-3 I+-, *_unit
+    [I3, I+-] = +-I+-; rescaled_* use J+- = I+-/sqrt(3), J3 = I3/3, which
+    close an exact su(2); i3_squared_* compare I3^2 with (9/4) P and with I/4,
+    globally and on the doublet range, whose projector P comes from _LIFT."""
+    ip, im, i3 = I_PLUS, I_MINUS, I_3
+    eye = np.eye(8)
+    span = np.einsum("sim,sjm->ij", _LIFT, _LIFT)  # the sectors' ranges together
     jp, jm, j3 = ip / SQRT3, im / SQRT3, i3 / 3
     i3sq = i3 @ i3
     restrict = lambda m: span @ m @ span
-    residuals = {
+    holds = {
         "i_plus_squared": ip @ ip,
         "i_minus_squared": im @ im,
         "cartan_commutator": ip @ im - im @ ip - 2 * i3,
-        "ladder_plus_unit": i3 @ ip - ip @ i3 - ip,
-        "ladder_minus_unit": i3 @ im - im @ i3 + im,
         "ladder_plus_triple": i3 @ ip - ip @ i3 - 3 * ip,
         "ladder_minus_triple": i3 @ im - im @ i3 + 3 * im,
-        "decomposition": h - (ops.b_plus * ip + ops.b_minus * im + ops.b_3 * i3),
-        "i3_squared_quarter_global": i3sq - eye / 4,
-        "i3_squared_quarter_span": restrict(i3sq - eye / 4),
         "i3_squared_nine_quarters_span": restrict(i3sq - 9 * eye / 4),
         "i3_squared_projector_identity": i3sq - 9 / 4 * span,
         "rescaled_cartan": jp @ jm - jm @ jp - 2 * j3,
@@ -272,7 +262,14 @@ def su2_relation_residuals(d: DriveParams) -> dict:
         "rescaled_ladder_minus": j3 @ jm - jm @ j3 + jm,
         "rescaled_j3_squared_quarter_span": restrict(j3 @ j3 - eye / 4),
     }
-    return dict(zip(residuals, linalg.frobenius_norms(list(residuals.values())).tolist()))
+    misreadings = {
+        "ladder_plus_unit": i3 @ ip - ip @ i3 - ip,
+        "ladder_minus_unit": i3 @ im - im @ i3 + im,
+        "i3_squared_quarter_global": i3sq - eye / 4,
+        "i3_squared_quarter_span": restrict(i3sq - eye / 4),
+    }
+    norms = iter(linalg.frobenius_norms([*holds.values(), *misreadings.values()]).tolist())
+    return {"residuals": dict(zip(holds, norms)), "misreadings": dict(zip(misreadings, norms))}
 
 
 def fixture_energy(i: int, d: DriveParams) -> float:

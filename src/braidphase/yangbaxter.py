@@ -122,23 +122,19 @@ def r_matrix(system: str, p: RParams) -> np.ndarray:
     return _unitary(_generator(system, p.phi), p.theta)
 
 
-def unitarity_residuals(gen: np.ndarray, thetas) -> np.ndarray:
-    """||R^dag R - I|| of R = sin(theta) I + cos(theta) gen for each theta, on
-    a generator the caller holds, or a (P, n, n) stack of them, giving (P, T);
-    one stacked product per block of the flattened generator x angle pairs,
-    each value bitwise the one the single-matrix route gives.
-    """
-    thetas = np.array(thetas, dtype=float).reshape(-1)
-    if not np.isfinite(thetas).all():
-        raise ValueError("thetas must be finite")
-    stack = gen.reshape((-1,) + gen.shape[-2:])
-    out = np.empty(len(stack) * len(thetas))
-    for lo in range(0, len(out), _BLOCK):
-        g, t = np.divmod(np.arange(lo, min(lo + _BLOCK, len(out))), len(thetas))
-        r = _unitary(stack[g], thetas[t])
-        r_dag = r.conj().transpose(0, 2, 1).copy()
-        out[lo:lo + _BLOCK] = linalg.frobenius_norms(r_dag @ r - np.eye(r.shape[1]))
-    return out.reshape(gen.shape[:-2] + thetas.shape)
+def unitarity_residuals(gen: np.ndarray, thetas) -> tuple:
+    """(paired, bound) of a (P, n, n) generator stack G and P angles:
+    paired[k] = ||R^dag R - I|| of R = sin(thetas[k]) I + cos(thetas[k]) G[k],
+    bitwise the single-matrix route's, and bound[k] = ||G^dag G - I|| +
+    ||G + G^dag||/2 at G[k], which no theta exceeds, as R^dag R - I =
+    cos^2(theta) (G^dag G - I) + sin(theta) cos(theta) (G + G^dag)."""
+    thetas = np.array(thetas, dtype=float)
+    if gen.ndim != 3 or thetas.shape != gen.shape[:1] or not np.isfinite(thetas).all():
+        raise ValueError(f"thetas must be finite and pair with the {gen.shape} generators")
+    r = _unitary(gen, thetas)
+    r_dag, gen_dag = (m.conj().transpose(0, 2, 1).copy() for m in (r, gen))
+    eye, norm = np.eye(gen.shape[-1]), linalg.frobenius_norms
+    return norm(r_dag @ r - eye), norm(gen_dag @ gen - eye) + norm(gen + gen_dag) / 2
 
 
 def _require_nonsingular(*xs: complex) -> None:

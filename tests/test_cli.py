@@ -128,16 +128,48 @@ class TestVerifyAlgebra:
         assert peak(256) <= 1.5 * peak(64)
 
     def test_unitarity_max_matches_per_angle_loop(self, capsys):
+        # the all-pairs loop is the oracle: its (theta_k, phi_k) pairs give the
+        # reported maximum bitwise, and no pair exceeds the all-theta bound
         _, out, _ = run(capsys, "verify-algebra", "--phi-samples", "6", "--seed", "2")
         results = json.loads(out)["results"]
+        phis, thetas = results["phi_values"], results["theta_values"]
         for system, dim in (("two_qubit", 4), ("three_qubit", 8)):
-            worst = 0.0
-            for theta in results["theta_values"]:
-                for phi in results["phi_values"]:
+            residual = {}
+            for j, theta in enumerate(thetas):
+                for k, phi in enumerate(phis):
                     r = yangbaxter.r_matrix(system, yangbaxter.RParams(theta, phi))
-                    worst = max(worst, linalg.frobenius_norms(
-                        [r.conj().T @ r - np.eye(dim, dtype=complex)])[0])
-            assert results["unitarity_max"][system] == worst
+                    residual[j, k] = linalg.frobenius_norms(
+                        [r.conj().T @ r - np.eye(dim, dtype=complex)])[0]
+            paired = max(residual[k, k] for k in range(len(phis)))
+            assert results["unitarity_max"][system] == paired
+            bound = results["unitarity_all_theta_max"][system]
+            assert max(residual.values()) <= bound + 1e-14
+
+    def test_non_unitary_similar_generator_fails_both_unitarity_gates(self, capsys, monkeypatch):
+        # M -> S M S^-1 with a non-unitary S keeps M^2 = -I (S and S^-1 are
+        # exact) and breaks M^dag = -M: the paired samples and the all-theta
+        # bound both fail, the three-qubit system (built apart) does not
+        s = np.eye(4)
+        s[0, 1] = 0.5
+        s_inv = np.eye(4)
+        s_inv[0, 1] = -0.5
+        build_m4 = braid.build_m4
+        monkeypatch.setattr(braid, "build_m4", lambda phi: s @ build_m4(phi) @ s_inv)
+        code, out, _ = run(capsys, "verify-algebra", "--phi-samples", "17", "--seed", "0")
+        passes = json.loads(out)["passes"]
+        assert code == 1 and passes["m4_square"]
+        assert not passes["unitarity_two_qubit"] and not passes["unitarity_all_theta_two_qubit"]
+        assert passes["unitarity_three_qubit"] and passes["unitarity_all_theta_three_qubit"]
+
+    def test_ladder_block(self, capsys):
+        # the brackets that hold are gated; the unit misreadings are reported only
+        code, out, _ = run(capsys, "verify-algebra", "--phi-samples", "3")
+        payload = json.loads(out)
+        ladder = payload["results"]["ladder"]
+        assert code == 0 and ladder == dynamics.ladder_residuals()
+        assert all(payload["passes"][name] for name in ladder["residuals"])
+        assert ladder["misreadings"]["ladder_plus_unit"] == pytest.approx(2 * np.sqrt(6))
+        assert not set(ladder["misreadings"]) & set(payload["passes"])
 
 
 class TestYbe:
@@ -360,6 +392,14 @@ class TestSpectrum:
         assert code == 1
         passes = json.loads(out)["passes"]
         assert not passes["closed_form_match"] and not passes["fixture_eigen_equation_max"]
+
+
+    def test_calls_no_bracket_code(self, capsys, monkeypatch):
+        # the ladder brackets are constants, checked by verify-algebra
+        monkeypatch.setattr(dynamics, "ladder_residuals",
+                            lambda: pytest.fail("spectrum checked the brackets"))
+        code, out, _ = run(capsys, "spectrum", "--theta", "1.0472", "--phi", "0.3")
+        assert code == 0 and "bracket_residuals" not in json.loads(out)["results"]
 
 
 class TestGoldenCommands:

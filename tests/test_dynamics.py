@@ -197,36 +197,40 @@ class TestSu2Ops:
         assert ops.b_3 == pytest.approx(2 / 3 * 2.0 * 1.7 * np.cos(0.9) ** 2)
 
     def test_cartan_commutator(self):
-        res = dynamics.su2_relation_residuals(DriveParams(theta=0.9, phi=1.1))
+        res = dynamics.ladder_residuals()["residuals"]
         assert res["cartan_commutator"] <= 1e-12
 
     def test_decomposition_reproduces_hamiltonian(self):
-        res = dynamics.su2_relation_residuals(DriveParams(theta=1.3, phi=0.2, phi_dot=0.7))
-        assert res["decomposition"] <= 1e-10
+        d = DriveParams(theta=1.3, phi=0.2, phi_dot=0.7)
+        ops = dynamics.su2_ops(d)
+        split = ops.b_plus * ops.i_plus + ops.b_minus * ops.i_minus + ops.b_3 * ops.i_3
+        assert linalg.frobenius_norms([dynamics.hamiltonian(d) - split])[0] <= 1e-10
 
     def test_ladder_normalization_finding(self):
         # the unit-normalized bracket fails; the triple-normalized one holds
-        res = dynamics.su2_relation_residuals(DriveParams(theta=0.9, phi=1.1))
-        assert res["ladder_plus_unit"] == pytest.approx(2 * np.sqrt(6), abs=1e-12)
-        assert res["ladder_minus_unit"] == pytest.approx(2 * np.sqrt(6), abs=1e-12)
+        ladder = dynamics.ladder_residuals()
+        res, misread = ladder["residuals"], ladder["misreadings"]
+        assert misread["ladder_plus_unit"] == pytest.approx(2 * np.sqrt(6), abs=1e-12)
+        assert misread["ladder_minus_unit"] == pytest.approx(2 * np.sqrt(6), abs=1e-12)
         assert res["ladder_plus_triple"] <= 1e-12
         assert res["ladder_minus_triple"] <= 1e-12
 
     def test_rescaled_family_closes_su2(self):
-        res = dynamics.su2_relation_residuals(DriveParams(theta=0.9, phi=1.1))
+        res = dynamics.ladder_residuals()["residuals"]
         assert res["rescaled_cartan"] <= 1e-12
         assert res["rescaled_ladder_plus"] <= 1e-12
         assert res["rescaled_ladder_minus"] <= 1e-12
         assert res["rescaled_j3_squared_quarter_span"] <= 1e-12
 
     def test_i3_squared_findings(self):
-        res = dynamics.su2_relation_residuals(DriveParams(theta=0.9, phi=1.1))
+        ladder = dynamics.ladder_residuals()
+        res, misread = ladder["residuals"], ladder["misreadings"]
         # exact global identity: I3^2 = (9/4) projector onto the doublet span
         assert res["i3_squared_projector_identity"] <= 1e-12
         assert res["i3_squared_nine_quarters_span"] <= 1e-12
-        assert res["i3_squared_quarter_global"] == pytest.approx(
+        assert misread["i3_squared_quarter_global"] == pytest.approx(
             np.sqrt(4 * 2 ** 2 + 4 * 0.25 ** 2), abs=1e-12)
-        assert res["i3_squared_quarter_span"] == pytest.approx(4.0, abs=1e-12)
+        assert misread["i3_squared_quarter_span"] == pytest.approx(4.0, abs=1e-12)
 
 
 # operator: (its image on each sector's doublet range, its normalization):

@@ -15,9 +15,11 @@ MOVED_TO_ORACLES = {
     "entanglement": ("concurrence", "three_tangle", "one_vs_rest_sq"),
     "linalg": ("as_density_stack",),
 }
-# the CLI composes each level's report from the routes themselves, and
-# basis_state checks its own label
-REMOVED = {"berry": ("BerryReport", "report"), "states": ("basis_index",)}
+# the CLI composes each level's report from the routes themselves,
+# basis_state checks its own label, and ladder_residuals, which takes no
+# drive, checks the brackets
+REMOVED = {"berry": ("BerryReport", "report"), "states": ("basis_index",),
+           "dynamics": ("su2_relation_residuals",)}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidphase import braid, cli, linalg, yangbaxter
+from braidphase import braid, cli, dynamics, linalg, yangbaxter
 from braidphase.yangbaxter import (
     RParams,
     SingularParameterError,
@@ -398,62 +398,91 @@ class TestUnitarityResiduals:
     @pytest.mark.parametrize("system", yangbaxter.SYSTEMS)
     @pytest.mark.parametrize("count", [1, 64, 65, 130])
     def test_stack_matches_per_angle_loop(self, system, count):
+        # phi_k paired with theta_k, against the whole R of each pair alone
         rng = np.random.default_rng(count)
-        thetas = rng.uniform(0.0, 2 * np.pi, count)
+        phis, thetas = rng.uniform(0.0, 2 * np.pi, (2, count))
         eye = np.eye(4 if system == "two_qubit" else 8, dtype=complex)
-        for phi in rng.uniform(0.0, 2 * np.pi, 3):
-            loop = []
-            for theta in thetas:
-                r = r_matrix(system, RParams(theta, phi))
-                loop.append(linalg.frobenius_norms([r.conj().T @ r - eye])[0])
-            stacked = yangbaxter.unitarity_residuals(yangbaxter._generator(system, phi), thetas)
-            assert stacked.tolist() == loop
-            assert max(stacked) == max(loop) <= 1e-12
+        loop = []
+        for theta, phi in zip(thetas, phis):
+            r = r_matrix(system, RParams(theta, phi))
+            loop.append(linalg.frobenius_norms([r.conj().T @ r - eye])[0])
+        paired, bound = yangbaxter.unitarity_residuals(yangbaxter._generator(system, phis), thetas)
+        assert paired.tolist() == loop
+        assert max(paired) == max(loop) <= 1e-12
+        assert max(bound) <= 1e-12
 
     @pytest.mark.parametrize("system", yangbaxter.SYSTEMS)
     @pytest.mark.parametrize("count, angles", [(5, 13), (3, 30), (70, 1)])
     def test_generator_stack_bitwise_equal_to_solo(self, system, count, angles):
-        # count x angles crosses a block boundary of 64 pairs
+        # count phi, each paired with angles thetas: more than 64 pairs, each
+        # pair's residuals bitwise those of the pair as a stack of one
         rng = np.random.default_rng(count)
-        phis = rng.uniform(0.0, 2 * np.pi, count)
-        thetas = rng.uniform(0.0, 2 * np.pi, angles)
+        phis = np.repeat(rng.uniform(0.0, 2 * np.pi, count), angles)
+        thetas = rng.uniform(0.0, 2 * np.pi, count * angles)
         stacked = yangbaxter.unitarity_residuals(yangbaxter._generator(system, phis), thetas)
-        assert stacked.shape == (count, angles)
-        for row, phi in zip(stacked, phis.tolist()):
-            solo = yangbaxter.unitarity_residuals(yangbaxter._generator(system, phi), thetas)
-            assert row.tolist() == solo.tolist()
+        assert [r.shape for r in stacked] == [(count * angles,)] * 2
+        for k, (phi, theta) in enumerate(zip(phis, thetas)):
+            solo = yangbaxter.unitarity_residuals(
+                yangbaxter._generator(system, np.array([phi])), [theta])
+            assert [r[k] for r in stacked] == [r[0] for r in solo]
 
     @pytest.mark.parametrize("system, builder", [
         ("two_qubit", "build_m4"), ("three_qubit", "build_braidset")])
     def test_generator_built_once(self, monkeypatch, capsys, system, builder):
-        # verify-algebra builds each phi once, and its unitarity check runs on
-        # each block of 64 phi as one stack of those builds
-        built, checked = [], []
+        # verify-algebra builds each phi once; its unitarity check runs on each
+        # block of 64 phi as one stack of those builds, paired with the block's
+        # theta, so R is formed once per sample; the ladder check runs once
+        built, checked, rows, ladders = [], [], [], []
         original, unitarity = getattr(braid, builder), yangbaxter.unitarity_residuals
+        unitary, ladder = yangbaxter._unitary, dynamics.ladder_residuals
 
         def counting(phi):
             built.append(original(phi))
             return built[-1]
 
         def recording(gen, thetas):
-            checked.append(gen)
+            checked.append((gen, thetas))
             return unitarity(gen, thetas)
 
         monkeypatch.setattr(braid, builder, counting)
         monkeypatch.setattr(yangbaxter, "unitarity_residuals", recording)
+        monkeypatch.setattr(yangbaxter, "_unitary",
+                            lambda gen, theta: rows.append(len(gen)) or unitary(gen, theta))
+        monkeypatch.setattr(dynamics, "ladder_residuals", lambda: ladders.append(1) or ladder())
         assert cli.main(["verify-algebra", "--phi-samples", "70", "--seed", "5"]) == 0
-        capsys.readouterr()
+        report = json.loads(capsys.readouterr().out)
         # two blocks, 64 and 6 angles; per block: two_qubit, three_qubit
         gens = [b if builder == "build_m4" else b.mcal for b in built]
-        stacks = checked[yangbaxter.SYSTEMS.index(system)::2]
+        stacks = [gen for gen, _ in checked[yangbaxter.SYSTEMS.index(system)::2]]
         assert len(gens) == 70 and len(checked) == 4 and [len(s) for s in stacks] == [64, 6]
         assert np.concatenate(stacks).tobytes() == np.array(gens).tobytes()
+        assert rows == [64, 64, 6, 6] and ladders == [1]
+        for gen, thetas in checked:
+            assert len(thetas) == len(gen)
+        assert [t for _, thetas in checked[::2] for t in thetas] == report["results"]["theta_values"]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            yangbaxter.unitarity_residuals(braid.build_m4(0.0), [0.1, np.inf])
+            yangbaxter.unitarity_residuals(braid.build_m4(np.zeros(2)), [0.1, np.inf])
         with pytest.raises(ValueError):
-            yangbaxter.unitarity_residuals(braid.build_m4(0.0), [np.nan])
+            yangbaxter.unitarity_residuals(braid.build_m4(np.zeros(1)), [np.nan])
+
+    @pytest.mark.parametrize("gen, thetas", [
+        (braid.build_m4(np.zeros(2)), [0.1]), (braid.build_m4(np.zeros(2)), [[0.1, 0.2]]),
+        (braid.build_m4(0.0), 0.1), (braid.build_m4(0.0), [0.1])])
+    def test_unpaired_shapes_rejected(self, gen, thetas):
+        with pytest.raises(ValueError, match="pair with"):
+            yangbaxter.unitarity_residuals(gen, thetas)
+
+    def test_bound_covers_every_theta_of_a_non_unitary_generator(self):
+        # a generator that is neither unitary nor anti-Hermitian: both parts of
+        # the bound are nonzero, and no theta of a fine grid exceeds it
+        rng = np.random.default_rng(3)
+        gen = rng.normal(size=(1, 4, 4)) + 1j * rng.normal(size=(1, 4, 4))
+        thetas = np.linspace(0.0, 2 * np.pi, 2001)
+        paired, _ = yangbaxter.unitarity_residuals(np.repeat(gen, len(thetas), 0), thetas)
+        _, bound = yangbaxter.unitarity_residuals(gen, [0.0])
+        assert 0.5 * bound[0] < max(paired) <= bound[0]
 
 
 class TestStackedCoefficients:
