@@ -4,7 +4,9 @@ Two parameterizations of the same construction live here:
 
 * the unitary family  R(theta, phi) = sin(theta) I + cos(theta) mcal(phi),
   used for state generation and dynamics (r_matrix), and reached from a
-  spectral parameter x on the unit circle at theta = pi/2 - arg(x);
+  spectral parameter x on the unit circle at theta = pi/2 - arg(x); its
+  unitarity at every theta follows from two residuals per phi
+  (unitarity_residuals);
 * the Baxterized rational family
   R(x) = ((x + 1/x)/2) I + ((x - 1/x)/2) mcal(phi), which satisfies the
   multiplicative Yang-Baxter equation R12(x) R23(xy) R12(y) =
