@@ -5,18 +5,19 @@ Every command emits a RunReport (JSON, deterministic byte-for-byte for fixed
 flags and seed); sweep writes the CSV contract to --out and the summary
 report to stdout. Exit codes: 0 success, 1 a gated check failed, 2 usage
 error (one line on stderr), 3 numerical failure. A report holding NaN or
-Infinity is not JSON, and is refused as a usage error, as is a count whose
+Infinity is not JSON, and is refused as a usage error, as is a run whose
 arrays cannot be allocated.
 
-Angles are radians unless --degrees is given, and must be finite. Sample
-counts (--samples, --phi-samples) are integers from 1 to 10^5, and sweep's
---steps from 2 to 10^5; --seed is an integer >= 0, and random.Random(seed)
-draws every sample. --tol is a finite number >= 0 and defaults per command
-to the tolerance its checks are specified at, which --help of each
-subcommand shows: 1e-10 for verify-algebra, ybe and spectrum (energies
-gated at tol * hbar * |phidot|), 1e-9 for entangle and sweep; berry's
-depends on --method (1e-5 analytic, 1e-4 wilson), as does its --steps
-(10000 analytic, 800 wilson), >= 100 at every level.
+Angles are radians unless --degrees is given, and must be finite; a negative
+number may have an exponent (--theta -1e-3). Sample counts (--samples,
+--phi-samples) are integers from 1 to 10^5, sweep's --steps from 2 to 10^5
+and berry's from 100 to 10^5; --seed is an integer >= 0, and
+random.Random(seed) draws every sample. --tol is a finite number >= 0 and
+defaults per command to the tolerance its checks are specified at, which
+--help of each subcommand shows: 1e-10 for verify-algebra, ybe and spectrum
+(energies gated at tol * hbar * |phidot|), 1e-9 for entangle and sweep;
+berry's depends on --method (1e-5 analytic, 1e-4 wilson), as does its
+--steps (10000 analytic, 800 wilson).
 
 main calls the handler cmd_<command> (dashes as underscores), looked up when
 it runs, with the command's own arguments; a report passes when it has a gate
@@ -32,6 +33,7 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 from collections import namedtuple
 
@@ -91,13 +93,14 @@ def _worst(measured, closed, axis=None):
     return np.max(np.abs(np.subtract(measured, closed)), axis=axis)
 
 
-# the largest sample count and sweep --steps, refused by the parser and by
-# each handler: samples are drawn into Python lists (10^5 floats hold about
-# 3 MB each), and the sweep holds its whole grid and CSV text, before anything
-# could refuse a larger count. Time is linear in every count. _RANGE words
-# each range, keyed by its lower bound, for messages and help alike.
+# the largest sample count and sweep or berry --steps, refused by the parser
+# and by each handler: samples are drawn into Python lists (10^5 floats hold
+# about 3 MB each), the sweep holds its whole grid and CSV text, and a Berry
+# loop 216 (analytic) to 680 (wilson) B per step, before anything could refuse
+# a larger count. Time is linear in every count. _RANGE words each range,
+# keyed by its lower bound, for messages and help alike.
 _MAX_SAMPLES = 10 ** 5
-_RANGE = {low: f"an integer >= {low} and <= {_MAX_SAMPLES}" for low in (1, 2)}
+_RANGE = {low: f"an integer >= {low} and <= {_MAX_SAMPLES}" for low in (1, 2, 100)}
 
 
 def _check_counts(low: int = 1, **counts) -> None:
@@ -172,8 +175,13 @@ def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
     xs, ys = _sample_spectral_pairs(rng, samples)
     phis = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
 
-    residuals = yangbaxter.ybe_residual(xs, ys, phis)
-    maxima = {f"{system}_{family}_max": float(np.max(residuals[f"{system}_{family}"]))
+    # each residual's NaN-keeping maximum over blocks of 64 phi, none held past
+    # its own, which bounds the working set; no residual depends on it
+    worst: dict = {}
+    for lo in range(0, phi_samples, yangbaxter._BLOCK):
+        worst = {key: np.maximum(worst.get(key, 0.0), np.max(res)) for key, res in
+                 yangbaxter.ybe_residual(xs, ys, phis[lo:lo + yangbaxter._BLOCK]).items()}
+    maxima = {f"{system}_{family}_max": float(worst[f"{system}_{family}"])
               for family in yangbaxter.FAMILIES for system in yangbaxter.SYSTEMS}
     return _report(
         "ybe", {"tol": tol, "samples": samples, "phi_samples": phi_samples, "seed": seed},
@@ -269,8 +277,7 @@ def cmd_berry(theta: float, steps: int | None, method: str, level: str,
     default_steps, default_tol = _BERRY_DEFAULTS[method]
     steps = default_steps if steps is None else steps
     tol = default_tol if tol is None else tol
-    if steps < 100:  # every level and method, the flat zero level included
-        raise ValueError(f"steps must be >= 100, got {steps}")
+    _check_counts(100, steps=steps)  # every level and method, the flat zero level too
     if method == "wilson":
         if level == "zero":
             raise ValueError("the wilson method applies to the split doublets only")
@@ -303,7 +310,13 @@ def cmd_berry(theta: float, steps: int | None, method: str, level: str,
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one line on stderr, exit code 2."""
+    """Reports a usage error as one line on stderr, exit code 2, and takes a
+    negative number with an exponent (-1e-3) for a value, as argparse does
+    one without; no option of any command looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -330,6 +343,7 @@ _angle = _number(float, "angle must be a finite number", -sys.float_info.max)
 _tol = _number(float, "tolerance must be a finite number >= 0", 0.0)  # every --tol
 _count = _number(int, f"count must be {_RANGE[1]}", 1, _MAX_SAMPLES)  # every sample count
 _steps = _number(int, f"steps must be {_RANGE[2]}", 2, _MAX_SAMPLES)  # sweep --steps
+_loop_steps = _number(int, f"steps must be {_RANGE[100]}", 100, _MAX_SAMPLES)  # berry --steps
 # random.Random seeds from |seed|, so a negative seed would repeat a positive one
 _seed = _number(int, "seed must be an integer >= 0", 0)
 
@@ -390,8 +404,8 @@ def _spectrum(p):
 
 def _berry(p):
     p.add_argument("--theta", type=_angle, required=True)
-    p.add_argument("--steps", type=int, default=None,
-                   help="loop points (default: 10000 analytic, 800 wilson)")
+    p.add_argument("--steps", type=_loop_steps, default=None,
+                   help=f"loop points, {_RANGE[100]} (default: 10000 analytic, 800 wilson)")
     p.add_argument("--method", choices=_BERRY_DEFAULTS, default="analytic")
     p.add_argument("--level", choices=_LEVELS, default="all")
     _add_common(p, None, sampled=False, tol_help="1e-5 analytic, 1e-4 wilson")

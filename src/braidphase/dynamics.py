@@ -35,8 +35,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import linalg
-from .braid import _PARITY_BLOCKS, IDENTITY_2, SPIN
+from . import braid, linalg
 
 __all__ = [
     "DriveParams",
@@ -64,14 +63,14 @@ LEVELS = {"zero": (0, (1, 2, 3, 4)), "minus": (-1, (5, 7)), "plus": (1, (6, 8))}
 
 
 def _lift(op, site: int) -> np.ndarray:
-    ops = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
+    ops = [braid.IDENTITY_2] * 3
     ops[site] = op
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
 
 
-S1P, S2P, S3P = (_lift(SPIN.s_plus, k) for k in range(3))
-S1M, S2M, S3M = (_lift(SPIN.s_minus, k) for k in range(3))
-S1_3, S2_3, S3_3 = (_lift(SPIN.s3, k) for k in range(3))
+S1P, S2P, S3P = (_lift(braid.SPIN.s_plus, k) for k in range(3))
+S1M, S2M, S3M = (_lift(braid.SPIN.s_minus, k) for k in range(3))
+S1_3, S2_3, S3_3 = (_lift(braid.SPIN.s3, k) for k in range(3))
 
 # the phi-independent ladder operators, x3-normalized ([I3, I+-] = +-3 I+-)
 I_PLUS = S1P @ S2P + S2P @ S3P + 2 * S2_3 @ S1P @ S3P
@@ -85,15 +84,17 @@ for _m in (I_PLUS, I_MINUS, I_3):
 # |000>, (|011> + |101> + |110>)/sqrt(3); odd (|001> - |010> + |100>)/sqrt(3), |111>,
 # held in _LIFT (sector, index, member). For each (copy, source, sign) in _SAME, column
 # and row copy of H are sign times column and row source, exactly, so H (e_copy - sign
-# e_source) = 0, and a sector's 2x2 block is H on its _SOURCES times _WEIGHTS.
+# e_source) = 0, and a sector's 2x2 block is H on its _SOURCES times _WEIGHTS,
+# sqrt(m_i m_j) of their _MULTIPLICITY m: each source and its copies, counted once.
 _SAME = ((5, 3, 1.0), (6, 3, 1.0), (2, 1, -1.0), (4, 1, 1.0))
 _SOURCES = np.array([[0, 3], [1, 7]])
-_WEIGHTS = np.sqrt([[[1.0, 3.0], [3.0, 9.0]], [[9.0, 3.0], [3.0, 1.0]]])
 _BLOCK_ENTRIES = (8 * _SOURCES[:, :, None] + _SOURCES[:, None, :]).ravel()
 _LIFT = np.eye(8)[:, _SOURCES]
 for _copy, _source, _sign in _SAME:
     _LIFT[_copy] = _sign * _LIFT[_source]
-_LIFT = (_LIFT / np.sqrt(np.count_nonzero(_LIFT, axis=0))).transpose(1, 0, 2)
+_MULTIPLICITY = np.count_nonzero(_LIFT, axis=0)  # [[1, 3], [3, 1]]
+_WEIGHTS = np.sqrt(_MULTIPLICITY[:, :, None] * _MULTIPLICITY[:, None, :])
+_LIFT = (_LIFT / np.sqrt(_MULTIPLICITY)).transpose(1, 0, 2)
 
 
 class DriveParams(namedtuple("DriveParams", "theta phi phi_dot hbar")):
@@ -191,7 +192,7 @@ def _doublet_blocks(theta, phis, phi_dot, hbar) -> np.ndarray:
     _check_drive(theta, phis, phi_dot, hbar)
     ops = np.stack([I_PLUS, I_MINUS, I_3])
     copies, sources, signs = (np.array(v) for v in zip(*_SAME))
-    mixed = np.any(ops[:, _PARITY_BLOCKS[8][1]] != 0, axis=1)
+    mixed = np.any(ops[:, braid._PARITY_BLOCKS[8][1]] != 0, axis=1)
     off = {"column": np.any(ops[:, :, copies] != signs * ops[:, :, sources], axis=1),
            "row": np.any(ops[:, copies] != signs[:, None] * ops[:, sources], axis=2)}
     for k, name in enumerate(("I_PLUS", "I_MINUS", "I_3")):

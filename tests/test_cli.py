@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidphase import braid, cli, dynamics, entanglement, linalg, states, yangbaxter
+from braidphase import berry, braid, cli, dynamics, entanglement, linalg, states, yangbaxter
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
 import golden  # noqa: E402
@@ -175,7 +176,7 @@ class TestVerifyAlgebra:
 class TestYbe:
     def test_one_call_for_every_system_and_family(self, capsys, monkeypatch):
         # one call covers both systems and families, every sampled pair and
-        # the whole phi grid
+        # a whole phi grid of up to 64 angles
         calls = []
         original = yangbaxter.ybe_residual
 
@@ -198,6 +199,47 @@ class TestYbe:
         assert payload["results"]["max_residuals"]["three_qubit_rational_max"] > 0.0
         assert list(payload["passes"]) == list(payload["residual_summary"]) == [
             "two_qubit_rational_max"]
+
+    def test_phi_blocks_give_the_whole_grid_maxima(self, monkeypatch):
+        # 130 phi go in blocks of 64, 64 and 2; each maximum is bitwise the
+        # one over a single call on the whole grid
+        rng = random.Random(4)
+        xs, ys = cli._sample_spectral_pairs(rng, 7)
+        whole = yangbaxter.ybe_residual(xs, ys, cli._uniform(rng, 0.0, 2 * np.pi, 130))
+        calls = []
+        original = yangbaxter.ybe_residual
+        monkeypatch.setattr(yangbaxter, "ybe_residual", lambda xs, ys, phis: calls.append(
+            len(phis)) or original(xs, ys, phis))
+        maxima = cli.cmd_ybe(1e-10, 7, 130, 4).results["max_residuals"]
+        assert calls == [64, 64, 2]
+        assert maxima == {f"{key}_max": float(np.max(res)) for key, res in whole.items()}
+
+    def test_nan_residual_in_a_later_block_fails(self, capsys, monkeypatch):
+        # np.maximum keeps the NaN of the second block, so the report is refused
+        original = yangbaxter.ybe_residual
+
+        def nan_in_second_block(xs, ys, phis):
+            out = original(xs, ys, phis)
+            if len(phis) < 64:
+                out["three_qubit_unitary"][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(yangbaxter, "ybe_residual", nan_in_second_block)
+        code, out, err = run(capsys, "ybe", "--samples", "2", "--phi-samples", "70")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "JSON" in err
+
+    def test_memory_is_flat_in_phi_samples(self):
+        # each block's residual grids are folded into four maxima and dropped
+        def peak(phi_samples):
+            tracemalloc.start()
+            cli.cmd_ybe(1e-10, 100, phi_samples, 0)
+            used = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return used
+
+        peak(64)  # first call outside the measurement
+        assert peak(256) <= 1.5 * peak(64)
 
 
 class TestEntangle:
@@ -467,6 +509,18 @@ class TestBerry:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and ">= 100" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("entangle", "--theta", "-1e-3"),
+        ("spectrum", "--theta", "1", "--phidot", "-2.5e0"),
+        ("berry", "--theta", "-1E-1"),
+    ])
+    def test_negative_number_with_an_exponent_is_a_value(self, capsys, argv):
+        # argparse alone reads these as options ("expected one argument")
+        code, out, err = run(capsys, *argv)
+        joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+        assert code == 0 and err == ""
+        assert run(capsys, *joined) == (code, out, err)
+
     def test_wilson_all_is_one_solve(self, capsys, monkeypatch):
         # both doublets come from one decomposition of the 2 x 2 blocks of H
         # on each parity sector's doublet range
@@ -577,6 +631,22 @@ class TestCounts:
         message = f"^steps must be an integer >= 2 and <= 100000, got {steps}$"
         with pytest.raises(ValueError, match=message):
             cli.cmd_sweep(0.0, 1.0, steps, 0.0, 1e-9)
+
+    @pytest.mark.parametrize("steps", ["100001", "100000000000000000000"])
+    def test_berry_steps_above_the_bound_is_usage_error(self, capsys, steps):
+        code, out, err = run(capsys, "berry", "--theta", "1", "--steps", steps)
+        assert code == 2 and out == ""
+        assert err == (f"braidphase berry: error: argument --steps: steps must be "
+                       f"an integer >= 100 and <= 100000, got {steps!r}\n")
+
+    @pytest.mark.parametrize("method", ["analytic", "wilson"])
+    def test_berry_checks_its_own_steps(self, monkeypatch, method):
+        # the parser's wording, without the parser's check, before any loop
+        for route in ("berry_analytic", "berry_wilson"):
+            monkeypatch.setattr(berry, route, lambda *args: pytest.fail("loop built"))
+        with pytest.raises(ValueError, match="^steps must be an integer >= 100 and <= 100000, "
+                                             "got 100001$"):
+            cli.cmd_berry(1.0, 100001, method, "minus", None)
 
     def test_count_of_one_runs(self):
         assert cli.cmd_verify_algebra(1e-10, 1, 1).passed

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from braidphase import dynamics, entanglement, linalg, yangbaxter
+from braidphase import braid, dynamics, entanglement, linalg, yangbaxter
 from braidphase.dynamics import DriveParams
 from braidphase.yangbaxter import RParams
 from oracles import hamiltonian_from_r, three_tangle
@@ -147,6 +147,16 @@ class TestHamiltonianGrid:
         mutant[entry] += 1e-300
         monkeypatch.setattr(dynamics, name, mutant)
         with pytest.raises(linalg.NumericalError, match="^" + re.escape(message)):
+            dynamics._doublet_blocks(0.9, np.array([0.4]), 1.0, 1.0)
+
+    def test_patched_parity_table_reaches_the_blocks(self, monkeypatch):
+        # braid's table is read at each call: a mask that flags an entry
+        # I_PLUS uses makes I_PLUS parity-mixing
+        blocks, mask = braid._PARITY_BLOCKS[8]
+        mutant = mask.copy()
+        mutant[tuple(np.argwhere(dynamics.I_PLUS != 0)[0])] = True
+        monkeypatch.setattr(braid, "_PARITY_BLOCKS", {**braid._PARITY_BLOCKS, 8: (blocks, mutant)})
+        with pytest.raises(linalg.NumericalError, match="^I_PLUS mixes even and odd parity;"):
             dynamics._doublet_blocks(0.9, np.array([0.4]), 1.0, 1.0)
 
     def test_validation(self):

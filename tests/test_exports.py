@@ -1,6 +1,9 @@
 """The package exports what the CLI runs; reference routes live in tests/oracles.py."""
 
+import ast
 import importlib
+import pathlib
+import types
 
 import pytest
 
@@ -30,6 +33,26 @@ def test_every_exported_name_resolves(name):
 
 def test_package_exports_resolve():
     assert all(hasattr(braidphase, attr) for attr in braidphase.__all__)
+
+
+def test_package_root_holds_modules_only():
+    # each name has one binding, in its own module, and one export list
+    assert sorted(braidphase.__all__) == sorted({*MODULES, "__version__"} - {"cli"})
+    public = {name: value for name, value in vars(braidphase).items()
+              if not name.startswith("_")}
+    assert public and all(isinstance(value, types.ModuleType) for value in public.values())
+
+
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(braidphase.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_imports_between_modules_are_module_imports(path):
+    # "from . import braid", read as braid.name where it is used, so that a
+    # patched module attribute reaches every reader
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [f"from .{node.module} import {alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level and node.module
+             for alias in node.names]
+    assert names == []
 
 
 @pytest.mark.parametrize("name, moved", MOVED_TO_ORACLES.items())
