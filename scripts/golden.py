@@ -2,13 +2,14 @@
 """Print a SHA-256 of every README command's output, for golden diffs.
 
 Runs each README command in-process through ``braidphase.cli.main``, plus
-``verify-algebra --seed 99``, ``ybe --seed 7``, the Wilson loop of the plus
-doublet alone and of both doublets at theta = 2.1, of both doublets at
-theta = 0.3 and at theta = 1.56 (near the crossing, a level gap of 0.011),
-the analytic route of the minus level alone, then of the plus level alone
-at the same step count, and of the zero level alone at theta = 0.9 and of
-the plus level alone over an odd step count at theta = 2.6, and the README
-sweep, an
+``verify-algebra --seed 99``, ``ybe --seed 7``, ``ybe --seed 6`` (whose
+stream draws a pair with xy within 4e-5 of i, where R(xy) is a multiple of
+the generator), the Wilson loop of the plus doublet alone and of both
+doublets at theta = 2.1, of both doublets at theta = 0.3 and at
+theta = 1.56 (near the crossing, a level gap of 0.011), the analytic route
+of the minus level alone, then of the plus level alone at the same step
+count, and of the zero level alone at theta = 0.9 and of the plus level
+alone over an odd step count at theta = 2.6, and the README sweep, an
 ``entangle`` and a ``spectrum`` at phi != 0 (every README command runs at
 phi = 0, where R and H are real and complex rounding cannot show), a
 ``verify-algebra`` over more than one block of 64 angles, a ``ybe`` over
@@ -67,6 +68,7 @@ README_COMMANDS = (
 EXTRA_COMMANDS = (
     "verify-algebra --phi-samples 17 --seed 99",
     "ybe --samples 50 --phi-samples 5 --seed 7",
+    "ybe --samples 50 --phi-samples 5 --seed 6",
     "berry --theta 2.1 --steps 800 --method wilson --level plus",
     "berry --theta 2.1 --steps 800 --method wilson --level all",
     "berry --theta 0.3 --steps 800 --method wilson --level all",
