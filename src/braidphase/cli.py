@@ -156,17 +156,11 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
 
 
 def _sample_spectral_pairs(rng: random.Random, count: int):
-    """``count`` pairs (e^{ia}, e^{ib}) away from the singular x + 1/x = 0,
-    drawn pair by pair: a, then b, uniform on [-pi, pi), and a pair with
-    |cos a|, |cos b| or |cos(a + b)| below 1e-3 is dropped."""
-    a, b = [], []
-    while len(a) < count:
-        ua, ub = _uniform(rng, -math.pi, math.pi, 2)
-        if min(abs(math.cos(ua)), abs(math.cos(ub)), abs(math.cos(ua + ub))) >= 1e-3:
-            a.append(ua)
-            b.append(ub)
-    return ([yangbaxter.SpectralParam(x) for x in np.exp(1j * np.array(a))],
-            [yangbaxter.SpectralParam(y) for y in np.exp(1j * np.array(b))])
+    """``count`` pairs (e^{ia}, e^{ib}), drawn pair by pair: a, then b,
+    uniform on [-pi, pi)."""
+    draws = _uniform(rng, -math.pi, math.pi, 2 * count)
+    return ([yangbaxter.SpectralParam(x) for x in np.exp(1j * np.array(draws[0::2]))],
+            [yangbaxter.SpectralParam(y) for y in np.exp(1j * np.array(draws[1::2]))])
 
 
 def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
@@ -216,6 +210,8 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
     """(report, CSV text) of the entanglement curves at ``steps`` angles."""
     if theta_min > theta_max:
         raise ValueError("theta_min must not exceed theta_max")
+    if not math.isfinite(theta_max - theta_min):  # np.linspace would overflow
+        raise ValueError(f"theta range [{theta_min!r}, {theta_max!r}]: its width overflows")
     _check_counts(2, steps=steps)
     thetas = np.linspace(theta_min, theta_max, steps)
     kets = states.apply_r(yangbaxter.RParams(thetas, phi), states.basis_state("000"))
@@ -255,7 +251,7 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
          "fixture_eigen_equation_max": (max(rep.fixture_residuals), scaled),
          "projector_match_max": (max(rep.projector_residuals), max(tol, 1e-8)),
          "ladder_decomposition": (
-             float(linalg.frobenius_norms([dynamics.hamiltonian(d) - split])[0]), scaled)})
+             float(linalg.frobenius_norms([rep.hamiltonian - split])[0]), scaled)})
 
 
 # method: (its default --steps, its default --tol)

@@ -139,7 +139,8 @@ class Su2Ops(namedtuple("Su2Ops", "i_plus i_minus i_3 b_plus b_minus b_3")):
 
 
 class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_pattern "
-                                "closed_form_match fixture_residuals projector_residuals")):
+                                "closed_form_match fixture_residuals projector_residuals "
+                                "hamiltonian")):
     """H's eigenvalues, ascending, plus closed-form and fixture comparisons.
 
     eigenvalues -- np.ndarray
@@ -150,6 +151,7 @@ class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_patter
     fixture_residuals -- tuple of ||H v - E v||, one per fixture v of energy E
     projector_residuals -- tuple comparing, per cluster, the numerical
         eigenprojector with the one spanned by the fixtures assigned to that cluster
+    hamiltonian -- the 8x8 H that the fixture residuals were taken on
     """
 
     __slots__ = ()
@@ -375,4 +377,5 @@ def spectrum(d: DriveParams) -> SpectrumReport:
         closed_form_match=closed_match,
         fixture_residuals=fixture_residuals,
         projector_residuals=tuple(linalg.frobenius_norms(projector_diffs).tolist()),
+        hamiltonian=h,
     )

@@ -12,6 +12,9 @@ Two parameterizations of the same construction live here:
   multiplicative Yang-Baxter equation R12(x) R23(xy) R12(y) =
   R23(y) R12(xy) R23(x) as an identity in x, y on two qubits.
 
+Both are defined on the whole unit circle: at x = +-i the rational family
+is +-i mcal(phi), and the unitary one, at theta = 0 or pi, is +-mcal(phi).
+
 Through the unit-circle map the unitary family violates that equation at
 generic spectral parameters; the map fails, not the family, which satisfies
 it under the velocity-addition rule of the README finding "8x8 Yang-Baxter
@@ -36,7 +39,6 @@ __all__ = [
     "THREE_QUBIT",
     "SYSTEMS",
     "FAMILIES",
-    "SingularParameterError",
     "RParams",
     "SpectralParam",
     "r_matrix",
@@ -52,10 +54,6 @@ FAMILIES = ("rational", "unitary")
 # Stacks of angles, or of (spectral pair, family) rows, are worked through
 # this many at a time, which bounds the working set; no result depends on it.
 _BLOCK = 64
-
-
-class SingularParameterError(ValueError):
-    """Spectral parameter with x + 1/x = 0, where the theta map degenerates."""
 
 
 class RParams(namedtuple("RParams", "theta phi")):
@@ -139,12 +137,6 @@ def unitarity_residuals(gen: np.ndarray, thetas) -> tuple:
     return norm(r_dag @ r - eye), norm(gen_dag @ gen - eye) + norm(gen + gen_dag) / 2
 
 
-def _require_nonsingular(*xs: complex) -> None:
-    for x in xs:
-        if abs(x + 1.0 / x) < 1e-12:
-            raise SingularParameterError(f"x = {x} has x + 1/x = 0; build from angles instead")
-
-
 def _word_coefficients(a, b):
     """(c_A, c_AA, c_ABA) from the (a, b) of R(x), R(xy), R(y), three values each."""
     (a0, a1, a2), (b0, b1, b2) = a, b
@@ -152,40 +144,25 @@ def _word_coefficients(a, b):
     return a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2, b0 * a1 * b2, b0 * b1 * b2
 
 
-def _coefficients(family: str, points: np.ndarray) -> np.ndarray:
-    """The (N, 3) rows (c_A, c_AA, c_ABA) of ybe_residual, one per row
-    (x, xy, y) of the (N, 3) complex ``points``, from (a, b) with
-    R(x) = a I + b generator at each point: ((x + 1/x)/2, (x - 1/x)/2) in
-    Python complex arithmetic for the rational family (numpy's complex
-    multiply rounds some rows otherwise), and (sin(theta), cos(theta)) at
-    theta = pi/2 - arg(x), arg in (-pi, pi], over the whole stack for the
-    unitary one (x = 1 maps to the identity). Each row is bitwise the one
-    that Python scalars at its points alone give."""
-    if family == "rational":
-        rows = np.empty((len(points), 3), dtype=complex)
-        for k in range(len(points)):
-            xs = points[k].tolist()
-            rows[k] = _word_coefficients([(x + 1 / x) / 2 for x in xs],
-                                         [(x - 1 / x) / 2 for x in xs])
-        return rows
-    if family == "unitary":
-        t = np.pi / 2 - np.angle(points)
-        return np.stack(_word_coefficients(np.sin(t).T, np.cos(t).T), axis=-1)
-    raise ValueError(f"unknown family {family!r}; expected 'rational' or 'unitary'")
-
-
 def _pair_coefficients(xs, ys) -> np.ndarray:
-    """One (1, 3) row (c_A, c_AA, c_ABA) per spectral pair and family, the
-    families one after the other, after checking each pair."""
-    points = np.empty((len(xs), 3), dtype=complex)
+    """The (2N, 1, 3) rows (c_A, c_AA, c_ABA) of N spectral pairs, rational
+    then unitary as in FAMILIES, from the (a, b) of R = a I + b generator at
+    each point (x, xy, y) of a checked pair: ((x + 1/x)/2, (x - 1/x)/2) in
+    Python complex arithmetic (numpy's complex multiply rounds some rows
+    otherwise), and (sin(theta), cos(theta)) at theta = pi/2 - arg(x), arg in
+    (-pi, pi], over the whole stack (x = 1 maps to the identity). Each row is
+    bitwise the one that Python scalars at its points alone give."""
+    points, rational = np.empty((2, len(xs), 3), dtype=complex)
     for k, (px, py) in enumerate(zip(xs, ys)):
         if not (isinstance(px, SpectralParam) and isinstance(py, SpectralParam)):
             raise TypeError("x and y must be SpectralParam values")
         # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
         points[k] = point = (px.x, px.x * py.x, py.x)
-        _require_nonsingular(*point)
-    return np.concatenate([_coefficients(family, points) for family in FAMILIES],
-                          dtype=complex).reshape(-1, 1, 3)
+        rational[k] = _word_coefficients([(x + 1 / x) / 2 for x in point],
+                                         [(x - 1 / x) / 2 for x in point])
+    t = np.pi / 2 - np.angle(points)
+    unitary = np.stack(_word_coefficients(np.sin(t).T, np.cos(t).T), axis=-1)
+    return np.concatenate([rational, unitary]).reshape(-1, 1, 3)
 
 
 def ybe_residual(x, y, phi) -> dict:
@@ -216,7 +193,8 @@ def ybe_residual(x, y, phi) -> dict:
     (c_A, c_AA, c_ABA) by the three flattened word differences, and its norm
     is taken on the parity blocks only.
 
-    Each pair is validated and its coefficients formed once per family, the
+    Each pair is validated (every pair on the unit circle is valid, x, y or
+    xy = +-i included) and its coefficients in both families formed once, the
     generator of each (system, phi) and its three word differences once per
     call; memory beyond the result grows with the pairs and the grid, not
     with their product.

@@ -4,7 +4,7 @@ import numpy as np
 
 from braidphase import braid, dynamics, entanglement, linalg, states, yangbaxter
 from braidphase.dynamics import DriveParams
-from braidphase.yangbaxter import RParams, SingularParameterError, SpectralParam
+from braidphase.yangbaxter import RParams, SpectralParam
 
 # Admission tolerance of the density-matrix check, and the depth below zero at
 # which an eigenvalue of rho is a negative one rather than rounding noise.
@@ -153,10 +153,7 @@ def theta_from_spectral(x: SpectralParam) -> float:
 
 def r_from_spectral(system: str, x: SpectralParam, phi: float) -> np.ndarray:
     """Unitary braid matrix at theta = pi/2 - arg(x), built by r_matrix."""
-    theta = theta_from_spectral(x)
-    if abs(x.x + 1 / x.x) < 1e-12:
-        raise SingularParameterError(f"x = {x.x} has x + 1/x = 0")
-    return yangbaxter.r_matrix(system, RParams(theta, phi))
+    return yangbaxter.r_matrix(system, RParams(theta_from_spectral(x), phi))
 
 
 def rational_r(system: str, x: complex, phi: float) -> np.ndarray:

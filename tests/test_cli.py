@@ -370,6 +370,17 @@ class TestSweep:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
 
+    @pytest.mark.parametrize("low, high, steps", [("-1e308", "1e308", "3"),
+                                                  ("-1.7e308", "1.7e308", "2")])
+    def test_range_wider_than_the_largest_float_is_a_usage_error(self, capsys, low, high, steps):
+        # both angles are finite, but np.linspace would overflow on their width
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--theta-min", low, "--theta-max", high,
+                                 "--steps", steps, "--format", "json")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "theta range" in err
+
     def test_requires_out(self, capsys):
         code, _, err = run(capsys, "sweep", "--theta-min", "0",
                            "--theta-max", "1", "--steps", "2")
@@ -435,6 +446,13 @@ class TestSpectrum:
         passes = json.loads(out)["passes"]
         assert not passes["closed_form_match"] and not passes["fixture_eigen_equation_max"]
 
+
+    def test_builds_h_once(self, capsys, monkeypatch):
+        # the ladder gate reads the H that the fixture residuals were taken on
+        built, hamiltonian = [], dynamics.hamiltonian
+        monkeypatch.setattr(dynamics, "hamiltonian", lambda d: built.append(d) or hamiltonian(d))
+        code, _, _ = run(capsys, "spectrum", "--theta", "1.0472", "--phi", "0.3")
+        assert code == 0 and len(built) == 1
 
     def test_calls_no_bracket_code(self, capsys, monkeypatch):
         # the ladder brackets are constants, checked by verify-algebra

@@ -51,6 +51,8 @@ ARGVS = [
     # the handlers' own checks
     ("sweep", "--theta-min", "1", "--theta-max", "0", "--steps", "3"),
     ("sweep", "--theta-min", "0", "--theta-max", "1", "--steps", "1"),
+    ("sweep", "--theta-min", "-1e308", "--theta-max", "1e308", "--steps", "3",
+     "--format", "json"),
     ("berry", "--theta", "0.7", "--method", "wilson", "--level", "zero"),
 ]
 

@@ -19,10 +19,10 @@ MOVED_TO_ORACLES = {
     "linalg": ("as_density_stack",),
 }
 # the CLI composes each level's report from the routes themselves,
-# basis_state checks its own label, and ladder_residuals, which takes no
-# drive, checks the brackets
+# basis_state checks its own label, ladder_residuals, which takes no drive,
+# checks the brackets, and no spectral parameter on the unit circle is singular
 REMOVED = {"berry": ("BerryReport", "report"), "states": ("basis_index",),
-           "dynamics": ("su2_relation_residuals",)}
+           "dynamics": ("su2_relation_residuals",), "yangbaxter": ("SingularParameterError",)}
 
 
 @pytest.mark.parametrize("name", MODULES)

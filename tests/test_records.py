@@ -27,7 +27,7 @@ RECORDS = {
     "Su2Ops": (dynamics.Su2Ops, "i_plus i_minus i_3 b_plus b_minus b_3",
                tuple(dynamics.su2_ops(DRIVE))),
     "SpectrumReport": (dynamics.SpectrumReport, "eigenvalues degeneracy_pattern "
-                       "closed_form_match fixture_residuals projector_residuals",
+                       "closed_form_match fixture_residuals projector_residuals hamiltonian",
                        tuple(dynamics.spectrum(DRIVE))),
     "EntanglementReport": (entanglement.EntanglementReport, "tau_abc c_ab c_bc c_ac "
                            "c2_a_bc c2_b_ac c2_c_ab monogamy_residual",

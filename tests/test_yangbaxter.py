@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from braidphase import braid, cli, dynamics, linalg, yangbaxter
 from braidphase.yangbaxter import (
     RParams,
-    SingularParameterError,
     SpectralParam,
     r_matrix,
     ybe_residual,
@@ -145,9 +144,13 @@ class TestRFromSpectral:
             r2 = r_matrix("two_qubit", RParams(np.pi / 2 - a, 1.3))
             assert np.linalg.norm(r1 - r2) <= 1e-12
 
-    def test_singular_parameter_rejected(self):
-        with pytest.raises(SingularParameterError):
-            r_from_spectral("three_qubit", SpectralParam(1j), 0.0)
+    def test_imaginary_unit_is_plus_or_minus_the_generator(self):
+        # x = +-i maps to theta = 0 or pi, where R is +-mcal(phi)
+        mcal = braid.build_braidset(0.9).mcal
+        for x, theta, sign in ((1j, 0.0, 1), (-1j, np.pi, -1)):
+            r = r_from_spectral("three_qubit", SpectralParam(x), 0.9)
+            assert np.array_equal(r, r_matrix("three_qubit", RParams(theta, 0.9)))
+            assert np.linalg.norm(r - sign * mcal) < 1e-15
 
 
 class TestYbeResidual:
@@ -190,31 +193,39 @@ class TestYbeResidual:
         y = SpectralParam(np.exp(1j * np.pi / 8))
         assert ybe_residual(x, y, 0.7)["two_qubit_unitary"] > 1.0
 
-    def test_singular_composite_rejected(self):
-        # arg(x) + arg(y) = pi/2 makes x*y singular for the theta map
-        x = SpectralParam(np.exp(1j * np.pi / 4))
-        with pytest.raises(SingularParameterError):
-            ybe_residual(x, x, 0.0)
+    def test_imaginary_points_match_the_product_route(self):
+        # x, y or xy at +-i, where both families are a multiple of the generator:
+        # every residual is the product route's, alone and in a stack
+        quarter = np.exp(1j * np.pi / 4)
+        pairs = [(1j, np.exp(0.7j)), (-1j, np.exp(-2.1j)), (np.exp(0.4j), 1j), (1j, 1j),
+                 (-1j, -1j), (1j, -1j), (1.0, 1j), (-1.0, 1j), (quarter, quarter),
+                 (np.exp(0.3j), 1j * np.exp(-0.3j)), (np.exp(-0.9j), -1j * np.exp(0.9j))]
+        xs = [SpectralParam(x) for x, _ in pairs]
+        ys = [SpectralParam(y) for _, y in pairs]
+        phis = [0.0, 1.3]
+        stacked = ybe_residual(xs, ys, phis)
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            for key, grid in stacked.items():
+                system, family = key.rsplit("_", 1)
+                assert np.array_equal(grid[:, k], ybe_residual(x, y, phis)[key])
+                assert within_oracle(
+                    grid[:, k], [kron_route_residual(system, x, y, phi, family) for phi in phis])
+        assert np.max(stacked["two_qubit_rational"]) <= 1e-15
 
     def test_rational_r_rejects_zero(self):
         with pytest.raises(ValueError):
             rational_r("two_qubit", 0.0, 0.0)
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            yangbaxter._coefficients("other", [1.0 + 0j])
 
 
 def sampled_pairs(count, seed=23):
-    """Spectral pairs away from the singular points, as the ybe command samples
-    them, drawn pair by pair; ``seed`` may be a random.Random, which is then used."""
+    """Spectral pairs as the ybe command samples them, drawn pair by pair: a,
+    then b; ``seed`` may be a random.Random, which is then used."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     xs, ys = [], []
-    while len(xs) < count:
+    for _ in range(count):
         a = -math.pi + 2 * math.pi * rng.random()
         b = -math.pi + 2 * math.pi * rng.random()
-        if min(abs(np.cos(a)), abs(np.cos(b)), abs(np.cos(a + b))) < 1e-3:
-            continue
         xs.append(SpectralParam(np.exp(1j * a)))
         ys.append(SpectralParam(np.exp(1j * b)))
     return xs, ys
@@ -279,18 +290,18 @@ class TestStackedYbeResidual:
 
     def test_generator_built_once_per_phi(self, monkeypatch):
         # 130 pairs in two families span five blocks of 64 rows; each
-        # (system, phi) generator is built once, and each pair's coefficients
-        # formed once per family
+        # (system, phi) generator is built once, and the coefficients of every
+        # pair in both families in one pass
         built, generator = [], yangbaxter._generator
-        formed, coefficients = [], yangbaxter._coefficients
+        formed, coefficients = [], yangbaxter._pair_coefficients
         monkeypatch.setattr(yangbaxter, "_generator", lambda system, phi: built.append(
             (system, phi)) or generator(system, phi))
-        monkeypatch.setattr(yangbaxter, "_coefficients", lambda family, points: formed.append(
-            (family, len(points))) or coefficients(family, points))
+        monkeypatch.setattr(yangbaxter, "_pair_coefficients", lambda xs, ys: formed.append(
+            len(xs)) or coefficients(xs, ys))
         xs, ys = sampled_pairs(130)
         ybe_residual(xs, ys, [0.0, 0.9])
         assert built == [(s, p) for s in yangbaxter.SYSTEMS for p in (0.0, 0.9)]
-        assert sorted(formed) == [("rational", 130), ("unitary", 130)]
+        assert formed == [130]
 
     @pytest.mark.parametrize("dim", [4, 8])
     @pytest.mark.parametrize("family", ["rational", "unitary"])
@@ -383,9 +394,6 @@ class TestStackedYbeResidual:
         xs, ys = sampled_pairs(3)
         with pytest.raises(TypeError):
             ybe_residual(xs, ys[:2] + [0.5], 0.0)
-        singular = SpectralParam(np.exp(1j * np.pi / 4))
-        with pytest.raises(SingularParameterError):
-            ybe_residual(xs + [singular], ys + [singular], 0.0)
 
     def test_non_finite_phi_rejected(self):
         one = SpectralParam(1.0 + 0j)
@@ -487,9 +495,9 @@ class TestUnitarityResiduals:
 
 class TestStackedCoefficients:
     def test_unitary_stack_bitwise_equal_to_per_point(self):
-        # the unitary rows over the ybe command's own (x, xy, y) points, from
-        # one stacked evaluation per draw, against np.angle, np.sin and np.cos
-        # on each Python complex alone and the products in Python
+        # the unitary half of the rows over the ybe command's own (x, xy, y)
+        # points, from one stacked evaluation per draw, against np.angle,
+        # np.sin and np.cos on each Python complex alone and the products in Python
         for seed in range(1000):
             xs, ys = cli._sample_spectral_pairs(random.Random(seed), 50)
             points = [(x.x, x.x * y.x, y.x) for x, y in zip(xs, ys)]
@@ -499,25 +507,27 @@ class TestStackedCoefficients:
                     (np.sin(t), np.cos(t)) for t in (np.pi / 2 - np.angle(x) for x in point)]
                 solo.append((a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2,
                              b0 * a1 * b2, b0 * b1 * b2))
-            stacked = yangbaxter._coefficients("unitary", np.array(points))
-            assert stacked.tobytes() == np.array(solo).tobytes()
+            stacked = yangbaxter._pair_coefficients(xs, ys)[len(xs):, 0]
+            assert stacked.tobytes() == np.array(solo, dtype=complex).tobytes()
 
 
 class TestSpectralPairDraw:
     def test_draw_consumes_the_stream_pair_by_pair(self):
-        # the same pairs, and the same stream state after them, as an
-        # independent pair-by-pair loop, over seeds whose draws include rejections
-        rejected = 0
-        for seed in range(1000):
-            count = 1 + seed % 40
+        # the same pairs as an independent pair-by-pair loop, and the stream
+        # exactly 2 * count draws on, at every seed: 18 of the README-sized
+        # draws of seeds 0..199 hold a pair with x, y or xy within 1e-3 of +-i
+        near = 0
+        draws = [(seed, 1 + seed % 40) for seed in range(1000)]
+        for seed, count in draws + [(seed, 50) for seed in range(200)]:
             rng, ref = random.Random(seed), random.Random(seed)
             xs, ys = cli._sample_spectral_pairs(rng, count)
             ref_xs, ref_ys = sampled_pairs(count, ref)
             assert [p.x for p in xs] == [p.x for p in ref_xs]
             assert [p.x for p in ys] == [p.x for p in ref_ys]
-            assert rng.getstate() == ref.getstate()
-            unrejected = random.Random(seed)
+            plain = random.Random(seed)
             for _ in range(2 * count):
-                unrejected.random()
-            rejected += unrejected.getstate() != ref.getstate()
-        assert rejected
+                plain.random()
+            assert rng.getstate() == ref.getstate() == plain.getstate()
+            near += count == 50 and any(
+                min(abs(p + 1 / p) for p in (x.x, x.x * y.x, y.x)) < 2e-3 for x, y in zip(xs, ys))
+        assert near == 18
