@@ -170,6 +170,8 @@ def zero_level_phase(theta: float) -> float:
     Asserts that the four zero-level fixtures carry no drive-angle dependence
     (bitwise equality across a phi grid) before returning 0.
     """
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     probe = np.linspace(0.0, TWO_PI, 7)
     for i in dynamics.LEVELS["zero"][1]:
         batch = dynamics.fixture_batch(i, theta, probe)

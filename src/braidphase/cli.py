@@ -175,14 +175,13 @@ def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
     for lo in range(0, phi_samples, yangbaxter._BLOCK):
         worst = {key: np.maximum(worst.get(key, 0.0), np.max(res)) for key, res in
                  yangbaxter.ybe_residual(xs, ys, phis[lo:lo + yangbaxter._BLOCK]).items()}
-    maxima = {f"{system}_{family}_max": float(worst[f"{system}_{family}"])
-              for family in yangbaxter.FAMILIES for system in yangbaxter.SYSTEMS}
+    maxima = {f"{key}_max": float(res) for key, res in worst.items()}
+    gated = f"{yangbaxter.TWO_QUBIT}_rational"
     return _report(
         "ybe", {"tol": tol, "samples": samples, "phi_samples": phi_samples, "seed": seed},
-        {"gated": "two_qubit_rational",
-         "reported_only": ["three_qubit_rational", "two_qubit_unitary", "three_qubit_unitary"],
+        {"gated": gated, "reported_only": [key for key in worst if key != gated],
          "max_residuals": maxima},
-        {"two_qubit_rational_max": (maxima["two_qubit_rational_max"], tol)})
+        {f"{gated}_max": (maxima[f"{gated}_max"], tol)})
 
 
 def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:

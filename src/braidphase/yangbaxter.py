@@ -3,27 +3,22 @@
 Two parameterizations of the same construction live here:
 
 * the unitary family  R(theta, phi) = sin(theta) I + cos(theta) mcal(phi),
-  used for state generation and dynamics (r_matrix), and reached from a
-  spectral parameter x on the unit circle at theta = pi/2 - arg(x); its
-  unitarity at every theta follows from two residuals per phi
-  (unitarity_residuals);
+  used for state generation and dynamics (r_matrix); its unitarity at every
+  theta follows from two residuals per phi (unitarity_residuals), and it
+  satisfies the Yang-Baxter equation under the velocity-addition rule of the
+  README finding "8x8 Yang-Baxter residual";
 * the Baxterized rational family
   R(x) = ((x + 1/x)/2) I + ((x - 1/x)/2) mcal(phi), which satisfies the
   multiplicative Yang-Baxter equation R12(x) R23(xy) R12(y) =
-  R23(y) R12(xy) R23(x) as an identity in x, y on two qubits.
+  R23(y) R12(xy) R23(x) as an identity in x, y on two qubits. It is defined
+  on the whole unit circle: at x = +-i it is +-i mcal(phi).
 
-Both are defined on the whole unit circle: at x = +-i the rational family
-is +-i mcal(phi), and the unitary one, at theta = 0 or pi, is +-mcal(phi).
-
-Through the unit-circle map the unitary family violates that equation at
-generic spectral parameters; the map fails, not the family, which satisfies
-it under the velocity-addition rule of the README finding "8x8 Yang-Baxter
-residual". ybe_residual checks both families on both systems in one pass, as
+ybe_residual checks the rational family on both systems in one pass, as
 three fixed differences of words in the lifted generator over stacks of
 spectral pairs and a phi grid: each word conserves the parity of the basis
 index, so it is checked to be exactly zero off its two parity blocks and
-summed on those blocks alone. Whole matrices of either family at a spectral
-point are built only by the tests' product-route oracle.
+summed on those blocks alone. Whole matrices at a spectral point are built
+only by the tests' product-route oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ __all__ = [
     "TWO_QUBIT",
     "THREE_QUBIT",
     "SYSTEMS",
-    "FAMILIES",
     "RParams",
     "SpectralParam",
     "r_matrix",
@@ -49,9 +43,8 @@ __all__ = [
 TWO_QUBIT = "two_qubit"
 THREE_QUBIT = "three_qubit"
 SYSTEMS = (TWO_QUBIT, THREE_QUBIT)
-FAMILIES = ("rational", "unitary")
 
-# Stacks of angles, or of (spectral pair, family) rows, are worked through
+# Stacks of angles, or of spectral pairs, are worked through
 # this many at a time, which bounds the working set; no result depends on it.
 _BLOCK = 64
 
@@ -137,37 +130,27 @@ def unitarity_residuals(gen: np.ndarray, thetas) -> tuple:
     return norm(r_dag @ r - eye), norm(gen_dag @ gen - eye) + norm(gen + gen_dag) / 2
 
 
-def _word_coefficients(a, b):
-    """(c_A, c_AA, c_ABA) from the (a, b) of R(x), R(xy), R(y), three values each."""
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    # LHS (a0 + b0 A)(a1 + b1 B)(a2 + b2 A) - RHS (a2 + b2 B)(a1 + b1 A)(a0 + b0 B)
-    return a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2, b0 * a1 * b2, b0 * b1 * b2
-
-
 def _pair_coefficients(xs, ys) -> np.ndarray:
-    """The (2N, 1, 3) rows (c_A, c_AA, c_ABA) of N spectral pairs, rational
-    then unitary as in FAMILIES, from the (a, b) of R = a I + b generator at
-    each point (x, xy, y) of a checked pair: ((x + 1/x)/2, (x - 1/x)/2) in
-    Python complex arithmetic (numpy's complex multiply rounds some rows
-    otherwise), and (sin(theta), cos(theta)) at theta = pi/2 - arg(x), arg in
-    (-pi, pi], over the whole stack (x = 1 maps to the identity). Each row is
-    bitwise the one that Python scalars at its points alone give."""
-    points, rational = np.empty((2, len(xs), 3), dtype=complex)
+    """The (N, 1, 3) rows (c_A, c_AA, c_ABA) of N spectral pairs, from the
+    (a, b) = ((x + 1/x)/2, (x - 1/x)/2) of R = a I + b generator at each
+    point (x, xy, y) of a checked pair, in Python complex arithmetic (numpy's
+    complex multiply rounds some rows otherwise)."""
+    rows = np.empty((len(xs), 1, 3), dtype=complex)
     for k, (px, py) in enumerate(zip(xs, ys)):
         if not (isinstance(px, SpectralParam) and isinstance(py, SpectralParam)):
             raise TypeError("x and y must be SpectralParam values")
         # |xy| = 1 within 2e-10 plus rounding, since |x| and |y| are within 1e-10
-        points[k] = point = (px.x, px.x * py.x, py.x)
-        rational[k] = _word_coefficients([(x + 1 / x) / 2 for x in point],
-                                         [(x - 1 / x) / 2 for x in point])
-    t = np.pi / 2 - np.angle(points)
-    unitary = np.stack(_word_coefficients(np.sin(t).T, np.cos(t).T), axis=-1)
-    return np.concatenate([rational, unitary]).reshape(-1, 1, 3)
+        point = (px.x, px.x * py.x, py.x)
+        (a0, a1, a2), (b0, b1, b2) = ([(x + 1 / x) / 2 for x in point],
+                                      [(x - 1 / x) / 2 for x in point])
+        # LHS (a0 + b0 A)(a1 + b1 B)(a2 + b2 A) - RHS (a2 + b2 B)(a1 + b1 A)(a0 + b0 B)
+        rows[k, 0] = a0 * a1 * b2 + b0 * a1 * a2 - a0 * b1 * a2, b0 * a1 * b2, b0 * b1 * b2
+    return rows
 
 
 def ybe_residual(x, y, phi) -> dict:
     """Frobenius norms of LHS - RHS of the multiplicative Yang-Baxter equation,
-    for both systems and both families, keyed "<system>_<family>".
+    for the rational family on both systems, keyed "<system>_rational".
 
     ``x`` and ``y`` are SpectralParam values or two equal-length sequences of
     them, ``phi`` an angle or a 1-D grid; sequences add a trailing axis of
@@ -189,20 +172,19 @@ def ybe_residual(x, y, phi) -> dict:
     blocks (2x4x4 for two_qubit, 2x8x8 for three_qubit) once its entries off
     the blocks are checked to be exactly 0; a nonzero one raises
     NumericalError naming the phi. The sum is then one stacked complex
-    matrix product per block of up to 64 (pair, family) rows, each row's
+    matrix product per block of up to 64 pairs, each pair's
     (c_A, c_AA, c_ABA) by the three flattened word differences, and its norm
     is taken on the parity blocks only.
 
     Each pair is validated (every pair on the unit circle is valid, x, y or
-    xy = +-i included) and its coefficients in both families formed once, the
-    generator of each (system, phi) and its three word differences once per
-    call; memory beyond the result grows with the pairs and the grid, not
-    with their product.
+    xy = +-i included) and its coefficients formed once, the generator of
+    each (system, phi) and its three word differences once per call; memory
+    beyond the result grows with the pairs and the grid, not with their
+    product.
 
     The rational family satisfies the two_qubit equation identically; its
-    three_qubit residual ({A, B} = -(2/3) I there, not 0) and the unitary
-    ones, through the unit-circle map, are generically nonzero and reported,
-    never asserted (the module docstring names the unitary family's rule).
+    three_qubit residual ({A, B} = -(2/3) I there, not 0) is generically
+    nonzero and reported, never asserted.
     """
     phis = np.array(phi, dtype=float)
     if phis.ndim > 1 or not np.isfinite(phis).all():
@@ -214,17 +196,16 @@ def ybe_residual(x, y, phi) -> dict:
     coeffs = _pair_coefficients(xs, ys)
     out = {}
     for system in SYSTEMS:
-        grid = np.empty((phis.size, len(coeffs)))
+        grid = np.empty((phis.size, len(xs)))
         for row, p in zip(grid, phis.reshape(-1)):
             words = _parity_words(_generator(system, p), p)
             for lo in range(0, len(row), _BLOCK):
                 # a stack of (1, 3) @ (3, E) products, one per row: a (B, 3)
                 # @ (3, E) product rounds a row by where BLAS tiles it
                 row[lo:lo + _BLOCK] = linalg.frobenius_norms(coeffs[lo:lo + _BLOCK] @ words)
-        grid = grid.reshape(phis.shape + (len(FAMILIES), len(xs)))
-        for f, family in enumerate(FAMILIES):
-            res = grid[..., f, 0] if single else grid[..., f, :]
-            out[f"{system}_{family}"] = res if res.ndim else float(res)
+        res = grid.reshape(phis.shape + (len(xs),))
+        res = res[..., 0] if single else res
+        out[f"{system}_rational"] = res if res.ndim else float(res)
     return out
 
 

@@ -468,6 +468,16 @@ class TestZeroLevel:
         for theta in (0.0, 0.9, 2.8):
             assert berry.zero_level_phase(theta) == 0.0
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        # as on every other level and method, not a report gated on NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta must be finite"):
+                berry.zero_level_phase(theta)
+            with pytest.raises(ValueError, match="theta must be finite"):
+                cli.cmd_berry(theta, None, "analytic", "zero", None)
+
 
 class TestReports:
     # the per-level reports are composed by cli.cmd_berry

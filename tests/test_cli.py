@@ -175,7 +175,7 @@ class TestVerifyAlgebra:
 
 class TestYbe:
     def test_one_call_for_every_system_and_family(self, capsys, monkeypatch):
-        # one call covers both systems and families, every sampled pair and
+        # one call covers both systems, every sampled pair and
         # a whole phi grid of up to 64 angles
         calls = []
         original = yangbaxter.ybe_residual
@@ -200,6 +200,13 @@ class TestYbe:
         assert list(payload["passes"]) == list(payload["residual_summary"]) == [
             "two_qubit_rational_max"]
 
+    def test_gated_and_reported_only_name_every_residual(self):
+        # the report's residual names come from its maxima alone
+        for seed in (0, 6, 11):
+            results = cli.cmd_ybe(1e-10, 3, 2, seed).results
+            names = [results["gated"], *results["reported_only"]]
+            assert [f"{name}_max" for name in names] == list(results["max_residuals"])
+
     def test_phi_blocks_give_the_whole_grid_maxima(self, monkeypatch):
         # 130 phi go in blocks of 64, 64 and 2; each maximum is bitwise the
         # one over a single call on the whole grid
@@ -221,7 +228,7 @@ class TestYbe:
         def nan_in_second_block(xs, ys, phis):
             out = original(xs, ys, phis)
             if len(phis) < 64:
-                out["three_qubit_unitary"][0, 0] = np.nan
+                out["three_qubit_rational"][0, 0] = np.nan
             return out
 
         monkeypatch.setattr(yangbaxter, "ybe_residual", nan_in_second_block)
@@ -230,7 +237,7 @@ class TestYbe:
         assert len(err.splitlines()) == 1 and "JSON" in err
 
     def test_memory_is_flat_in_phi_samples(self):
-        # each block's residual grids are folded into four maxima and dropped
+        # each block's residual grids are folded into two maxima and dropped
         def peak(phi_samples):
             tracemalloc.start()
             cli.cmd_ybe(1e-10, 100, phi_samples, 0)
