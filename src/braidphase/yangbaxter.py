@@ -44,8 +44,8 @@ TWO_QUBIT = "two_qubit"
 THREE_QUBIT = "three_qubit"
 SYSTEMS = (TWO_QUBIT, THREE_QUBIT)
 
-# Stacks of angles, or of spectral pairs, are worked through
-# this many at a time, which bounds the working set; no result depends on it.
+# Stacks of angles, or of spectral pairs, are worked through this many at a
+# time, which bounds the working set; no result depends on it.
 _BLOCK = 64
 
 
