@@ -29,7 +29,10 @@ def main() -> int:
     parser.add_argument("--phi", type=float, default=0.0)
     args = parser.parse_args()
 
-    report, csv_text = cmd_sweep(0.0, np.pi, args.steps, args.phi, tol=1e-9)
+    try:
+        report, csv_text = cmd_sweep(0.0, np.pi, args.steps, args.phi, tol=1e-9)
+    except ValueError as exc:  # an argument cmd_sweep refuses: a usage error
+        parser.error(str(exc))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text)
     print(f"wrote {args.steps} rows to {args.out} "

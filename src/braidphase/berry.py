@@ -6,9 +6,9 @@ Two routes:
   gamma = -Im sum_k log <chi(phi_k)|chi(phi_{k+1})> over the closed-form
   eigenstates (indices 5..8), second-order accurate in the step size, from
   one read of one fixture batch over the fixture's parity sector; the loop's
-  phi grid and the level's factor e^{-+i phi} are built once per step count
-  and level (_loop) and shared by both members of the level and by every
-  later call at that step count in the process;
+  phase factors e^{-i phi} are built once per step count (_loop) and shared
+  by all four fixtures and by every later call at that step count in the
+  process, each fixture carrying the phase its own formula states;
 * berry_wilson -- the Wilson loops of both split doublets over numerical
   eigenvectors, for levels without closed forms of their connection, from one
   solve of H's 2x2 blocks on the doublet range of each basis-index parity
@@ -77,19 +77,14 @@ def fold(phase: float) -> float:
 
 
 @functools.lru_cache(maxsize=2)
-def _loop(steps: int, sign: int) -> tuple:
-    """The analytic loop of ``steps`` points for the split level of energy
-    sign ``sign``, built once per step count and level and read-only: its
-    drive angles phi_k = 2*pi*k/steps (by linspace, phi = 2*pi left out) and
-    the phase factor e^{sign i phi} that the level's fixtures carry (5 and 7
-    e^{-i phi}, 6 and 8 e^{i phi}), the arguments phis and factor of
-    dynamics.fixture_batch. A loop holds 24 B per step, and the cache keeps
-    the last two: both levels of one step count, or one level of two."""
-    phis = np.linspace(0.0, TWO_PI, steps + 1)[:-1]
-    loop = (phis, np.exp(-1j * phis) if sign < 0 else np.exp(1j * phis))
-    for a in loop:
-        a.setflags(write=False)
-    return loop
+def _loop(steps: int) -> np.ndarray:
+    """The phase factors z_k = e^{-i phi_k} of the analytic loop of ``steps``
+    points, phi_k = 2*pi*k/steps (by linspace, phi = 2*pi left out), the
+    argument z of dynamics.fixture_batch: built once per step count and
+    read-only. A loop holds 16 B per step, and the cache keeps the last two."""
+    z = np.exp(-1j * np.linspace(0.0, TWO_PI, steps + 1)[:-1])
+    z.setflags(write=False)
+    return z
 
 
 def berry_analytic(i: int, theta: float, steps: int) -> float:
@@ -101,15 +96,14 @@ def berry_analytic(i: int, theta: float, steps: int) -> float:
     overlaps of its consecutive slices, then the closing one, over the indices
     where it is nonzero (the fixture's parity sector).
     """
-    if i not in dynamics.LEVELS["minus"][1] + dynamics.LEVELS["plus"][1]:
+    if i not in (5, 6, 7, 8):
         raise ValueError(f"state index must be 5..8, got {i}")
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    sign = next(sign for sign, members in dynamics.LEVELS.values() if i in members)
-    # a row per basis index, over the loop of this step count and level
-    chi = np.ascontiguousarray(dynamics.fixture_batch(i, theta, *_loop(steps, sign)).T)
+    # a row per basis index, over the loop of this step count
+    chi = np.ascontiguousarray(dynamics.fixture_batch(i, theta, _loop(steps)).T)
     chi = chi[np.any(chi.view(float) != 0, axis=1)]  # the indices the fixture occupies
     bra = chi.conj()
     overlaps = np.empty(steps, dtype=complex)
@@ -174,7 +168,7 @@ def zero_level_phase(theta: float) -> float:
         raise ValueError(f"theta must be finite, got {theta}")
     probe = np.linspace(0.0, TWO_PI, 7)
     for i in dynamics.LEVELS["zero"][1]:
-        batch = dynamics.fixture_batch(i, theta, probe)
+        batch = dynamics.fixture_batch(i, theta, np.exp(-1j * probe))
         if not np.array_equal(batch, np.broadcast_to(batch[0], batch.shape)):
             raise linalg.NumericalError(f"zero-level fixture {i} is not flat")
     return 0.0

@@ -96,7 +96,7 @@ def _worst(measured, closed, axis=None):
 # the largest sample count and sweep or berry --steps, refused by the parser
 # and by each handler: samples are drawn into Python lists (10^5 floats hold
 # about 3 MB each), the sweep holds its whole grid and CSV text, and a Berry
-# loop 216 (analytic) to 680 (wilson) B per step, before anything could refuse
+# loop 208 (analytic) to 680 (wilson) B per step, before anything could refuse
 # a larger count. Time is linear in every count. _RANGE words each range,
 # keyed by its lower bound, for messages and help alike.
 _MAX_SAMPLES = 10 ** 5
@@ -248,7 +248,7 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
          "projector_residuals": list(rep.projector_residuals)},
         {"closed_form_match": (rep.closed_form_match, scaled),
          "fixture_eigen_equation_max": (max(rep.fixture_residuals), scaled),
-         "projector_match_max": (max(rep.projector_residuals), max(tol, 1e-8)),
+         "projector_match_max": (max(rep.projector_residuals), tol),
          "ladder_decomposition": (
              float(linalg.frobenius_norms([rep.hamiltonian - split])[0]), scaled)})
 

@@ -283,22 +283,16 @@ def fixture_energy(i: int, d: DriveParams) -> float:
     return float(sign * (d.hbar * d.phi_dot * np.cos(d.theta)))
 
 
-def fixture_batch(i: int, theta: float, phis: np.ndarray, factor=None) -> np.ndarray:
-    """Fixture states at many phi values, shape (len(phis), 8), column-major so
-    that each basis index's amplitudes are contiguous. ``factor`` is the phase
-    factor that fixture ``i`` carries at ``phis``, e^{-i phi} for 5 and 7 and
-    e^{i phi} for 6 and 8, computed here when not given; 1..4 carry none."""
+def fixture_batch(i: int, theta: float, z: np.ndarray) -> np.ndarray:
+    """Fixture states at the drive angles whose phase factors are z = e^{-i phi},
+    shape (len(z), 8), column-major so that each basis index's amplitudes are
+    contiguous: 5 and 7 carry z, 6 and 8 carry its conjugate, 1..4 no phase."""
     if i not in FIXTURE_INDICES:
         raise ValueError(f"fixture index must be 1..8, got {i}")
-    phis = np.asarray(phis, dtype=float)
-    out = np.zeros((phis.shape[0], 8), dtype=complex, order="F")
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros((z.shape[0], 8), dtype=complex, order="F")
     s, c = np.sin(theta / 2), np.cos(theta / 2)
     r2, r3 = 1 / np.sqrt(2), 1 / SQRT3
-    # only the phase factor the fixture carries
-    em = ep = factor
-    if factor is None:
-        em = np.exp(-1j * phis) if i in (5, 7) else None
-        ep = np.exp(1j * phis) if i in (6, 8) else None
     if i == 1:
         out[:, 0b011], out[:, 0b110] = -r2, r2
     elif i == 2:
@@ -308,31 +302,31 @@ def fixture_batch(i: int, theta: float, phis: np.ndarray, factor=None) -> np.nda
     elif i == 4:
         out[:, 0b001], out[:, 0b010] = r2, r2
     elif i == 5:
-        out[:, 0b001] = -r3 * em * s
-        out[:, 0b010] = r3 * em * s
-        out[:, 0b100] = -r3 * em * s
+        out[:, 0b001] = -r3 * z * s
+        out[:, 0b010] = r3 * z * s
+        out[:, 0b100] = -r3 * z * s
         out[:, 0b111] = c
     elif i == 6:
         out[:, 0b001] = r3 * c
         out[:, 0b010] = -r3 * c
         out[:, 0b100] = r3 * c
-        out[:, 0b111] = ep * s
+        out[:, 0b111] = z.conj() * s
     elif i == 7:
-        out[:, 0b000] = -em * s
+        out[:, 0b000] = -z * s
         out[:, 0b011] = r3 * c
         out[:, 0b101] = r3 * c
         out[:, 0b110] = r3 * c
     else:
         out[:, 0b000] = c
-        out[:, 0b011] = r3 * ep * s
-        out[:, 0b101] = r3 * ep * s
-        out[:, 0b110] = r3 * ep * s
+        out[:, 0b011] = r3 * z.conj() * s
+        out[:, 0b101] = r3 * z.conj() * s
+        out[:, 0b110] = r3 * z.conj() * s
     return out
 
 
 def eigenstate_fixture(i: int, theta: float, phi: float) -> np.ndarray:
     """The i-th closed-form eigenstate, normalized by construction."""
-    v = fixture_batch(i, theta, np.array([phi]))
+    v = fixture_batch(i, theta, np.exp(-1j * np.array([phi])))
     norm = linalg.frobenius_norms(v)[0]
     if abs(norm - 1.0) > 1e-12:
         raise linalg.NumericalError(f"fixture {i} norm drifted to {norm}")

@@ -256,7 +256,7 @@ def dense_line_integral(i: int, theta: float, steps: int) -> float:
     this route and berry_analytic alike.
     """
     phis = np.linspace(0.0, 2 * np.pi, steps + 1)
-    batch = dynamics.fixture_batch(i, theta, phis[:-1])
+    batch = dynamics.fixture_batch(i, theta, np.exp(-1j * phis[:-1]))
     rolled = np.vstack([batch[1:], batch[:1]])
     overlaps = np.einsum("ij,ij->i", batch.conj(), rolled)
     return float(-np.sum(np.angle(overlaps)))

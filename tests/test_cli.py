@@ -26,6 +26,10 @@ import golden  # noqa: E402
 
 GOLDEN_SPECTRUM = [command for command in golden.README_COMMANDS + golden.EXTRA_COMMANDS
                    if command.startswith("spectrum")]
+# the golden analytic berry commands with a split level, "all" included
+GOLDEN_ANALYTIC_SPLIT = [command for command in golden.README_COMMANDS + golden.EXTRA_COMMANDS
+                         if command.startswith("berry") and "--method analytic" in command
+                         and "--level zero" not in command]
 
 
 def run(capsys, *argv):
@@ -453,6 +457,14 @@ class TestSpectrum:
         passes = json.loads(out)["passes"]
         assert not passes["closed_form_match"] and not passes["fixture_eigen_equation_max"]
 
+    def test_projector_gate_reads_tol(self, capsys):
+        # a residual of about 4e-16 here, above a --tol of 1e-16; the projectors
+        # are dimensionless, so the bound is tol itself, with no floor
+        code, out, _ = run(capsys, "spectrum", "--theta", "1.0472", "--phi", "0.3",
+                           "--tol", "1e-16")
+        payload = json.loads(out)
+        assert code == 1 and payload["residual_summary"]["projector_match_max"] > 1e-16
+        assert not payload["passes"]["projector_match_max"]
 
     def test_builds_h_once(self, capsys, monkeypatch):
         # the ladder gate reads the H that the fixture residuals were taken on
@@ -488,17 +500,32 @@ class TestGoldenCommands:
                 assert shapes == [(2, 2, 2)], command
             shapes.clear()
 
-    @pytest.mark.parametrize("command", GOLDEN_SPECTRUM)
-    def test_fixture_swap_mutant_fails(self, capsys, monkeypatch, command):
+    @staticmethod
+    def swap_levels(monkeypatch):
         # the members of the minus and plus levels swapped in the level table
         (minus, fives), (plus, sixes) = dynamics.LEVELS["minus"], dynamics.LEVELS["plus"]
         monkeypatch.setitem(dynamics.LEVELS, "minus", (minus, sixes))
         monkeypatch.setitem(dynamics.LEVELS, "plus", (plus, fives))
+
+    @pytest.mark.parametrize("command", GOLDEN_SPECTRUM)
+    def test_fixture_swap_mutant_fails(self, capsys, monkeypatch, command):
+        self.swap_levels(monkeypatch)
         code, out, _ = run(capsys, *shlex.split(command))
         assert code == 1
         passes = json.loads(out)["passes"]
         assert not passes["fixture_eigen_equation_max"]
         assert not passes["projector_match_max"]
+
+    @pytest.mark.parametrize("command", GOLDEN_ANALYTIC_SPLIT)
+    def test_fixture_swap_mutant_fails_analytic_berry(self, capsys, monkeypatch, command):
+        # each fixture carries its own phase, so a swapped member reads the
+        # other level's sign; the zero level's gate is not a split one
+        self.swap_levels(monkeypatch)
+        code, out, _ = run(capsys, *shlex.split(command))
+        assert code == 1
+        passes = json.loads(out)["passes"]
+        split = {gate: ok for gate, ok in passes.items() if not gate.startswith("zero")}
+        assert split and not any(split.values()), passes
 
 
 class TestBerry:

@@ -49,6 +49,26 @@ def test_entanglement_curves_writes_csv(tmp_path):
     assert "GHZ point" in done.stdout
 
 
+@pytest.mark.parametrize("args", [("--steps", "1"), ("--phi", "nan")])
+def test_entanglement_curves_refused_argument_is_a_usage_error(tmp_path, args):
+    # exit 1 is a failed check; an argument the sweep refuses is exit 2
+    done = run_script("entanglement_curves.py", "--out", str(tmp_path / "x.csv"), *args,
+                      cwd=tmp_path)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith("entanglement_curves.py: error: ")
+
+
+def test_verify_system_block_keeps_a_later_nan(capsys):
+    import verify_system
+    from braidphase.cli import RunReport
+
+    report = RunReport("spectrum", {}, {}, {"a": 1e-16, "b": float("nan")},
+                       {"a": True, "b": False})
+    assert not verify_system.block("spectrum", report)
+    assert "worst gated residual nan" in capsys.readouterr().out
+
+
 def assert_close(here, there, where):
     """Equal structure, strings and booleans; numbers within DISPATCH_BOUND."""
     if isinstance(here, dict):
