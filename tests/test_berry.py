@@ -163,9 +163,18 @@ class TestLoopCache:
             berry.berry_analytic(i, 1.1, 400)
         assert berry._loop.cache_info()[:2] == (3, 1)  # hits, misses
 
-    def test_cached_loop_is_read_only(self):
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_cached_arrays_are_read_only(self, sign):
+        # a fixture carrying e^{sign i phi}: 5 reads the loop's z, 6 its conjugate;
+        # neither can write the cached loop, and reading it leaves it as built
+        berry._loop.cache_clear()
+        berry.berry_analytic(5 if sign == -1 else 6, 1.1, 400)
+        z = berry._loop(400)
+        assert berry._loop.cache_info()[:2] == (1, 1)  # hits, misses
         with pytest.raises(ValueError, match="read-only"):
-            berry._loop(400)[0] = 1.0
+            z[0] = 1.0
+        phis = np.linspace(0, 2 * np.pi, 401)[:-1]
+        assert np.array_equal(z, np.exp(-1j * phis))
 
     def test_cache_holds_at_most_maxsize_grids(self):
         for steps in range(100, 130):
