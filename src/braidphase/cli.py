@@ -159,8 +159,9 @@ def _sample_spectral_pairs(rng: random.Random, count: int):
     """``count`` pairs (e^{ia}, e^{ib}), drawn pair by pair: a, then b,
     uniform on [-pi, pi)."""
     draws = _uniform(rng, -math.pi, math.pi, 2 * count)
-    return ([yangbaxter.SpectralParam(x) for x in np.exp(1j * np.array(draws[0::2]))],
-            [yangbaxter.SpectralParam(y) for y in np.exp(1j * np.array(draws[1::2]))])
+    # as Python complexes, which SpectralParam checks at scalar cost
+    return ([yangbaxter.SpectralParam(x) for x in np.exp(1j * np.array(draws[0::2])).tolist()],
+            [yangbaxter.SpectralParam(y) for y in np.exp(1j * np.array(draws[1::2])).tolist()])
 
 
 def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
@@ -247,8 +248,9 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
          "fixture_residuals": list(rep.fixture_residuals),
          "projector_residuals": list(rep.projector_residuals)},
         {"closed_form_match": (rep.closed_form_match, scaled),
-         "fixture_eigen_equation_max": (max(rep.fixture_residuals), scaled),
-         "projector_match_max": (max(rep.projector_residuals), tol),
+         # np.max keeps a NaN, which Python's max drops if not first
+         "fixture_eigen_equation_max": (np.max(rep.fixture_residuals), scaled),
+         "projector_match_max": (np.max(rep.projector_residuals), tol),
          "ladder_decomposition": (
              float(linalg.frobenius_norms([rep.hamiltonian - split])[0]), scaled)})
 
@@ -297,7 +299,7 @@ def cmd_berry(theta: float, steps: int | None, method: str, level: str,
     return _report(
         "berry", {"theta": theta, "steps": steps, "method": method, "level": level, "tol": tol},
         {"reports": reports},
-        {f"{r['level']}_residual_max": (max(r["residuals"]), tol) for r in reports})
+        {f"{r['level']}_residual_max": (np.max(r["residuals"]), tol) for r in reports})
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,16 @@ Two parameterizations of the same construction live here:
 
 ybe_residual checks the rational family on both systems in one pass, as
 three fixed differences of words in the lifted generator over stacks of
-spectral pairs and a phi grid: each word conserves the parity of the basis
-index, so it is checked to be exactly zero off its two parity blocks and
-summed on those blocks alone. Whole matrices at a spectral point are built
-only by the tests' product-route oracle.
+spectral pairs and a phi grid: the generators and words of a chunk of phi are
+built as one stack, and each word conserves the parity of the basis index, so
+it is checked to be exactly zero off its two parity blocks and summed on
+those blocks alone. Whole matrices at a spectral point are built only by the
+tests' product-route oracle.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -47,6 +49,9 @@ SYSTEMS = (TWO_QUBIT, THREE_QUBIT)
 # Stacks of angles, or of spectral pairs, are worked through this many at a
 # time, which bounds the working set; no result depends on it.
 _BLOCK = 64
+# ybe_residual builds the generators and words of this many phi as one stack;
+# no result depends on it either
+_WORD_BLOCK = 5
 
 
 class RParams(namedtuple("RParams", "theta phi")):
@@ -83,7 +88,7 @@ class SpectralParam(namedtuple("SpectralParam", "x")):
 
     def __new__(cls, x):
         x = complex(x)
-        if not (np.isfinite(x.real) and np.isfinite(x.imag)):
+        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
             raise ValueError("x must be finite")
         if abs(abs(x) - 1.0) > cls._tol:
             raise ValueError(f"|x| = {abs(x)} is not on the unit circle within {cls._tol}")
@@ -94,7 +99,8 @@ class SpectralParam(namedtuple("SpectralParam", "x")):
         return cls(*iterable)
 
 
-def _generator(system: str, phi: float) -> np.ndarray:
+def _generator(system: str, phi) -> np.ndarray:
+    """The system's generator at ``phi``, or their (P, h, h) stack over a grid."""
     if system == TWO_QUBIT:
         return braid.build_m4(phi)
     if system == THREE_QUBIT:
@@ -168,19 +174,22 @@ def ybe_residual(x, y, phi) -> dict:
     and those of B, BB and BAB are minus those of A, AA and ABA.
 
     G conserves the parity of the basis index, and so do A, B and every
-    word. Each word difference is gathered into its even and odd parity
-    blocks (2x4x4 for two_qubit, 2x8x8 for three_qubit) once its entries off
-    the blocks are checked to be exactly 0; a nonzero one raises
-    NumericalError naming the phi. The sum is then one stacked complex
-    matrix product per block of up to 64 pairs, each pair's
-    (c_A, c_AA, c_ABA) by the three flattened word differences, and its norm
-    is taken on the parity blocks only.
+    word. The grid is worked through in chunks of up to _WORD_BLOCK phi: the
+    generators of a chunk are built as one (P, h, h) stack and its words by
+    stacked products. Each word difference is gathered into its even and odd
+    parity blocks (2x4x4 for two_qubit, 2x8x8 for three_qubit) once its
+    entries off the blocks are checked to be exactly 0; a nonzero one raises
+    NumericalError naming the first phi that has one. The sum is then one
+    stacked complex matrix product per row of the grid and block of up to 64
+    pairs, each pair's (c_A, c_AA, c_ABA) by the three flattened word
+    differences of the row's phi, and its norm is taken on the parity blocks
+    only.
 
     Each pair is validated (every pair on the unit circle is valid, x, y or
     xy = +-i included) and its coefficients formed once, the generator of
     each (system, phi) and its three word differences once per call; memory
-    beyond the result grows with the pairs and the grid, not with their
-    product.
+    beyond the result grows with the pairs, the grid and the chunk, not with
+    the product of pairs and grid.
 
     The rational family satisfies the two_qubit equation identically; its
     three_qubit residual ({A, B} = -(2/3) I there, not 0) is generically
@@ -194,32 +203,38 @@ def ybe_residual(x, y, phi) -> dict:
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
     coeffs = _pair_coefficients(xs, ys)
-    out = {}
+    flat, out = phis.reshape(-1), {}
     for system in SYSTEMS:
-        grid = np.empty((phis.size, len(xs)))
-        for row, p in zip(grid, phis.reshape(-1)):
-            words = _parity_words(_generator(system, p), p)
-            for lo in range(0, len(row), _BLOCK):
-                # a stack of (1, 3) @ (3, E) products, one per row: a (B, 3)
-                # @ (3, E) product rounds a row by where BLAS tiles it
-                row[lo:lo + _BLOCK] = linalg.frobenius_norms(coeffs[lo:lo + _BLOCK] @ words)
+        grid = np.empty((flat.size, len(xs)))
+        for at in range(0, len(flat), _WORD_BLOCK):
+            chunk = flat[at:at + _WORD_BLOCK]
+            stack = _parity_words(_generator(system, chunk), chunk)
+            for row, words in zip(grid[at:at + _WORD_BLOCK], stack):
+                for lo in range(0, len(row), _BLOCK):
+                    # a stack of (1, 3) @ (3, E) products, one per row: a (B, 3)
+                    # @ (3, E) product rounds a row by where BLAS tiles it
+                    row[lo:lo + _BLOCK] = linalg.frobenius_norms(coeffs[lo:lo + _BLOCK] @ words)
         res = grid.reshape(phis.shape + (len(xs),))
         res = res[..., 0] if single else res
         out[f"{system}_rational"] = res if res.ndim else float(res)
     return out
 
 
-def _parity_words(gen: np.ndarray, phi: float) -> np.ndarray:
-    """A - B, AA - BB and ABA - BAB of A = gen otimes I_2, B = I_2 otimes gen,
-    each on its even and odd parity blocks, flattened to (3, 2 h^2): an entry
-    off the blocks that is not exactly 0 raises NumericalError naming phi."""
-    a, b = (np.multiply.outer(p, q).transpose(0, 2, 1, 3).reshape(2 * len(gen), -1)
-            for p, q in ((gen, braid.IDENTITY_2), (braid.IDENTITY_2, gen)))  # np.kron(p, q)
-    words = np.stack([a - b, a @ a - b @ b, a @ b @ a - b @ a @ b])
-    blocks, mixing = braid._PARITY_BLOCKS[len(a)]
-    if np.any(words[:, mixing] != 0):
+def _parity_words(gens: np.ndarray, phis) -> np.ndarray:
+    """A - B, AA - BB and ABA - BAB of A = G otimes I_2, B = I_2 otimes G for
+    each G of a (P, h, h) stack, each on its even and odd parity blocks,
+    flattened to (P, 3, 2 h^2): an entry off the blocks that is not exactly 0
+    raises NumericalError naming the first of ``phis`` whose words have one."""
+    count, h = len(gens), gens.shape[-1]
+    # np.kron(G, I_2) and np.kron(I_2, G), slice by slice
+    a = np.multiply.outer(gens, braid.IDENTITY_2).transpose(0, 1, 3, 2, 4)
+    b = np.multiply.outer(braid.IDENTITY_2, gens).transpose(2, 0, 3, 1, 4)
+    a, b = a.reshape(count, 2 * h, 2 * h), b.reshape(count, 2 * h, 2 * h)
+    words = np.stack([a - b, a @ a - b @ b, a @ b @ a - b @ a @ b], axis=1)
+    blocks, mixing = braid._PARITY_BLOCKS[2 * h]
+    mixed = np.flatnonzero(np.any(words[:, :, mixing] != 0, axis=(1, 2)))
+    if mixed.size:
         raise linalg.NumericalError(
-            f"Yang-Baxter words at phi = {float(phi)!r} join even and odd basis indices; "
-            f"cannot split them into parity blocks")
-    return words[:, blocks[:, :, None], blocks[:, None, :]].reshape(3, -1)
-
+            f"Yang-Baxter words at phi = {float(phis[mixed[0]])!r} join even and odd basis "
+            f"indices; cannot split them into parity blocks")
+    return words[:, :, blocks[:, :, None], blocks[:, None, :]].reshape(count, 3, -1)

@@ -144,6 +144,34 @@ def kron_route_residual(system, x, y, phi, family) -> float:
     return float(linalg.frobenius_norms([lhs - rhs])[0])
 
 
+def parity_words(gen: np.ndarray, phi: float) -> np.ndarray:
+    """A - B, AA - BB and ABA - BAB of A = gen otimes I_2, B = I_2 otimes gen
+    for one generator, each on its even and odd parity blocks, flattened to
+    (3, 2 h^2): an entry off the blocks that is not exactly 0 raises
+    NumericalError naming phi. The one-phi route of yangbaxter._parity_words."""
+    a, b = (np.multiply.outer(p, q).transpose(0, 2, 1, 3).reshape(2 * len(gen), -1)
+            for p, q in ((gen, braid.IDENTITY_2), (braid.IDENTITY_2, gen)))  # np.kron(p, q)
+    words = np.stack([a - b, a @ a - b @ b, a @ b @ a - b @ a @ b])
+    blocks, mixing = braid._PARITY_BLOCKS[len(a)]
+    if np.any(words[:, mixing] != 0):
+        raise linalg.NumericalError(
+            f"Yang-Baxter words at phi = {float(phi)!r} join even and odd basis indices; "
+            f"cannot split them into parity blocks")
+    return words[:, blocks[:, :, None], blocks[:, None, :]].reshape(3, -1)
+
+
+def ybe_grid_per_phi(system: str, xs, ys, phis) -> np.ndarray:
+    """ybe_residual's (len(phis), len(xs)) rational grid on ``system``, with
+    the generator and its words built one phi at a time by parity_words and
+    each pair's (1, 3) @ (3, E) product taken alone."""
+    coeffs = yangbaxter._pair_coefficients(xs, ys)
+    grid = np.empty((len(phis), len(xs)))
+    for row, phi in zip(grid, phis):
+        words = parity_words(yangbaxter._generator(system, phi), phi)
+        row[:] = [linalg.frobenius_norms(c[None] @ words)[0] for c in coeffs]
+    return grid
+
+
 def theta_from_spectral(x: SpectralParam) -> float:
     """Branch theta = pi/2 - arg(x), arg in (-pi, pi]; x = 1 maps to the identity."""
     if not isinstance(x, SpectralParam):

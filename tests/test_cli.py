@@ -466,6 +466,27 @@ class TestSpectrum:
         assert code == 1 and payload["residual_summary"]["projector_match_max"] > 1e-16
         assert not payload["passes"]["projector_match_max"]
 
+    @pytest.mark.parametrize("field, gate", [
+        ("fixture_residuals", "fixture_eigen_equation_max"),
+        ("projector_residuals", "projector_match_max")])
+    def test_nan_at_a_later_residual_fails_its_gate(self, capsys, monkeypatch, field, gate):
+        # Python's max would drop a NaN residual that does not come first
+        exact = dynamics.spectrum
+
+        def nan_second(d):
+            rep = exact(d)
+            values = list(getattr(rep, field))
+            values[1] = float("nan")
+            return rep._replace(**{field: tuple(values)})
+
+        monkeypatch.setattr(dynamics, "spectrum", nan_second)
+        report = cli.cmd_spectrum(1.0, 0.3, 1.0, 1.0, 1e-10)
+        assert np.isnan(report.residual_summary[gate])
+        assert not report.passes[gate] and not report.passed
+        code, out, err = run(capsys, "spectrum", "--theta", "1", "--phi", "0.3")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "JSON" in err
+
     def test_builds_h_once(self, capsys, monkeypatch):
         # the ladder gate reads the H that the fixture residuals were taken on
         built, hamiltonian = [], dynamics.hamiltonian
@@ -590,6 +611,25 @@ class TestBerry:
         assert shapes == [(400, 2, 2)]
         levels = [r["level"] for r in json.loads(out)["results"]["reports"]]
         assert levels == ["minus", "plus"]
+
+    @pytest.mark.parametrize("method", ["analytic", "wilson"])
+    def test_nan_at_a_later_residual_fails_its_gate(self, capsys, monkeypatch, method):
+        # Python's max would drop the NaN of the level's second phase
+        exact, calls = berry.phase_residual, []
+
+        def nan_second(phase, reference):
+            calls.append(phase)
+            return float("nan") if len(calls) == 2 else exact(phase, reference)
+
+        monkeypatch.setattr(berry, "phase_residual", nan_second)
+        report = cli.cmd_berry(0.9, 100, method, "minus", None)
+        assert len(calls) == 2 and np.isnan(report.residual_summary["minus_residual_max"])
+        assert not report.passes["minus_residual_max"] and not report.passed
+        calls.clear()
+        code, out, err = run(capsys, "berry", "--theta", "0.9", "--steps", "100",
+                             "--method", method, "--level", "minus")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "JSON" in err
 
     def test_wilson_zero_level_is_usage_error(self, capsys):
         code, out, err = run(capsys, "berry", "--theta", "0.9", "--method", "wilson",

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from oracles import (
     r_from_spectral,
     rational_r,
     theta_from_spectral,
+    ybe_grid_per_phi,
 )
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -60,6 +62,14 @@ class TestSpectralParam:
     def test_rejects_off_circle(self):
         with pytest.raises(ValueError):
             SpectralParam(1.5 + 0j)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_rejects_non_finite_parts(self, part, bad):
+        x = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        for value in (x, np.complex128(x)):
+            with pytest.raises(ValueError, match="x must be finite"):
+                SpectralParam(value)
 
     def test_branch(self):
         assert theta_from_spectral(SpectralParam(1.0 + 0j)) == pytest.approx(np.pi / 2)
@@ -292,18 +302,73 @@ class TestStackedYbeResidual:
         one = ybe_residual(xs[64], ys[64], phis)[key]
         assert one.shape == (4,) and np.array_equal(one, grid[:, 64])
 
+    @staticmethod
+    def word_grid(count):
+        """``count`` angles: 0, pi, -2.5 and 1e3 first, then seeded draws."""
+        drawn = np.random.default_rng(count).uniform(-10.0, 10.0, max(0, count - 4))
+        return np.concatenate([[0.0, np.pi, -2.5, 1e3], drawn])[:count]
+
+    @pytest.mark.parametrize("count", [1, 4, 5, 6, 11, 64])
+    def test_chunked_words_bitwise_equal_to_the_per_phi_route(self, count):
+        # words built per chunk of _WORD_BLOCK phi from one stacked generator,
+        # against a generator and words built one phi at a time
+        xs, ys = sampled_pairs(70)
+        phis = self.word_grid(count)
+        grids = ybe_residual(xs, ys, phis)
+        for system in yangbaxter.SYSTEMS:
+            reference = ybe_grid_per_phi(system, xs, ys, phis)
+            assert grids[f"{system}_rational"].tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 64])
+    def test_word_block_does_not_change_a_bit(self, monkeypatch, size):
+        xs, ys = sampled_pairs(65)
+        phis = self.word_grid(11)
+        default = ybe_residual(xs, ys, phis)
+        monkeypatch.setattr(yangbaxter, "_WORD_BLOCK", size)
+        resized = ybe_residual(xs, ys, phis)
+        assert all(resized[key].tobytes() == grid.tobytes() for key, grid in default.items())
+
+    @pytest.mark.parametrize("system", yangbaxter.SYSTEMS)
+    def test_mixing_words_in_a_later_chunk_name_their_first_phi(self, monkeypatch, system):
+        # generators that join the parities at the 2nd and last angles of the
+        # 2nd chunk: the error names the 2nd, and no later chunk is built
+        generator, size = yangbaxter._generator, yangbaxter._WORD_BLOCK
+        phis = self.word_grid(3 * size)
+        first, later = phis[size + 1], phis[2 * size - 1]
+        seen = []
+
+        def mutated(sys_, chunk):
+            gens = generator(sys_, chunk)
+            seen.append((sys_, len(chunk)))
+            if sys_ == system:
+                gens = gens.copy()
+                gens[(chunk == first) | (chunk == later), 0, 1] = 1e-300
+            return gens
+
+        monkeypatch.setattr(yangbaxter, "_generator", mutated)
+        xs, ys = sampled_pairs(3)
+        with pytest.raises(linalg.NumericalError, match=f"phi = {re.escape(repr(float(first)))} "):
+            ybe_residual(xs, ys, phis)
+        before = [(yangbaxter.TWO_QUBIT, size)] * 3 if system == yangbaxter.THREE_QUBIT else []
+        assert seen == before + [(system, size)] * 2
+
     def test_generator_built_once_per_phi(self, monkeypatch):
         # 130 pairs span three blocks of 64; each (system, phi) generator is
-        # built once, and the coefficients of every pair in one pass
+        # built once, in one stacked build per chunk of _WORD_BLOCK phi, and
+        # the coefficients of every pair in one pass
         built, generator = [], yangbaxter._generator
         formed, coefficients = [], yangbaxter._pair_coefficients
-        monkeypatch.setattr(yangbaxter, "_generator", lambda system, phi: built.append(
-            (system, phi)) or generator(system, phi))
+        monkeypatch.setattr(yangbaxter, "_generator", lambda system, phis: built.append(
+            (system, phis.tolist())) or generator(system, phis))
         monkeypatch.setattr(yangbaxter, "_pair_coefficients", lambda xs, ys: formed.append(
             len(xs)) or coefficients(xs, ys))
         xs, ys = sampled_pairs(130)
-        ybe_residual(xs, ys, [0.0, 0.9])
-        assert built == [(s, p) for s in yangbaxter.SYSTEMS for p in (0.0, 0.9)]
+        phis = [0.0, 0.9, -2.5, 1e3, 3.1, 6.0, 0.2]
+        ybe_residual(xs, ys, phis)
+        size = yangbaxter._WORD_BLOCK
+        chunks = [phis[at:at + size] for at in range(0, len(phis), size)]
+        assert len(chunks) > 1
+        assert built == [(s, chunk) for s in yangbaxter.SYSTEMS for chunk in chunks]
         assert formed == [130]
 
     @pytest.mark.parametrize("dim", [4, 8])
@@ -312,7 +377,10 @@ class TestStackedYbeResidual:
         # no braid relation is assumed: any complex G that conserves parity
         # gives the product route's value
         gen = parity_conserving(np.random.default_rng(dim), dim)
-        monkeypatch.setattr(yangbaxter, "_generator", lambda system, phi: gen)
+        # the stack of one for a chunk of one phi, and gen alone for the
+        # product route's scalar phi
+        monkeypatch.setattr(yangbaxter, "_generator",
+                            lambda system, phi: np.broadcast_to(gen, np.shape(phi) + gen.shape))
         xs, ys = sampled_pairs(65)
         words = ybe_residual(xs, ys, 0.0)[f"two_qubit_{family}"]
         kron = [kron_route_residual("two_qubit", x, y, 0.0, family) for x, y in zip(xs, ys)]
@@ -328,15 +396,17 @@ class TestStackedYbeResidual:
         dim = len(generator(system, 0.0))
         rng = np.random.default_rng(dim)
 
-        def mutated(sys_, phi):
-            gen = generator(sys_, phi)
-            if sys_ != system or phi != 0.9:
-                return gen
+        def mutated(sys_, phis):
+            gens = generator(sys_, phis)
+            hit = np.flatnonzero(phis == 0.9)
+            if sys_ != system or not hit.size:
+                return gens
+            gens = gens.copy()
             if mutant == "random":
-                return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            gen = gen.copy()
-            gen[0, 1] = 1e-300  # indices 0 and 1 differ in parity
-            return gen
+                gens[hit] = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            else:
+                gens[hit, 0, 1] = 1e-300  # indices 0 and 1 differ in parity
+            return gens
 
         monkeypatch.setattr(yangbaxter, "_generator", mutated)
         xs, ys = sampled_pairs(3)
@@ -363,7 +433,10 @@ class TestStackedYbeResidual:
     def test_stack_matches_per_pair_calls_on_the_haswell_blas_core(self):
         # OpenBLAS's Haswell core rounds a row of a (B, 3) @ (3, E) product
         # by where its tiles put it; each row's own product does not depend
-        # on the batch. A core the CPU lacks would crash the interpreter
+        # on the batch. The words of a chunk of phi come from stacked
+        # (P, 16, 16) products, and a 6-phi grid spans two chunks: each row is
+        # bitwise the call at its phi alone. A core the CPU lacks would crash
+        # the interpreter
         if not {"X86_V3", "AVX2"} & set(golden.simd_found()):
             pytest.skip("the Haswell core needs AVX2")
         code = ("import random, sys; sys.path.insert(0, sys.argv[1]); import golden; "
@@ -371,17 +444,22 @@ class TestStackedYbeResidual:
                 "xs, ys = cli._sample_spectral_pairs(random.Random(3), 65); "
                 "stacked = yb.ybe_residual(xs, ys, 0.9); "
                 "solo = [yb.ybe_residual(x, y, 0.9) for x, y in zip(xs, ys)]; "
+                "phis = [0.0, 0.9, -2.5, 1e3, 3.1, 6.0]; "
+                "grid = yb.ybe_residual(xs, ys, phis); "
+                "per_phi = [yb.ybe_residual(xs, ys, phi) for phi in phis]; "
                 "print(golden.fingerprint()); "
-                "print(all(stacked[key].tolist() == [s[key] for s in solo] for key in stacked))")
+                "print(all(stacked[key].tolist() == [s[key] for s in solo] for key in stacked)); "
+                "print(all(grid[key].tolist() == [p[key].tolist() for p in per_phi] "
+                "for key in grid))")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         env["OPENBLAS_CORETYPE"] = "Haswell"
         done = subprocess.run([sys.executable, "-c", code, str(SCRIPTS)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        fingerprint, same = done.stdout.splitlines()
+        fingerprint, *same = done.stdout.splitlines()
         if not fingerprint.endswith("openblas Haswell"):
             pytest.skip(f"OpenBLAS did not switch cores: {fingerprint}")
-        assert same == "True"
+        assert same == ["True", "True"]
 
     def test_memory_of_the_readme_call(self):
         # one stacked complex product per block, and no broadcast multiply
