@@ -46,8 +46,8 @@ def main() -> int:
           f"the unit-normalized form misses by {misread['ladder_plus_unit']:.3f}")
     print(f"  I3^2 = (9/4) x (doublet-span projector) holds "
           f"({res['i3_squared_projector_identity']:.1e})")
-    print(f"  rescaled ladders J+- = I+-/sqrt(3), J3 = I3/3 close su(2) "
-          f"({max(res['rescaled_cartan'], res['rescaled_ladder_plus']):.1e})")
+    print(f"  so J+- = I+-/sqrt(3), J3 = I3/3 close su(2): ||[J+, J-] - 2 J3|| = "
+          f"||[I+, I-] - 2 I3||/3 ({res['cartan_commutator'] / 3:.1e})")
     minus = berry.berry_wilson(0.9, 400)["minus"]
     print(f"  each doublet carries equal geometric phases: minus level "
           f"{minus[0]:+.6f}, {minus[1]:+.6f} (closed form "

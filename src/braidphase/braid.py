@@ -8,8 +8,10 @@ qubit first). The 8x8 composite is
 
 and mbb = -i * mcal is its Hermitian partner. The family satisfies the
 extraspecial 2-group relations: M^2 = -I, mbb^2 = +I, neighboring lifts
-anticommute and obey the sandwich relations A B A = B, B A B = A.
-build_m4, build_braidset and check_es2_relations take one angle or a 1-D grid.
+anticommute and obey the sandwich relations A B A = B, B A B = A; on a 4-site
+chain the lifts of mcal anticommute to -(2/3) I. mcal also equals its entrywise
+transcription, mcal_transcribed. build_m4, build_braidset, check_es2_relations
+and mcal_transcribed take one angle or a 1-D grid.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ __all__ = [
     "build_m4",
     "build_braidset",
     "check_es2_relations",
-    "m4_transcribed",
     "mcal_transcribed",
-    "transcription_diagnostics",
 ]
 
 SQRT3 = np.sqrt(3.0)
@@ -81,7 +81,7 @@ def _combine(phi, parts: tuple) -> np.ndarray:
     return np.exp(-1j * phi) * minus - np.exp(1j * phi) * plus + zero
 
 
-class BraidSet(namedtuple("BraidSet", "phi m4 a8 b8 mcal mbb alpha")):
+class BraidSet(namedtuple("BraidSet", "phi m4 a8 b8 mcal mbb")):
     """Generator family at a fixed phase angle, or over a 1-D grid of them:
     ``phi`` is then the read-only grid, and every other field has its axis.
 
@@ -91,16 +91,15 @@ class BraidSet(namedtuple("BraidSet", "phi m4 a8 b8 mcal mbb alpha")):
     b8    -- np.ndarray, I otimes M (acts on qubits 2,3)
     mcal  -- np.ndarray, (a8 + b8 + b8 a8)/sqrt(3), anti-Hermitian
     mbb   -- np.ndarray, -i mcal, Hermitian
-    alpha -- float | np.ndarray, measured scalar in mbb^2 = alpha I (fit as tr(mbb^2)/8)
     """
 
     __slots__ = ()
 
 
-class Es2Report(namedtuple("Es2Report", "phi alpha residuals ambiguous")):
+class Es2Report(namedtuple("Es2Report", "phi residuals ambiguous")):
     """Named Frobenius residuals of the generator-algebra relations.
 
-    phi, alpha -- float | np.ndarray, as in the BraidSet checked
+    phi        -- float | np.ndarray, as in the BraidSet checked
     residuals  -- dict, the asserted relations
     ambiguous  -- dict, the mixed triple-product readings that are reported
                   but never gate a run
@@ -126,6 +125,16 @@ def _lifts_and_mcal(phi) -> tuple:
     return a8, b8, (a8 + b8 + b8 @ a8) / SQRT3
 
 
+def _chain_lifts(gens: np.ndarray) -> tuple:
+    """G otimes I_2 and I_2 otimes G, slice by slice, for G of shape (..., h, h):
+    G on the first and on the last sites of a chain one qubit longer."""
+    lead, h = gens.shape[:-2], gens.shape[-1]
+    a, b = np.zeros((2,) + lead + (2 * h, 2 * h), dtype=complex)
+    a[..., ::2, ::2] = a[..., 1::2, 1::2] = gens
+    b[..., :h, :h] = b[..., h:, h:] = gens
+    return a, b
+
+
 def build_braidset(phi) -> BraidSet:
     """The family at ``phi``, a float or a 1-D array of angles; each slice of
     an array's build is bitwise the build at that angle alone."""
@@ -133,12 +142,9 @@ def build_braidset(phi) -> BraidSet:
     if grid:  # held as a read-only float copy
         phi = np.array(phi, dtype=float)
         phi.setflags(write=False)
-    m4 = build_m4(phi)
     a8, b8, mcal = _lifts_and_mcal(phi)
-    mbb = -1j * mcal
-    alpha = (mbb @ mbb).diagonal(0, -2, -1).sum(-1).real / 8.0  # its trace
-    return BraidSet(phi=phi if grid else float(phi), m4=m4, a8=a8, b8=b8, mcal=mcal,
-                    mbb=mbb, alpha=alpha if grid else float(alpha))
+    return BraidSet(phi=phi if grid else float(phi), m4=build_m4(phi), a8=a8, b8=b8,
+                    mcal=mcal, mbb=-1j * mcal)
 
 
 def check_es2_relations(bs: BraidSet) -> Es2Report:
@@ -146,13 +152,14 @@ def check_es2_relations(bs: BraidSet) -> Es2Report:
     an array whose every entry is bitwise the residual at that angle alone.
 
     Asserted residuals (the caller gates on them):
-      m4_square         ||M^2 + I||
-      aba_sandwich      ||A B A - B||          with A = a8, B = b8
-      bab_sandwich      ||B A B - A||
-      anticommutation   ||A B + B A||
-      mbb_square        ||mbb^2 - alpha I||    alpha measured
-      mbb_hermitian     ||mbb - mbb^dag||
-      mcal_antihermitian ||mcal + mcal^dag||
+      m4_square          ||M^2 + I||
+      aba_sandwich       ||A B A - B||          with A = a8, B = b8
+      bab_sandwich       ||B A B - A||
+      anticommutation    ||A B + B A||
+      mbb_square         ||mbb^2 - I||
+      mcal_antihermitian ||mcal + mcal^dag||    (so mbb is Hermitian)
+      mcal_transcription ||mcal - mcal_transcribed(phi)||
+      chain_anticommutation ||3 {mcal otimes I_2, I_2 otimes mcal} + 2 I||  (16x16)
 
     Ambiguous (reported only), with mm12 = -i a8, mm23 = -i b8:
       triple_as_printed ||mm12 mm23 mm12 - mm12||
@@ -162,66 +169,44 @@ def check_es2_relations(bs: BraidSet) -> Es2Report:
     a, b = bs.a8, bs.b8
     mm12, mm23 = -1j * a, -1j * b
     triple = mm12 @ mm23 @ mm12
+    chain_a, chain_b = _chain_lifts(bs.mcal)
     eight = {
         "aba_sandwich": a @ b @ a - b,
         "bab_sandwich": b @ a @ b - a,
         "anticommutation": a @ b + b @ a,
-        "mbb_square": bs.mbb @ bs.mbb - np.multiply.outer(bs.alpha, np.eye(8, dtype=complex)),
-        "mbb_hermitian": bs.mbb - bs.mbb.conj().swapaxes(-1, -2),
+        "mbb_square": bs.mbb @ bs.mbb - np.eye(8, dtype=complex),
         "mcal_antihermitian": bs.mcal + bs.mcal.conj().swapaxes(-1, -2),
+        "mcal_transcription": bs.mcal - mcal_transcribed(bs.phi),
         "triple_as_printed": triple - mm12,
         "triple_swapped": triple - mm23,
         "triple_sign_flipped": triple + mm23,
     }
-    m4_square = (bs.m4 @ bs.m4 + np.eye(4, dtype=complex)).reshape(-1, 4, 4)
-    norms = np.concatenate([linalg.frobenius_norms(m4_square), linalg.frobenius_norms(
-        np.stack(list(eight.values())).reshape(-1, 8, 8))]).reshape((-1,) + np.shape(bs.phi))
-    residuals = dict(zip(("m4_square", *eight), norms if norms.ndim > 1 else norms.tolist()))
+    shape, residuals = np.shape(bs.phi), {}
+    for terms in ({"m4_square": bs.m4 @ bs.m4 + np.eye(4, dtype=complex)}, eight,
+                  {"chain_anticommutation": 3 * (chain_a @ chain_b + chain_b @ chain_a)
+                   + 2 * np.eye(16, dtype=complex)}):  # one norm call per matrix size
+        stack = np.stack(list(terms.values()))
+        norms = linalg.frobenius_norms(stack.reshape((-1,) + stack.shape[-2:]))
+        norms = norms.reshape((len(terms),) + shape)
+        residuals.update(zip(terms, norms if shape else norms.tolist()))
     ambiguous = {name: residuals.pop(name) for name in
                  ("triple_as_printed", "triple_swapped", "triple_sign_flipped")}
-    return Es2Report(phi=bs.phi, alpha=bs.alpha,
-                     residuals=residuals, ambiguous=ambiguous)
+    return Es2Report(phi=bs.phi, residuals=residuals, ambiguous=ambiguous)
 
 
-def m4_transcribed(phi: float) -> np.ndarray:
-    """Direct entrywise 4x4 transcription kept as a cross-check.
-
-    Its (2,1) and (3,3) entries contradict the operator construction (which
-    forces -1 and 0 there); the mismatch is surfaced by
-    transcription_diagnostics, never used to build anything.
-    """
+def mcal_transcribed(phi) -> np.ndarray:
+    """Direct entrywise 8x8 transcription of the composite generator, or its
+    stack over an array of angles, each slice bitwise its value alone."""
     em, ep = np.exp(-1j * phi), np.exp(1j * phi)
-    return np.array([
-        [0, 0, 0, em],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-ep, 0, 0, 1],
-    ], dtype=complex)
-
-
-def mcal_transcribed(phi: float) -> np.ndarray:
-    """Direct entrywise 8x8 transcription of the composite generator."""
-    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
+    z, o = np.zeros_like(em), np.ones_like(em)  # 0 and 1, shaped as the grid
     m = np.array([
-        [0, 0, 0, em, 0, em, em, 0],
-        [0, 0, 1, 0, 1, 0, 0, em],
-        [0, -1, 0, 0, 1, 0, 0, -em],
-        [-ep, 0, 0, 0, 0, 1, -1, 0],
-        [0, -1, -1, 0, 0, 0, 0, em],
-        [-ep, 0, 0, -1, 0, 0, 1, 0],
-        [-ep, 0, 0, 1, 0, -1, 0, 0],
-        [0, -ep, ep, 0, -ep, 0, 0, 0],
-    ], dtype=complex)
-    return m / SQRT3
-
-
-def transcription_diagnostics(bs: BraidSet) -> dict:
-    """Frobenius distances between the operators of ``bs`` and their transcriptions.
-
-    The 8x8 distance is expected to vanish; the 4x4 one is expected to equal
-    sqrt(5) because the transcription's two contradictory entries differ by
-    2 and 1.
-    """
-    m4 = linalg.frobenius_norms([bs.m4 - m4_transcribed(bs.phi)])
-    mcal = linalg.frobenius_norms([bs.mcal - mcal_transcribed(bs.phi)])
-    return {"m4_vs_transcription": float(m4[0]), "mcal_vs_transcription": float(mcal[0])}
+        [z, z, z, em, z, em, em, z],
+        [z, z, o, z, o, z, z, em],
+        [z, -o, z, z, o, z, z, -em],
+        [-ep, z, z, z, z, o, -o, z],
+        [z, -o, -o, z, z, z, z, em],
+        [-ep, z, z, -o, z, z, o, z],
+        [-ep, z, z, o, z, -o, z, z],
+        [z, -ep, ep, z, -ep, z, z, z],
+    ])
+    return np.moveaxis(m, (0, 1), (-2, -1)) / SQRT3

@@ -128,10 +128,8 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
         # built one phi at a time (perfbench's tracer takes a float), then stacked
         builds = [braid.build_braidset(phi) for phi in phis[lo:lo + yangbaxter._BLOCK]]
         bs = braid.BraidSet(*map(np.array, zip(*builds)))
-        if not lo:
-            transcription = braid.transcription_diagnostics(builds[0])
         rep = braid.check_es2_relations(bs)
-        block = {**rep.residuals, **rep.ambiguous, "alpha_deviation": np.abs(rep.alpha - 1.0)}
+        block = {**rep.residuals, **rep.ambiguous}
         for system, gen in zip(yangbaxter.SYSTEMS, (bs.m4, bs.mcal)):
             # phi_k paired with theta_k, and the bound over every theta
             block[f"unitarity_{system}"], block[f"unitarity_all_theta_{system}"] = (
@@ -149,8 +147,7 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
          "ambiguous_triple_readings_max": {name: worst[name] for name in rep.ambiguous},
          **{f"{check}_max": {system: worst[f"{check}_{system}"] for system in yangbaxter.SYSTEMS}
             for check in ("unitarity", "unitarity_all_theta")},
-         "ladder": ladder,
-         "transcription_diagnostics": transcription},
+         "ladder": ladder},
         {name: (val, tol) for name, val in {**worst, **ladder["residuals"]}.items()
          if name not in rep.ambiguous})
 

@@ -25,7 +25,8 @@ on no drive, and ladder_residuals checks them: (I+-)^2 = 0 and [I+, I-] = 2 I3
 hold exactly, but [I3, I+-] = +-3 I+- (not +-I+-), and I3^2 is (9/4) times
 the projector onto the doublet range (not I/4). So they are x3-normalized;
 J+- = I+-/sqrt(3), J3 = I3/3 close an exact su(2), with the fields sqrt(3) B+-
-and 3 B3.
+and 3 B3. Each bracket of the J is a fixed multiple of one of the I, so only
+the I are checked.
 """
 
 from __future__ import annotations
@@ -243,13 +244,13 @@ def ladder_residuals() -> dict:
     """Frobenius residuals of the brackets of I_PLUS, I_MINUS and I_3, which
     depend on no drive: {"residuals": the identities that hold, "misreadings":
     the unit readings that do not}. *_triple is [I3, I+-] = +-3 I+-, *_unit
-    [I3, I+-] = +-I+-; rescaled_* use J+- = I+-/sqrt(3), J3 = I3/3, which
-    close an exact su(2); i3_squared_* compare I3^2 with (9/4) P and with I/4,
-    globally and on the doublet range, whose projector P comes from _LIFT."""
+    [I3, I+-] = +-I+-; i3_squared_* compare I3^2 with (9/4) P and with I/4,
+    globally and on the doublet range, whose projector P comes from _LIFT.
+    With cartan_commutator, the *_triple pair and i3_squared_nine_quarters_span,
+    J+- = I+-/sqrt(3), J3 = I3/3 close an exact su(2) with J3^2 = 1/4 on P."""
     ip, im, i3 = I_PLUS, I_MINUS, I_3
     eye = np.eye(8)
     span = np.einsum("sim,sjm->ij", _LIFT, _LIFT)  # the sectors' ranges together
-    jp, jm, j3 = ip / SQRT3, im / SQRT3, i3 / 3
     i3sq = i3 @ i3
     restrict = lambda m: span @ m @ span
     holds = {
@@ -260,10 +261,6 @@ def ladder_residuals() -> dict:
         "ladder_minus_triple": i3 @ im - im @ i3 + 3 * im,
         "i3_squared_nine_quarters_span": restrict(i3sq - 9 * eye / 4),
         "i3_squared_projector_identity": i3sq - 9 / 4 * span,
-        "rescaled_cartan": jp @ jm - jm @ jp - 2 * j3,
-        "rescaled_ladder_plus": j3 @ jp - jp @ j3 - jp,
-        "rescaled_ladder_minus": j3 @ jm - jm @ j3 + jm,
-        "rescaled_j3_squared_quarter_span": restrict(j3 @ j3 - eye / 4),
     }
     misreadings = {
         "ladder_plus_unit": i3 @ ip - ip @ i3 - ip,

@@ -226,10 +226,7 @@ def _parity_words(gens: np.ndarray, phis) -> np.ndarray:
     flattened to (P, 3, 2 h^2): an entry off the blocks that is not exactly 0
     raises NumericalError naming the first of ``phis`` whose words have one."""
     count, h = len(gens), gens.shape[-1]
-    # np.kron(G, I_2) and np.kron(I_2, G), slice by slice
-    a = np.multiply.outer(gens, braid.IDENTITY_2).transpose(0, 1, 3, 2, 4)
-    b = np.multiply.outer(braid.IDENTITY_2, gens).transpose(2, 0, 3, 1, 4)
-    a, b = a.reshape(count, 2 * h, 2 * h), b.reshape(count, 2 * h, 2 * h)
+    a, b = braid._chain_lifts(gens)
     words = np.stack([a - b, a @ a - b @ b, a @ b @ a - b @ a @ b], axis=1)
     blocks, mixing = braid._PARITY_BLOCKS[2 * h]
     mixed = np.flatnonzero(np.any(words[:, :, mixing] != 0, axis=(1, 2)))

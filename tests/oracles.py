@@ -128,6 +128,22 @@ def one_vs_rest_sq(state, which: str):
     return c2 if v.ndim == 2 else float(c2[0])
 
 
+def m4_transcribed(phi: float) -> np.ndarray:
+    """A direct entrywise transcription variant of the 4x4 generator.
+
+    Its (2,1) and (3,3) entries contradict the operator construction, which
+    forces -1 and 0 there, so it is never used to build anything: it lies
+    exactly sqrt(5) from braid.build_m4 (test_braid.TestTranscriptions).
+    """
+    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
+    return np.array([
+        [0, 0, 0, em],
+        [0, 0, 1, 0],
+        [0, 1, 0, 0],
+        [-ep, 0, 0, 1],
+    ], dtype=complex)
+
+
 def kron_route_residual(system, x, y, phi, family) -> float:
     """Yang-Baxter residual of one pair from whole braid matrices lifted by
     np.kron and multiplied out: R12(x) R23(xy) R12(y) - R23(y) R12(xy) R23(x)."""

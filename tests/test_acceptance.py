@@ -33,7 +33,11 @@ def sample_unit_circle_pairs(rng, count):
 
 
 def test_c01_generator_algebra():
-    """M^2=-I4, mbb^2=I8, mbb Hermitian, anticommutation, both sandwich relations."""
+    """Every gate of check_es2_relations: M^2 = -I4 (m4_square), both sandwich
+    relations (aba_sandwich, bab_sandwich), anticommutation, mbb^2 = I8 itself
+    (mbb_square), mbb Hermitian (mcal_antihermitian), mcal against its entrywise
+    transcription (mcal_transcription) and 3 {mcal x I2, I2 x mcal} = -2 I16 on the
+    4-site chain (chain_anticommutation)."""
     tol = 1e-10
     phis = np.linspace(0, 2 * np.pi, 17, endpoint=False)
     rep = braid.check_es2_relations(braid.build_braidset(phis))

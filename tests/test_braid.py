@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from braidphase import braid
+from oracles import m4_transcribed
 
 PHI_GRID = np.linspace(0.0, 2 * np.pi, 17, endpoint=False)
 
@@ -50,9 +51,10 @@ class TestBuildBraidset:
         assert bs.mcal[7, 1] == pytest.approx(-np.exp(1j * phi) / np.sqrt(3))
 
     def test_hermitian_square_and_alpha(self):
+        # mbb^2 = I itself, with no fitted scalar alpha in mbb^2 = alpha I
         bs = braid.build_braidset(2.3)
         assert np.linalg.norm(bs.mbb @ bs.mbb - np.eye(8)) < 1e-14
-        assert bs.alpha == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(bs.mbb - bs.mbb.conj().T) < 1e-15
 
     def test_composition_definition(self):
         bs = braid.build_braidset(1.1)
@@ -85,9 +87,12 @@ class TestEs2Relations:
         assert rep.residuals["anticommutation"] <= 1e-12
 
     def test_measured_alpha_is_one(self):
-        rep = braid.check_es2_relations(braid.build_braidset(0.33))
-        assert rep.alpha == pytest.approx(1.0, abs=1e-14)
-        assert rep.residuals["mbb_square"] <= 1e-12
+        # the gate reads ||mbb^2 - I||: a rescaled mbb, whose square is still a
+        # multiple of I, misses it by sqrt(8) |alpha - 1|
+        bs = braid.build_braidset(0.33)
+        assert braid.check_es2_relations(bs).residuals["mbb_square"] <= 1e-14
+        scaled = braid.check_es2_relations(bs._replace(mbb=(1 + 1e-9) * bs.mbb))
+        assert scaled.residuals["mbb_square"] == pytest.approx(np.sqrt(8) * 2e-9, rel=1e-6)
 
     def test_ambiguous_triple_readings(self):
         # the scaled operators flip the sandwich sign: only the negated
@@ -102,14 +107,17 @@ class TestEs2Relations:
 class TestTranscriptions:
     def test_composite_matches_transcription(self):
         for phi in (0.0, 0.7, 3.9):
-            diag = braid.transcription_diagnostics(braid.build_braidset(phi))
-            assert diag["mcal_vs_transcription"] < 1e-14
+            bs = braid.build_braidset(phi)
+            residual = braid.check_es2_relations(bs).residuals["mcal_transcription"]
+            assert residual < 1e-14
+            assert residual == pytest.approx(
+                np.linalg.norm(bs.mcal - braid.mcal_transcribed(phi)), abs=1e-16)
 
     def test_four_by_four_transcription_contradiction(self):
         # two contradictory entries, differing by 2 and 1 -> sqrt(5)
         for phi in (0.0, 0.7):
-            diag = braid.transcription_diagnostics(braid.build_braidset(phi))
-            assert diag["m4_vs_transcription"] == pytest.approx(np.sqrt(5), abs=1e-12)
+            distance = np.linalg.norm(braid.build_m4(phi) - m4_transcribed(phi))
+            assert distance == pytest.approx(np.sqrt(5), abs=1e-12)
 
 
 # 1,000 random angles plus the landmarks 0, pi, 2 pi and |phi| = 1e3
@@ -127,22 +135,20 @@ def kron_braidset(phi):
           + np.kron(sp, sm) - np.kron(sm, sp))
     a8, b8 = np.kron(m4, EYE2), np.kron(EYE2, m4)
     mcal = (a8 + b8 + b8 @ a8) / np.sqrt(3.0)
-    mbb = -1j * mcal
-    return m4, a8, b8, mcal, mbb, float(np.trace(mbb @ mbb).real) / 8.0
+    return m4, a8, b8, mcal, -1j * mcal
 
 
 class TestPrecomputedParts:
     def test_bitwise_equal_to_kron_construction(self):
         for phi in BITWISE_PHIS:
             bs = braid.build_braidset(phi)
-            m4, a8, b8, mcal, mbb, alpha = kron_braidset(phi)
+            m4, a8, b8, mcal, mbb = kron_braidset(phi)
             assert braid.build_m4(phi).tobytes() == m4.tobytes()
             assert bs.m4.tobytes() == m4.tobytes()
             # the lifts may differ from np.kron in the sign of a zero entry only
             assert np.array_equal(bs.a8, a8) and np.array_equal(bs.b8, b8)
             assert bs.mcal.tobytes() == mcal.tobytes()
             assert bs.mbb.tobytes() == mbb.tobytes()
-            assert bs.alpha == alpha
 
     def test_parts_are_read_only(self):
         with pytest.raises(ValueError):
@@ -157,12 +163,10 @@ class TestGrid:
         phis = BITWISE_PHIS[:count]
         grid = braid.build_braidset(phis)
         assert grid.phi.tolist() == phis.tolist() and not grid.phi.flags.writeable
-        assert grid.alpha.shape == (count,)
         for k, phi in enumerate(phis.tolist()):
             solo = braid.build_braidset(phi)
             for name in self.FIELDS:
                 assert getattr(grid, name)[k].tobytes() == getattr(solo, name).tobytes()
-            assert grid.alpha[k] == solo.alpha
 
     def test_relation_slices_bitwise_equal_to_solo(self):
         phis = BITWISE_PHIS[:200]
@@ -172,7 +176,6 @@ class TestGrid:
             for name, values in getattr(grid, kind).items():
                 assert values.shape == (200,)
                 assert values.tolist() == [getattr(rep, kind)[name] for rep in solos]
-        assert grid.alpha.tolist() == [rep.alpha for rep in solos]
 
 
 def harmonic_parts():

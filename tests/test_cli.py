@@ -166,6 +166,38 @@ class TestVerifyAlgebra:
         assert not passes["unitarity_two_qubit"] and not passes["unitarity_all_theta_two_qubit"]
         assert passes["unitarity_three_qubit"] and passes["unitarity_all_theta_three_qubit"]
 
+    def test_rescaled_composite_fails_the_square_gate(self, capsys, monkeypatch):
+        # mcal / (1 + 1e-9) keeps mbb^2 = (1 - 2e-9) I a multiple of I: the
+        # gate reads ||mbb^2 - I|| = sqrt(8) 2e-9, not a fit of that multiple
+        monkeypatch.setattr(braid, "SQRT3", braid.SQRT3 * (1 + 1e-9))
+        code, out, _ = run(capsys, "verify-algebra", "--phi-samples", "17", "--seed", "0")
+        payload = json.loads(out)
+        assert code == 1 and not payload["passes"]["mbb_square"]
+        assert payload["residual_summary"]["mbb_square"] == pytest.approx(
+            np.sqrt(8) * 2e-9, rel=1e-6)
+
+    def test_flipped_lift_part_fails_the_transcription_gate(self, capsys, monkeypatch):
+        # B = I otimes M built with -M0: mcal leaves its entrywise transcription
+        parts = list(braid._LIFT_23)
+        parts[2] = -parts[2]
+        monkeypatch.setattr(braid, "_LIFT_23", tuple(parts))
+        code, out, _ = run(capsys, "verify-algebra", "--phi-samples", "17", "--seed", "0")
+        payload = json.loads(out)
+        assert code == 1 and not payload["passes"]["mcal_transcription"]
+        assert payload["residual_summary"]["mcal_transcription"] > 0.1
+
+    def test_mislifted_chain_fails_the_kappa_gate(self, capsys, monkeypatch):
+        # both lifts on sites 1-3: {A, A} = -2 I, so ||3 {A, A} + 2 I|| = 4 ||I_16|| = 16;
+        # no other gate reads the chain
+        lifts = braid._chain_lifts
+        monkeypatch.setattr(braid, "_chain_lifts", lambda gens: (lifts(gens)[0],) * 2)
+        code, out, _ = run(capsys, "verify-algebra", "--phi-samples", "17", "--seed", "0")
+        payload = json.loads(out)
+        assert code == 1
+        assert [gate for gate, ok in payload["passes"].items() if not ok] == [
+            "chain_anticommutation"]
+        assert payload["residual_summary"]["chain_anticommutation"] == pytest.approx(16.0)
+
     def test_ladder_block(self, capsys):
         # the brackets that hold are gated; the unit misreadings are reported only
         code, out, _ = run(capsys, "verify-algebra", "--phi-samples", "3")

@@ -225,13 +225,6 @@ class TestSu2Ops:
         assert res["ladder_plus_triple"] <= 1e-12
         assert res["ladder_minus_triple"] <= 1e-12
 
-    def test_rescaled_family_closes_su2(self):
-        res = dynamics.ladder_residuals()["residuals"]
-        assert res["rescaled_cartan"] <= 1e-12
-        assert res["rescaled_ladder_plus"] <= 1e-12
-        assert res["rescaled_ladder_minus"] <= 1e-12
-        assert res["rescaled_j3_squared_quarter_span"] <= 1e-12
-
     def test_i3_squared_findings(self):
         ladder = dynamics.ladder_residuals()
         res, misread = ladder["residuals"], ladder["misreadings"]

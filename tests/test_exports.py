@@ -17,12 +17,15 @@ MOVED_TO_ORACLES = {
     "dynamics": ("hamiltonian_from_r", "hamiltonian_grid"),
     "entanglement": ("concurrence", "three_tangle", "one_vs_rest_sq"),
     "linalg": ("as_density_stack",),
+    "braid": ("m4_transcribed",),
 }
 # the CLI composes each level's report from the routes themselves,
 # basis_state checks its own label, ladder_residuals, which takes no drive,
-# checks the brackets, and no spectral parameter on the unit circle is singular
+# checks the brackets, no spectral parameter on the unit circle is singular,
+# and verify-algebra gates mcal against its transcription
 REMOVED = {"berry": ("BerryReport", "report"), "states": ("basis_index",),
-           "dynamics": ("su2_relation_residuals",), "yangbaxter": ("SingularParameterError",)}
+           "dynamics": ("su2_relation_residuals",), "yangbaxter": ("SingularParameterError",),
+           "braid": ("transcription_diagnostics",)}
 
 
 @pytest.mark.parametrize("name", MODULES)

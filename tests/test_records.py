@@ -17,9 +17,9 @@ RECORDS = {
     "EigenDecomposition": (linalg.EigenDecomposition, "eigenvalues eigenvectors",
                            tuple(linalg.eigh(np.diag([1.0, 2.0]).astype(complex)))),
     "SpinOps": (braid.SpinOps, "s_plus s_minus s3", tuple(braid.SPIN)),
-    "BraidSet": (braid.BraidSet, "phi m4 a8 b8 mcal mbb alpha",
+    "BraidSet": (braid.BraidSet, "phi m4 a8 b8 mcal mbb",
                  tuple(braid.build_braidset(0.3))),
-    "Es2Report": (braid.Es2Report, "phi alpha residuals ambiguous",
+    "Es2Report": (braid.Es2Report, "phi residuals ambiguous",
                   tuple(braid.check_es2_relations(braid.build_braidset(0.3)))),
     "RParams": (yangbaxter.RParams, "theta phi", (0.5, -1.0)),
     "SpectralParam": (SpectralParam, "x", (np.exp(0.3j),)),
