@@ -209,4 +209,5 @@ def mcal_transcribed(phi) -> np.ndarray:
         [-ep, z, z, o, z, -o, z, z],
         [z, -ep, ep, z, -ep, z, z, z],
     ])
-    return np.moveaxis(m, (0, 1), (-2, -1)) / SQRT3
+    # its own sqrt(3), not SQRT3, which mcal is built with: a mis-scaled mcal shows
+    return np.moveaxis(m, (0, 1), (-2, -1)) / np.sqrt(3.0)

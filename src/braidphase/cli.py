@@ -235,8 +235,6 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
                  tol: float) -> RunReport:
     d = dynamics.DriveParams(theta=theta, phi=phi, phi_dot=phidot, hbar=hbar)
     rep = dynamics.spectrum(d)
-    ops = dynamics.su2_ops(d)
-    split = ops.b_plus * ops.i_plus + ops.b_minus * ops.i_minus + ops.b_3 * ops.i_3
     scaled = tol * hbar * abs(phidot)  # H is linear in hbar * phidot
     return _report(
         "spectrum", {"theta": theta, "phi": phi, "phidot": phidot, "hbar": hbar, "tol": tol},
@@ -248,8 +246,7 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
          # np.max keeps a NaN, which Python's max drops if not first
          "fixture_eigen_equation_max": (np.max(rep.fixture_residuals), scaled),
          "projector_match_max": (np.max(rep.projector_residuals), tol),
-         "ladder_decomposition": (
-             float(linalg.frobenius_norms([rep.hamiltonian - split])[0]), scaled)})
+         "hamiltonian_covariance": (rep.hamiltonian_covariance, scaled)})
 
 
 # method: (its default --steps, its default --tol)

@@ -1,4 +1,4 @@
-"""Driven three-qubit Hamiltonian, its spectrum, and the ladder-operator split.
+"""Driven three-qubit Hamiltonian, its spectrum, and its ladder operators.
 
 With theta held fixed and phi(t) advancing at rate phi_dot, the braid matrix
 drives the evolution and the generator of that evolution is
@@ -11,7 +11,10 @@ drives the evolution and the generator of that evolution is
              - (S1+ S2- + S2+ S3- + S1- S2+ + S2- S3+)]
 
 hamiltonian() transcribes exactly that expression; the tests check it against
-the finite-difference generator i hbar (dR/dt) R^dag of the braid matrix. The
+the finite-difference generator i hbar (dR/dt) R^dag of the braid matrix, and
+spectrum checks it against that braid matrix exactly: R(theta, phi) =
+D(phi) R(theta, 0) D(phi)^dag, with D generated by S_z = S1_3 + S2_3 + S3_3,
+so H = (hbar phidot / 2)(S_z - R S_z R^dag) with no derivative. The
 spectrum is {0 x4, -hbar phidot cos(theta) x2, +hbar phidot cos(theta) x2} and
 the eight closed-form eigenstates are available as fixtures. LEVELS, the one table of
 level membership, is checked exactly by the eigen-equations. H conserves the
@@ -19,14 +22,13 @@ parity of the basis index; each split doublet has one member in each sector, and
 spectrum and the Wilson loop solve H's 2x2 blocks on the sectors' doublet ranges,
 built from the ladder operators after one exact check of them.
 
-su2_ops exposes the ladder split H = B+ I+ + B- I- + B3 I3 of the read-only
-constants I_PLUS, I_MINUS and I_3 that H is built from. Their brackets depend
-on no drive, and ladder_residuals checks them: (I+-)^2 = 0 and [I+, I-] = 2 I3
-hold exactly, but [I3, I+-] = +-3 I+- (not +-I+-), and I3^2 is (9/4) times
-the projector onto the doublet range (not I/4). So they are x3-normalized;
-J+- = I+-/sqrt(3), J3 = I3/3 close an exact su(2), with the fields sqrt(3) B+-
-and 3 B3. Each bracket of the J is a fixed multiple of one of the I, so only
-the I are checked.
+H = B+ I+ + B- I- + B3 I3 splits over the read-only constants I_PLUS, I_MINUS
+and I_3. Their brackets depend on no drive, and ladder_residuals checks them:
+(I+-)^2 = 0 and [I+, I-] = 2 I3 hold exactly, but [I3, I+-] = +-3 I+- (not
++-I+-), and I3^2 is (9/4) times the projector onto the doublet range (not
+I/4). So they are x3-normalized; J+- = I+-/sqrt(3), J3 = I3/3 close an exact
+su(2), with the fields sqrt(3) B+- and 3 B3. Each bracket of the J is a fixed
+multiple of one of the I, so only the I are checked.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import braid, linalg
+from . import braid, linalg, yangbaxter
 
 __all__ = [
     "DriveParams",
-    "Su2Ops",
     "SpectrumReport",
     "FIXTURE_INDICES",
     "LEVELS",
@@ -48,7 +49,6 @@ __all__ = [
     "I_MINUS",
     "I_3",
     "hamiltonian",
-    "su2_ops",
     "ladder_residuals",
     "spectrum",
     "eigenstate_fixture",
@@ -80,6 +80,8 @@ I_3 = (S1_3 + S2_3 + S3_3 + S2_3 @ (S1P @ S3M + S1M @ S3P)
        - 0.5 * (S1P @ S2M + S1M @ S2P + S2P @ S3M + S2M @ S3P))
 for _m in (I_PLUS, I_MINUS, I_3):
     _m.setflags(write=False)
+# the diagonal of S_z, which generates the gauge rotation D(phi) of the braid matrix
+_S_Z = np.diag(S1_3 + S2_3 + S3_3)
 
 # In each parity sector H acts on a fixed orthonormal pair, its doublet range: even
 # |000>, (|011> + |101> + |110>)/sqrt(3); odd (|001> - |010> + |100>)/sqrt(3), |111>,
@@ -127,21 +129,9 @@ def _check_drive(theta, phis, phi_dot, hbar) -> None:
         raise ValueError("drive scale hbar*|phidot| is below the normal float range")
 
 
-class Su2Ops(namedtuple("Su2Ops", "i_plus i_minus i_3 b_plus b_minus b_3")):
-    """Ladder operators and field coefficients of the split H = B+ I+ + B- I- + B3 I3.
-
-    i_plus, i_minus, i_3 -- np.ndarray, the read-only module constants I_PLUS,
-        I_MINUS and I_3, x3-normalized ([I3, I+-] = +-3 I+-); the unit-normalized
-        su(2) split is H = (sqrt(3) B+-)(I+-/sqrt(3)) + (3 B3)(I3/3)
-    b_plus, b_minus -- complex; b_3 -- float
-    """
-
-    __slots__ = ()
-
-
 class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_pattern "
                                 "closed_form_match fixture_residuals projector_residuals "
-                                "hamiltonian")):
+                                "hamiltonian_covariance")):
     """H's eigenvalues, ascending, plus closed-form and fixture comparisons.
 
     eigenvalues -- np.ndarray
@@ -152,7 +142,9 @@ class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues degeneracy_patter
     fixture_residuals -- tuple of ||H v - E v||, one per fixture v of energy E
     projector_residuals -- tuple comparing, per cluster, the numerical
         eigenprojector with the one spanned by the fixtures assigned to that cluster
-    hamiltonian -- the 8x8 H that the fixture residuals were taken on
+    hamiltonian_covariance -- float, ||H - (hbar phidot / 2)(S_z - R S_z R^dag)||
+        on the H the fixture residuals were taken on, R the braid matrix
+        r_matrix(THREE_QUBIT, RParams(theta, phi))
     """
 
     __slots__ = ()
@@ -209,14 +201,6 @@ def _doublet_blocks(theta, phis, phi_dot, hbar) -> np.ndarray:
     h = _generator(_BLOCK_ENTRIES, theta, phis, phi_dot, hbar)
     h *= _WEIGHTS.reshape(8, 1)
     return h.T.reshape(len(phis), 2, 2, 2)
-
-
-def su2_ops(d: DriveParams) -> Su2Ops:
-    b_plus = complex(d.hbar * d.phi_dot * np.sin(d.theta) * np.cos(d.theta)
-                     * np.exp(-1j * d.phi) / SQRT3)
-    b_3 = float(2 / 3 * d.hbar * d.phi_dot * np.cos(d.theta) ** 2)
-    return Su2Ops(i_plus=I_PLUS, i_minus=I_MINUS, i_3=I_3,
-                  b_plus=b_plus, b_minus=np.conj(b_plus), b_3=b_3)
 
 
 def _span_projector(vectors) -> np.ndarray:
@@ -334,7 +318,8 @@ def spectrum(d: DriveParams) -> SpectrumReport:
     """H's spectrum from one eigh of its (2, 2, 2) _doublet_blocks, whose
     eigenvectors are lifted through the doublet range, and from its exact
     kernel, spanned by e_copy - sign e_source, as the zero level (eigenvalues
-    exactly 0); then checked against the closed-form fixtures on the 8x8 H."""
+    exactly 0); then checked against the closed-form fixtures on the 8x8 H,
+    and that H against the braid matrix it is the generator of."""
     h = hamiltonian(d)
     dec = linalg.eigh(_doublet_blocks(d.theta, np.array([d.phi]), d.phi_dot, d.hbar)[0])
     # H is linear in hbar * phidot, so the grouping gap scales with it
@@ -362,11 +347,15 @@ def spectrum(d: DriveParams) -> SpectrumReport:
                    if abs(en - mean) <= gap]
         projector_diffs.append(p_num - _span_projector(members))
 
+    r = yangbaxter.r_matrix(yangbaxter.THREE_QUBIT, yangbaxter.RParams(d.theta, d.phi))
+    rotated = np.diag(_S_Z) - (r * _S_Z) @ r.conj().T  # S_z - R S_z R^dag
+
     return SpectrumReport(
         eigenvalues=lam,
         degeneracy_pattern=tuple(len(states) for states in clusters),
         closed_form_match=closed_match,
         fixture_residuals=fixture_residuals,
         projector_residuals=tuple(linalg.frobenius_norms(projector_diffs).tolist()),
-        hamiltonian=h,
+        hamiltonian_covariance=float(linalg.frobenius_norms(
+            [h - d.hbar * d.phi_dot / 2 * rotated])[0]),
     )

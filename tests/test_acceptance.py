@@ -1,7 +1,7 @@
 """Acceptance suite: every gated claim at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with ``pytest -v -s`` to see them
-all). The ladder operators I+-, I3 returned by dynamics.su2_ops are
+all). The ladder operators dynamics.I_PLUS, I_MINUS, I_3 are
 x3-normalized: [I3, I+-] = +-3 I+- and [I+, I-] = 2 I3 hold exactly. The
 unit normalization J+- = I+-/sqrt(3), J3 = I3/3, with fields sqrt(3) B+- and
 3 B3, closes [J3, J+-] = +-J+-, [J+, J-] = 2 J3; test_c08b gates that
@@ -189,9 +189,12 @@ def test_c08a_ladder_structure_and_decomposition():
     d = DriveParams(theta=0.9, phi=1.1, phi_dot=1.3)
     ladder = dynamics.ladder_residuals()
     res, misread = ladder["residuals"], ladder["misreadings"]
-    ops = dynamics.su2_ops(d)
+    # the paper's fields of H = B+ I+ + B- I- + B3 I3
+    b_plus = (d.hbar * d.phi_dot * np.sin(d.theta) * np.cos(d.theta)
+              * np.exp(-1j * d.phi) / np.sqrt(3))
+    b_3 = 2 / 3 * d.hbar * d.phi_dot * np.cos(d.theta) ** 2
     decomposition = np.linalg.norm(dynamics.hamiltonian(d) - (
-        ops.b_plus * ops.i_plus + ops.b_minus * ops.i_minus + ops.b_3 * ops.i_3))
+        b_plus * dynamics.I_PLUS + np.conj(b_plus) * dynamics.I_MINUS + b_3 * dynamics.I_3))
     ok = (res["i_plus_squared"] <= tol_exact
           and res["i_minus_squared"] <= tol_exact
           and res["cartan_commutator"] <= tol_exact
@@ -210,7 +213,11 @@ def test_c08b_ladder_unit_normalization():
     """Unit-normalized split J+- = I+-/sqrt(3), J3 = I3/3: brackets, H, level at 1e-12."""
     tol, tol_decomp = 1e-12, 1e-10
     d = DriveParams(theta=0.9, phi=1.1)
-    ops = dynamics.su2_ops(d)
+    # the paper's fields of H = B+ I+ + B- I- + B3 I3
+    b_plus = (d.hbar * d.phi_dot * np.sin(d.theta) * np.cos(d.theta)
+              * np.exp(-1j * d.phi) / np.sqrt(3))
+    b_minus, b_3 = np.conj(b_plus), 2 / 3 * d.hbar * d.phi_dot * np.cos(d.theta) ** 2
+    ip, im, i3 = dynamics.I_PLUS, dynamics.I_MINUS, dynamics.I_3
     h = dynamics.hamiltonian(d)
     level = d.hbar * d.phi_dot * abs(np.cos(d.theta))
 
@@ -225,11 +232,9 @@ def test_c08b_ladder_unit_normalization():
             "level": abs(0.5 * np.sqrt(b3 ** 2 + 4 * abs(bp) ** 2) - level),
         }
 
-    raw = split_residuals(ops.i_plus, ops.i_minus, ops.i_3,
-                          ops.b_plus, ops.b_minus, ops.b_3)
+    raw = split_residuals(ip, im, i3, b_plus, b_minus, b_3)
     s3 = np.sqrt(3.0)
-    unit = split_residuals(ops.i_plus / s3, ops.i_minus / s3, ops.i_3 / 3,
-                           s3 * ops.b_plus, s3 * ops.b_minus, 3 * ops.b_3)
+    unit = split_residuals(ip / s3, im / s3, i3 / 3, s3 * b_plus, s3 * b_minus, 3 * b_3)
     ok = (unit["ladder"] <= tol and unit["cartan"] <= tol
           and unit["decomposition"] <= tol_decomp and unit["level"] <= tol)
     report_line(

@@ -26,6 +26,9 @@ import golden  # noqa: E402
 
 GOLDEN_SPECTRUM = [command for command in golden.README_COMMANDS + golden.EXTRA_COMMANDS
                    if command.startswith("spectrum")]
+# the golden spectrum commands at phi != 0, the ones a wrong phi-rule in R can show on
+GOLDEN_SPECTRUM_AT_PHI = [command for command in GOLDEN_SPECTRUM
+                          if "--phi" in shlex.split(command)]
 # the golden analytic berry commands with a split level, "all" included
 GOLDEN_ANALYTIC_SPLIT = [command for command in golden.README_COMMANDS + golden.EXTRA_COMMANDS
                          if command.startswith("berry") and "--method analytic" in command
@@ -168,13 +171,18 @@ class TestVerifyAlgebra:
 
     def test_rescaled_composite_fails_the_square_gate(self, capsys, monkeypatch):
         # mcal / (1 + 1e-9) keeps mbb^2 = (1 - 2e-9) I a multiple of I: the
-        # gate reads ||mbb^2 - I|| = sqrt(8) 2e-9, not a fit of that multiple
+        # gate reads ||mbb^2 - I|| = sqrt(8) 2e-9, not a fit of that multiple.
+        # The transcription divides by its own sqrt(3), so it reads the
+        # rescaling too: ||mcal|| 1e-9, with ||mcal|| = sqrt(24 / 3)
         monkeypatch.setattr(braid, "SQRT3", braid.SQRT3 * (1 + 1e-9))
         code, out, _ = run(capsys, "verify-algebra", "--phi-samples", "17", "--seed", "0")
         payload = json.loads(out)
         assert code == 1 and not payload["passes"]["mbb_square"]
         assert payload["residual_summary"]["mbb_square"] == pytest.approx(
             np.sqrt(8) * 2e-9, rel=1e-6)
+        assert not payload["passes"]["mcal_transcription"]
+        assert payload["residual_summary"]["mcal_transcription"] == pytest.approx(
+            np.sqrt(8) * 1e-9, rel=1e-6)
 
     def test_flipped_lift_part_fails_the_transcription_gate(self, capsys, monkeypatch):
         # B = I otimes M built with -M0: mcal leaves its entrywise transcription
@@ -520,7 +528,7 @@ class TestSpectrum:
         assert len(err.splitlines()) == 1 and "JSON" in err
 
     def test_builds_h_once(self, capsys, monkeypatch):
-        # the ladder gate reads the H that the fixture residuals were taken on
+        # the covariance gate reads the H that the fixture residuals were taken on
         built, hamiltonian = [], dynamics.hamiltonian
         monkeypatch.setattr(dynamics, "hamiltonian", lambda d: built.append(d) or hamiltonian(d))
         code, _, _ = run(capsys, "spectrum", "--theta", "1.0472", "--phi", "0.3")
@@ -568,6 +576,40 @@ class TestGoldenCommands:
         passes = json.loads(out)["passes"]
         assert not passes["fixture_eigen_equation_max"]
         assert not passes["projector_match_max"]
+
+    @staticmethod
+    def combine_at(monkeypatch, factor):
+        # braid's phi-rule scaled, so R(theta, phi) is built as R(theta, factor phi)
+        combine = braid._combine
+        monkeypatch.setattr(braid, "_combine", lambda phi, parts: combine(factor * phi, parts))
+
+    @pytest.mark.parametrize("factor", [2.0, -1.0])
+    @pytest.mark.parametrize("command", GOLDEN_SPECTRUM_AT_PHI)
+    def test_combine_mutant_fails_the_covariance_gate(self, capsys, monkeypatch, factor,
+                                                      command):
+        # H is built from dynamics' own constants, so only its covariance
+        # against braid's R can see R's phi-rule
+        self.combine_at(monkeypatch, factor)
+        code, out, _ = run(capsys, *shlex.split(command))
+        passes = json.loads(out)["passes"]
+        assert code == 1 and not passes["hamiltonian_covariance"], passes
+
+    @pytest.mark.parametrize("factor", [2.0, -1.0])
+    @pytest.mark.parametrize("command", [command for command in GOLDEN_SPECTRUM
+                                         if command not in GOLDEN_SPECTRUM_AT_PHI])
+    def test_combine_mutant_survives_at_zero_phi(self, capsys, monkeypatch, factor, command):
+        # the gate's blind spot: at phi = 0 each mutant builds the original R
+        self.combine_at(monkeypatch, factor)
+        code, out, _ = run(capsys, *shlex.split(command))
+        assert code == 0 and json.loads(out)["passes"]["hamiltonian_covariance"]
+
+    @pytest.mark.parametrize("command", GOLDEN_SPECTRUM)
+    def test_rescaled_i3_fails_the_covariance_gate(self, capsys, monkeypatch, command):
+        # H's I3 term off by 1e-7 of itself; R is untouched
+        monkeypatch.setattr(dynamics, "I_3", dynamics.I_3 * (1 + 1e-7))
+        code, out, _ = run(capsys, *shlex.split(command))
+        passes = json.loads(out)["passes"]
+        assert code == 1 and not passes["hamiltonian_covariance"], passes
 
     @pytest.mark.parametrize("command", GOLDEN_ANALYTIC_SPLIT)
     def test_fixture_swap_mutant_fails_analytic_berry(self, capsys, monkeypatch, command):

@@ -178,33 +178,38 @@ class TestHamiltonianGrid:
         assert len(calls) == 1
 
 
+def paper_fields(d):
+    """The paper's fields of H = B+ I+ + B- I- + B3 I3, written out here."""
+    b_plus = (d.hbar * d.phi_dot * np.sin(d.theta) * np.cos(d.theta)
+              * np.exp(-1j * d.phi) / np.sqrt(3))
+    return b_plus, np.conj(b_plus), 2 / 3 * d.hbar * d.phi_dot * np.cos(d.theta) ** 2
+
+
 class TestSu2Ops:
+    LADDER = (dynamics.I_PLUS, dynamics.I_MINUS, dynamics.I_3)
+
     def test_operators_built_once(self):
-        for d in (DriveParams(theta=0.9, phi=1.1), DriveParams(theta=2.0, phi=0.3)):
-            ops = dynamics.su2_ops(d)
-            assert ops.i_plus is dynamics.I_PLUS
-            assert ops.i_minus is dynamics.I_MINUS
-            assert ops.i_3 is dynamics.I_3
-        for m in (dynamics.I_PLUS, dynamics.I_MINUS, dynamics.I_3):
+        # module constants, read-only, so every reader sees the one copy
+        for m in self.LADDER:
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = 1.0
 
     def test_nilpotent_ladders(self):
-        ops = dynamics.su2_ops(DriveParams(theta=0.9, phi=1.1))
-        assert np.linalg.norm(ops.i_plus @ ops.i_plus) == 0.0
-        assert np.linalg.norm(ops.i_minus @ ops.i_minus) == 0.0
+        assert np.linalg.norm(dynamics.I_PLUS @ dynamics.I_PLUS) == 0.0
+        assert np.linalg.norm(dynamics.I_MINUS @ dynamics.I_MINUS) == 0.0
 
     def test_minus_is_dagger_of_plus(self):
-        ops = dynamics.su2_ops(DriveParams(theta=0.9, phi=1.1))
-        assert np.linalg.norm(ops.i_minus - ops.i_plus.conj().T) <= 1e-15
+        assert np.linalg.norm(dynamics.I_MINUS - dynamics.I_PLUS.conj().T) <= 1e-15
 
     def test_field_coefficients(self):
+        # H's coefficient on each operator, read off the entries it alone fills
         d = DriveParams(theta=0.9, phi=1.1, phi_dot=1.7, hbar=2.0)
-        ops = dynamics.su2_ops(d)
-        expected = (2.0 * 1.7 * np.sin(0.9) * np.cos(0.9) * np.exp(-1.1j) / np.sqrt(3))
-        assert ops.b_plus == pytest.approx(expected, abs=1e-15)
-        assert ops.b_minus == pytest.approx(np.conj(expected), abs=1e-15)
-        assert ops.b_3 == pytest.approx(2 / 3 * 2.0 * 1.7 * np.cos(0.9) ** 2)
+        h = dynamics.hamiltonian(d)
+        supports = [m != 0 for m in self.LADDER]
+        assert np.count_nonzero(sum(supports)) == sum(map(np.count_nonzero, supports))
+        for m, own, field in zip(self.LADDER, supports, paper_fields(d)):
+            assert h[own] / m[own] == pytest.approx(np.full(np.count_nonzero(own), field),
+                                                    abs=1e-15)
 
     def test_cartan_commutator(self):
         res = dynamics.ladder_residuals()["residuals"]
@@ -212,8 +217,7 @@ class TestSu2Ops:
 
     def test_decomposition_reproduces_hamiltonian(self):
         d = DriveParams(theta=1.3, phi=0.2, phi_dot=0.7)
-        ops = dynamics.su2_ops(d)
-        split = ops.b_plus * ops.i_plus + ops.b_minus * ops.i_minus + ops.b_3 * ops.i_3
+        split = sum(b * m for b, m in zip(paper_fields(d), self.LADDER))
         assert linalg.frobenius_norms([dynamics.hamiltonian(d) - split])[0] <= 1e-10
 
     def test_ladder_normalization_finding(self):
@@ -446,6 +450,16 @@ class TestSpectrum:
         for theta in (0.5, 2.4):
             rep = dynamics.spectrum(DriveParams(theta=theta, phi=0.8))
             assert max(rep.projector_residuals) <= 1e-8
+
+    def test_hamiltonian_covariance_over_seeded_drives(self):
+        # R(theta, phi) = D(phi) R(theta, 0) D(phi)^dag, so H = i hbar (dR/dt) R^dag
+        # is (hbar phidot / 2)(S_z - R S_z R^dag) for the braid matrix R itself
+        rng = np.random.default_rng(7)
+        drives = zip(*(rng.uniform(low, high, 1000)
+                       for low, high in ((-7, 7), (-10, 10), (-3, 3), (0.1, 3))))
+        ratios = [dynamics.spectrum(DriveParams(*map(float, drive))).hamiltonian_covariance
+                  / (drive[3] * abs(drive[2])) for drive in drives]
+        assert np.max(ratios) <= 2e-14  # np.max keeps a NaN
 
     def test_kernel_projector_built_once(self, monkeypatch):
         # bitwise the Gram-Schmidt projector of the kernel vectors and

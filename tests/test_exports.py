@@ -24,7 +24,7 @@ MOVED_TO_ORACLES = {
 # checks the brackets, no spectral parameter on the unit circle is singular,
 # and verify-algebra gates mcal against its transcription
 REMOVED = {"berry": ("BerryReport", "report"), "states": ("basis_index",),
-           "dynamics": ("su2_relation_residuals",), "yangbaxter": ("SingularParameterError",),
+           "dynamics": ("su2_relation_residuals", "su2_ops", "Su2Ops"), "yangbaxter": ("SingularParameterError",),
            "braid": ("transcription_diagnostics",)}
 
 

@@ -2,9 +2,14 @@
 position in a fixed field order, frozen, and compared by value where a record
 of plain values allows it (RParams compares by identity, see test_yangbaxter)."""
 
+import importlib
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import braidphase
 from braidphase import braid, cli, dynamics, entanglement, linalg, states, yangbaxter
 from braidphase.dynamics import DriveParams
 from braidphase.yangbaxter import SpectralParam
@@ -24,10 +29,9 @@ RECORDS = {
     "RParams": (yangbaxter.RParams, "theta phi", (0.5, -1.0)),
     "SpectralParam": (SpectralParam, "x", (np.exp(0.3j),)),
     "DriveParams": (DriveParams, "theta phi phi_dot hbar", tuple(DRIVE)),
-    "Su2Ops": (dynamics.Su2Ops, "i_plus i_minus i_3 b_plus b_minus b_3",
-               tuple(dynamics.su2_ops(DRIVE))),
     "SpectrumReport": (dynamics.SpectrumReport, "eigenvalues degeneracy_pattern "
-                       "closed_form_match fixture_residuals projector_residuals hamiltonian",
+                       "closed_form_match fixture_residuals projector_residuals "
+                       "hamiltonian_covariance",
                        tuple(dynamics.spectrum(DRIVE))),
     "EntanglementReport": (entanglement.EntanglementReport, "tau_abc c_ab c_bc c_ac "
                            "c2_a_bc c2_b_ac c2_c_ab monogamy_residual",
@@ -35,6 +39,26 @@ RECORDS = {
     "RunReport": (cli.RunReport, "command parameters results residual_summary passes",
                   ("entangle", {"theta": 0.5}, {}, {"g": 0.0}, {"g": True})),
 }
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_records_table_and_readme_name_the_same_records():
+    # every namedtuple subclass the package defines, the records tested here,
+    # and the README's list of them: one set of names
+    defined = set()
+    for path in pathlib.Path(braidphase.__file__).parent.glob("*.py"):
+        module = importlib.import_module(f"braidphase.{path.stem}")
+        defined.update(name for name, value in vars(module).items()
+                       if isinstance(value, type) and issubclass(value, tuple)
+                       and hasattr(value, "_fields") and value.__module__ == module.__name__)
+    sentence = re.search(r"Every record the package returns or takes \((.*?)\)",
+                         README.read_text(encoding="utf-8"), re.DOTALL)
+    assert sentence, "the README's record list is missing"
+    listed = re.findall(r"`(\w+)`", sentence.group(1))
+    assert len(listed) == len(set(listed))
+    assert defined == set(RECORDS) == set(listed)
 
 
 def same_fields(a, b) -> bool:
