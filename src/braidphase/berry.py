@@ -14,7 +14,8 @@ Two routes:
   solve of H's 2x2 blocks on the doublet range of each basis-index parity
   sector, built from the ladder operators (dynamics._doublet_blocks); each
   doublet has one member in each sector, so each loop is diagonal: one U(1)
-  loop of scalar overlaps per sector.
+  loop of scalar overlaps per sector, the link variables of Fukui, Hatsugai
+  and Suzuki (J. Phys. Soc. Jpn. 74, 1674 (2005)).
 
 Phases follow the gamma = i oint <chi|d_phi chi> sign convention (Wilson
 phases are reported as -arg of the loops so both routes agree). Measured
@@ -121,8 +122,9 @@ def berry_wilson(theta: float, steps: int) -> dict:
     taken and checks exactly that the ladder operators keep that structure,
     else NumericalError names the operator. Each block holds exactly one state
     of each split level (energy -+cos theta for 'minus'/'plus'), so each
-    doublet's Wilson loop is diagonal: per sector, the product of the
-    overlaps of that level's 2-vectors at consecutive grid points (equal to
+    doublet's Wilson loop is diagonal: per sector, the product of the link
+    variables (Fukui, Hatsugai and Suzuki, J. Phys. Soc. Jpn. 74, 1674 (2005)),
+    the overlaps of that level's 2-vectors at consecutive grid points (equal to
     those of the 8-vectors). A sector with other than one state at a level's
     energy raises NumericalError naming the grid point. Returns
     {"minus": [low, high], "plus": [low, high]}, each pair sorted, in the

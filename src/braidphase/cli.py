@@ -5,8 +5,8 @@ Every command emits a RunReport (JSON, deterministic byte-for-byte for fixed
 flags and seed); sweep writes the CSV contract to --out and the summary
 report to stdout. Exit codes: 0 success, 1 a gated check failed, 2 usage
 error (one line on stderr), 3 numerical failure. A report holding NaN or
-Infinity is not JSON, and is refused as a usage error, as is a run whose
-arrays cannot be allocated.
+Infinity is not JSON, and is refused as a usage error (its line names a gate
+that reads one), as is a run whose arrays cannot be allocated.
 
 Angles are radians unless --degrees is given, and must be finite; a negative
 number may have an exponent (--theta -1e-3). Sample counts (--samples,
@@ -61,8 +61,11 @@ class RunReport(namedtuple("RunReport", "command parameters results residual_sum
         return bool(self.passes) and all(self.passes.values())
 
     def to_json(self) -> str:
+        for gate, value in self.residual_summary.items():
+            if not math.isfinite(value):  # NaN and Infinity are not JSON (RFC 8259)
+                raise ValueError(f"gate {gate} read {value}, and a report holding NaN "
+                                 "or Infinity is not JSON")
         payload = {**self._asdict(), "passed": self.passed}
-        # allow_nan=False: NaN and Infinity are not JSON (RFC 8259)
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                           default=_numpy_value) + "\n"
 
@@ -79,18 +82,20 @@ def _numpy_value(obj):
 
 
 def _report(command: str, parameters: dict, results: dict, gates: dict) -> RunReport:
-    """The RunReport of ``gates``, {gate: (residual, bound)}: a gate passes
-    when its residual is at most its bound, which a NaN never is, and the
-    residual summary is {gate: residual}."""
-    return RunReport(command, parameters, results,
-                     {gate: residual for gate, (residual, _) in gates.items()},
-                     {gate: residual <= bound for gate, (residual, bound) in gates.items()})
+    """The RunReport of ``gates``, {gate: (residuals, bound)}, residuals a float
+    or any array-like. A gate reads their largest magnitude, as a Python float,
+    and passes when that is at most its bound. np.max keeps a NaN (Python's max
+    drops one that is not first), and a NaN is never at most a bound."""
+    summary = {gate: float(abs(res) if isinstance(res, float) else np.max(np.abs(res)))
+               for gate, (res, _) in gates.items()}
+    return RunReport(command, parameters, results, summary,
+                     {gate: summary[gate] <= bound for gate, (_, bound) in gates.items()})
 
 
-def _worst(measured, closed, axis=None):
-    """Largest |measured - closed|, NaN if any is: Python's max drops a NaN
-    that does not come first, and a dropped NaN would pass its gate."""
-    return np.max(np.abs(np.subtract(measured, closed)), axis=axis)
+def _fold(worst: dict, block: dict) -> dict:
+    """Each of ``block``'s residual arrays folded into its running maximum in
+    ``worst``, by _report's rule: a NaN in any block stays."""
+    return {name: np.maximum(worst.get(name, 0.0), np.max(res)) for name, res in block.items()}
 
 
 # the largest sample count and sweep or berry --steps, refused by the parser
@@ -134,9 +139,7 @@ def cmd_verify_algebra(tol: float, phi_samples: int, seed: int) -> RunReport:
             # phi_k paired with theta_k, and the bound over every theta
             block[f"unitarity_{system}"], block[f"unitarity_all_theta_{system}"] = (
                 yangbaxter.unitarity_residuals(gen, thetas[lo:lo + yangbaxter._BLOCK]))
-        # np.max and np.maximum keep a NaN, which Python's max drops if not first
-        for name, val in block.items():
-            worst[name] = np.maximum(worst.get(name, 0.0), np.max(val))
+        worst = _fold(worst, block)
     ladder = dynamics.ladder_residuals()  # the operators are constants: once per run
 
     return _report(
@@ -167,12 +170,10 @@ def cmd_ybe(tol: float, samples: int, phi_samples: int, seed: int) -> RunReport:
     xs, ys = _sample_spectral_pairs(rng, samples)
     phis = _uniform(rng, 0.0, 2 * math.pi, phi_samples)
 
-    # each residual's NaN-keeping maximum over blocks of 64 phi, none held past
-    # its own, which bounds the working set; no residual depends on it
+    # blocks of 64 phi, none held past its own, bound the working set; no residual depends on them
     worst: dict = {}
     for lo in range(0, phi_samples, yangbaxter._BLOCK):
-        worst = {key: np.maximum(worst.get(key, 0.0), np.max(res)) for key, res in
-                 yangbaxter.ybe_residual(xs, ys, phis[lo:lo + yangbaxter._BLOCK]).items()}
+        worst = _fold(worst, yangbaxter.ybe_residual(xs, ys, phis[lo:lo + yangbaxter._BLOCK]))
     maxima = {f"{key}_max": float(res) for key, res in worst.items()}
     gated = f"{yangbaxter.TWO_QUBIT}_rational"
     return _report(
@@ -190,15 +191,12 @@ def cmd_entangle(theta: float, phi: float, label: str, tol: float) -> RunReport:
     rest_c = entanglement.one_vs_rest_sq_closed_form(theta)
     return _report(
         "entangle", {"theta": theta, "phi": phi, "input": label, "tol": tol},
-        {"tau_abc": rep.tau_abc,
-         "c_ab": rep.c_ab, "c_bc": rep.c_bc, "c_ac": rep.c_ac,
-         "c2_a_bc": rep.c2_a_bc, "c2_b_ac": rep.c2_b_ac, "c2_c_ab": rep.c2_c_ab,
-         "monogamy_residual": rep.monogamy_residual,
+        {**rep._asdict(),  # each measure and the monogamy residual
          "closed_forms": {"tangle": tau_c, "pair_concurrence": pair_c,
                           "one_vs_rest_sq": rest_c}},
-        {"tangle": (abs(rep.tau_abc - tau_c), tol),
-         "pair_concurrence": (_worst([rep.c_ab, rep.c_bc, rep.c_ac], pair_c), tol),
-         "one_vs_rest_sq": (_worst([rep.c2_a_bc, rep.c2_b_ac, rep.c2_c_ab], rest_c), tol),
+        {"tangle": (rep.tau_abc - tau_c, tol),
+         "pair_concurrence": (np.subtract([rep.c_ab, rep.c_bc, rep.c_ac], pair_c), tol),
+         "one_vs_rest_sq": (np.subtract([rep.c2_a_bc, rep.c2_b_ac, rep.c2_c_ab], rest_c), tol),
          "monogamy": (rep.monogamy_residual, tol)})
 
 
@@ -217,7 +215,7 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
                              entanglement.pair_concurrence_closed_form(thetas),
                              entanglement.one_vs_rest_sq_closed_form(thetas)])
     measured = np.column_stack([rep.tau_abc, rep.c_ab, rep.c2_a_bc])
-    row_worst = _worst(measured, closed, axis=1)
+    row_worst = np.max(np.abs(measured - closed), axis=1)  # the CSV's max_residual
     # each measure beside its closed form, as in SWEEP_HEADER
     table = np.column_stack([thetas, np.stack([measured, closed], 2).reshape(-1, 6), row_worst])
     lines = [SWEEP_HEADER]
@@ -227,7 +225,7 @@ def cmd_sweep(theta_min: float, theta_max: float, steps: int, phi: float,
         "sweep", {"theta_min": theta_min, "theta_max": theta_max,
                   "steps": steps, "phi": phi, "tol": tol},
         {"rows": steps, "input": "000", "pair_column": "c_ab"},
-        {"closed_form_match_max": (float(np.max(row_worst)), tol)})
+        {"closed_form_match_max": (row_worst, tol)})
     return report, csv_text
 
 
@@ -243,9 +241,8 @@ def cmd_spectrum(theta: float, phi: float, phidot: float, hbar: float,
          "fixture_residuals": list(rep.fixture_residuals),
          "projector_residuals": list(rep.projector_residuals)},
         {"closed_form_match": (rep.closed_form_match, scaled),
-         # np.max keeps a NaN, which Python's max drops if not first
-         "fixture_eigen_equation_max": (np.max(rep.fixture_residuals), scaled),
-         "projector_match_max": (np.max(rep.projector_residuals), tol),
+         "fixture_eigen_equation_max": (rep.fixture_residuals, scaled),
+         "projector_match_max": (rep.projector_residuals, tol),
          "hamiltonian_covariance": (rep.hamiltonian_covariance, scaled)})
 
 
@@ -293,7 +290,7 @@ def cmd_berry(theta: float, steps: int | None, method: str, level: str,
     return _report(
         "berry", {"theta": theta, "steps": steps, "method": method, "level": level, "tol": tol},
         {"reports": reports},
-        {f"{r['level']}_residual_max": (np.max(r["residuals"]), tol) for r in reports})
+        {f"{r['level']}_residual_max": (r["residuals"], tol) for r in reports})
 
 
 # ---------------------------------------------------------------------------

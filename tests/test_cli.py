@@ -55,6 +55,63 @@ def reject(constant):
     raise ValueError(f"non-strict JSON constant {constant}")
 
 
+class TestReport:
+    """cli._report reduces every gate's residuals to one Python float, their
+    largest magnitude, NaN if any is; cli._fold keeps the same maximum over
+    blocks."""
+
+    MAGNITUDES = [0.25, -0.25, np.float64(-3e-16), [1e-3, -2e-3, 5e-4], (-1.0, 0.5),
+                  np.array([0.1, -0.4, 0.2]), np.array([[0.1, -0.2], [0.5, -0.05]])]
+
+    @pytest.mark.parametrize("residuals", MAGNITUDES, ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("bound", [0.3, 1.0])
+    def test_gate_reads_the_largest_magnitude(self, residuals, bound):
+        report = cli._report("c", {}, {}, {"g": (residuals, bound)})
+        worst = max(abs(float(r)) for r in np.ravel(residuals))
+        assert report.residual_summary == {"g": worst} and report.passes == {"g": worst <= bound}
+        assert type(report.residual_summary["g"]) is float and type(report.passes["g"]) is bool
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("kind", [list, tuple, np.array, lambda v: np.reshape(v * 2, (2, 5))])
+    def test_nan_anywhere_wins_and_fails_its_gate(self, position, kind):
+        values = [1e-3, -2e-3, 3e-3, -4e-3, 5e-3]
+        values[position] = float("nan")
+        report = cli._report("c", {}, {}, {"g": (kind(values), 1e9), "h": (0.0, 1e9)})
+        assert np.isnan(report.residual_summary["g"]) and report.passes == {"g": False, "h": True}
+        assert not report.passed
+
+    def test_fold_keeps_an_earlier_blocks_nan(self):
+        blocks = [{"a": np.array([1e-3, np.nan]), "b": np.array([2e-3]), "c": np.array([0.1])},
+                  {"a": np.array([5.0, 6.0]), "b": np.array([1e-3, 3e-3]), "c": np.array([0.2])},
+                  {"a": np.array([0.0]), "b": np.array([4e-4]), "c": np.array([0.3, np.nan])}]
+        worst = {}
+        for block in blocks:
+            worst = cli._fold(worst, block)
+        assert np.isnan(worst["a"]) and np.isnan(worst["c"]) and worst["b"] == 3e-3
+        report = cli._report("c", {}, {}, {name: (value, 1e9) for name, value in worst.items()})
+        assert report.passes == {"a": False, "b": True, "c": False}
+
+    def test_gates_are_python_floats_and_bools(self, capsys, tmp_path, monkeypatch):
+        # over the golden argv, in-process: no numpy scalar reaches a report's
+        # residual summary or its gates
+        reports, original = [], cli._report
+        monkeypatch.setattr(cli, "_report", lambda *args: reports.append(original(*args))
+                            or reports[-1])
+        argvs = [[str(tmp_path / a) if a == "curves.csv" else a for a in shlex.split(command)]
+                 for command in golden.README_COMMANDS + golden.EXTRA_COMMANDS]
+        assert [run(capsys, *argv)[0] in (0, 1) for argv in argvs] == [True] * len(argvs)
+        assert len(reports) == len(argvs) == 26
+        for report in reports:
+            assert {type(value) for value in report.residual_summary.values()} == {float}
+            assert {type(value) for value in report.passes.values()} == {bool}
+
+    def test_non_finite_gate_is_named(self):
+        report = cli._report("c", {}, {}, {"g": (0.0, 1.0), "h": ([1.0, np.inf], 1.0)})
+        with pytest.raises(ValueError, match="^gate h read inf, and a report holding NaN "
+                                             "or Infinity is not JSON$"):
+            report.to_json()
+
+
 class TestVerifyAlgebra:
     def test_passes_and_validates(self, capsys):
         code, out, _ = run(capsys, "verify-algebra", "--phi-samples", "5", "--seed", "1")
@@ -90,39 +147,41 @@ class TestVerifyAlgebra:
     @staticmethod
     def nan_at(monkeypatch, block, index):
         """Make the first relation residual NaN at ``index`` of the ``block``-th
-        stacked check; returns the BraidSets checked."""
+        stacked check; returns the BraidSets checked and the residual's name."""
         exact = braid.check_es2_relations
-        calls = []
+        calls, names = [], []
 
         def nan_in_block(bs):
             rep = exact(bs)
             calls.append(bs)
             if len(calls) == block + 1:
-                name = next(iter(rep.residuals))
-                values = rep.residuals[name].copy()
+                names.append(next(iter(rep.residuals)))
+                values = rep.residuals[names[0]].copy()
                 values[index] = np.nan
-                rep = rep._replace(residuals={**rep.residuals, name: values})
+                rep = rep._replace(residuals={**rep.residuals, names[0]: values})
             return rep
 
         monkeypatch.setattr(braid, "check_es2_relations", nan_in_block)
-        return calls
+        return calls, names
 
     def test_nan_residual_at_a_later_angle_fails(self, capsys, monkeypatch):
         # a NaN relation residual at the second phi is kept in the maximum
         # (Python's max would drop it), so the report is refused
-        calls = self.nan_at(monkeypatch, 0, 1)
+        calls, names = self.nan_at(monkeypatch, 0, 1)
         code, out, err = run(capsys, "verify-algebra", "--phi-samples", "3")
         assert [len(bs.phi) for bs in calls] == [3]
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
+        assert err.startswith(f"error: gate {names[0]} read nan,")
 
     def test_nan_residual_in_a_later_block_fails(self, capsys, monkeypatch):
         # the NaN is in the second block of 64 angles, at its third
-        calls = self.nan_at(monkeypatch, 1, 2)
+        calls, names = self.nan_at(monkeypatch, 1, 2)
         code, out, err = run(capsys, "verify-algebra", "--phi-samples", "70")
         assert [len(bs.phi) for bs in calls] == [64, 6]
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
+        assert err.startswith(f"error: gate {names[0]} read nan,")
 
     def test_memory_is_bounded_by_the_phi_block(self):
         def peak(samples):
@@ -266,19 +325,25 @@ class TestYbe:
         assert maxima == {f"{key}_max": float(np.max(res)) for key, res in whole.items()}
 
     def test_nan_residual_in_a_later_block_fails(self, capsys, monkeypatch):
-        # np.maximum keeps the NaN of the second block, so the report is refused
+        # the fold keeps the NaN of the second block, in the gated residual
+        # and in the reported one, so the report is refused
         original = yangbaxter.ybe_residual
 
         def nan_in_second_block(xs, ys, phis):
             out = original(xs, ys, phis)
             if len(phis) < 64:
-                out["three_qubit_rational"][0, 0] = np.nan
+                for res in out.values():
+                    res[0, 0] = np.nan
             return out
 
         monkeypatch.setattr(yangbaxter, "ybe_residual", nan_in_second_block)
+        report = cli.cmd_ybe(1e-10, 2, 70, 0)
+        assert all(np.isnan(list(report.results["max_residuals"].values())))
+        assert not report.passed
         code, out, err = run(capsys, "ybe", "--samples", "2", "--phi-samples", "70")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
+        assert err.startswith("error: gate two_qubit_rational_max read nan,")
 
     def test_memory_is_flat_in_phi_samples(self):
         # each block's residual grids are folded into two maxima and dropped
@@ -309,7 +374,7 @@ class TestEntangle:
         assert json.loads(out)["results"]["tau_abc"] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("pair,rest", [("c_bc", "c2_b_ac"), ("c_ac", "c2_c_ab")])
-    def test_nan_at_a_later_pair_fails_its_gate(self, monkeypatch, pair, rest):
+    def test_nan_at_a_later_pair_fails_its_gate(self, capsys, monkeypatch, pair, rest):
         # Python's max would drop a NaN residual that does not come first
         exact = entanglement.full_report
         monkeypatch.setattr(entanglement, "full_report", lambda state: exact(state)._replace(
@@ -318,6 +383,10 @@ class TestEntangle:
         assert np.isnan(report.residual_summary["pair_concurrence"])
         assert np.isnan(report.residual_summary["one_vs_rest_sq"])
         assert not report.passes["pair_concurrence"] and not report.passed
+        code, out, err = run(capsys, "entangle", "--theta", "0.5")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "JSON" in err
+        assert err.startswith("error: gate pair_concurrence read nan,")
 
     def test_bad_input_label_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "entangle", "--theta", "0.5", "--input", "012")
@@ -420,6 +489,7 @@ class TestSweep:
                              "--steps", "3", "--out", str(tmp_path / "c.csv"))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
+        assert err.startswith("error: gate closed_form_match_max read nan,")
 
     @pytest.mark.parametrize("low, high, steps", [("-1e308", "1e308", "3"),
                                                   ("-1.7e308", "1.7e308", "2")])
@@ -526,6 +596,7 @@ class TestSpectrum:
         code, out, err = run(capsys, "spectrum", "--theta", "1", "--phi", "0.3")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
+        assert err.startswith(f"error: gate {gate} read nan,")
 
     def test_builds_h_once(self, capsys, monkeypatch):
         # the covariance gate reads the H that the fixture residuals were taken on
@@ -703,6 +774,8 @@ class TestBerry:
         code, out, err = run(capsys, "berry", "--theta", "0.9", "--steps", "100",
                              "--method", method, "--level", "minus")
         assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "JSON" in err
+        assert err.startswith("error: gate minus_residual_max read nan,")
         assert len(err.splitlines()) == 1 and "JSON" in err
 
     def test_wilson_zero_level_is_usage_error(self, capsys):

@@ -347,6 +347,14 @@ class TestDrivenEvolution:
             carried = driven_evolution(theta, np.pi, 400, 1.0, 1.0) @ start
             assert abs(np.vdot(there, carried)) ** 2 == pytest.approx(fidelity, abs=5e-5)
 
+    @pytest.mark.parametrize("i", [5, 6, 7, 8])
+    def test_half_loop_fidelity_is_cos_squared(self, i):
+        # the closed form of the fidelities above: 8.9e-16 at worst measured
+        for theta in np.linspace(-3.0, 3.0, 13):
+            start, there = (dynamics.eigenstate_fixture(i, theta, phi) for phi in (0.0, np.pi))
+            fidelity = abs(np.vdot(there, r_ratio(theta, np.pi) @ start)) ** 2
+            assert abs(fidelity - np.cos(theta) ** 2) <= 4e-15
+
     def test_loop_closes_on_the_identity(self):
         # 2.3e-16 measured: the rounding of R at phi = 2 pi, about one ulp of 1
         assert np.abs(r_ratio(1.0472, 2 * np.pi) - np.eye(8)).max() <= 2 * np.spacing(1.0)

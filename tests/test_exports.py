@@ -58,6 +58,22 @@ def test_imports_between_modules_are_module_imports(path):
     assert names == []
 
 
+def test_handlers_leave_the_gate_reduction_to_report():
+    # each handler passes its raw residuals to cli._report, the one place a
+    # residual becomes a verdict: a max of its own would be a second NaN rule
+    # (Python's max drops a NaN that is not first); a max along an axis, as
+    # of sweep's CSV column, reduces no gate
+    tree = ast.parse(pathlib.Path(braidphase.__file__).with_name("cli.py").read_text(
+        encoding="utf-8"))
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    calls = [f"{handler.name}: {ast.unparse(call)}" for handler in handlers
+             for call in ast.walk(handler) if isinstance(call, ast.Call)
+             and ast.unparse(call.func) in ("max", "np.max", "np.maximum")
+             and not any(keyword.arg == "axis" for keyword in call.keywords)]
+    assert len(handlers) == 6 and calls == []
+
+
 @pytest.mark.parametrize("name, moved", MOVED_TO_ORACLES.items())
 def test_reference_routes_are_not_in_the_package(name, moved):
     module = importlib.import_module(f"braidphase.{name}")
