@@ -101,8 +101,9 @@ class Es2Report(namedtuple("Es2Report", "phi residuals ambiguous")):
 
     phi        -- float | np.ndarray, as in the BraidSet checked
     residuals  -- dict, the asserted relations
-    ambiguous  -- dict, the mixed triple-product readings that are reported
-                  but never gate a run
+    ambiguous  -- dict, triple_as_printed and triple_swapped: the two readings
+                  of the printed triple relation that fail, reported but never
+                  gated; the sign-flipped one, which holds, is aba_sandwich
     """
 
     __slots__ = ()
@@ -161,25 +162,25 @@ def check_es2_relations(bs: BraidSet) -> Es2Report:
       mcal_transcription ||mcal - mcal_transcribed(phi)||
       chain_anticommutation ||3 {mcal otimes I_2, I_2 otimes mcal} + 2 I||  (16x16)
 
-    Ambiguous (reported only), with mm12 = -i a8, mm23 = -i b8:
-      triple_as_printed ||mm12 mm23 mm12 - mm12||
-      triple_swapped    ||mm12 mm23 mm12 - mm23||
-      triple_sign_flipped ||mm12 mm23 mm12 + mm23||  (the reading that holds)
+    Ambiguous (reported only): the printed mm12 mm23 mm12 = mm12, with mm12 = -i a8,
+    mm23 = -i b8, and its swap. Scaling by -i is exact, so mm12 mm23 mm12 = i A B A,
+    and the sign-flipped mm12 mm23 mm12 = -mm23, which holds, is aba_sandwich:
+      triple_as_printed ||A B A + A||  (= ||mm12 mm23 mm12 - mm12||)
+      triple_swapped    ||A B A + B||  (= ||mm12 mm23 mm12 - mm23||)
     """
     a, b = bs.a8, bs.b8
-    mm12, mm23 = -1j * a, -1j * b
-    triple = mm12 @ mm23 @ mm12
+    ab, ba = a @ b, b @ a
+    aba = ab @ a
     chain_a, chain_b = _chain_lifts(bs.mcal)
     eight = {
-        "aba_sandwich": a @ b @ a - b,
-        "bab_sandwich": b @ a @ b - a,
-        "anticommutation": a @ b + b @ a,
+        "aba_sandwich": aba - b,
+        "bab_sandwich": ba @ b - a,
+        "anticommutation": ab + ba,
         "mbb_square": bs.mbb @ bs.mbb - np.eye(8, dtype=complex),
         "mcal_antihermitian": bs.mcal + bs.mcal.conj().swapaxes(-1, -2),
         "mcal_transcription": bs.mcal - mcal_transcribed(bs.phi),
-        "triple_as_printed": triple - mm12,
-        "triple_swapped": triple - mm23,
-        "triple_sign_flipped": triple + mm23,
+        "triple_as_printed": aba + a,
+        "triple_swapped": aba + b,
     }
     shape, residuals = np.shape(bs.phi), {}
     for terms in ({"m4_square": bs.m4 @ bs.m4 + np.eye(4, dtype=complex)}, eight,
@@ -189,8 +190,7 @@ def check_es2_relations(bs: BraidSet) -> Es2Report:
         norms = linalg.frobenius_norms(stack.reshape((-1,) + stack.shape[-2:]))
         norms = norms.reshape((len(terms),) + shape)
         residuals.update(zip(terms, norms if shape else norms.tolist()))
-    ambiguous = {name: residuals.pop(name) for name in
-                 ("triple_as_printed", "triple_swapped", "triple_sign_flipped")}
+    ambiguous = {name: residuals.pop(name) for name in ("triple_as_printed", "triple_swapped")}
     return Es2Report(phi=bs.phi, residuals=residuals, ambiguous=ambiguous)
 
 

@@ -6,7 +6,8 @@ flags and seed); sweep writes the CSV contract to --out and the summary
 report to stdout. Exit codes: 0 success, 1 a gated check failed, 2 usage
 error (one line on stderr), 3 numerical failure. A report holding NaN or
 Infinity is not JSON, and is refused as a usage error (its line names a gate
-that reads one), as is a run whose arrays cannot be allocated.
+that reads one, or else the key path of the first one), as is a run whose
+arrays cannot be allocated.
 
 Angles are radians unless --degrees is given, and must be finite; a negative
 number may have an exponent (--theta -1e-3). Sample counts (--samples,
@@ -66,8 +67,14 @@ class RunReport(namedtuple("RunReport", "command parameters results residual_sum
                 raise ValueError(f"gate {gate} read {value}, and a report holding NaN "
                                  "or Infinity is not JSON")
         payload = {**self._asdict(), "passed": self.passed}
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                          default=_numpy_value) + "\n"
+        try:
+            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                              default=_numpy_value) + "\n"
+        except ValueError:  # name the first non-finite value, in the order written
+            for path, value in _non_finite(payload, ""):
+                raise ValueError(f"{path} read {value}, and a report holding NaN "
+                                 "or Infinity is not JSON") from None
+            raise
 
 
 def _numpy_value(obj):
@@ -75,6 +82,21 @@ def _numpy_value(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _non_finite(value, path: str):
+    """Each (key path, value) of a NaN or Infinity in ``value``, as json.dumps
+    writes them with sorted keys: dict keys joined by dots, list indices in []."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _non_finite(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for k, item in enumerate(value):
+            yield from _non_finite(item, f"{path}[{k}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path, value
 
 
 # ---------------------------------------------------------------------------

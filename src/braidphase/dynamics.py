@@ -232,25 +232,25 @@ def ladder_residuals() -> dict:
     globally and on the doublet range, whose projector P comes from _LIFT.
     With cartan_commutator, the *_triple pair and i3_squared_nine_quarters_span,
     J+- = I+-/sqrt(3), J3 = I3/3 close an exact su(2) with J3^2 = 1/4 on P."""
-    ip, im, i3 = I_PLUS, I_MINUS, I_3
-    eye = np.eye(8)
+    ip, im, i3, eye = I_PLUS, I_MINUS, I_3, np.eye(8)
     span = np.einsum("sim,sjm->ij", _LIFT, _LIFT)  # the sectors' ranges together
     i3sq = i3 @ i3
-    restrict = lambda m: span @ m @ span
+    quarter = i3sq - eye / 4  # the unit reading of I3^2
+    plus, minus = i3 @ ip - ip @ i3, i3 @ im - im @ i3  # [I3, I+-]
     holds = {
         "i_plus_squared": ip @ ip,
         "i_minus_squared": im @ im,
         "cartan_commutator": ip @ im - im @ ip - 2 * i3,
-        "ladder_plus_triple": i3 @ ip - ip @ i3 - 3 * ip,
-        "ladder_minus_triple": i3 @ im - im @ i3 + 3 * im,
-        "i3_squared_nine_quarters_span": restrict(i3sq - 9 * eye / 4),
+        "ladder_plus_triple": plus - 3 * ip,
+        "ladder_minus_triple": minus + 3 * im,
+        "i3_squared_nine_quarters_span": span @ (i3sq - 9 * eye / 4) @ span,
         "i3_squared_projector_identity": i3sq - 9 / 4 * span,
     }
     misreadings = {
-        "ladder_plus_unit": i3 @ ip - ip @ i3 - ip,
-        "ladder_minus_unit": i3 @ im - im @ i3 + im,
-        "i3_squared_quarter_global": i3sq - eye / 4,
-        "i3_squared_quarter_span": restrict(i3sq - eye / 4),
+        "ladder_plus_unit": plus - ip,
+        "ladder_minus_unit": minus + im,
+        "i3_squared_quarter_global": quarter,
+        "i3_squared_quarter_span": span @ quarter @ span,
     }
     norms = iter(linalg.frobenius_norms([*holds.values(), *misreadings.values()]).tolist())
     return {"residuals": dict(zip(holds, norms)), "misreadings": dict(zip(misreadings, norms))}

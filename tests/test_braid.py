@@ -95,13 +95,33 @@ class TestEs2Relations:
         assert scaled.residuals["mbb_square"] == pytest.approx(np.sqrt(8) * 2e-9, rel=1e-6)
 
     def test_ambiguous_triple_readings(self):
-        # the scaled operators flip the sandwich sign: only the negated
-        # right-hand side closes, the two printed readings stay O(1)
+        # the scaled operators flip the sandwich sign: the two printed readings
+        # stay O(1); the negated right-hand side, which closes, is aba_sandwich
         rep = braid.check_es2_relations(braid.build_braidset(0.8))
-        assert rep.ambiguous["triple_sign_flipped"] < 1e-12
+        assert set(rep.ambiguous) == {"triple_as_printed", "triple_swapped"}
         assert rep.ambiguous["triple_as_printed"] == pytest.approx(4.0, abs=1e-12)
         assert rep.ambiguous["triple_swapped"] == pytest.approx(
             4 * np.sqrt(2), abs=1e-12)
+
+    def test_no_reading_repeats_a_gated_residual(self):
+        # a reported reading equal to a gate at every phi reports nothing new
+        phis = np.random.default_rng(40).uniform(-20.0, 20.0, 512)
+        rep = braid.check_es2_relations(braid.build_braidset(phis))
+        assert [(reading, gate) for reading, values in rep.ambiguous.items()
+                for gate, gated in rep.residuals.items() if np.array_equal(values, gated)] == []
+
+    def test_readings_match_the_product_route(self):
+        # the printed relation's own product mm12 mm23 mm12, of the np.kron-built
+        # family, is a route to both readings that does not go through A B A
+        for phi in BITWISE_PHIS[:200]:
+            _, a8, b8, _, _ = kron_braidset(phi)
+            mm12, mm23 = -1j * a8, -1j * b8
+            triple = mm12 @ mm23 @ mm12
+            rep = braid.check_es2_relations(braid.build_braidset(phi))
+            assert rep.ambiguous["triple_as_printed"] == pytest.approx(
+                np.linalg.norm(triple - mm12), rel=0, abs=1e-15)
+            assert rep.ambiguous["triple_swapped"] == pytest.approx(
+                np.linalg.norm(triple - mm23), rel=0, abs=1e-15)
 
 
 class TestTranscriptions:

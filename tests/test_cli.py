@@ -111,6 +111,22 @@ class TestReport:
                                              "or Infinity is not JSON$"):
             report.to_json()
 
+    def test_non_finite_result_is_named_by_its_key_path(self):
+        # the first one as written, keys sorted, through lists and arrays alike
+        results = {"b": {"c": [1.0, np.array([[0.0, 2.0], [np.inf, np.nan]])]},
+                   "a": np.float64(-np.inf), "d": {"e": (np.nan,)}}
+        report = cli._report("c", {}, results, {"g": (0.0, 1.0)})
+        with pytest.raises(ValueError, match=r"^results\.a read -inf, and a report holding "
+                                             "NaN or Infinity is not JSON$"):
+            report.to_json()
+        report.results.pop("a")
+        with pytest.raises(ValueError, match=r"^results\.b\.c\[1\]\[1\]\[0\] read inf,"):
+            report.to_json()
+        # a gate that reads one is named as the gate, before any result
+        report = cli._report("c", {}, results, {"h": (np.nan, 1.0)})
+        with pytest.raises(ValueError, match="^gate h read nan,"):
+            report.to_json()
+
 
 class TestVerifyAlgebra:
     def test_passes_and_validates(self, capsys):
@@ -182,6 +198,22 @@ class TestVerifyAlgebra:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
         assert err.startswith(f"error: gate {names[0]} read nan,")
+
+    def test_nan_triple_reading_is_named(self, capsys, monkeypatch):
+        # a reported-only reading gates nothing: the line names its key path
+        exact = braid.check_es2_relations
+
+        def nan_reading(bs):
+            rep = exact(bs)
+            values = rep.ambiguous["triple_swapped"].copy()
+            values[1] = np.nan
+            return rep._replace(ambiguous={**rep.ambiguous, "triple_swapped": values})
+
+        monkeypatch.setattr(braid, "check_es2_relations", nan_reading)
+        code, out, err = run(capsys, "verify-algebra", "--phi-samples", "3")
+        assert code == 2 and out == ""
+        assert err == ("error: results.ambiguous_triple_readings_max.triple_swapped read nan, "
+                       "and a report holding NaN or Infinity is not JSON\n")
 
     def test_memory_is_bounded_by_the_phi_block(self):
         def peak(samples):
@@ -344,6 +376,21 @@ class TestYbe:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "JSON" in err
         assert err.startswith("error: gate two_qubit_rational_max read nan,")
+
+    def test_nan_in_the_reported_only_family_is_named(self, capsys, monkeypatch):
+        # the gated family stays finite and passes; the line names the key path
+        original = yangbaxter.ybe_residual
+
+        def nan_three_qubit(xs, ys, phis):
+            out = original(xs, ys, phis)
+            out[f"{yangbaxter.THREE_QUBIT}_rational"][1, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(yangbaxter, "ybe_residual", nan_three_qubit)
+        code, out, err = run(capsys, "ybe", "--samples", "2", "--phi-samples", "3")
+        assert code == 2 and out == ""
+        assert err == ("error: results.max_residuals.three_qubit_rational_max read nan, "
+                       "and a report holding NaN or Infinity is not JSON\n")
 
     def test_memory_is_flat_in_phi_samples(self):
         # each block's residual grids are folded into two maxima and dropped

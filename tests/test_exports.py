@@ -74,6 +74,22 @@ def test_handlers_leave_the_gate_reduction_to_report():
     assert len(handlers) == 6 and calls == []
 
 
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(braidphase.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_each_product_is_formed_once_per_function(path):
+    # a product that two checks read is formed once and read twice: the same
+    # "@" written twice in one function is a second matmul for the same bits
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    twice = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            products = [ast.unparse(node) for node in ast.walk(func)
+                        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+            twice += [f"{func.name}: {product}" for product in sorted(set(products))
+                      if products.count(product) > 1]
+    assert twice == []
+
+
 @pytest.mark.parametrize("name, moved", MOVED_TO_ORACLES.items())
 def test_reference_routes_are_not_in_the_package(name, moved):
     module = importlib.import_module(f"braidphase.{name}")
